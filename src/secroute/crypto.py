@@ -47,7 +47,9 @@ def hash_bytes(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()
 
 
-def _frame_parts(parts: Sequence[bytes]) -> bytes:
+def frame_parts(parts: Sequence[bytes]) -> bytes:
+    """The MAC input `mac` builds from its parts: each part after its
+    4-byte big-endian length."""
     out = bytearray()
     for p in parts:
         out += len(p).to_bytes(4, "big")
@@ -63,7 +65,16 @@ def mac(key: bytes, parts: Sequence[bytes]) -> bytes:
     """
     if not parts:
         raise ValueError("mac requires at least one part")
-    return hmac.new(key, _frame_parts(parts), hashlib.sha256).digest()
+    return mac_framed(key, frame_parts(parts))
+
+
+def mac_framed(key: bytes, framed: bytes) -> bytes:
+    """Keyed MAC over input already framed by `frame_parts`.
+
+    mac_framed(k, frame_parts(parts)) == mac(k, parts); use it to MAC the
+    same framed parts under many keys without framing them again.
+    """
+    return hmac.digest(key, framed, "sha256")
 
 
 def seal(key: bytes, plaintext: bytes) -> SealedBox:
@@ -74,7 +85,7 @@ def seal(key: bytes, plaintext: bytes) -> SealedBox:
     repeated (key, plaintext) pair yields the identical box, which leaks
     only equality; distinct plaintexts get distinct nonces.
     """
-    nonce = hmac.new(key, b"box-nonce" + plaintext, hashlib.sha256).digest()[:NONCE_LEN]
+    nonce = hmac.digest(key, b"box-nonce" + plaintext, "sha256")[:NONCE_LEN]
     ct = ChaCha20Poly1305(key).encrypt(nonce, plaintext, b"")
     return SealedBox(nonce, ct[:-TAG_LEN], ct[-TAG_LEN:])
 

@@ -118,10 +118,6 @@ def emit_report(report: RunReport, fmt: str = "json") -> bytes:
     raise ConfigError("unknown report format %r" % fmt)
 
 
-def report_from_json(raw: bytes) -> Dict[str, Any]:
-    return json.loads(raw.decode())
-
-
 # -- provisioning ------------------------------------------------------
 
 
@@ -137,6 +133,10 @@ def provision(topo: Topology, k: int, m: int, seed: int):
     center = kdclib.Kdc(params, pool)
     nodes = sorted(topo.nodes)
     rings = {n: center.issue(n) for n in nodes}
+    pairwise: Dict[str, Dict[str, bytes]] = {n: {} for n in nodes}
+    for i, a in enumerate(nodes):
+        for b in nodes[i + 1 :]:
+            pairwise[a][b] = pairwise[b][a] = svc.pairwise_key(a, b)
     stores: Dict[str, srdp.KeyStore] = {}
     for n in nodes:
         neighbors = topo.rdn(n)
@@ -146,7 +146,7 @@ def provision(topo: Topology, k: int, m: int, seed: int):
             broadcast_secret=rings[n].broadcast_secret,
             neighbor_group_keys={x: rings[x].rdn_group_key for x in neighbors},
             neighbor_ids=set(neighbors),
-            pairwise={x: svc.pairwise_key(n, x) for x in nodes if x != n},
+            pairwise=pairwise[n],
         )
     for sender in nodes:
         revoked = sorted(topo.rdn(sender))
@@ -234,11 +234,14 @@ class ProtocolBehavior(NodeBehavior):
     # cloudlet forwarding with per-hop acks
 
     def handle_session(self, sim, node, sender, pkt: SessionFrame, clock) -> None:
-        payload = json.loads(pkt.payload.decode())
+        if pkt.step not in (STEP_ACK, STEP_CLOUDLET):
+            return
+        payload = _cloudlet_payload(pkt.payload, sim.topo)
+        if payload is None:
+            sim.log_drop(node, "MalformedSession")
+            return
         if pkt.step == STEP_ACK:
             self.harness.ack_received(node, payload["seq"])
-            return
-        if pkt.step != STEP_CLOUDLET:
             return
         sim.unicast(node, sender, encode_frame(SessionFrame(node, STEP_ACK, pkt.payload)))
         route = payload["route"]
@@ -275,6 +278,23 @@ class ProtocolBehavior(NodeBehavior):
 
         body = RrepBody.from_bytes(open_box(self.proto.keys.group_key, rrep_pkt.sealed))
         return body.rrep
+
+
+def _cloudlet_payload(raw: bytes, topo: Topology) -> Optional[Dict[str, Any]]:
+    """The JSON object a cloudlet or its ack carries, or None unless it holds
+    an integer "seq" and a nonempty "route" list of the topology's nodes."""
+    try:
+        payload = json.loads(raw.decode())
+    except (ValueError, RecursionError):  # bad UTF-8, bad JSON, or nesting too deep
+        return None
+    if not isinstance(payload, dict):
+        return None
+    seq, route = payload.get("seq"), payload.get("route")
+    if type(seq) is not int or not isinstance(route, list) or not route:
+        return None
+    if not all(isinstance(n, str) and n in topo.nodes for n in route):
+        return None
+    return payload
 
 
 # -- adversaries -------------------------------------------------------

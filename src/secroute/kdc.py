@@ -10,12 +10,13 @@ it under the encryption secrets whose indices no revoked node holds.
 
 from __future__ import annotations
 
+import hmac
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
-from . import crypto
-from .crypto import SealedBox, hash_bytes, mac, open_box, seal
+from .crypto import SealedBox, frame_parts, hash_bytes, mac, mac_framed, open_box, seal
 from .errors import (
     AuthFailure,
     BadParams,
@@ -59,12 +60,31 @@ class NodeKeyRing:
 
 @dataclass(frozen=True)
 class BroadcastMessage:
-    """Secret sealed for everyone outside the revoked set."""
+    """Secret sealed for everyone outside the revoked set.
+
+    The tag is a MAC, under the secret, over `tag_input`.  `tag_input` and
+    `by_index` are derived from the fields on first use and kept on the
+    instance; `dataclasses.replace` builds a new instance, so a changed
+    copy derives its own.
+    """
 
     revoked: FrozenSet[str]
     cover_indices: Tuple[int, ...]
     envelopes: Tuple[SealedBox, ...]
     tag: bytes
+
+    @cached_property
+    def tag_input(self) -> bytes:
+        """The framed MAC input: a label, the sorted revoked ids, every envelope."""
+        parts = [b"broadcast-tag"]
+        parts.extend(n.encode() for n in sorted(self.revoked))
+        parts.extend(e.to_bytes() for e in self.envelopes)
+        return frame_parts(parts)
+
+    @cached_property
+    def by_index(self) -> Dict[int, SealedBox]:
+        """Cover index -> the envelope sealed under it."""
+        return dict(zip(self.cover_indices, self.envelopes))
 
 
 class PairwiseKeyService:
@@ -152,25 +172,18 @@ def cover_indices(params: KdcParams, revoked: Sequence[str]) -> List[int]:
     return cover
 
 
-def _broadcast_tag(secret: bytes, revoked: Sequence[str], envelopes: Sequence[SealedBox]) -> bytes:
-    parts = [b"broadcast-tag"]
-    parts.extend(n.encode() for n in sorted(revoked))
-    parts.extend(e.to_bytes() for e in envelopes)
-    return mac(secret, parts)
-
-
 def build_broadcast(
     ring: NodeKeyRing, secret: bytes, revoked: Sequence[str], params: KdcParams
 ) -> BroadcastMessage:
     """Seal `secret` once per cover index under the sender's encryption secrets."""
     cover = cover_indices(params, revoked)
-    envelopes = tuple(seal(ring.encryption_secret(i), secret) for i in cover)
-    return BroadcastMessage(
+    untagged = BroadcastMessage(
         revoked=frozenset(revoked),
         cover_indices=tuple(cover),
-        envelopes=envelopes,
-        tag=_broadcast_tag(secret, sorted(revoked), envelopes),
+        envelopes=tuple(seal(ring.encryption_secret(i), secret) for i in cover),
+        tag=b"",
     )
+    return replace(untagged, tag=mac_framed(secret, untagged.tag_input))
 
 
 def open_broadcast(
@@ -178,9 +191,13 @@ def open_broadcast(
 ) -> bytes:
     """Recover the broadcast secret using any pool key the cover includes.
 
-    Verifies the broadcast tag with the recovered secret before returning it.
+    The receiver opens its own envelope with `open_box`, then checks the
+    tag, a MAC under the recovered secret over the full message (label,
+    revoked ids, every envelope), before returning the secret.  The
+    message's serialisation is computed once per message and shared by
+    all its receivers; each receiver still computes the MAC itself.
     """
-    by_index = dict(zip(msg.cover_indices, msg.envelopes))
+    by_index = msg.by_index
     usable = [i for i in receiver.indices if i in by_index]
     if not usable:
         raise NoUsableIndex(receiver.node)
@@ -196,7 +213,7 @@ def open_broadcast(
             continue
     if secret is None:
         raise TagMismatch("no envelope authenticated")
-    if _broadcast_tag(secret, sorted(msg.revoked), msg.envelopes) != msg.tag:
+    if not hmac.compare_digest(mac_framed(secret, msg.tag_input), msg.tag):
         raise TagMismatch("broadcast tag mismatch")
     return secret
 

@@ -111,7 +111,6 @@ class SrdpNode:
         self.seen_rounds: Set[Tuple[str, int, int]] = set()
         self.dest_rounds: Dict[Tuple[str, int, int], RoundState] = {}
         self.installed_routes: Dict[str, Tuple[str, ...]] = {}  # dest -> full path
-        self.route_cache: Dict[Tuple[str, str], Tuple[str, ...]] = {}
         self.counters: Dict[str, int] = {}
         self.detections: List[Tuple[str, str]] = []  # (reason, detail)
         self.accepted_rreps: List[Tuple[RrepInfo, bytes]] = []  # (reply, carried q)
@@ -342,8 +341,6 @@ class SrdpNode:
             key = self.keys.pairwise_key(seq[pos + 2])
             mac_curr = rrep_hop_mac(key, body.rrep, hash_bytes(q_new))
         new_body = RrepBody(body.rrep, q_new, body.mac_curr, mac_curr)
-        rrep = body.rrep
-        self.route_cache[(rrep.s_addr, rrep.d_addr)] = tuple(reversed(seq))
         self._seqno += 1
         self._count("rrep_forwarded")
         out = RrepPacket(self.node, self._seqno, seal(self.keys.group_key, new_body.to_bytes()))

@@ -10,8 +10,8 @@ Document format::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Set
 
 from .errors import InvariantError, ParseError, UnknownLink, UnknownNode
 
@@ -24,15 +24,20 @@ class Link:
     nw_delay: float  # ms, >= 0
 
 
-@dataclass
 class Topology:
-    nodes: Dict[str, str] = field(default_factory=dict)  # id -> role
-    links: Dict[FrozenSet[str], Link] = field(default_factory=dict)
+    """Nodes by id with their roles, links by unordered node pair, and an
+    adjacency index that `add_node` and `add_link` keep in step with them."""
+
+    def __init__(self) -> None:
+        self.nodes: Dict[str, str] = {}  # id -> role
+        self.links: Dict[FrozenSet[str], Link] = {}
+        self._adjacent: Dict[str, Set[str]] = {}
 
     def add_node(self, node: str, role: str = "relay") -> None:
         if role not in ROLES:
             raise InvariantError("unknown role %r" % role)
         self.nodes[node] = role
+        self._adjacent.setdefault(node, set())
 
     def add_link(self, a: str, b: str, bw: float, delay: float) -> None:
         if a == b:
@@ -48,6 +53,8 @@ class Topology:
         if delay < 0:
             raise InvariantError("delay must be nonnegative on %s-%s" % (a, b))
         self.links[key] = Link(avl_bw=bw, nw_delay=delay)
+        self._adjacent[a].add(b)
+        self._adjacent[b].add(a)
 
     def link(self, a: str, b: str) -> Link:
         try:
@@ -59,17 +66,11 @@ class Topology:
         return frozenset((a, b)) in self.links
 
     def rdn(self, node: str) -> Set[str]:
-        """One-hop neighborhood of a node."""
-        if node not in self.nodes:
-            raise UnknownNode(node)
-        out = set()
-        for key in self.links:
-            if node in key:
-                out.update(key - {node})
-        return out
-
-    def node_list(self) -> List[str]:
-        return list(self.nodes)
+        """One-hop neighborhood of a node (a copy the caller may change)."""
+        try:
+            return set(self._adjacent[node])
+        except KeyError:
+            raise UnknownNode(node) from None
 
 
 def load_topology(text: str) -> Topology:

@@ -6,7 +6,10 @@ from secroute import cost as ecms
 from secroute import oracle as oraclelib
 from secroute.cli import main
 from secroute.errors import TooLarge
+from secroute.frames import SessionFrame, encode_frame
 from secroute.harness import (
+    STEP_ACK,
+    STEP_CLOUDLET,
     Harness,
     ScenarioConfig,
     compare_oracle,
@@ -77,6 +80,29 @@ def test_link_break_triggers_rediscovery():
     assert report.rediscoveries >= 1
     assert report.cloudlets_delivered == 6
     assert ["S", "C", "D"] in report.routes_installed
+
+
+MALFORMED_SESSION_PAYLOADS = {
+    "bad-utf8": b"\xff\xfe",
+    "no-route": b'{"seq": 1}',
+    "not-object": b"[1]",
+    "route-not-list": b'{"seq": 1, "route": 5}',
+    "not-json": b"not json",
+    "too-deep": b"[" * 50_000,
+    "unknown-node": b'{"seq": 1, "route": ["S", "A", "ghost"]}',
+}
+
+
+@pytest.mark.parametrize("step", [STEP_CLOUDLET, STEP_ACK])
+@pytest.mark.parametrize(
+    "payload", MALFORMED_SESSION_PAYLOADS.values(), ids=MALFORMED_SESSION_PAYLOADS.keys()
+)
+def test_malformed_session_frame_is_dropped(step, payload):
+    h = Harness(diamond_cfg())
+    h.sim.unicast("S", "A", encode_frame(SessionFrame("S", step, payload)))
+    trace = h.sim.run_until()
+    drops = [e for e in trace if e["ev"] == "drop"]
+    assert drops == [{"t": drops[0]["t"], "ev": "drop", "node": "A", "reason": "MalformedSession"}]
 
 
 def test_compare_oracle_diamond():

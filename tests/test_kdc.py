@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -152,6 +153,44 @@ def test_broadcast_tag_detects_tamper(small_kdc):
     tampered = kdc.BroadcastMessage(msg.revoked, msg.cover_indices, tuple(bad_env), msg.tag)
     with pytest.raises(TagMismatch):
         kdc.open_broadcast(c, tampered, "A", params)
+
+
+def _opened_then(msg, receiver, params, **changes):
+    # Open first so the message's derived tag input is in use, then change a field.
+    kdc.open_broadcast(receiver, msg, "A", params)
+    return dataclasses.replace(msg, **changes)
+
+
+def test_replaced_envelope_outside_receivers_indices_fails_tag(small_kdc):
+    params, _, _, center = small_kdc
+    a, c = center.issue("A"), center.issue("C")
+    secret = crypto.mac(SEED, [b"secret"])
+    msg = kdc.build_broadcast(a, secret, [], params)
+    pos = next(p for p, i in enumerate(msg.cover_indices) if i not in c.indices)
+    env = list(msg.envelopes)
+    env[pos] = crypto.SealedBox(env[pos].nonce, env[pos].body, bytes([env[pos].tag[0] ^ 1]) + env[pos].tag[1:])
+    tampered = _opened_then(msg, c, params, envelopes=tuple(env))
+    with pytest.raises(TagMismatch):
+        kdc.open_broadcast(c, tampered, "A", params)
+
+
+def test_replaced_revoked_set_fails_tag(small_kdc):
+    params, _, _, center = small_kdc
+    a, c = center.issue("A"), center.issue("C")
+    secret = crypto.mac(SEED, [b"secret"])
+    msg = kdc.build_broadcast(a, secret, ["B"], params)
+    tampered = _opened_then(msg, c, params, revoked=frozenset())
+    with pytest.raises(TagMismatch):
+        kdc.open_broadcast(c, tampered, "A", params)
+
+
+def test_broadcast_tag_bytes_pinned(small_kdc):
+    params, _, _, center = small_kdc
+    a = center.issue("A")
+    secret = crypto.mac(SEED, [b"secret"])
+    msg = kdc.build_broadcast(a, secret, ["C", "B"], params)
+    assert len(msg.envelopes) == 49
+    assert msg.tag.hex() == "b08a6e94e0b03795a8fc272830cb69c41475c17589c52130cd4cc6e24dc7b688"
 
 
 def test_broadcast_reproducible(small_kdc):

@@ -1,8 +1,9 @@
 import pytest
 
 from secroute.errors import InvariantError, ParseError, UnknownLink, UnknownNode
+from secroute.harness import random_topology, topology_to_text
 from secroute.sim import NodeBehavior, Simulator
-from secroute.topology import load_topology
+from secroute.topology import Topology, load_topology
 
 LINE = """
 # four node line
@@ -53,6 +54,30 @@ def test_rdn_unknown_node():
 def test_isolated_node_has_empty_rdn():
     topo = load_topology("node X relay\n")
     assert topo.rdn("X") == set()
+
+
+def scanned_rdn(topo, node):
+    return {other for key in topo.links if node in key for other in key - {node}}
+
+
+@pytest.mark.parametrize("seed,n,p", [(1, 8, 0.4), (2, 30, 0.15), (3, 60, 0.06)])
+def test_rdn_index_matches_link_scan(seed, n, p):
+    topo = random_topology(seed, n, p)
+    again = load_topology(topology_to_text(topo))
+    for t in (topo, again):
+        for node in t.nodes:
+            assert t.rdn(node) == scanned_rdn(t, node)
+
+
+def test_rdn_returns_a_copy():
+    topo = load_topology(LINE)
+    topo.rdn("A").add("D")
+    assert topo.rdn("A") == {"S", "B"}
+
+
+def test_topology_built_only_through_add_methods():
+    with pytest.raises(TypeError):
+        Topology(links={frozenset(("S", "A")): None})
 
 
 class Recorder(NodeBehavior):
