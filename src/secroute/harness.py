@@ -17,7 +17,7 @@ from . import kdc as kdclib
 from . import oracle as oraclelib
 from . import srdp
 from .crypto import hash_bytes
-from .errors import ConfigError, EmptyCover, NoUsableIndex, NoValidCandidate, SecrouteError
+from .errors import ConfigError, NoValidCandidate, SecrouteError
 from .frames import (
     RepPacket,
     RreqPacket,
@@ -124,48 +124,31 @@ def emit_report(report: RunReport, fmt: str = "json") -> bytes:
 def provision(topo: Topology, k: int, m: int, seed: int):
     """Issue key rings and build every node's KeyStore.
 
-    One-hop group keys go to direct neighbors.  Two-hop broadcast secrets
-    are distributed by a revocation broadcast that excludes each node's
-    own neighborhood; the rare receiver whose indices miss the cover gets
-    the secret over its pairwise channel with the KDC's help.
+    One-hop group keys go to direct neighbors here.  Two-hop broadcast
+    secrets and pairwise keys are handed out on first use: a node opens
+    a sender's revocation broadcast, which excludes the sender's
+    neighborhood as recorded here, the first time it checks a MAC under
+    that sender's secret, and derives a pairwise key the first time it
+    needs one.  The rare receiver whose indices miss the cover gets the
+    secret over its pairwise channel with the KDC's help.
     """
     params, pool, svc = kdclib.setup(k, m, hashlib.sha256(b"net-seed-%d" % seed).digest())
     center = kdclib.Kdc(params, pool)
     nodes = sorted(topo.nodes)
     rings = {n: center.issue(n) for n in nodes}
-    pairwise: Dict[str, Dict[str, bytes]] = {n: {} for n in nodes}
-    for i, a in enumerate(nodes):
-        for b in nodes[i + 1 :]:
-            pairwise[a][b] = pairwise[b][a] = svc.pairwise_key(a, b)
-    stores: Dict[str, srdp.KeyStore] = {}
-    for n in nodes:
-        neighbors = topo.rdn(n)
-        stores[n] = srdp.KeyStore(
+    neighbors = {n: frozenset(topo.rdn(n)) for n in nodes}
+    issued = srdp.Provisioning(params, svc, rings, neighbors)
+    stores = {
+        n: srdp.KeyStore(
             node=n,
             group_key=rings[n].rdn_group_key,
             broadcast_secret=rings[n].broadcast_secret,
-            neighbor_group_keys={x: rings[x].rdn_group_key for x in neighbors},
-            neighbor_ids=set(neighbors),
-            pairwise=pairwise[n],
+            provisioning=issued,
+            neighbor_group_keys={x: rings[x].rdn_group_key for x in neighbors[n]},
+            neighbor_ids=neighbors[n],
         )
-    for sender in nodes:
-        revoked = sorted(topo.rdn(sender))
-        try:
-            msg = kdclib.build_broadcast(rings[sender], rings[sender].broadcast_secret, revoked, params)
-        except EmptyCover:
-            msg = None
-        for receiver in nodes:
-            if receiver == sender or receiver in stores[sender].neighbor_ids:
-                continue
-            secret = None
-            if msg is not None:
-                try:
-                    secret = kdclib.open_broadcast(rings[receiver], msg, sender, params)
-                except NoUsableIndex:
-                    secret = None
-            if secret is None:
-                secret = rings[sender].broadcast_secret  # pairwise fallback delivery
-            stores[receiver].twohop_secrets[sender] = secret
+        for n in nodes
+    }
     return stores, svc, params, rings
 
 
@@ -261,23 +244,14 @@ class ProtocolBehavior(NodeBehavior):
             except NoValidCandidate:
                 self.harness.events["no_valid_candidate"] = self.harness.events.get("no_valid_candidate", 0) + 1
                 return
-            seq = srdp.reverse_sequence(self._rrep_info(rrep))
-            sim.unicast(node, seq[1], encode_frame(rrep))
+            reply = self.proto.dest_rounds[tag[1]].reply
+            sim.unicast(node, srdp.reverse_sequence(reply)[1], encode_frame(rrep))
         elif tag[0] == "ack-wait":
             self.harness.ack_timeout(sim, node, tag[1], clock, self.proto)
         elif tag[0] == "monitor":
             self.harness.monitor_tick(sim, node, clock)
         elif tag[0] == "adversary-replay":
             sim.broadcast(node, tag[1])
-
-    def _rrep_info(self, rrep_pkt: RrepPacket):
-        # The destination just sealed this packet under its own group key,
-        # so it can reopen it to learn the first reverse hop.
-        from .crypto import open_box
-        from .frames import RrepBody
-
-        body = RrepBody.from_bytes(open_box(self.proto.keys.group_key, rrep_pkt.sealed))
-        return body.rrep
 
 
 def _cloudlet_payload(raw: bytes, topo: Topology) -> Optional[Dict[str, Any]]:

@@ -12,11 +12,12 @@ reverse hash chain the source anchors in the source-destination secret.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
 from . import cost as ecms
+from . import kdc
 from .crypto import chain, hash_bytes, mac, open_box, seal
-from .errors import AuthFailure, NoPairwiseKey, NoValidCandidate
+from .errors import AuthFailure, EmptyCover, MalformedFrame, NoPairwiseKey, NoUsableIndex, NoValidCandidate
 from .frames import (
     RepPacket,
     RreqBody,
@@ -43,22 +44,88 @@ LINK_BREAK = ecms.LINK_BREAK
 BDP_DEGRADE = ecms.BDP_DEGRADE
 
 
+class Provisioning:
+    """What the KDC issued to one network, shared by its nodes' KeyStores.
+
+    `neighbors` is each node's neighbour set as it was when the rings were
+    issued.  A sender's two-hop broadcast revokes those neighbours; it is
+    built when a receiver first asks for it and kept for all receivers.
+    """
+
+    def __init__(
+        self,
+        params: kdc.KdcParams,
+        svc: kdc.PairwiseKeyService,
+        rings: Mapping[str, kdc.NodeKeyRing],
+        neighbors: Mapping[str, FrozenSet[str]],
+    ):
+        self.params = params
+        self.svc = svc
+        self.rings = rings
+        self.neighbors = neighbors
+        self._broadcasts: Dict[str, Optional[kdc.BroadcastMessage]] = {}
+
+    def broadcast(self, sender: str) -> Optional[kdc.BroadcastMessage]:
+        """`sender`'s two-hop broadcast, or None when its neighbours jointly
+        hold every pool index (EmptyCover)."""
+        if sender not in self._broadcasts:
+            ring = self.rings[sender]
+            try:
+                msg = kdc.build_broadcast(
+                    ring, ring.broadcast_secret, sorted(self.neighbors[sender]), self.params
+                )
+            except EmptyCover:
+                msg = None
+            self._broadcasts[sender] = msg
+        return self._broadcasts[sender]
+
+
 @dataclass
 class KeyStore:
-    """One node's view of the key material it was provisioned."""
+    """One node's view of the key material it was provisioned.
+
+    The one-hop keys are filled in at provisioning.  Two-hop secrets and
+    pairwise keys are obtained the first time they are read, then kept:
+    `twohop_secret` opens the sender's broadcast with this node's own
+    ring, and `pairwise_key` derives only keys that have this node at one
+    end.
+    """
 
     node: str
     group_key: bytes  # own one-hop key, shared with the neighborhood
     broadcast_secret: bytes  # own two-hop secret, confined from neighbors
+    provisioning: Provisioning
     neighbor_group_keys: Dict[str, bytes] = field(default_factory=dict)
-    neighbor_ids: Set[str] = field(default_factory=set)
-    twohop_secrets: Dict[str, bytes] = field(default_factory=dict)  # T of distant nodes
-    pairwise: Dict[str, bytes] = field(default_factory=dict)  # peer -> shared key
+    neighbor_ids: FrozenSet[str] = frozenset()
+    _twohop: Dict[str, Optional[bytes]] = field(default_factory=dict, init=False, repr=False)
+    _pairwise: Dict[str, bytes] = field(default_factory=dict, init=False, repr=False)
+
+    def twohop_secret(self, sender: str) -> Optional[bytes]:
+        """`sender`'s broadcast secret; None for this node itself, for the
+        sender's neighbours and for ids that were never provisioned."""
+        if sender not in self._twohop:
+            self._twohop[sender] = self._open_twohop(sender)
+        return self._twohop[sender]
+
+    def _open_twohop(self, sender: str) -> Optional[bytes]:
+        prov = self.provisioning
+        if sender == self.node or sender not in prov.rings or self.node in prov.neighbors[sender]:
+            return None
+        msg = prov.broadcast(sender)
+        if msg is not None:
+            try:
+                return kdc.open_broadcast(prov.rings[self.node], msg, sender, prov.params)
+            except NoUsableIndex:
+                pass
+        return prov.rings[sender].broadcast_secret  # pairwise fallback delivery
 
     def pairwise_key(self, peer: str) -> bytes:
-        if peer not in self.pairwise:
-            raise NoPairwiseKey("%s has no key with %s" % (self.node, peer))
-        return self.pairwise[peer]
+        key = self._pairwise.get(peer)
+        if key is None:
+            if peer == self.node or peer not in self.provisioning.rings:
+                raise NoPairwiseKey("%s has no key with %s" % (self.node, peer))
+            key = self._pairwise[peer] = self.provisioning.svc.pairwise_key(self.node, peer)
+        return key
 
 
 @dataclass
@@ -75,6 +142,7 @@ class RoundState:
     candidates: List[Candidate] = field(default_factory=list)
     window_open: bool = True
     rreq: Optional[RreqImmutable] = None
+    reply: Optional[RrepInfo] = None  # what finalize_destination answered
 
 
 def rreq_hop_mac(t_secret: bytes, rreq: RreqImmutable, path: Sequence[str], h_next: bytes) -> bytes:
@@ -158,7 +226,7 @@ class SrdpNode:
             return None
         try:
             return RreqBody.from_bytes(open_box(key, frame.sealed))
-        except (AuthFailure, Exception):
+        except (AuthFailure, MalformedFrame):
             return None
 
     def _verify_two_hop(self, body: RreqBody) -> Optional[str]:
@@ -168,7 +236,7 @@ class SrdpNode:
                 return "missing upstream MAC"
             return None  # direct from the source: nothing upstream to check
         two_up = body.path[-2] if len(body.path) >= 2 else body.rreq.s_addr
-        t = self.keys.twohop_secrets.get(two_up)
+        t = self.keys.twohop_secret(two_up)
         if t is None:
             if two_up in self.keys.neighbor_ids or two_up == self.node:
                 # A direct neighbor's broadcast secret is confined from us
@@ -279,6 +347,7 @@ class SrdpNode:
             d_seqno=rreq.d_seqno,
             route=best.path,
         )
+        state.reply = rrep
         k_sd = self.keys.pairwise_key(rreq.s_addr)
         q0 = mac(k_sd, [rrep.to_bytes()])
         seq = reverse_sequence(rrep)
@@ -298,7 +367,7 @@ class SrdpNode:
             return None
         try:
             return RrepBody.from_bytes(open_box(key, frame.sealed))
-        except (AuthFailure, Exception):
+        except (AuthFailure, MalformedFrame):
             return None
 
     def process_rrep(self, frame: RrepPacket):

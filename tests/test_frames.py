@@ -95,3 +95,47 @@ def test_trailing_bytes_rejected():
     raw = frames.encode_frame(sample_session()) + b"\x00"
     with pytest.raises(MalformedFrame):
         frames.decode_frame(raw)
+
+
+def mutate(rng, raw):
+    """One random edit of raw: flip, overwrite, insert, delete or truncate."""
+    data = bytearray(raw)
+    op = rng.randrange(5)
+    at = rng.randrange(len(data) + 1)
+    if op == 0 and data:
+        data[at % len(data)] ^= 1 << rng.randrange(8)
+    elif op == 1 and data:
+        data[at % len(data)] = rng.choice((0, 1, 0x7F, 0x80, 0xFF, rng.randrange(256)))
+    elif op == 2:
+        data[at:at] = rng.randbytes(rng.randint(1, 8))
+    elif op == 3:
+        del data[at : at + rng.randint(1, 8)]
+    else:
+        del data[at:]
+    return bytes(data)
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        frames.RreqBody(frames.RreqImmutable("S", 7, 3, "D", 0, 16), ("A", "B"), b"\x01" * 32, b"\x02" * 32, b"\x03" * 32),
+        frames.RreqBody(frames.RreqImmutable("S", 1, 2, "D", 3, 8), (), None, b"\x09" * 32, b"\x0a" * 32),
+        frames.RrepBody(frames.RrepInfo("S", 7, "D", 0, ("A", "B")), b"\x04" * 32, None, b"\x05" * 32),
+        frames.RrepBody(frames.RrepInfo("S", 1, "D", 2, ("C",)), b"\x0b" * 32, b"\x0c" * 32, None),
+    ],
+    ids=["rreq", "rreq-origin", "rrep", "rrep-last"],
+)
+def test_mutated_bodies_raise_only_malformed(body):
+    rng = random.Random(23)
+    raw = body.to_bytes()
+    decoded = 0
+    for _ in range(5_000):
+        blob = raw
+        for _ in range(rng.randint(1, 3)):
+            blob = mutate(rng, blob)
+        try:
+            type(body).from_bytes(blob)
+            decoded += 1
+        except MalformedFrame:
+            pass
+    assert 0 < decoded < 5_000  # some edits keep the layout, most break it

@@ -1,11 +1,13 @@
 import json
+from collections import Counter
 
 import pytest
 
 from secroute import cost as ecms
+from secroute import kdc
 from secroute import oracle as oraclelib
 from secroute.cli import main
-from secroute.errors import TooLarge
+from secroute.errors import EmptyCover, NoPairwiseKey, NoUsableIndex, TooLarge
 from secroute.frames import SessionFrame, encode_frame
 from secroute.harness import (
     STEP_ACK,
@@ -14,11 +16,13 @@ from secroute.harness import (
     ScenarioConfig,
     compare_oracle,
     emit_report,
+    provision,
     random_topology,
     run_scenario,
     topology_to_text,
 )
 from secroute.topology import Topology, load_topology
+from test_acceptance import tamper_scenarios
 
 DIAMOND = """
 node S broker
@@ -103,6 +107,115 @@ def test_malformed_session_frame_is_dropped(step, payload):
     trace = h.sim.run_until()
     drops = [e for e in trace if e["ev"] == "drop"]
     assert drops == [{"t": drops[0]["t"], "ev": "drop", "node": "A", "reason": "MalformedSession"}]
+
+
+# -- key provisioning --------------------------------------------------
+
+
+def eager_twohop_secrets(topo, rings, params):
+    """(receiver, sender) -> secret, as provisioning every broadcast up front
+    gives it; also how many senders hit EmptyCover and receivers NoUsableIndex."""
+    secrets, empty_cover, no_index = {}, 0, 0
+    for sender in sorted(topo.nodes):
+        revoked = sorted(topo.rdn(sender))
+        try:
+            msg = kdc.build_broadcast(rings[sender], rings[sender].broadcast_secret, revoked, params)
+        except EmptyCover:
+            msg = None
+            empty_cover += 1
+        for receiver in sorted(topo.nodes):
+            if receiver == sender or receiver in revoked:
+                continue
+            secret = None
+            if msg is not None:
+                try:
+                    secret = kdc.open_broadcast(rings[receiver], msg, sender, params)
+                except NoUsableIndex:
+                    no_index += 1
+            secrets[receiver, sender] = secret or rings[sender].broadcast_secret
+    return secrets, empty_cover, no_index
+
+
+# (seed, nodes, edge_prob, kdc_k, kdc_m, some sender hits EmptyCover,
+# some receiver hits NoUsableIndex)
+KEY_NETWORKS = [
+    (1, 8, 0.4, 64, 8, False, False),
+    (2, 20, 0.4, 64, 8, False, True),
+    (3, 60, 0.1, 64, 8, False, True),
+    (1, 12, 0.5, 8, 4, True, True),
+    (1, 12, 0.4, 16, 4, False, True),
+]
+
+
+@pytest.mark.parametrize("seed, n, p, k, m, empty_cover, no_index", KEY_NETWORKS)
+def test_keys_on_first_use_match_eager_provisioning(seed, n, p, k, m, empty_cover, no_index):
+    topo = random_topology(seed, n, p)
+    stores, svc, params, rings = provision(topo, k, m, seed)
+    expected, empty_covers, no_indices = eager_twohop_secrets(topo, rings, params)
+    assert (empty_covers > 0, no_indices > 0) == (empty_cover, no_index)
+    for node in sorted(topo.nodes):
+        for peer in sorted(topo.nodes):
+            assert stores[node].twohop_secret(peer) == expected.get((node, peer)), (node, peer)
+            if peer == node:
+                with pytest.raises(NoPairwiseKey):
+                    stores[node].pairwise_key(peer)
+            else:
+                assert stores[node].pairwise_key(peer) == svc.pairwise_key(node, peer)
+        assert stores[node].twohop_secret("ghost") is None
+        with pytest.raises(NoPairwiseKey):
+            stores[node].pairwise_key("ghost")
+
+
+def counting(monkeypatch, owner, name, key, tally):
+    """Replace owner.name with a wrapper that counts calls by key(args)."""
+    real = getattr(owner, name)
+
+    def counted(*args):
+        tally[key(*args)] += 1
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+@pytest.mark.parametrize("behavior", [None, "path-insert", "path-modify"])
+def test_secrets_opened_once_and_only_in_scope(monkeypatch, behavior):
+    opened, built, derived = Counter(), Counter(), Counter()
+    counting(monkeypatch, kdc, "open_broadcast", lambda ring, msg, sender, params: (ring.node, sender), opened)
+    counting(monkeypatch, kdc, "build_broadcast", lambda ring, secret, revoked, params: ring.node, built)
+    counting(monkeypatch, kdc.PairwiseKeyService, "pairwise_key", lambda svc, a, b: (a, b), derived)
+    for seed, adversary, topo in tamper_scenarios(5):
+        opened.clear(), built.clear(), derived.clear()
+        harness = Harness(
+            ScenarioConfig(
+                topology_text=topology_to_text(topo),
+                source="N0",
+                dest="N7",
+                seed=seed,
+                adversary=(adversary, behavior) if behavior else None,
+                collection_window=200,
+            )
+        )
+        assert not opened and not built and not derived  # provisioning opens nothing
+        report = harness.run()
+        assert report.routes_installed
+        assert opened and max(opened.values()) == 1
+        assert max(built.values()) == 1
+        assert max(derived.values()) == 1
+        for receiver, sender in opened:
+            assert receiver != sender and receiver not in harness.topo.rdn(sender)
+            assert built[sender] == 1
+        opens, derivations = sum(opened.values()), sum(derived.values())
+        for receiver, sender in list(opened):
+            assert harness.stores[receiver].twohop_secret(sender) is not None
+        for a, b in list(derived):
+            harness.stores[a].pairwise_key(b)
+        assert sum(derived.values()) == derivations
+        for node, store in harness.stores.items():
+            assert store.twohop_secret(node) is None
+            for neighbor in harness.topo.rdn(node):
+                assert store.twohop_secret(neighbor) is None
+            assert store.twohop_secret("ghost-1") is None
+        assert sum(opened.values()) == opens
 
 
 def test_compare_oracle_diamond():

@@ -1,9 +1,9 @@
 import pytest
 
 from secroute import cost, srdp
-from secroute.crypto import chain, hash_bytes, mac, open_box
+from secroute.crypto import chain, hash_bytes, mac, open_box, seal
 from secroute.errors import NoValidCandidate
-from secroute.frames import RreqBody, RrepBody, RrepInfo
+from secroute.frames import RreqBody, RreqMutable, RreqPacket, RrepBody, RrepInfo, RrepPacket
 from secroute.harness import (
     Harness,
     ScenarioConfig,
@@ -84,6 +84,20 @@ def test_foreign_seal_rejected(line_net):
     pkt = nodes["S"].originate_rreq("D")
     # D is not in S's neighborhood, so it holds no key for S's seal
     assert nodes["D"].process_rreq(pkt, 10, 2) == ("drop", srdp.SEAL_OPEN_FAIL)
+
+
+GARBAGE_BODIES = [b"", b"\x00" * 5, b"\xff" * 64, bytes(range(200))]
+
+
+@pytest.mark.parametrize("garbage", GARBAGE_BODIES)
+def test_garbage_body_under_valid_group_key_dropped(line_net, garbage):
+    topo, nodes = line_net
+    valid = nodes["S"].originate_rreq("D")
+    for raw in (garbage, open_box(nodes["S"].keys.group_key, valid.sealed) + garbage[:1] + b"\x00"):
+        rreq = RreqPacket("S", 1, 1, RreqMutable(), seal(nodes["S"].keys.group_key, raw))
+        assert nodes["A"].process_rreq(rreq, 10, 2) == ("drop", srdp.SEAL_OPEN_FAIL)
+        rrep = RrepPacket("B", 1, seal(nodes["B"].keys.group_key, raw))
+        assert nodes["A"].process_rrep(rrep) == ("drop", srdp.SEAL_OPEN_FAIL)
 
 
 def run_chain(nodes, hops, pkt, metrics=(10, 2)):
