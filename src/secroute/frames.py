@@ -2,16 +2,26 @@
 
 Layout: 1-byte frame type (1=RREQ, 2=RREP, 3=REP, 4=SESSION), big-endian
 fixed-width header fields, 2-byte length-prefixed variable sections, and
-sealed boxes as nonce||body||tag.  decode_frame never raises anything but
-MalformedFrame on arbitrary input.  See docs/wire-format.md for the
+sealed boxes as nonce||body||tag.  See docs/wire-format.md for the
 byte-layout tables.
+
+Each run of fixed-width fields is packed and unpacked by one precompiled
+`struct.Struct`.  Decoding walks an offset through the input and slices
+text, paths, boxes and digests out at it; a decode succeeds only if the
+offset ends exactly at the end of the input, so a section that runs past
+the end is rejected as truncation.  decode_frame, RreqBody.from_bytes and
+RrepBody.from_bytes raise MalformedFrame, and nothing else, on any byte
+string they cannot parse: truncation, bad UTF-8, a sealed box shorter
+than nonce plus tag, an opt-digest flag other than 0 or 1, an unknown
+frame type, or trailing bytes.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Optional, Tuple
 
 from .crypto import DIGEST_LEN, NONCE_LEN, TAG_LEN, SealedBox
 from .errors import MalformedFrame
@@ -21,94 +31,95 @@ FRAME_RREP = 2
 FRAME_REP = 3
 FRAME_SESSION = 4
 
-
-# -- primitives --------------------------------------------------------
-
-
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if n < 0 or self.pos + n > len(self.data):
-            raise MalformedFrame("truncated")
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def u8(self) -> int:
-        return self.take(1)[0]
-
-    def u16(self) -> int:
-        return struct.unpack(">H", self.take(2))[0]
-
-    def u32(self) -> int:
-        return struct.unpack(">I", self.take(4))[0]
-
-    def f64(self) -> float:
-        return struct.unpack(">d", self.take(8))[0]
-
-    def blob(self) -> bytes:
-        return self.take(self.u16())
-
-    def text(self) -> str:
-        try:
-            return self.blob().decode("utf-8")
-        except UnicodeDecodeError:
-            raise MalformedFrame("bad utf-8") from None
-
-    def done(self) -> None:
-        if self.pos != len(self.data):
-            raise MalformedFrame("trailing bytes")
+_U8 = struct.Struct(">B")
+_U16 = struct.Struct(">H")
+_U32 = struct.Struct(">I")
+_U32X2 = struct.Struct(">II")  # RREQ round: s_seqno, b_id
+_IMM_TAIL = struct.Struct(">IB")  # d_seqno, max_hops
+_RREQ_FIXED = struct.Struct(">IIBdHdd")  # sender_seqno, b_id, then RreqMutable's fields
+_TYPE_BYTE = {t: bytes((t,)) for t in (FRAME_RREQ, FRAME_RREP, FRAME_REP, FRAME_SESSION)}
+_ABSENT, _PRESENT = b"\x00", b"\x01"  # opt-digest flags
+_DECODE_ERRORS = (struct.error, UnicodeDecodeError)  # short fixed block, bad text
 
 
-def _u8(v: int) -> bytes:
-    return struct.pack(">B", v)
-
-
-def _u16(v: int) -> bytes:
-    return struct.pack(">H", v)
-
-
-def _u32(v: int) -> bytes:
-    return struct.pack(">I", v)
-
-
-def _f64(v: float) -> bytes:
-    return struct.pack(">d", v)
+# -- encoding ----------------------------------------------------------
 
 
 def _blob(b: bytes) -> bytes:
     if len(b) > 0xFFFF:
         raise MalformedFrame("section too long")
-    return _u16(len(b)) + b
+    return _U16.pack(len(b)) + b
 
 
 def _text(s: str) -> bytes:
-    return _blob(s.encode("utf-8"))
+    return _blob(s.encode())
 
 
 def _box(b: SealedBox) -> bytes:
     return _blob(b.to_bytes())
 
 
-def _read_box(r: _Reader) -> SealedBox:
-    raw = r.blob()
-    if len(raw) < NONCE_LEN + TAG_LEN:
+def path_bytes(path: Tuple[str, ...]) -> bytes:
+    """A `path` section: u16 count, then each node id as `text`."""
+    if len(path) > 0xFFFF:
+        raise MalformedFrame("path too long")
+    return b"".join([_U16.pack(len(path)), *map(_text, path)])
+
+
+def _opt_digest(d: Optional[bytes]) -> Tuple[bytes, ...]:
+    return (_ABSENT,) if d is None else (_PRESENT, d)
+
+
+# -- decoding ----------------------------------------------------------
+#
+# Each reader takes the offset of its field and returns the value and the
+# offset just past it.  Readers do not compare offsets with len(raw);
+# _done does, once, after the last field.
+
+
+def _span_at(raw: bytes, off: int) -> Tuple[int, int]:
+    """Start and end of the u16-length-prefixed section at `off`."""
+    start = off + 2
+    return start, start + _U16.unpack_from(raw, off)[0]
+
+
+def _text_at(raw: bytes, off: int) -> Tuple[str, int]:
+    start, end = _span_at(raw, off)
+    return raw[start:end].decode(), end
+
+
+def _path_at(raw: bytes, off: int) -> Tuple[Tuple[str, ...], int]:
+    nodes = []
+    end = off + 2
+    for _ in range(_U16.unpack_from(raw, off)[0]):  # _text_at inlined: the hottest loop
+        start = end + 2
+        end = start + _U16.unpack_from(raw, end)[0]
+        nodes.append(raw[start:end].decode())
+    return tuple(nodes), end
+
+
+def _box_at(raw: bytes, off: int) -> Tuple[SealedBox, int]:
+    start, end = _span_at(raw, off)
+    if end - start < NONCE_LEN + TAG_LEN:
         raise MalformedFrame("sealed box too short")
-    return SealedBox(raw[:NONCE_LEN], raw[NONCE_LEN:-TAG_LEN], raw[-TAG_LEN:])
+    mid = start + NONCE_LEN
+    return SealedBox(raw[start:mid], raw[mid : end - TAG_LEN], raw[end - TAG_LEN : end]), end
 
 
-def _path_bytes(path: Tuple[str, ...]) -> bytes:
-    out = _u16(len(path))
-    for n in path:
-        out += _text(n)
-    return out
+def _opt_digest_at(raw: bytes, off: int) -> Tuple[Optional[bytes], int]:
+    flag = raw[off : off + 1]
+    if flag == _ABSENT:
+        return None, off + 1
+    if flag != _PRESENT:
+        raise MalformedFrame("opt-digest flag %d" % flag[0] if flag else "truncated")
+    end = off + 1 + DIGEST_LEN
+    return raw[off + 1 : end], end
 
 
-def _read_path(r: _Reader) -> Tuple[str, ...]:
-    return tuple(r.text() for _ in range(r.u16()))
+def _done(raw: bytes, off: int) -> None:
+    """Reject unless the readers stopped exactly at the end of `raw`."""
+    if off != len(raw):
+        raise MalformedFrame("truncated" if off > len(raw) else "trailing bytes")
 
 
 # -- RREQ --------------------------------------------------------------
@@ -126,18 +137,20 @@ class RreqImmutable:
     max_hops: int
 
     def to_bytes(self) -> bytes:
-        return (
-            _text(self.s_addr)
-            + _u32(self.s_seqno)
-            + _u32(self.b_id)
-            + _text(self.d_addr)
-            + _u32(self.d_seqno)
-            + _u8(self.max_hops)
-        )
+        return self._bytes
 
-    @classmethod
-    def read(cls, r: _Reader) -> "RreqImmutable":
-        return cls(r.text(), r.u32(), r.u32(), r.text(), r.u32(), r.u8())
+    @cached_property
+    def _bytes(self) -> bytes:
+        # Derived once per instance: every MAC over the round reads it, and
+        # `dataclasses.replace` builds a new instance that derives its own.
+        return b"".join(
+            [
+                _text(self.s_addr),
+                _U32X2.pack(self.s_seqno, self.b_id),
+                _text(self.d_addr),
+                _IMM_TAIL.pack(self.d_seqno, self.max_hops),
+            ]
+        )
 
     def round_id(self) -> Tuple[str, int, int]:
         return (self.s_addr, self.s_seqno, self.b_id)
@@ -153,13 +166,6 @@ class RreqMutable:
     bw: float = 0.0  # bottleneck so far, Mb/s; 0 before the first hop
     nd: float = 0.0  # summed delay so far, ms
 
-    def to_bytes(self) -> bytes:
-        return _u8(self.hop_count) + _f64(self.path_cost) + _u16(self.hc) + _f64(self.bw) + _f64(self.nd)
-
-    @classmethod
-    def read(cls, r: _Reader) -> "RreqMutable":
-        return cls(r.u8(), r.f64(), r.u16(), r.f64(), r.f64())
-
 
 @dataclass(frozen=True)
 class RreqBody:
@@ -172,19 +178,25 @@ class RreqBody:
     h: bytes  # hash-chain value, advanced once per hop
 
     def to_bytes(self) -> bytes:
-        out = self.rreq.to_bytes() + _path_bytes(self.path)
-        out += _u8(1) + self.mac_prev if self.mac_prev is not None else _u8(0)
-        return out + self.mac_curr + self.h
+        return b"".join(
+            [self.rreq.to_bytes(), path_bytes(self.path), *_opt_digest(self.mac_prev), self.mac_curr, self.h]
+        )
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "RreqBody":
-        r = _Reader(raw)
-        rreq = RreqImmutable.read(r)
-        path = _read_path(r)
-        mac_prev = r.take(DIGEST_LEN) if r.u8() else None
-        body = cls(rreq, path, mac_prev, r.take(DIGEST_LEN), r.take(DIGEST_LEN))
-        r.done()
-        return body
+        try:
+            s_addr, off = _text_at(raw, 0)
+            s_seqno, b_id = _U32X2.unpack_from(raw, off)
+            d_addr, off = _text_at(raw, off + _U32X2.size)
+            d_seqno, max_hops = _IMM_TAIL.unpack_from(raw, off)
+            path, off = _path_at(raw, off + _IMM_TAIL.size)
+            mac_prev, off = _opt_digest_at(raw, off)
+        except _DECODE_ERRORS as exc:
+            raise MalformedFrame(str(exc)) from None
+        mid, end = off + DIGEST_LEN, off + 2 * DIGEST_LEN
+        _done(raw, end)
+        rreq = RreqImmutable(s_addr, s_seqno, b_id, d_addr, d_seqno, max_hops)
+        return cls(rreq, path, mac_prev, raw[off:mid], raw[mid:end])
 
 
 @dataclass(frozen=True)
@@ -210,17 +222,15 @@ class RrepInfo:
     route: Tuple[str, ...]  # intermediate nodes, source->destination order
 
     def to_bytes(self) -> bytes:
-        return (
-            _text(self.s_addr)
-            + _u32(self.s_seqno)
-            + _text(self.d_addr)
-            + _u32(self.d_seqno)
-            + _path_bytes(self.route)
+        return b"".join(
+            [
+                _text(self.s_addr),
+                _U32.pack(self.s_seqno),
+                _text(self.d_addr),
+                _U32.pack(self.d_seqno),
+                path_bytes(self.route),
+            ]
         )
-
-    @classmethod
-    def read(cls, r: _Reader) -> "RrepInfo":
-        return cls(r.text(), r.u32(), r.text(), r.u32(), _read_path(r))
 
 
 @dataclass(frozen=True)
@@ -231,21 +241,25 @@ class RrepBody:
     mac_curr: Optional[bytes]  # absent once no verifier is two hops ahead
 
     def to_bytes(self) -> bytes:
-        out = self.rrep.to_bytes() + self.q
-        out += _u8(1) + self.mac_prev if self.mac_prev is not None else _u8(0)
-        out += _u8(1) + self.mac_curr if self.mac_curr is not None else _u8(0)
-        return out
+        return b"".join(
+            [self.rrep.to_bytes(), self.q, *_opt_digest(self.mac_prev), *_opt_digest(self.mac_curr)]
+        )
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "RrepBody":
-        r = _Reader(raw)
-        rrep = RrepInfo.read(r)
-        q = r.take(DIGEST_LEN)
-        mac_prev = r.take(DIGEST_LEN) if r.u8() else None
-        mac_curr = r.take(DIGEST_LEN) if r.u8() else None
-        body = cls(rrep, q, mac_prev, mac_curr)
-        r.done()
-        return body
+        try:
+            s_addr, off = _text_at(raw, 0)
+            (s_seqno,) = _U32.unpack_from(raw, off)
+            d_addr, off = _text_at(raw, off + _U32.size)
+            (d_seqno,) = _U32.unpack_from(raw, off)
+            route, q_at = _path_at(raw, off + _U32.size)
+        except _DECODE_ERRORS as exc:
+            raise MalformedFrame(str(exc)) from None
+        mac_prev, off = _opt_digest_at(raw, q_at + DIGEST_LEN)
+        mac_curr, off = _opt_digest_at(raw, off)
+        _done(raw, off)
+        q = raw[q_at : q_at + DIGEST_LEN]
+        return cls(RrepInfo(s_addr, s_seqno, d_addr, d_seqno, route), q, mac_prev, mac_curr)
 
 
 @dataclass(frozen=True)
@@ -285,50 +299,69 @@ class SessionFrame:
 
 def encode_frame(packet) -> bytes:
     if isinstance(packet, RreqPacket):
-        return (
-            _u8(FRAME_RREQ)
-            + _text(packet.sender_addr)
-            + _u32(packet.sender_seqno)
-            + _u32(packet.b_id)
-            + packet.mutable.to_bytes()
-            + _box(packet.sealed)
+        m = packet.mutable
+        return b"".join(
+            [
+                _TYPE_BYTE[FRAME_RREQ],
+                _text(packet.sender_addr),
+                _RREQ_FIXED.pack(packet.sender_seqno, packet.b_id, m.hop_count, m.path_cost, m.hc, m.bw, m.nd),
+                _box(packet.sealed),
+            ]
         )
     if isinstance(packet, RrepPacket):
-        return _u8(FRAME_RREP) + _text(packet.sender_addr) + _u32(packet.sender_seqno) + _box(packet.sealed)
+        return b"".join(
+            [_TYPE_BYTE[FRAME_RREP], _text(packet.sender_addr), _U32.pack(packet.sender_seqno), _box(packet.sealed)]
+        )
     if isinstance(packet, RepPacket):
-        return (
-            _u8(FRAME_REP)
-            + _text(packet.s_addr)
-            + _u32(packet.s_seqno)
-            + _text(packet.d_addr)
-            + _u32(packet.d_seqno)
-            + _box(packet.sealed_code)
-            + _path_bytes(packet.route)
+        return b"".join(
+            [
+                _TYPE_BYTE[FRAME_REP],
+                _text(packet.s_addr),
+                _U32.pack(packet.s_seqno),
+                _text(packet.d_addr),
+                _U32.pack(packet.d_seqno),
+                _box(packet.sealed_code),
+                path_bytes(packet.route),
+            ]
         )
     if isinstance(packet, SessionFrame):
-        return _u8(FRAME_SESSION) + _text(packet.sender_addr) + _u8(packet.step) + _blob(packet.payload)
+        return b"".join(
+            [_TYPE_BYTE[FRAME_SESSION], _text(packet.sender_addr), _U8.pack(packet.step), _blob(packet.payload)]
+        )
     raise MalformedFrame("unknown packet type %r" % type(packet).__name__)
 
 
 def decode_frame(raw: bytes):
     if not raw:
         raise MalformedFrame("empty")
+    ftype = raw[0]
     try:
-        r = _Reader(raw)
-        ftype = r.u8()
         if ftype == FRAME_RREQ:
-            pkt = RreqPacket(r.text(), r.u32(), r.u32(), RreqMutable.read(r), _read_box(r))
+            sender, off = _text_at(raw, 1)
+            seqno, b_id, hop_count, path_cost, hc, bw, nd = _RREQ_FIXED.unpack_from(raw, off)
+            sealed, off = _box_at(raw, off + _RREQ_FIXED.size)
+            pkt = RreqPacket(sender, seqno, b_id, RreqMutable(hop_count, path_cost, hc, bw, nd), sealed)
         elif ftype == FRAME_RREP:
-            pkt = RrepPacket(r.text(), r.u32(), _read_box(r))
+            sender, off = _text_at(raw, 1)
+            (seqno,) = _U32.unpack_from(raw, off)
+            sealed, off = _box_at(raw, off + _U32.size)
+            pkt = RrepPacket(sender, seqno, sealed)
         elif ftype == FRAME_REP:
-            pkt = RepPacket(r.text(), r.u32(), r.text(), r.u32(), _read_box(r), _read_path(r))
+            s_addr, off = _text_at(raw, 1)
+            (s_seqno,) = _U32.unpack_from(raw, off)
+            d_addr, off = _text_at(raw, off + _U32.size)
+            (d_seqno,) = _U32.unpack_from(raw, off)
+            sealed, off = _box_at(raw, off + _U32.size)
+            route, off = _path_at(raw, off)
+            pkt = RepPacket(s_addr, s_seqno, d_addr, d_seqno, sealed, route)
         elif ftype == FRAME_SESSION:
-            pkt = SessionFrame(r.text(), r.u8(), r.blob())
+            sender, off = _text_at(raw, 1)
+            (step,) = _U8.unpack_from(raw, off)
+            start, off = _span_at(raw, off + 1)
+            pkt = SessionFrame(sender, step, raw[start:off])
         else:
             raise MalformedFrame("unknown frame type %d" % ftype)
-        r.done()
-        return pkt
-    except MalformedFrame:
-        raise
-    except Exception as exc:  # any structural failure is a malformed frame
+    except _DECODE_ERRORS as exc:
         raise MalformedFrame(str(exc)) from None
+    _done(raw, off)
+    return pkt

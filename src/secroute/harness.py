@@ -209,7 +209,7 @@ class ProtocolBehavior(NodeBehavior):
             if code is not None:
                 self.harness.on_rep_at_source(sim, node, pkt, code, clock)
             return
-        seq = [pkt.d_addr] + list(reversed(pkt.route)) + [pkt.s_addr]
+        seq = srdp.reverse_sequence(pkt)
         if node in seq:
             nxt = seq[seq.index(node) + 1]
             sim.unicast(node, nxt, encode_frame(pkt))
@@ -498,7 +498,7 @@ class Harness:
             self.on_rep_at_source(sim, node, None, srdp.LINK_BREAK, clock)
             return
         rep = proto.build_rep(rrep, srdp.LINK_BREAK)
-        seq = [rep.d_addr] + list(reversed(rep.route)) + [rep.s_addr]
+        seq = srdp.reverse_sequence(rep)
         nxt = seq[seq.index(node) + 1]
         sim.unicast(node, nxt, encode_frame(rep))
 

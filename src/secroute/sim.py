@@ -60,6 +60,8 @@ class Simulator:
         self._seq += 1
 
     def _link_up(self, a: str, b: str) -> bool:
+        if not self._breaks:
+            return True
         broken_at = self._breaks.get(frozenset((a, b)))
         return broken_at is None or self.clock < broken_at
 

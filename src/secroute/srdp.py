@@ -12,7 +12,7 @@ reverse hash chain the source anchors in the source-destination secret.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from . import cost as ecms
 from . import kdc
@@ -27,7 +27,7 @@ from .frames import (
     RrepBody,
     RrepInfo,
     RrepPacket,
-    _path_bytes,
+    path_bytes,
 )
 
 # Drop reasons
@@ -147,16 +147,17 @@ class RoundState:
 
 def rreq_hop_mac(t_secret: bytes, rreq: RreqImmutable, path: Sequence[str], h_next: bytes) -> bytes:
     """MAC a relay lays down for the node two hops downstream."""
-    return mac(t_secret, [rreq.to_bytes(), _path_bytes(tuple(path)), h_next])
+    return mac(t_secret, [rreq.to_bytes(), path_bytes(tuple(path)), h_next])
 
 
 def rrep_hop_mac(pair_key: bytes, rrep: RrepInfo, q_next: bytes) -> bytes:
     return mac(pair_key, [rrep.to_bytes(), q_next])
 
 
-def reverse_sequence(rrep: RrepInfo) -> List[str]:
-    """Node order the reply traverses: destination, relays reversed, source."""
-    return [rrep.d_addr] + list(reversed(rrep.route)) + [rrep.s_addr]
+def reverse_sequence(msg: Union[RrepInfo, RepPacket]) -> List[str]:
+    """Node order a reply or a route error traverses: destination, relays
+    reversed, source."""
+    return [msg.d_addr, *reversed(msg.route), msg.s_addr]
 
 
 class SrdpNode:

@@ -1,6 +1,9 @@
+import dataclasses
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from secroute import frames
 from secroute.crypto import SealedBox, seal
@@ -139,3 +142,220 @@ def test_mutated_bodies_raise_only_malformed(body):
         except MalformedFrame:
             pass
     assert 0 < decoded < 5_000  # some edits keep the layout, most break it
+
+
+# -- pinned wire bytes ---------------------------------------------------
+#
+# A round trip cannot catch an encoder and decoder that change the layout
+# together; these bytes can.
+
+BOX = SealedBox(b"\x11" * 12, b"ct", b"\x22" * 16)
+NON_ASCII_IMM = frames.RreqImmutable("Nœud-é", 7, 3, "D", 0xFFFFFFFF, 255)
+
+GOLDEN = {
+    "rreq": (
+        frames.RreqPacket("A", 12, 3, frames.RreqMutable(1, 4.25, 1, 10.0, 2.0), BOX),
+        "010001410000000c00000003014011000000000000000140240000000000004000000000000000001e"
+        "111111111111111111111111637422222222222222222222222222222222",
+    ),
+    "rrep": (
+        frames.RrepPacket("D", 1, BOX),
+        "0200014400000001001e111111111111111111111111637422222222222222222222222222222222",
+    ),
+    "rep": (
+        frames.RepPacket("S", 7, "D", 0, BOX, ("A", "B")),
+        "030001530000000700014400000000001e11111111111111111111111163742222222222222222222222"
+        "22222222220002000141000142",
+    ),
+    "session": (frames.SessionFrame("B1", 100, b'{"seq": 1}'), "040002423164000a7b22736571223a20317d"),
+}
+
+GOLDEN_BODIES = {
+    "rreq-body": (
+        frames.RreqBody(NON_ASCII_IMM, ("A", "节点"), b"\x01" * 32, b"\x02" * 32, b"\x03" * 32),
+        "00084ec59375642dc3a90000000700000003000144ffffffffff00020001410006e88a82e782b901"
+        + "01" * 32
+        + "02" * 32
+        + "03" * 32,
+    ),
+    "rrep-body": (
+        frames.RrepBody(frames.RrepInfo("S", 7, "D", 0, ("A", "B")), b"\x04" * 32, None, b"\x05" * 32),
+        "00015300000007000144000000000002000141000142" + "04" * 32 + "0001" + "05" * 32,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN)
+def test_frame_bytes_pinned(name):
+    pkt, hexed = GOLDEN[name]
+    assert frames.encode_frame(pkt).hex() == hexed
+    assert frames.decode_frame(bytes.fromhex(hexed)) == pkt
+
+
+@pytest.mark.parametrize("name", GOLDEN_BODIES)
+def test_body_bytes_pinned(name):
+    body, hexed = GOLDEN_BODIES[name]
+    assert body.to_bytes().hex() == hexed
+    assert type(body).from_bytes(bytes.fromhex(hexed)) == body
+
+
+def test_immutable_and_path_bytes_pinned():
+    assert NON_ASCII_IMM.to_bytes().hex() == "00084ec59375642dc3a90000000700000003000144ffffffffff"
+    assert frames.path_bytes(("A", "节点", "")).hex() == "00030001410006e88a82e782b90000"
+
+
+def test_immutable_bytes_derived_once_per_instance():
+    imm = frames.RreqImmutable("S", 1, 2, "D", 3, 8)
+    assert imm.to_bytes() is imm.to_bytes()
+    changed = dataclasses.replace(imm, s_seqno=9)
+    assert changed.to_bytes() != imm.to_bytes()
+    assert changed.to_bytes() == frames.RreqImmutable("S", 9, 2, "D", 3, 8).to_bytes()
+
+
+# -- rejected inputs -------------------------------------------------------
+
+
+def _rreq_body_raw(flag: int) -> bytes:
+    imm = frames.RreqImmutable("S", 1, 2, "D", 3, 8)
+    raw = frames.RreqBody(imm, ("A",), b"\x01" * 32, b"\x02" * 32, b"\x03" * 32).to_bytes()
+    at = len(imm.to_bytes()) + len(frames.path_bytes(("A",)))
+    assert raw[at] == 1
+    return raw[:at] + bytes([flag]) + raw[at + 1 :]
+
+
+def _rrep_body_raw(flag: int, which: int) -> bytes:
+    info = frames.RrepInfo("S", 1, "D", 2, ("A",))
+    raw = frames.RrepBody(info, b"\x04" * 32, b"\x05" * 32, b"\x06" * 32).to_bytes()
+    at = len(info.to_bytes()) + 32 + which * 33
+    assert raw[at] == 1
+    return raw[:at] + bytes([flag]) + raw[at + 1 :]
+
+
+@pytest.mark.parametrize("flag", [2, 0x7F, 0x80, 0xFF])
+def test_opt_digest_flag_other_than_0_or_1_rejected(flag):
+    for decode, raw in [
+        (frames.RreqBody.from_bytes, _rreq_body_raw(flag)),
+        (frames.RrepBody.from_bytes, _rrep_body_raw(flag, 0)),
+        (frames.RrepBody.from_bytes, _rrep_body_raw(flag, 1)),
+    ]:
+        with pytest.raises(MalformedFrame, match="opt-digest flag"):
+            decode(raw)
+    assert frames.RreqBody.from_bytes(_rreq_body_raw(1)).mac_prev == b"\x01" * 32
+
+
+def _patched(raw: bytes, old: bytes, new: bytes) -> bytes:
+    assert raw.count(old) == 1
+    return raw.replace(old, new)
+
+
+REJECTED = {
+    "bad-utf8-text": (
+        frames.decode_frame,
+        _patched(frames.encode_frame(frames.SessionFrame("AB", 1, b"")), b"AB", b"\xc3\x28"),
+    ),
+    "bad-utf8-path": (
+        frames.decode_frame,
+        _patched(frames.encode_frame(frames.RepPacket("S", 7, "D", 0, BOX, ("Z",))), b"Z", b"\xff"),
+    ),
+    "path-count-past-end": (
+        frames.decode_frame,
+        frames.encode_frame(frames.RepPacket("S", 7, "D", 0, BOX, ()))[:-2] + b"\xff\xff",
+    ),
+    "short-box": (
+        frames.decode_frame,
+        frames.encode_frame(frames.RrepPacket("D", 1, SealedBox(b"\x11" * 12, b"", b"\x22" * 15))),
+    ),
+    "body-bad-utf8": (frames.RrepBody.from_bytes, b"\x00\x01\xff"),
+    "rrep-body-trailing": (frames.RrepBody.from_bytes, GOLDEN_BODIES["rrep-body"][0].to_bytes() + b"\x00"),
+    "rreq-body-trailing": (frames.RreqBody.from_bytes, GOLDEN_BODIES["rreq-body"][0].to_bytes() + b"\x00"),
+}
+
+
+@pytest.mark.parametrize("name", REJECTED)
+def test_rejected_inputs(name):
+    decode, raw = REJECTED[name]
+    with pytest.raises(MalformedFrame):
+        decode(raw)
+
+
+# -- properties --------------------------------------------------------------
+
+ids = st.text(max_size=12)
+u8 = st.integers(0, 0xFF)
+u16 = st.integers(0, 0xFFFF)
+u32 = st.integers(0, 0xFFFFFFFF)
+f64 = st.floats(allow_nan=False)
+digest = st.binary(min_size=32, max_size=32)
+paths = st.lists(ids, max_size=40).map(tuple)
+LONG_PATH = tuple("N%d" % i for i in range(300))
+boxes = st.builds(
+    SealedBox, st.binary(min_size=12, max_size=12), st.binary(max_size=64), st.binary(min_size=16, max_size=16)
+)
+
+immutables = st.builds(frames.RreqImmutable, ids, u32, u32, ids, u32, u8)
+rreq_bodies = st.builds(frames.RreqBody, immutables, paths, st.none() | digest, digest, digest)
+infos = st.builds(frames.RrepInfo, ids, u32, ids, u32, paths)
+rrep_bodies = st.builds(frames.RrepBody, infos, digest, st.none() | digest, st.none() | digest)
+packets = st.one_of(
+    st.builds(frames.RreqPacket, ids, u32, u32, st.builds(frames.RreqMutable, u8, f64, u16, f64, f64), boxes),
+    st.builds(frames.RrepPacket, ids, u32, boxes),
+    st.builds(frames.RepPacket, ids, u32, ids, u32, boxes, paths),
+    st.builds(frames.SessionFrame, ids, u8, st.binary(max_size=64)),
+)
+bodies = rreq_bodies | rrep_bodies
+
+
+@settings(max_examples=300)
+@given(packets)
+@example(frames.RepPacket("", 0xFFFFFFFF, "é", 0, BOX, LONG_PATH))
+@example(frames.RreqPacket("节点", 0xFFFFFFFF, 0, frames.RreqMutable(0xFF, -0.0, 0xFFFF, float("inf"), 1e-9), BOX))
+def test_frame_round_trip_property(pkt):
+    raw = frames.encode_frame(pkt)
+    assert frames.decode_frame(raw) == pkt
+    assert frames.encode_frame(frames.decode_frame(raw)) == raw
+
+
+@settings(max_examples=300)
+@given(bodies)
+@example(frames.RreqBody(NON_ASCII_IMM, LONG_PATH, None, b"\x00" * 32, b"\xff" * 32))
+@example(frames.RrepBody(frames.RrepInfo("", 0, "", 0xFFFFFFFF, LONG_PATH), b"\x00" * 32, None, None))
+def test_body_round_trip_property(body):
+    raw = body.to_bytes()
+    assert type(body).from_bytes(raw) == body
+    assert type(body).from_bytes(raw).to_bytes() == raw
+
+
+@given(packets)
+def test_every_strict_frame_prefix_rejected(pkt):
+    raw = frames.encode_frame(pkt)
+    for cut in range(len(raw)):
+        with pytest.raises(MalformedFrame):
+            frames.decode_frame(raw[:cut])
+
+
+@given(bodies)
+def test_every_strict_body_prefix_rejected(body):
+    raw = body.to_bytes()
+    for cut in range(len(raw)):
+        with pytest.raises(MalformedFrame):
+            type(body).from_bytes(raw[:cut])
+
+
+LONG = "x" * 0x10000
+
+
+@pytest.mark.parametrize(
+    "encode",
+    [
+        lambda: frames.encode_frame(frames.SessionFrame(LONG, 1, b"")),
+        lambda: frames.encode_frame(frames.SessionFrame("S", 1, b"\x00" * 0x10000)),
+        lambda: frames.encode_frame(frames.RrepPacket("S", 1, SealedBox(b"\x00" * 12, b"\x00" * 0xFFF0, BOX.tag))),
+        lambda: frames.encode_frame(frames.RepPacket("S", 1, "D", 2, BOX, ("A", LONG))),
+        lambda: frames.RreqImmutable(LONG, 1, 2, "D", 3, 8).to_bytes(),
+        lambda: frames.path_bytes(("A",) * 0x10000),
+    ],
+    ids=["text", "payload", "box", "path-entry", "immutable", "path-count"],
+)
+def test_oversized_section_rejected_on_encode(encode):
+    with pytest.raises(MalformedFrame):
+        encode()

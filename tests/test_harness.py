@@ -1,3 +1,4 @@
+import hashlib
 import json
 from collections import Counter
 
@@ -84,6 +85,34 @@ def test_link_break_triggers_rediscovery():
     assert report.rediscoveries >= 1
     assert report.cloudlets_delivered == 6
     assert ["S", "C", "D"] in report.routes_installed
+
+
+# Pinned report bytes: frame sizes, MAC inputs and every trace entry feed
+# these hashes, so a codec or simulator change that alters any of them
+# shows here.
+PINNED_REPORTS = {
+    "honest": (lambda: diamond_cfg(cloudlets=3), "1203daa950c8a5b0929e52fe36c5b1a93f52881ea0c7cc33d739e60cdf4b3fd0"),
+    "break-a-b": (
+        lambda: diamond_cfg(cloudlets=6, link_break=("A", "B", 90.0)),
+        "b1fd24ed7589a5b67212c1a19d315f106cc3b4a422f244bde1f69637cb400825",
+    ),
+    "break-b-d": (  # B's route error is relayed by A to S
+        lambda: diamond_cfg(cloudlets=6, link_break=("B", "D", 90.0)),
+        "0d669998f00cb0ac7f9c95ca3aa2a8ace9e7cae01269baa11700ff4edfcf42f0",
+    ),
+    "n40": (
+        lambda: ScenarioConfig(
+            topology_text=topology_to_text(random_topology(11, 40, 0.12)), source="N0", dest="N39", seed=1, cloudlets=2
+        ),
+        "ec4d00433f479e005b8f8f97b3591ebbcb9a96304f7bf3261afe31c0e076035f",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_REPORTS)
+def test_report_bytes_pinned(name):
+    make, digest = PINNED_REPORTS[name]
+    assert hashlib.sha256(emit_report(run_scenario(make()))).hexdigest() == digest
 
 
 MALFORMED_SESSION_PAYLOADS = {
