@@ -1,10 +1,15 @@
 """Multi-metric path cost and route selection.
 
 Cost accumulates per link from hop count, bandwidth, and delay under
-nonnegative weights.  Selection runs in one of seven modes, each keyed to
+nonnegative weights.  `advance` is the one per-link rule: it carries a
+path's cost, hop count, bottleneck bandwidth and summed delay over one
+more link.  Relays and the destination apply it to the request's clear
+header, and `aggregate` folds it over a whole node sequence; no other
+code does this arithmetic (`oracle` keeps its own copy as the
+cross-check).  Selection runs in one of seven modes, each keyed to
 a single metric or metric product, with a fixed tie-break ladder:
 primary objective, then maximum hop*bandwidth*delay product, then maximum
-bandwidth-delay-product upper bound, then lexicographically smallest path.
+bandwidth-delay product, then lexicographically smallest path.
 Route maintenance watches the installed route's bandwidth-delay product
 and neighbor liveness.
 """
@@ -13,9 +18,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import Dict, FrozenSet, Sequence, Tuple
 
 from .errors import MissingEdge, NoCandidates, NonpositiveBandwidth
+from .frames import RreqMutable
 
 
 @dataclass(frozen=True)
@@ -72,6 +78,22 @@ def path_cost_step(
     return prev + w.alpha * 1.0 + w.beta * bw_term + w.gamma * link_delay
 
 
+def advance(prev: RreqMutable, link_bw: float, link_delay: float, w: Weights, literal: bool) -> RreqMutable:
+    """`prev`'s totals carried over one more link.
+
+    Cost grows by `path_cost_step`, hop_count and hc by one, bw becomes
+    the bottleneck (the link's own bandwidth on the first hop, when bw is
+    still 0) and nd adds the link's delay.
+    """
+    return RreqMutable(
+        hop_count=prev.hop_count + 1,
+        path_cost=path_cost_step(prev.path_cost, link_bw, link_delay, w, literal),
+        hc=prev.hc + 1,
+        bw=link_bw if prev.hc == 0 else min(prev.bw, link_bw),
+        nd=prev.nd + link_delay,
+    )
+
+
 @dataclass(frozen=True)
 class PathMetrics:
     hc: int  # hop count
@@ -81,44 +103,42 @@ class PathMetrics:
 
 @dataclass
 class CostMatrices:
-    """Per-edge hop/bandwidth/delay tables over the topology's edges."""
+    """Per-edge bandwidth/delay tables over the topology's edges."""
 
-    m_hc: Dict[FrozenSet[str], float]
     m_bw: Dict[FrozenSet[str], float]
     m_nd: Dict[FrozenSet[str], float]
 
     @classmethod
     def from_topology(cls, topo) -> "CostMatrices":
-        m_hc, m_bw, m_nd = {}, {}, {}
+        m_bw, m_nd = {}, {}
         for key, link in topo.links.items():
-            m_hc[key] = 1.0
             m_bw[key] = link.avl_bw
             m_nd[key] = link.nw_delay
-        return cls(m_hc, m_bw, m_nd)
+        return cls(m_bw, m_nd)
 
 
-def aggregate(path: Sequence[str], matrices: CostMatrices) -> PathMetrics:
-    """Hop count, bottleneck bandwidth, total delay along a node sequence."""
+def aggregate(
+    path: Sequence[str], matrices: CostMatrices, w: Weights, literal: bool
+) -> Tuple[float, PathMetrics]:
+    """Path cost and metrics of a whole node sequence, by `advance`."""
     if len(path) < 2:
         raise MissingEdge("path needs at least one edge")
-    bws, nds = [], []
+    t = RreqMutable()
     for a, b in zip(path, path[1:]):
         key = frozenset((a, b))
         if key not in matrices.m_bw:
             raise MissingEdge("%s-%s" % (a, b))
-        bws.append(matrices.m_bw[key])
-        nds.append(matrices.m_nd[key])
-    return PathMetrics(hc=len(path) - 1, bw=min(bws), nd=sum(nds))
+        t = advance(t, matrices.m_bw[key], matrices.m_nd[key], w, literal)
+    return t.path_cost, PathMetrics(t.hc, t.bw, t.nd)
 
 
-def products(m: PathMetrics) -> Tuple[float, float, float, float, float]:
-    """(hbp, bdp, hdp, hbdp, bdp_ub) metric products for tie-breaking."""
+def products(m: PathMetrics) -> Tuple[float, float, float, float]:
+    """(hbp, bdp, hdp, hbdp) metric products for tie-breaking."""
     hbp = m.hc * m.bw
-    bdp = m.bw * m.nd
+    bdp = m.bw * m.nd  # bottleneck bandwidth x end-to-end delay
     hdp = m.hc * m.nd
     hbdp = m.hc * m.bw * m.nd
-    bdp_ub = m.bw * m.nd  # bottleneck bandwidth x end-to-end delay
-    return hbp, bdp, hdp, hbdp, bdp_ub
+    return hbp, bdp, hdp, hbdp
 
 
 Candidate = Tuple[Sequence[str], float, PathMetrics]
@@ -127,11 +147,11 @@ Candidate = Tuple[Sequence[str], float, PathMetrics]
 def selection_key(candidate: Candidate, mode: Mode) -> tuple:
     """Sort key whose minimum is the selected candidate.
 
-    Tuple order: primary objective, max HBDP, max BDP-UB, lexicographic
+    Tuple order: primary objective, max HBDP, max BDP, lexicographic
     path.  Maximized quantities are negated.
     """
     path, path_cost, m = candidate
-    hbp, bdp, hdp, hbdp, bdp_ub = products(m)
+    hbp, bdp, hdp, hbdp = products(m)
     primary = {
         Mode.HC: m.hc,
         Mode.BW: -m.bw,
@@ -141,7 +161,7 @@ def selection_key(candidate: Candidate, mode: Mode) -> tuple:
         Mode.HC_ND: hdp,
         Mode.HC_BW_ND: path_cost,
     }[mode]
-    return (primary, -hbdp, -bdp_ub, tuple(path))
+    return (primary, -hbdp, -bdp, tuple(path))
 
 
 def select_route(candidates: Sequence[Candidate], mode: Mode) -> Sequence[str]:

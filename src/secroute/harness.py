@@ -9,7 +9,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Tuple
 
 from . import cost as ecms
@@ -20,6 +20,7 @@ from .crypto import hash_bytes
 from .errors import ConfigError, NoValidCandidate, SecrouteError
 from .frames import (
     RepPacket,
+    RreqBody,
     RreqPacket,
     RrepInfo,
     RrepPacket,
@@ -302,7 +303,7 @@ class AdversaryBehavior(ProtocolBehavior):
             else:
                 self.dispatch_rreq_action(sim, node, action, clock)
             return
-        body = self.proto._open_rreq(pkt)
+        body = self.proto.open_body(pkt, RreqBody)
         if body is None or self.tampered or not body.path:
             super().handle_rreq(sim, node, sender, pkt, clock)
             return
@@ -311,50 +312,24 @@ class AdversaryBehavior(ProtocolBehavior):
         self.proto.seen_rounds.add(body.rreq.round_id())
         sim.broadcast(node, encode_frame(out))
 
-    def _tampered_forward(self, pkt: RreqPacket, body, link) -> RreqPacket:
-        from .crypto import hash_bytes, seal
-        from .frames import RreqBody, RreqMutable
-
-        proto = self.proto
-        rreq = body.rreq
-        path = body.path
+    def _tampered_forward(self, pkt: RreqPacket, body: RreqBody, link) -> RreqPacket:
+        node = self.proto.node
+        rreq, path = body.rreq, body.path
+        new_path = path + (node,)
+        h_new = hash_bytes(body.h)
+        mac_prev = body.mac_curr
         if self.behavior == "path-insert":
             # Claim a phantom predecessor; its MAC cannot exist.
-            new_path = path + (self.phantom, proto.node)
-            h_new = hash_bytes(hash_bytes(body.h))
+            new_path = path + (self.phantom, node)
+            h_new = hash_bytes(h_new)
             mac_prev = bytes(self.rng.getrandbits(8) for _ in range(32))
         elif self.behavior == "path-modify":
-            new_path = path[:-1] + (self.phantom, proto.node)
-            h_new = hash_bytes(body.h)
-            mac_prev = body.mac_curr
+            new_path = path[:-1] + (self.phantom, node)
         elif self.behavior == "path-delete":
-            new_path = path[:-1] + (proto.node,)
-            h_new = hash_bytes(body.h)  # chain now one step too long for the claim
-            mac_prev = body.mac_curr
+            new_path = path[:-1] + (node,)  # the chain is now one step too long for the claim
         else:  # rreq-field-tamper
-            rreq = type(rreq)(
-                s_addr=rreq.s_addr,
-                s_seqno=rreq.s_seqno,
-                b_id=rreq.b_id,
-                d_addr=rreq.d_addr,
-                d_seqno=rreq.d_seqno + 1,
-                max_hops=rreq.max_hops,
-            )
-            new_path = path + (proto.node,)
-            h_new = hash_bytes(body.h)
-            mac_prev = body.mac_curr
-        m_self = srdp.rreq_hop_mac(proto.keys.broadcast_secret, rreq, new_path, hash_bytes(h_new))
-        new_body = RreqBody(rreq, new_path, mac_prev, m_self, h_new)
-        mut = pkt.mutable
-        new_mut = RreqMutable(
-            hop_count=len(new_path),
-            path_cost=ecms.path_cost_step(mut.path_cost, link.avl_bw, link.nw_delay, proto.weights, proto.literal_cost),
-            hc=mut.hc + 1,
-            bw=link.avl_bw if mut.hc == 0 else min(mut.bw, link.avl_bw),
-            nd=mut.nd + link.nw_delay,
-        )
-        proto._seqno += 1
-        return RreqPacket(proto.node, proto._seqno, pkt.b_id, new_mut, seal(proto.keys.group_key, new_body.to_bytes()))
+            rreq = replace(rreq, d_seqno=rreq.d_seqno + 1)
+        return self.proto.relay_rreq(pkt, rreq, new_path, mac_prev, h_new, link.avl_bw, link.nw_delay)
 
 
 # -- harness -----------------------------------------------------------
@@ -427,10 +402,10 @@ class Harness:
             self.next_cloudlet = len(self.cloudlets_done)
             self._send_next_cloudlet(sim, node)
         if self.config.monitor_intervals and node == self.config.source:
-            metrics = ecms.aggregate(route, ecms.CostMatrices.from_topology(self.topo))
+            _, m = self._route_totals(route)
             self.monitor_state = ecms.MonitorState(
                 route=route,
-                last_bdp=metrics.bw * metrics.nd,
+                last_bdp=m.bw * m.nd,
                 interval=self.config.monitor_interval,
                 epsilon=self.config.epsilon,
             )
@@ -441,13 +416,18 @@ class Harness:
         if self.monitor_state is None or self.monitor_ticks_left <= 0:
             return
         self.monitor_ticks_left -= 1
-        metrics = ecms.aggregate(self.monitor_state.route, ecms.CostMatrices.from_topology(self.topo))
-        action, _code = ecms.monitor(self.monitor_state, True, metrics.bw * metrics.nd)
+        _, m = self._route_totals(self.monitor_state.route)
+        action, _code = ecms.monitor(self.monitor_state, True, m.bw * m.nd)
         if action is ecms.MonitorAction.REDISCOVER:
             self.rediscoveries += 1
             self._rediscover(sim, node)
         elif self.monitor_ticks_left > 0:
             sim.set_timer(node, self.monitor_state.interval, ("monitor",))
+
+    def _route_totals(self, route: Tuple[str, ...]) -> Tuple[float, ecms.PathMetrics]:
+        """Path cost and metrics of a full route over the topology's links."""
+        w = ecms.weights_for_mode(self.config.mode, self.config.weights)
+        return ecms.aggregate(route, ecms.CostMatrices.from_topology(self.topo), w, self.config.literal_cost)
 
     # cloudlet bookkeeping
 
@@ -535,15 +515,8 @@ class Harness:
         route = src_proto.installed_routes.get(cfg.dest)
         path_cost = metrics = None
         if route is not None:
-            matrices = ecms.CostMatrices.from_topology(self.topo)
-            m = ecms.aggregate(route, matrices)
+            path_cost, m = self._route_totals(route)
             metrics = {"hc": m.hc, "bw": m.bw, "nd": m.nd}
-            w = ecms.weights_for_mode(cfg.mode, cfg.weights)
-            c = 0.0
-            for a, b in zip(route, route[1:]):
-                link = self.topo.link(a, b)
-                c = ecms.path_cost_step(c, link.avl_bw, link.nw_delay, w, cfg.literal_cost)
-            path_cost = c
         trace_repr = json.dumps(self.sim.trace, sort_keys=True, default=str).encode()
         counters = {n: dict(sorted(p.counters.items())) for n, p in sorted(self.protos.items()) if p.counters}
         return RunReport(
@@ -591,13 +564,7 @@ def compare_oracle(
     for mode in modes:
         w = ecms.weights_for_mode(mode, base)
         paths = oraclelib.all_simple_paths(topo, source, dest, max_hops)
-        candidates = []
-        for p in paths:
-            c = 0.0
-            for a, b in zip(p, p[1:]):
-                link = topo.link(a, b)
-                c = ecms.path_cost_step(c, link.avl_bw, link.nw_delay, w, literal)
-            candidates.append((tuple(p[1:-1]), c, ecms.aggregate(p, matrices)))
+        candidates = [(tuple(p[1:-1]), *ecms.aggregate(p, matrices, w, literal)) for p in paths]
         chosen = ecms.select_route(candidates, mode)
         chosen_key = ecms.selection_key(
             next(cand for cand in candidates if cand[0] == chosen), mode

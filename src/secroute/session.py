@@ -90,18 +90,13 @@ class CloudRecord:
 @dataclass
 class CloudDirectory:
     records: Dict[str, CloudRecord] = field(default_factory=dict)
-    refresh_interval: float = 1000.0  # ms
 
-    def matching(self, service: str, now: float) -> List[CloudRecord]:
+    def matching(self, service: str) -> List[CloudRecord]:
         out = []
         for rec in self.records.values():
             if service in rec.services:
                 out.append(rec)
         return out
-
-    def stale(self, cloud: str, now: float) -> bool:
-        rec = self.records[cloud]
-        return now - rec.refreshed_at > self.refresh_interval
 
 
 @dataclass
@@ -158,7 +153,6 @@ def run_bcec(
     svc: PairwiseKeyService,
     service: str,
     sign_sla: bool = True,
-    now: float = 0.0,
 ) -> Tuple[str, SlaDocument, bytes]:
     """Broker <-> exchange handshake.
 
@@ -168,7 +162,7 @@ def run_bcec(
     """
     session = SessionState("bcec")
     session.accept(1, service)
-    matches = exchange.directory.matching(service, now)
+    matches = exchange.directory.matching(service)
     if not matches:
         raise NoMatchingCloud(service)
     session.accept(2, [r.cloud for r in matches])

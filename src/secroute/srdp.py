@@ -219,16 +219,18 @@ class SrdpNode:
             sealed=seal(self.keys.group_key, body.to_bytes()),
         )
 
-    # -- RREQ relay / destination -------------------------------------
-
-    def _open_rreq(self, frame: RreqPacket):
+    def open_body(self, frame: Union[RreqPacket, RrepPacket], body_cls):
+        """`frame`'s sealed body as a `body_cls` (RreqBody or RrepBody), or
+        None unless a neighbour sealed a well-formed one under its group key."""
         key = self.keys.neighbor_group_keys.get(frame.sender_addr)
         if key is None:
             return None
         try:
-            return RreqBody.from_bytes(open_box(key, frame.sealed))
+            return body_cls.from_bytes(open_box(key, frame.sealed))
         except (AuthFailure, MalformedFrame):
             return None
+
+    # -- RREQ relay / destination -------------------------------------
 
     def _verify_two_hop(self, body: RreqBody) -> Optional[str]:
         """Check the MAC from two hops upstream; None means pass or skip."""
@@ -255,7 +257,7 @@ class SrdpNode:
         Returns ("forward", RreqPacket), ("drop", reason), or
         ("collected", round_id, first_arrival) at the destination.
         """
-        body = self._open_rreq(frame)
+        body = self.open_body(frame, RreqBody)
         if body is None:
             return self._drop(SEAL_OPEN_FAIL)
         rreq = body.rreq
@@ -272,32 +274,31 @@ class SrdpNode:
         if bad is not None:
             return self._drop(TWO_HOP_AUTH_FAIL, bad)
         self.seen_rounds.add(rid)
-        return ("forward", self._forward_rreq(frame, body, link_bw, link_delay))
-
-    def _forward_rreq(self, frame: RreqPacket, body: RreqBody, link_bw, link_delay) -> RreqPacket:
-        new_path = body.path + (self.node,)
-        h_new = hash_bytes(body.h)
-        m_self = rreq_hop_mac(self.keys.broadcast_secret, body.rreq, new_path, hash_bytes(h_new))
-        new_body = RreqBody(body.rreq, new_path, body.mac_curr, m_self, h_new)
-        mut = frame.mutable
-        new_mut = RreqMutable(
-            hop_count=mut.hop_count + 1,
-            path_cost=ecms.path_cost_step(
-                mut.path_cost, link_bw, link_delay, self.weights, self.literal_cost
-            ),
-            hc=mut.hc + 1,
-            bw=link_bw if mut.hc == 0 else min(mut.bw, link_bw),
-            nd=mut.nd + link_delay,
-        )
-        self._seqno += 1
         self._count("rreq_forwarded")
-        return RreqPacket(
-            sender_addr=self.node,
-            sender_seqno=self._seqno,
-            b_id=frame.b_id,
-            mutable=new_mut,
-            sealed=seal(self.keys.group_key, new_body.to_bytes()),
-        )
+        new_path = body.path + (self.node,)
+        out = self.relay_rreq(frame, rreq, new_path, body.mac_curr, hash_bytes(body.h), link_bw, link_delay)
+        return ("forward", out)
+
+    def relay_rreq(
+        self,
+        frame: RreqPacket,
+        rreq: RreqImmutable,
+        new_path: Tuple[str, ...],
+        mac_prev: Optional[bytes],
+        h_new: bytes,
+        link_bw: float,
+        link_delay: float,
+    ) -> RreqPacket:
+        """This node's onward copy of `frame`: the clear header carried over
+        the link it arrived on, and a sealed body claiming `new_path` and
+        `h_new`, with `mac_prev` beside this node's own MAC.  An honest relay
+        passes the arriving body's values; a tampering one, its lies."""
+        m_self = rreq_hop_mac(self.keys.broadcast_secret, rreq, new_path, hash_bytes(h_new))
+        body = RreqBody(rreq, new_path, mac_prev, m_self, h_new)
+        mutable = ecms.advance(frame.mutable, link_bw, link_delay, self.weights, self.literal_cost)
+        mutable.hop_count = len(new_path)  # one more than the frame's, unless the path lies
+        self._seqno += 1
+        return RreqPacket(self.node, self._seqno, frame.b_id, mutable, seal(self.keys.group_key, body.to_bytes()))
 
     def _collect_candidate(self, frame: RreqPacket, body: RreqBody, link_bw, link_delay):
         rreq = body.rreq
@@ -315,16 +316,11 @@ class SrdpNode:
         state = self.dest_rounds.setdefault(rid, RoundState(rreq=rreq))
         if not state.window_open:
             return self._drop(DUPLICATE, "window closed")
-        mut = frame.mutable
         # Fold in the final link so cost and metrics span the whole path.
-        final_cost = ecms.path_cost_step(mut.path_cost, link_bw, link_delay, self.weights, self.literal_cost)
-        metrics = ecms.PathMetrics(
-            hc=mut.hc + 1,
-            bw=link_bw if mut.hc == 0 else min(mut.bw, link_bw),
-            nd=mut.nd + link_delay,
-        )
+        t = ecms.advance(frame.mutable, link_bw, link_delay, self.weights, self.literal_cost)
+        metrics = ecms.PathMetrics(t.hc, t.bw, t.nd)
         first = not state.candidates
-        state.candidates.append(Candidate(body.path, final_cost, metrics, frame.sender_addr, body.h))
+        state.candidates.append(Candidate(body.path, t.path_cost, metrics, frame.sender_addr, body.h))
         self._count("rreq_collected")
         return ("collected", rid, first)
 
@@ -334,11 +330,8 @@ class SrdpNode:
         if state is None or not state.candidates:
             raise NoValidCandidate(str(rid))
         state.window_open = False
-        best = min(
-            state.candidates,
-            key=lambda c: ecms.selection_key(
-                (c.path, c.path_cost, c.metrics), ecms.Mode.HC_BW_ND
-            ),
+        route = ecms.select_route(
+            [(c.path, c.path_cost, c.metrics) for c in state.candidates], ecms.Mode.HC_BW_ND
         )
         rreq = state.rreq
         rrep = RrepInfo(
@@ -346,7 +339,7 @@ class SrdpNode:
             s_seqno=rreq.s_seqno,
             d_addr=self.node,
             d_seqno=rreq.d_seqno,
-            route=best.path,
+            route=route,
         )
         state.reply = rrep
         k_sd = self.keys.pairwise_key(rreq.s_addr)
@@ -362,18 +355,9 @@ class SrdpNode:
 
     # -- RREP relay / source acceptance -------------------------------
 
-    def _open_rrep(self, frame: RrepPacket):
-        key = self.keys.neighbor_group_keys.get(frame.sender_addr)
-        if key is None:
-            return None
-        try:
-            return RrepBody.from_bytes(open_box(key, frame.sealed))
-        except (AuthFailure, MalformedFrame):
-            return None
-
     def process_rrep(self, frame: RrepPacket):
         """Returns ("forward", RrepPacket, next_hop), ("accept", route), or a drop."""
-        body = self._open_rrep(frame)
+        body = self.open_body(frame, RrepBody)
         if body is None:
             return self._drop(SEAL_OPEN_FAIL)
         rrep = body.rrep

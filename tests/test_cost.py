@@ -6,7 +6,8 @@ from secroute import cost
 from secroute.cost import Mode, MonitorAction, MonitorState, PathMetrics, Weights
 from secroute.errors import MissingEdge, NoCandidates, NonpositiveBandwidth
 from secroute.harness import random_topology
-from secroute.oracle import oracle_select
+from secroute.frames import RreqMutable
+from secroute.oracle import all_simple_paths, oracle_select, path_objectives
 from secroute.topology import load_topology
 
 
@@ -49,17 +50,45 @@ TOPO = load_topology(
 
 def test_aggregate():
     matrices = cost.CostMatrices.from_topology(TOPO)
-    m = cost.aggregate(["S", "A", "D"], matrices)
+    w = Weights(1, 0.1, 1)
+    c, m = cost.aggregate(["S", "A", "D"], matrices, w, False)
     assert (m.hc, m.bw, m.nd) == (2, 10, 5)
-    single = cost.aggregate(["S", "A"], matrices)
-    assert (single.hc, single.bw, single.nd) == (1, 10, 2)
+    assert c == cost.path_cost_step(cost.path_cost_step(0.0, 10, 2, w), 20, 3, w)
+    c, single = cost.aggregate(["S", "A"], matrices, w, True)
+    assert (c, single.hc, single.bw, single.nd) == (1 + 0.1 * 10 + 2, 1, 10, 2)
     with pytest.raises(MissingEdge):
-        cost.aggregate(["S", "D"], matrices)
+        cost.aggregate(["S", "D"], matrices, w, False)
+    with pytest.raises(MissingEdge):
+        cost.aggregate(["S"], matrices, w, False)
+
+
+def test_advance_one_link():
+    w = Weights(1, 0.1, 1)
+    first = cost.advance(RreqMutable(), 20, 3, w, False)
+    assert first == RreqMutable(1, cost.path_cost_step(0.0, 20, 3, w), 1, 20, 3)
+    second = cost.advance(first, 10, 2, w, False)
+    assert second == RreqMutable(2, cost.path_cost_step(first.path_cost, 10, 2, w), 2, 10, 5)
+    assert cost.advance(second, 50, 1, w, False).bw == 10  # the bottleneck stays
+    assert first.hc == 1  # advance builds a new header; prev is untouched
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_aggregate_equals_oracle_objectives(seed):
+    # Exact floats: bills are checked against oracle.path_objectives with ==.
+    topo = random_topology(seed, n=8)
+    matrices = cost.CostMatrices.from_topology(topo)
+    paths = all_simple_paths(topo, "N0", "N7")
+    for mode in Mode:
+        w = cost.weights_for_mode(mode)
+        for literal in (False, True):
+            for p in paths:
+                c, m = cost.aggregate(p, matrices, w, literal)
+                assert (c, m.hc, m.bw, m.nd) == path_objectives(topo, p, w, literal)
 
 
 def test_products():
-    assert cost.products(PathMetrics(2, 10, 5)) == (20, 50, 10, 100, 50)
-    assert cost.products(PathMetrics(1, 1, 1)) == (1, 1, 1, 1, 1)
+    assert cost.products(PathMetrics(2, 10, 5)) == (20, 50, 10, 100)
+    assert cost.products(PathMetrics(1, 1, 1)) == (1, 1, 1, 1)
     assert cost.products(PathMetrics(3, 100, 15))[3] == 4500
 
 
@@ -95,18 +124,9 @@ def test_select_route_deterministic():
 
 
 def _enumerated_candidates(topo, src, dst, mode, literal=False):
-    from secroute.oracle import all_simple_paths
-
     w = cost.weights_for_mode(mode)
     matrices = cost.CostMatrices.from_topology(topo)
-    out = []
-    for p in all_simple_paths(topo, src, dst):
-        c = 0.0
-        for a, b in zip(p, p[1:]):
-            link = topo.link(a, b)
-            c = cost.path_cost_step(c, link.avl_bw, link.nw_delay, w, literal)
-        out.append((tuple(p[1:-1]), c, cost.aggregate(p, matrices)))
-    return out
+    return [(tuple(p[1:-1]), *cost.aggregate(p, matrices, w, literal)) for p in all_simple_paths(topo, src, dst)]
 
 
 @pytest.mark.parametrize("seed", range(8))

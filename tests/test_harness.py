@@ -1,6 +1,7 @@
 import hashlib
 import json
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -87,9 +88,22 @@ def test_link_break_triggers_rediscovery():
     assert ["S", "C", "D"] in report.routes_installed
 
 
-# Pinned report bytes: frame sizes, MAC inputs and every trace entry feed
-# these hashes, so a codec or simulator change that alters any of them
-# shows here.
+def tamper_cfg(behavior):
+    """The first acceptance tamper topology, with its adversary acting."""
+    seed, adversary, topo = tamper_scenarios(1)[0]
+    return ScenarioConfig(
+        topology_text=topology_to_text(topo),
+        source="N0",
+        dest="N7",
+        seed=seed,
+        adversary=(adversary, behavior),
+        collection_window=200,
+    )
+
+
+# Pinned report bytes: frame sizes, MAC inputs, path costs and every trace
+# entry feed these hashes, so a codec, simulator or cost change that alters
+# any of them shows here.
 PINNED_REPORTS = {
     "honest": (lambda: diamond_cfg(cloudlets=3), "1203daa950c8a5b0929e52fe36c5b1a93f52881ea0c7cc33d739e60cdf4b3fd0"),
     "break-a-b": (
@@ -106,6 +120,66 @@ PINNED_REPORTS = {
         ),
         "ec4d00433f479e005b8f8f97b3591ebbcb9a96304f7bf3261afe31c0e076035f",
     ),
+    "adv-path-insert": (
+        lambda: tamper_cfg("path-insert"),
+        "351d3f47ed14d34b3547c20c489face8c141b55771eaed0dddb9f1bb378d2107",
+    ),
+    "adv-path-delete": (
+        lambda: tamper_cfg("path-delete"),
+        "e5b3af99374e93c0bc0285ac2e6b124345ea9c4cba506d69e1c08f46905df81d",
+    ),
+    "adv-path-modify": (
+        lambda: tamper_cfg("path-modify"),
+        "113ef87188b9e577093c95897fc0d8bf6ca73ab05061f8c284ea951ae864a4d4",
+    ),
+    "adv-rreq-field-tamper": (
+        lambda: tamper_cfg("rreq-field-tamper"),
+        "59937c3ac52796d6e72576ec287d5bc6101bb2cd78a1076a946fb1ea2deef059",
+    ),
+    "adv-replay": (
+        lambda: tamper_cfg("replay"),
+        "0c2fa3de5737145fff61002226655bdc3fd4f6f26fda36e710fd667e12af4136",
+    ),
+    "adv-cost-deflate": (
+        lambda: tamper_cfg("cost-deflate"),
+        "831a62c45a16e778421bf591f5598a9af2cd7b5053bc5d2f8169aa817d7d1a65",
+    ),
+    "mode-hc": (
+        lambda: diamond_cfg(mode=ecms.Mode.HC),
+        "06d53ab8c75899877785d5ac06d56e607cd49c16f5cce7fa952d20448f893a1b",
+    ),
+    "mode-bw": (
+        lambda: diamond_cfg(mode=ecms.Mode.BW),
+        "ffa998a2ac0dfa50ddc1725693dae23afe2cc6dbfed67c4f673057746928116a",
+    ),
+    "mode-nd": (
+        lambda: diamond_cfg(mode=ecms.Mode.ND),
+        "0594b3bbb069a49c1b1e3174a7d2a5b8e86f38145d9df4e234b8003f2be8d75d",
+    ),
+    "mode-hc_bw": (
+        lambda: diamond_cfg(mode=ecms.Mode.HC_BW),
+        "67cde0c98c70c459237693aa1abdee50ef2d891e5a77c74bec72e813577ae9d3",
+    ),
+    "mode-bw_nd": (
+        lambda: diamond_cfg(mode=ecms.Mode.BW_ND),
+        "066457c493382116f50d775937f20b20d57194b73956269b6003b9387a002552",
+    ),
+    "mode-hc_nd": (
+        lambda: diamond_cfg(mode=ecms.Mode.HC_ND),
+        "9126c8523cf9ed23e08ed3def83dc010d0a60cffb8236064edc6894c6b7c5320",
+    ),
+    "mode-hc_bw_nd": (
+        lambda: diamond_cfg(mode=ecms.Mode.HC_BW_ND),
+        "7a53b39a894f058ada7d828426fc11553dbac39fabd15890271431fffd0e1718",
+    ),
+    "literal-cost": (
+        lambda: diamond_cfg(literal_cost=True),
+        "e46d915e43f51c5b4bb6c6852f12f0486ef7fe9ace976cf071ea556e75b50acc",
+    ),
+    "monitor": (
+        lambda: diamond_cfg(monitor_intervals=10),
+        "71aae9846ca4556e7b60bcf063a047ffac4dfeb2eaed91b3c75c6383bcf29d8a",
+    ),
 }
 
 
@@ -113,6 +187,38 @@ PINNED_REPORTS = {
 def test_report_bytes_pinned(name):
     make, digest = PINNED_REPORTS[name]
     assert hashlib.sha256(emit_report(run_scenario(make()))).hexdigest() == digest
+
+
+@pytest.mark.parametrize("literal", [False, True])
+@pytest.mark.parametrize("mode", list(ecms.Mode))
+def test_candidates_equal_whole_path_fold(mode, literal):
+    """What the protocol accumulated hop by hop equals the fold over the
+    whole path, exactly and with the same number types."""
+    w = ecms.weights_for_mode(mode)
+    checked = 0
+    for seed in range(20):
+        cfg = ScenarioConfig(
+            topology_text=topology_to_text(random_topology(seed)),
+            source="N0",
+            dest="N7",
+            seed=seed,
+            mode=mode,
+            literal_cost=literal,
+        )
+        harness = Harness(cfg)
+        report = harness.run()
+        matrices = ecms.CostMatrices.from_topology(harness.topo)
+        for state in harness.protos["N7"].dest_rounds.values():
+            for c in state.candidates:
+                path_cost, m = ecms.aggregate(("N0", *c.path, "N7"), matrices, w, literal)
+                assert (c.path_cost, c.metrics) == (path_cost, m), (seed, c.path)
+                got = (c.path_cost, c.metrics.hc, c.metrics.bw, c.metrics.nd)
+                assert list(map(type, got)) == list(map(type, (path_cost, m.hc, m.bw, m.nd)))
+                if ["N0", *c.path, "N7"] == report.chosen_route:
+                    assert (report.path_cost, report.metrics) == (c.path_cost, vars(c.metrics))
+                checked += 1
+        assert report.chosen_route, seed
+    assert checked >= 20 * 2
 
 
 MALFORMED_SESSION_PAYLOADS = {
@@ -347,6 +453,12 @@ def test_cli_oracle_subcommand(topo_file, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert out.count("match") >= 7 and "MISMATCH" not in out
+
+
+def test_example_topology_is_the_test_diamond():
+    # CI runs the CLI on the committed example; it must stay this diamond.
+    example = Path(__file__).resolve().parent.parent / "docs" / "examples" / "diamond.topo"
+    assert topology_to_text(load_topology(example.read_text())) == topology_to_text(load_topology(DIAMOND))
 
 
 def test_cli_endpoint_defaults(topo_file, capsys):

@@ -47,8 +47,6 @@ def test_directory_refresh_updates_record(world):
     rec = exchange.directory.records["C1"]
     assert rec.free_datacenters == 7
     assert rec.refreshed_at == 500.0
-    assert not exchange.directory.stale("C1", now=600.0)
-    assert exchange.directory.stale("C1", now=1600.0)
 
 
 def test_bcec_happy_path(world):
