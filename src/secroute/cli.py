@@ -102,7 +102,6 @@ def main(argv=None) -> int:
 
     oracle_p = sub.add_parser("oracle", help="compare selection against enumeration")
     oracle_p.add_argument("--topology", required=True)
-    oracle_p.add_argument("--seed", type=int, default=0)
     oracle_p.add_argument("--source")
     oracle_p.add_argument("--dest")
     oracle_p.set_defaults(func=_cmd_oracle)

@@ -87,10 +87,6 @@ class TooLarge(SecrouteError):
     """Topology exceeds the exhaustive-enumeration budget."""
 
 
-class OutOfOrderMessage(SecrouteError):
-    """Handshake message arrived outside the expected step order."""
-
-
 class TokenInvalid(SecrouteError):
     """Authentication token failed verification."""
 

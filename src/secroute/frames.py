@@ -287,7 +287,7 @@ class RepPacket:
 
 @dataclass(frozen=True)
 class SessionFrame:
-    """Handshake message: 1-byte step tag plus an opaque payload."""
+    """Cloudlet (step 100) or its ack (step 101): 1-byte step tag plus an opaque payload."""
 
     sender_addr: str
     step: int

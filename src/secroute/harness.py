@@ -349,9 +349,7 @@ class Harness:
             if behavior not in ADVERSARY_BEHAVIORS:
                 raise ConfigError("unknown adversary behavior %r" % behavior)
         self.sim = Simulator(self.topo, seed=config.seed)
-        self.stores, self.svc, self.params, self.rings = provision(
-            self.topo, config.kdc_k, config.kdc_m, config.seed
-        )
+        self.stores = provision(self.topo, config.kdc_k, config.kdc_m, config.seed)[0]
         self.protos: Dict[str, srdp.SrdpNode] = {}
         self.detections: List[Dict[str, Any]] = []
         self.events: Dict[str, int] = {}
@@ -389,7 +387,7 @@ class Harness:
 
     def record_drop(self, node: str, reason: str, clock, proto: srdp.SrdpNode) -> None:
         self.sim.log_drop(node, reason)
-        if reason in (srdp.TWO_HOP_AUTH_FAIL, srdp.CHAIN_MISMATCH, srdp.Q_CHAIN_MISMATCH):
+        if reason in srdp.DETECTION_REASONS:
             detail = proto.detections[-1][1] if proto.detections else ""
             self.detections.append({"t": clock, "node": node, "reason": reason, "detail": detail})
 

@@ -1,11 +1,12 @@
-"""Broker / cloud-exchange / cloud-coordinator handshakes.
+"""Broker / cloud-exchange / cloud-coordinator handshakes, as their gates.
 
-Three fixed-order message exchanges: the broker obtains auth material
-from the exchange (gated on SLA signing), the exchange and a coordinator
-swap sealed signature tokens, and the broker submits a task directly to
-the coordinator (gated on token verification) and is billed for it.
-"Signatures" are MAC tokens under pairwise keys; everything stays
-symmetric.
+The three handshakes run in process, each as a straight line of checks:
+the broker gets auth material from the exchange once a cloud matches the
+service and the SLA is signed; the coordinator countersigns the SLA if it
+has a free datacenter and releases the broker's task token; the
+coordinator runs a task only for a token that verifies, and bills the
+broker for it.  "Signatures" are MAC tokens under pairwise keys;
+everything stays symmetric.
 """
 
 from __future__ import annotations
@@ -13,37 +14,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .crypto import hash_bytes, mac, open_box, seal
+from .crypto import hash_bytes, mac
 from .errors import (
-    AuthFailure,
     BadSla,
     NoAvailability,
     NoMatchingCloud,
-    OutOfOrderMessage,
     SlaRefused,
     TokenInvalid,
     UnknownCoordinator,
 )
 from .kdc import PairwiseKeyService
-
-
-@dataclass
-class SessionState:
-    """Step tracker for one handshake; messages must arrive in order."""
-
-    name: str
-    expected_step: int = 1
-    transcript: List[Tuple[int, object]] = field(default_factory=list)
-    session_key: Optional[bytes] = None
-    done: bool = False
-
-    def accept(self, step: int, payload=None) -> None:
-        if self.done or step != self.expected_step:
-            raise OutOfOrderMessage(
-                "%s: got step %d, expected %d" % (self.name, step, self.expected_step)
-            )
-        self.transcript.append((step, payload))
-        self.expected_step += 1
 
 
 @dataclass(frozen=True)
@@ -84,7 +64,6 @@ class CloudRecord:
     cost_stat: float  # mean advertised usage cost
     sla_terms: str
     tariff: float  # per unit of path cost
-    refreshed_at: float = 0.0
 
 
 @dataclass
@@ -121,17 +100,15 @@ class Coordinator:
 class Broker:
     node: str
     ledger: List[Tuple[str, float]] = field(default_factory=list)
-    tokens: Dict[str, AuthToken] = field(default_factory=dict)  # cloud -> broker's token
 
 
 @dataclass
 class Exchange:
     node: str
     directory: CloudDirectory = field(default_factory=CloudDirectory)
-    coordinator_tokens: Dict[str, AuthToken] = field(default_factory=dict)
 
 
-def directory_refresh(coordinator: Coordinator, exchange: Exchange, now: float = 0.0) -> CloudDirectory:
+def directory_refresh(coordinator: Coordinator, exchange: Exchange) -> CloudDirectory:
     """Coordinator pushes its current record into the exchange directory."""
     if coordinator.registered_with != exchange.node:
         raise UnknownCoordinator(coordinator.node)
@@ -142,7 +119,6 @@ def directory_refresh(coordinator: Coordinator, exchange: Exchange, now: float =
         cost_stat=coordinator.cost_stat,
         sla_terms=coordinator.sla_terms,
         tariff=coordinator.tariff,
-        refreshed_at=now,
     )
     return exchange.directory
 
@@ -154,41 +130,25 @@ def run_bcec(
     service: str,
     sign_sla: bool = True,
 ) -> Tuple[str, SlaDocument, bytes]:
-    """Broker <-> exchange handshake.
+    """Broker <-> exchange: pick the cheapest cloud offering `service`.
 
-    Steps: availability query, statistics response, broker selection, SLA
-    signing, secure link, auth-key request, sealed key delivery, link
-    close.  Returns (selected cloud, signed SLA, auth-key material).
+    Gates: some cloud in the directory offers the service
+    (NoMatchingCloud) and the broker signs its SLA (SlaRefused).  Returns
+    (selected cloud, SLA carrying the broker's token, auth material the
+    exchange derives for the broker under its key with the cloud).
     """
-    session = SessionState("bcec")
-    session.accept(1, service)
     matches = exchange.directory.matching(service)
     if not matches:
         raise NoMatchingCloud(service)
-    session.accept(2, [r.cloud for r in matches])
     chosen = min(matches, key=lambda r: (r.cost_stat, r.cloud))
-    session.accept(3, chosen.cloud)
     if not sign_sla:
         raise SlaRefused(chosen.cloud)
     sla = SlaDocument(parties=(broker.node, chosen.cloud), terms=chosen.sla_terms)
     sla.broker_token = AuthToken.issue(svc, broker.node, chosen.cloud, "sla")
-    session.accept(4, "sla-signed")
-    link_key = mac(svc.pairwise_key(broker.node, exchange.node), [b"bcec-link", service.encode()])
-    session.session_key = link_key
-    session.accept(5, "link-up")
-    session.accept(6, chosen.cloud)
     auth_material = mac(
         svc.pairwise_key(exchange.node, chosen.cloud), [b"cloud-auth-key", broker.node.encode()]
     )
-    sealed = seal(link_key, auth_material)
-    session.accept(7, "key-delivered")
-    session.accept(8, "link-closed")
-    session.done = True
-    try:
-        recovered = open_box(link_key, sealed)
-    except AuthFailure:
-        raise TokenInvalid("auth key delivery corrupted")
-    return chosen.cloud, sla, recovered
+    return chosen.cloud, sla, auth_material
 
 
 def run_ceccc(
@@ -197,26 +157,20 @@ def run_ceccc(
     svc: PairwiseKeyService,
     sla: SlaDocument,
 ) -> Tuple[AuthToken, AuthToken]:
-    """Exchange <-> coordinator: trade sealed signature tokens over an SLA."""
+    """Exchange <-> coordinator: the coordinator countersigns the SLA.
+
+    Gates: the SLA carries the broker's signature (BadSla) and the
+    coordinator has a free datacenter (NoAvailability).  Returns
+    (`sla.coordinator_token`, the broker's token for `run_bccc`).
+    """
     if sla.broker_token is None:
         raise BadSla("missing broker signature")
-    # Steps 1-2 are the periodic directory refresh; the broker-triggered
-    # part of the exchange-coordinator handshake starts at step 3.
-    session = SessionState("ceccc", expected_step=3)
-    session.accept(3, "broker-intro")
     if coordinator.free_datacenters < 1:
         raise NoAvailability(coordinator.node)
-    session.accept(4, "availability-confirmed")
-    session.accept(5, "sla-delivered")
     coordinator.signed_slas.append(sla)
-    coord_token = AuthToken.issue(svc, coordinator.node, sla.parties[0], "bccc")
     sla.coordinator_token = AuthToken.issue(svc, coordinator.node, exchange.node, "sla")
-    session.accept(6, "coordinator-signature")
     broker_token = AuthToken.issue(svc, coordinator.node, sla.parties[0], "bccc")
-    exchange.coordinator_tokens[coordinator.node] = coord_token
-    session.accept(7, "broker-signature-released")
-    session.done = True
-    return coord_token, broker_token
+    return sla.coordinator_token, broker_token
 
 
 def run_bccc(
@@ -229,13 +183,12 @@ def run_bccc(
 ) -> Tuple[bytes, float]:
     """Broker <-> coordinator: authenticated task submission and billing.
 
-    The token must verify before any task bytes move; cost is the route's
-    accumulated path cost times the coordinator's tariff.
+    Gate: the token names this broker and coordinator, is for "bccc" and
+    its MAC verifies (TokenInvalid); nothing is processed or billed
+    otherwise.  The bill is the route's accumulated path cost times the
+    coordinator's tariff, and goes into the broker's ledger.  Returns
+    (task result, bill).
     """
-    session = SessionState("bccc")
-    session.accept(1, "service-request")
-    session.accept(2, "auth-challenge")
-    session.accept(3, token)
     if (
         token.subject != broker.node
         or token.issuer != coordinator.node
@@ -243,17 +196,6 @@ def run_bccc(
         or not token.verify(svc)
     ):
         raise TokenInvalid("broker token rejected")
-    session.accept(4, "token-verified")
-    task_key = mac(svc.pairwise_key(broker.node, coordinator.node), [b"bccc-task", token.tag])
-    sealed_task = seal(task_key, task)
-    session.accept(5, "task-delivered")
-    plain_task = open_box(task_key, sealed_task)
-    result = coordinator.process_task(plain_task)
-    session.accept(6, "processed")
     cost = path_cost * coordinator.tariff
-    sealed_result = seal(task_key, result)
-    session.accept(7, "result-delivered")
     broker.ledger.append((coordinator.node, cost))
-    session.accept(8, "paid")
-    session.done = True
-    return open_box(task_key, sealed_result), cost
+    return coordinator.process_task(task), cost

@@ -39,6 +39,8 @@ HOP_COUNT_MISMATCH = "HopCountMismatch"
 CHAIN_MISMATCH = "ChainMismatch"
 NOT_ON_ROUTE = "NotOnRoute"
 Q_CHAIN_MISMATCH = "QChainMismatch"
+# Drops that are detections: evidence of tampering, not plain loss.
+DETECTION_REASONS = frozenset((TWO_HOP_AUTH_FAIL, CHAIN_MISMATCH, Q_CHAIN_MISMATCH))
 
 LINK_BREAK = ecms.LINK_BREAK
 BDP_DEGRADE = ecms.BDP_DEGRADE
@@ -133,7 +135,6 @@ class Candidate:
     path: Tuple[str, ...]  # intermediate relays, source order
     path_cost: float
     metrics: ecms.PathMetrics
-    arrived_from: str
     h: bytes = b""  # chain value the request carried on arrival
 
 
@@ -189,7 +190,7 @@ class SrdpNode:
 
     def _drop(self, reason: str, detail: str = "") -> Tuple[str, str]:
         self._count("drop:" + reason)
-        if reason in (TWO_HOP_AUTH_FAIL, CHAIN_MISMATCH, Q_CHAIN_MISMATCH):
+        if reason in DETECTION_REASONS:
             self.detections.append((reason, detail))
         return ("drop", reason)
 
@@ -320,7 +321,7 @@ class SrdpNode:
         t = ecms.advance(frame.mutable, link_bw, link_delay, self.weights, self.literal_cost)
         metrics = ecms.PathMetrics(t.hc, t.bw, t.nd)
         first = not state.candidates
-        state.candidates.append(Candidate(body.path, t.path_cost, metrics, frame.sender_addr, body.h))
+        state.candidates.append(Candidate(body.path, t.path_cost, metrics, body.h))
         self._count("rreq_collected")
         return ("collected", rid, first)
 

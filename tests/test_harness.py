@@ -244,6 +244,19 @@ def test_malformed_session_frame_is_dropped(step, payload):
     assert drops == [{"t": drops[0]["t"], "ev": "drop", "node": "A", "reason": "MalformedSession"}]
 
 
+@pytest.mark.parametrize("step", [0, 1, 99, 102, 255])
+def test_session_frame_with_other_step_is_ignored(step):
+    h = Harness(diamond_cfg())
+    h.pending_acks[("A", 1)] = {"seq": 1, "route": ["A", "S"]}
+    for payload in (b'{"seq": 1, "route": ["S", "A"]}', b"not json"):  # well-formed, malformed
+        h.sim.unicast("S", "A", encode_frame(SessionFrame("S", step, payload)))
+    trace = h.sim.run_until()
+    # A receives both frames and answers neither: no drop, no ack, no delivery.
+    assert [(e["ev"], e["node"]) for e in trace] == [("send", "S")] * 2 + [("deliver", "A")] * 2
+    assert h.cloudlets_done == set()
+    assert list(h.pending_acks) == [("A", 1)]
+
+
 # -- key provisioning --------------------------------------------------
 
 
