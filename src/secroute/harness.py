@@ -125,6 +125,8 @@ def emit_report(report: RunReport, fmt: str = "json") -> bytes:
 def provision(topo: Topology, k: int, m: int, seed: int):
     """Issue key rings and build every node's KeyStore.
 
+    A ring carries no encryption secrets until its node first seals a
+    broadcast, which derives only the secrets of that broadcast's cover.
     One-hop group keys go to direct neighbors here.  Two-hop broadcast
     secrets and pairwise keys are handed out on first use: a node opens
     a sender's revocation broadcast, which excludes the sender's

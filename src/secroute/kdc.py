@@ -6,15 +6,17 @@ indices; its decryption secrets are the pool keys at those indices, and
 its encryption secrets are per-node hashes of every pool key.  A node can
 broadcast a secret readable by everyone except a revoked set by sealing
 it under the encryption secrets whose indices no revoked node holds.
+A ring derives each encryption secret the first time it is read, so a
+node that never seals a broadcast never derives any.
 """
 
 from __future__ import annotations
 
 import hmac
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, Sequence, Tuple
 
 from .crypto import SealedBox, frame_parts, hash_bytes, mac, mac_framed, open_box, seal
 from .errors import (
@@ -40,6 +42,8 @@ class KeyPool:
     keys: Tuple[bytes, ...]  # K_1..K_k, index 1-based externally
 
     def key(self, index: int) -> bytes:
+        if not 1 <= index <= len(self.keys):
+            raise BadParams("pool index %d outside 1..%d" % (index, len(self.keys)))
         return self.keys[index - 1]
 
 
@@ -50,12 +54,18 @@ class NodeKeyRing:
     node: str
     indices: List[int]
     decryption_secrets: List[bytes]  # pool keys at `indices`
-    encryption_secrets: List[bytes]  # hash(K_j || node) for every j in [1,k]
     rdn_group_key: bytes  # shared with the node's one-hop neighborhood
     broadcast_secret: bytes  # confined from the one-hop neighborhood
+    # j -> K_j, the issuing Kdc's pool lookup
+    _pool_key: Callable[[int], bytes] = field(repr=False, compare=False)
+    # hash(K_j || node) for each j read so far; derived on first read
+    _encryption: Dict[int, bytes] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def encryption_secret(self, index: int) -> bytes:
-        return self.encryption_secrets[index - 1]
+        secret = self._encryption.get(index)
+        if secret is None:
+            secret = self._encryption[index] = hash_bytes(self._pool_key(index) + self.node.encode())
+        return secret
 
 
 @dataclass(frozen=True)
@@ -151,11 +161,9 @@ class Kdc:
             node=node,
             indices=indices,
             decryption_secrets=[self.pool.key(i) for i in indices],
-            encryption_secrets=[
-                hash_bytes(self.pool.key(j) + node.encode()) for j in range(1, params.k + 1)
-            ],
             rdn_group_key=mac(node_master, [b"rdn-group"]),
             broadcast_secret=mac(node_master, [b"broadcast-secret"]),
+            _pool_key=self.pool.key,
         )
         self._issued[node] = ring
         return ring

@@ -1,12 +1,12 @@
 """Broker / cloud-exchange / cloud-coordinator handshakes, as their gates.
 
 The three handshakes run in process, each as a straight line of checks:
-the broker gets auth material from the exchange once a cloud matches the
-service and the SLA is signed; the coordinator countersigns the SLA if it
-has a free datacenter and releases the broker's task token; the
-coordinator runs a task only for a token that verifies, and bills the
-broker for it.  "Signatures" are MAC tokens under pairwise keys;
-everything stays symmetric.
+the broker gets auth material from the exchange once a cloud with room
+matches the service and the SLA is signed; the coordinator countersigns
+the SLA if it has a free datacenter, takes that datacenter, and releases
+the broker's task token; the coordinator runs a task only for a token
+that verifies, and bills the broker for it.  "Signatures" are MAC tokens
+under pairwise keys; everything stays symmetric.
 """
 
 from __future__ import annotations
@@ -130,17 +130,22 @@ def run_bcec(
     service: str,
     sign_sla: bool = True,
 ) -> Tuple[str, SlaDocument, bytes]:
-    """Broker <-> exchange: pick the cheapest cloud offering `service`.
+    """Broker <-> exchange: pick the cheapest cloud offering `service`
+    whose directory record shows a free datacenter.
 
     Gates: some cloud in the directory offers the service
-    (NoMatchingCloud) and the broker signs its SLA (SlaRefused).  Returns
-    (selected cloud, SLA carrying the broker's token, auth material the
-    exchange derives for the broker under its key with the cloud).
+    (NoMatchingCloud), one of those has room (NoAvailability), and the
+    broker signs its SLA (SlaRefused).  Returns (selected cloud, SLA
+    carrying the broker's token, auth material the exchange derives for
+    the broker under its key with the cloud).
     """
     matches = exchange.directory.matching(service)
     if not matches:
         raise NoMatchingCloud(service)
-    chosen = min(matches, key=lambda r: (r.cost_stat, r.cloud))
+    with_room = [r for r in matches if r.free_datacenters >= 1]
+    if not with_room:
+        raise NoAvailability(service)
+    chosen = min(with_room, key=lambda r: (r.cost_stat, r.cloud))
     if not sign_sla:
         raise SlaRefused(chosen.cloud)
     sla = SlaDocument(parties=(broker.node, chosen.cloud), terms=chosen.sla_terms)
@@ -160,13 +165,15 @@ def run_ceccc(
     """Exchange <-> coordinator: the coordinator countersigns the SLA.
 
     Gates: the SLA carries the broker's signature (BadSla) and the
-    coordinator has a free datacenter (NoAvailability).  Returns
-    (`sla.coordinator_token`, the broker's token for `run_bccc`).
+    coordinator has a free datacenter (NoAvailability), which the SLA
+    then takes.  Returns (`sla.coordinator_token`, the broker's token for
+    `run_bccc`).
     """
     if sla.broker_token is None:
         raise BadSla("missing broker signature")
     if coordinator.free_datacenters < 1:
         raise NoAvailability(coordinator.node)
+    coordinator.free_datacenters -= 1
     coordinator.signed_slas.append(sla)
     sla.coordinator_token = AuthToken.issue(svc, coordinator.node, exchange.node, "sla")
     broker_token = AuthToken.issue(svc, coordinator.node, sla.parties[0], "bccc")

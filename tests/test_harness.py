@@ -366,6 +366,61 @@ def test_secrets_opened_once_and_only_in_scope(monkeypatch, behavior):
         assert sum(opened.values()) == opens
 
 
+def test_encryption_secrets_derived_once_and_only_for_sealed_covers(monkeypatch):
+    pool_reads, built, derived, issued = Counter(), Counter(), Counter(), Counter()
+    counting(monkeypatch, kdc.KeyPool, "key", lambda pool, j: "read", pool_reads)
+    counting(monkeypatch, kdc, "build_broadcast", lambda ring, secret, revoked, params: ring.node, built)
+    real_issue, real_secret = kdc.Kdc.issue, kdc.NodeKeyRing.encryption_secret
+
+    def issue(center, node):
+        issued[node] += 1
+        before = pool_reads["read"]
+        ring = real_issue(center, node)
+        # Only the m decryption secrets read the pool; no K_j is hashed.
+        assert pool_reads["read"] - before == center.params.m
+        return ring
+
+    def encryption_secret(ring, j):
+        before = pool_reads["read"]
+        secret = real_secret(ring, j)
+        if pool_reads["read"] != before:  # K_j was read: a derivation
+            derived[ring.node, j] += 1
+        return secret
+
+    monkeypatch.setattr(kdc.Kdc, "issue", issue)
+    monkeypatch.setattr(kdc.NodeKeyRing, "encryption_secret", encryption_secret)
+    for seed, adversary, topo in tamper_scenarios(5):
+        built.clear(), derived.clear(), issued.clear()
+        harness = Harness(
+            ScenarioConfig(
+                topology_text=topology_to_text(topo),
+                source="N0",
+                dest="N7",
+                seed=seed,
+                adversary=(adversary, "path-insert"),
+                collection_window=200,
+            )
+        )
+        assert not derived and set(issued) == set(topo.nodes)
+        harness.run()
+        assert built and max(built.values()) == 1
+        prov = harness.stores["N0"].provisioning
+        expected = set()
+        for sender in built:
+            try:
+                cover = kdc.cover_indices(prov.params, sorted(prov.neighbors[sender]))
+            except EmptyCover:
+                cover = []
+            expected.update((sender, j) for j in cover)
+        assert expected and set(derived) == expected
+        for sender in list(built):  # sealing again reads the kept secrets
+            try:
+                kdc.build_broadcast(prov.rings[sender], b"s" * 32, sorted(prov.neighbors[sender]), prov.params)
+            except EmptyCover:
+                pass
+        assert max(derived.values()) == 1
+
+
 def test_compare_oracle_diamond():
     topo = load_topology(DIAMOND)
     diff = compare_oracle(topo, "S", "D")

@@ -63,13 +63,32 @@ def test_index_set_uniformity(small_kdc):
         assert abs(counts[i] - n * p) <= 3.5 * sigma
 
 
-def test_issue_matches_construction(small_kdc):
-    params, pool, _, center = small_kdc
+def test_issue_matches_construction():
+    secret = crypto.mac(SEED, [b"secret"])
+    for k, m in ((64, 8), (8, 4)):
+        params, pool, _ = kdc.setup(k, m, SEED)
+        center = kdc.Kdc(params, pool)
+        rng = random.Random(k)
+        for node in ("A", "B", "node-17", "N250"):
+            ring = center.issue(node)
+            # A broadcast reads the cover indices first; the rest are read later.
+            kdc.build_broadcast(ring, secret, [n for n in ("A", "B") if n != node], params)
+            order = list(range(1, k + 1))
+            rng.shuffle(order)
+            for j in order + order[:3]:
+                assert ring.encryption_secret(j) == crypto.hash_bytes(pool.key(j) + node.encode())
+            assert [pool.key(i) for i in ring.indices] == ring.decryption_secrets
+            assert "_pool_key" not in repr(ring) and "_encryption" not in repr(ring)
+
+
+@pytest.mark.parametrize("index", [0, -1, 65, 1000])
+def test_pool_index_outside_range_rejected(small_kdc, index):
+    _, pool, _, center = small_kdc
     ring = center.issue("A")
-    for j in range(1, params.k + 1):
-        assert ring.encryption_secret(j) == crypto.hash_bytes(pool.key(j) + b"A")
-    assert all(s in pool.keys for s in ring.decryption_secrets)
-    assert [pool.key(i) for i in ring.indices] == ring.decryption_secrets
+    with pytest.raises(BadParams):
+        pool.key(index)
+    with pytest.raises(BadParams):
+        ring.encryption_secret(index)
 
 
 def test_issue_twice_rejected(small_kdc):

@@ -102,6 +102,39 @@ def test_ceccc_no_availability(world):
         session.run_ceccc(exchange, coord, svc, sla)
 
 
+def test_ceccc_takes_one_datacenter_per_sla(world):
+    svc, broker, exchange, coord = world
+    coord.free_datacenters = 1
+    _, first, _ = session.run_bcec(broker, exchange, svc, "compute")
+    session.run_ceccc(exchange, coord, svc, first)
+    assert coord.free_datacenters == 0
+    _, second, _ = session.run_bcec(broker, exchange, svc, "compute")
+    with pytest.raises(NoAvailability):
+        session.run_ceccc(exchange, coord, svc, second)
+    assert coord.signed_slas == [first] and not second.fully_signed()
+
+
+def test_bcec_passes_over_full_cloud(world):
+    svc, broker, exchange, coord = world
+    cheap = session.Coordinator("C0", ("compute",), 1, 1.0, "std", 0.2, registered_with="X1")
+    session.directory_refresh(cheap, exchange)
+    _, sla, _ = session.run_bcec(broker, exchange, svc, "compute")
+    assert sla.parties == ("B1", "C0")
+    session.run_ceccc(exchange, cheap, svc, sla)
+    session.directory_refresh(cheap, exchange)
+    assert exchange.directory.records["C0"].free_datacenters == 0
+    cloud, sla, _ = session.run_bcec(broker, exchange, svc, "compute")
+    assert cloud == "C1" and sla.parties == ("B1", "C1")
+
+
+def test_bcec_no_availability_when_every_offer_is_full(world):
+    svc, broker, exchange, coord = world
+    coord.free_datacenters = 0
+    session.directory_refresh(coord, exchange)
+    with pytest.raises(NoAvailability):
+        session.run_bcec(broker, exchange, svc, "compute")
+
+
 def test_bccc_happy_path(world):
     svc, broker, exchange, coord = world
     _, sla, _ = session.run_bcec(broker, exchange, svc, "compute")
