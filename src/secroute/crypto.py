@@ -2,8 +2,9 @@
 
 Digests and keys are plain 32-byte strings.  Multi-part MAC input is
 length-prefixed (4-byte big-endian length before each part) so part
-boundaries are unambiguous.  Sealing is authenticated encryption: any
-bit flip in the box is detected on open.
+boundaries are unambiguous.  Sealing is authenticated encryption with
+associated data: any bit flip in the box, or in the associated data it
+was sealed with, is detected on open.
 """
 
 from __future__ import annotations
@@ -77,23 +78,33 @@ def mac_framed(key: bytes, framed: bytes) -> bytes:
     return hmac.digest(key, framed, "sha256")
 
 
-def seal(key: bytes, plaintext: bytes) -> SealedBox:
-    """Authenticated encryption under a 32-byte key.
+def seal(key: bytes, plaintext: bytes, aad: bytes = b"") -> SealedBox:
+    """Authenticated encryption under a 32-byte key, binding `aad`.
 
-    The nonce is derived from key and plaintext, so sealing is a pure
-    function of its inputs and runs reproduce byte-identical boxes.  A
-    repeated (key, plaintext) pair yields the identical box, which leaks
-    only equality; distinct plaintexts get distinct nonces.
+    `aad` is associated data: authenticated with the box but not carried
+    in it, so `open_box` must be given the same bytes.  The nonce is
+    derived from key, aad and plaintext, so sealing is a pure function of
+    its inputs and runs reproduce byte-identical boxes.  A repeated
+    (key, aad, plaintext) triple yields the identical box, which leaks
+    only equality; under one key, distinct (aad, plaintext) pairs get
+    distinct nonces.  Boxes with empty aad keep the derivation they had
+    before aad existed: its input starts with b"box-nonce", the aad
+    derivation's with b"aad-box-nonce" and the aad's length, so the two
+    never share an input.
     """
-    nonce = hmac.digest(key, b"box-nonce" + plaintext, "sha256")[:NONCE_LEN]
-    ct = ChaCha20Poly1305(key).encrypt(nonce, plaintext, b"")
+    if aad:
+        nonce_input = b"aad-box-nonce" + len(aad).to_bytes(4, "big") + aad + plaintext
+    else:
+        nonce_input = b"box-nonce" + plaintext
+    nonce = hmac.digest(key, nonce_input, "sha256")[:NONCE_LEN]
+    ct = ChaCha20Poly1305(key).encrypt(nonce, plaintext, aad)
     return SealedBox(nonce, ct[:-TAG_LEN], ct[-TAG_LEN:])
 
 
-def open_box(key: bytes, box: SealedBox) -> bytes:
-    """Inverse of seal; raises AuthFailure on wrong key or tampering."""
+def open_box(key: bytes, box: SealedBox, aad: bytes = b"") -> bytes:
+    """Inverse of seal; raises AuthFailure on wrong key, wrong aad or tampering."""
     try:
-        return ChaCha20Poly1305(key).decrypt(box.nonce, box.body + box.tag, b"")
+        return ChaCha20Poly1305(key).decrypt(box.nonce, box.body + box.tag, aad)
     except InvalidTag:
         raise AuthFailure("seal verification failed") from None
 

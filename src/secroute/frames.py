@@ -5,6 +5,13 @@ fixed-width header fields, 2-byte length-prefixed variable sections, and
 sealed boxes as nonce||body||tag.  See docs/wire-format.md for the
 byte-layout tables.
 
+An RREQ carries its round id `(s_addr, s_seqno, b_id)` in the clear
+header, and its seal binds the header, from the frame type through
+`b_id`, as associated data: `seal_rreq` and `open_rreq` are the only
+way its body is sealed and opened.  A receiver can thus read the round
+before opening anything, and a rewritten header fails the open.  The
+cost fields after it are neither sealed nor bound.
+
 Each run of fixed-width fields is packed and unpacked by one precompiled
 `struct.Struct`.  Decoding walks an offset through the input and slices
 text, paths, boxes and digests out at it; a decode succeeds only if the
@@ -23,7 +30,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Tuple
 
-from .crypto import DIGEST_LEN, NONCE_LEN, TAG_LEN, SealedBox
+from .crypto import DIGEST_LEN, NONCE_LEN, TAG_LEN, SealedBox, open_box, seal
 from .errors import MalformedFrame
 
 FRAME_RREQ = 1
@@ -36,7 +43,7 @@ _U16 = struct.Struct(">H")
 _U32 = struct.Struct(">I")
 _U32X2 = struct.Struct(">II")  # RREQ round: s_seqno, b_id
 _IMM_TAIL = struct.Struct(">IB")  # d_seqno, max_hops
-_RREQ_FIXED = struct.Struct(">IIBdHdd")  # sender_seqno, b_id, then RreqMutable's fields
+_RREQ_MUTABLE = struct.Struct(">BdHdd")  # RreqMutable's fields
 _TYPE_BYTE = {t: bytes((t,)) for t in (FRAME_RREQ, FRAME_RREP, FRAME_REP, FRAME_SESSION)}
 _ABSENT, _PRESENT = b"\x00", b"\x01"  # opt-digest flags
 _DECODE_ERRORS = (struct.error, UnicodeDecodeError)  # short fixed block, bad text
@@ -169,7 +176,13 @@ class RreqMutable:
 
 @dataclass(frozen=True)
 class RreqBody:
-    """Plaintext inside an RREQ's sealed section."""
+    """Plaintext inside an RREQ's sealed section.
+
+    The round's `s_addr` and `s_seqno` travel in the frame's clear header,
+    not in the plaintext, so `from_bytes` takes them from there; `rreq`
+    still holds every immutable field, and `rreq.to_bytes()` is what the
+    hop MACs and the hash-chain anchor cover.
+    """
 
     rreq: RreqImmutable
     path: Tuple[str, ...]
@@ -178,16 +191,24 @@ class RreqBody:
     h: bytes  # hash-chain value, advanced once per hop
 
     def to_bytes(self) -> bytes:
+        r = self.rreq
         return b"".join(
-            [self.rreq.to_bytes(), path_bytes(self.path), *_opt_digest(self.mac_prev), self.mac_curr, self.h]
+            [
+                _U32.pack(r.b_id),
+                _text(r.d_addr),
+                _IMM_TAIL.pack(r.d_seqno, r.max_hops),
+                path_bytes(self.path),
+                *_opt_digest(self.mac_prev),
+                self.mac_curr,
+                self.h,
+            ]
         )
 
     @classmethod
-    def from_bytes(cls, raw: bytes) -> "RreqBody":
+    def from_bytes(cls, raw: bytes, s_addr: str, s_seqno: int) -> "RreqBody":
         try:
-            s_addr, off = _text_at(raw, 0)
-            s_seqno, b_id = _U32X2.unpack_from(raw, off)
-            d_addr, off = _text_at(raw, off + _U32X2.size)
+            (b_id,) = _U32.unpack_from(raw, 0)
+            d_addr, off = _text_at(raw, _U32.size)
             d_seqno, max_hops = _IMM_TAIL.unpack_from(raw, off)
             path, off = _path_at(raw, off + _IMM_TAIL.size)
             mac_prev, off = _opt_digest_at(raw, off)
@@ -199,13 +220,70 @@ class RreqBody:
         return cls(rreq, path, mac_prev, raw[off:mid], raw[mid:end])
 
 
+def _rreq_header(sender_addr: str, sender_seqno: int, s_addr: str, s_seqno: int, b_id: int) -> bytes:
+    return b"".join(
+        [
+            _TYPE_BYTE[FRAME_RREQ],
+            _text(sender_addr),
+            _U32.pack(sender_seqno),
+            _text(s_addr),
+            _U32X2.pack(s_seqno, b_id),
+        ]
+    )
+
+
 @dataclass(frozen=True)
 class RreqPacket:
+    """An RREQ as it travels: the clear header and the sealed `RreqBody`.
+
+    `header` is the frame's first bytes, from the frame type through
+    `b_id`; the seal binds them as associated data, so a receiver can
+    read the round id `(s_addr, s_seqno, b_id)` before opening the box
+    and any rewrite of them fails the open.  The `mutable` cost fields
+    follow the header and are not bound.
+    """
+
     sender_addr: str
     sender_seqno: int
+    s_addr: str
+    s_seqno: int
     b_id: int
     mutable: RreqMutable
     sealed: SealedBox
+
+    @cached_property
+    def header(self) -> bytes:
+        # decode_frame and seal_rreq store the bytes they already hold
+        # here; a packet built any other way derives them on first read.
+        return _rreq_header(self.sender_addr, self.sender_seqno, self.s_addr, self.s_seqno, self.b_id)
+
+    def round_id(self) -> Tuple[str, int, int]:
+        return (self.s_addr, self.s_seqno, self.b_id)
+
+
+def seal_rreq(key: bytes, sender_addr: str, sender_seqno: int, mutable: RreqMutable, body: RreqBody) -> RreqPacket:
+    """An RREQ from `sender_addr` carrying `body` sealed under `key`, its
+    clear header built once for both the seal and the encoding."""
+    r = body.rreq
+    header = _rreq_header(sender_addr, sender_seqno, r.s_addr, r.s_seqno, r.b_id)
+    sealed = seal(key, body.to_bytes(), header)
+    pkt = RreqPacket(sender_addr, sender_seqno, r.s_addr, r.s_seqno, r.b_id, mutable, sealed)
+    pkt.__dict__["header"] = header
+    return pkt
+
+
+def open_rreq(key: bytes, pkt: RreqPacket) -> RreqBody:
+    """The body `pkt` carries, sealed under `key`.
+
+    Raises AuthFailure if the box or its bound header was altered or `key`
+    is not the sealer's, and MalformedFrame if the plaintext does not
+    parse or names another `b_id` than the header: the round a relay
+    dedupes on must be the round it forwards.
+    """
+    body = RreqBody.from_bytes(open_box(key, pkt.sealed, pkt.header), pkt.s_addr, pkt.s_seqno)
+    if body.rreq.b_id != pkt.b_id:
+        raise MalformedFrame("body b_id %d under header b_id %d" % (body.rreq.b_id, pkt.b_id))
+    return body
 
 
 # -- RREP --------------------------------------------------------------
@@ -301,12 +379,7 @@ def encode_frame(packet) -> bytes:
     if isinstance(packet, RreqPacket):
         m = packet.mutable
         return b"".join(
-            [
-                _TYPE_BYTE[FRAME_RREQ],
-                _text(packet.sender_addr),
-                _RREQ_FIXED.pack(packet.sender_seqno, packet.b_id, m.hop_count, m.path_cost, m.hc, m.bw, m.nd),
-                _box(packet.sealed),
-            ]
+            [packet.header, _RREQ_MUTABLE.pack(m.hop_count, m.path_cost, m.hc, m.bw, m.nd), _box(packet.sealed)]
         )
     if isinstance(packet, RrepPacket):
         return b"".join(
@@ -338,9 +411,14 @@ def decode_frame(raw: bytes):
     try:
         if ftype == FRAME_RREQ:
             sender, off = _text_at(raw, 1)
-            seqno, b_id, hop_count, path_cost, hc, bw, nd = _RREQ_FIXED.unpack_from(raw, off)
-            sealed, off = _box_at(raw, off + _RREQ_FIXED.size)
-            pkt = RreqPacket(sender, seqno, b_id, RreqMutable(hop_count, path_cost, hc, bw, nd), sealed)
+            (seqno,) = _U32.unpack_from(raw, off)
+            s_addr, off = _text_at(raw, off + _U32.size)
+            s_seqno, b_id = _U32X2.unpack_from(raw, off)
+            header_end = off + _U32X2.size
+            mutable = RreqMutable(*_RREQ_MUTABLE.unpack_from(raw, header_end))
+            sealed, off = _box_at(raw, header_end + _RREQ_MUTABLE.size)
+            pkt = RreqPacket(sender, seqno, s_addr, s_seqno, b_id, mutable, sealed)
+            pkt.__dict__["header"] = raw[:header_end]  # the bytes the seal binds, as read
         elif ftype == FRAME_RREP:
             sender, off = _text_at(raw, 1)
             (seqno,) = _U32.unpack_from(raw, off)

@@ -253,8 +253,6 @@ class ProtocolBehavior(NodeBehavior):
             self.harness.ack_timeout(sim, node, tag[1], clock, self.proto)
         elif tag[0] == "monitor":
             self.harness.monitor_tick(sim, node, clock)
-        elif tag[0] == "adversary-replay":
-            sim.broadcast(node, tag[1])
 
 
 def _cloudlet_payload(raw: bytes, topo: Topology) -> Optional[Dict[str, Any]]:
@@ -286,12 +284,21 @@ class AdversaryBehavior(ProtocolBehavior):
         self.rng = rng
         self.tampered = False
         self.phantom = "ghost-%d" % rng.getrandbits(16)
+        self.captured: Optional[bytes] = None  # the frame a replay adversary rebroadcasts
+
+    def on_timer(self, sim: Simulator, node: str, tag: Any, clock) -> None:
+        if tag[0] == "adversary-replay":
+            sim.broadcast(node, self.captured)
+        else:
+            super().on_timer(sim, node, tag, clock)
 
     def handle_rreq(self, sim, node, sender, pkt: RreqPacket, clock) -> None:
         if self.behavior == "replay":
             if not self.tampered:
                 self.tampered = True
-                sim.set_timer(node, 5, ("adversary-replay", encode_frame(pkt)))
+                # The tag stays free of wire bytes, so the trace never holds ciphertext.
+                self.captured = encode_frame(pkt)
+                sim.set_timer(node, 5, ("adversary-replay",))
             super().handle_rreq(sim, node, sender, pkt, clock)
             return
         if self.behavior == "cost-deflate":
@@ -305,7 +312,7 @@ class AdversaryBehavior(ProtocolBehavior):
             else:
                 self.dispatch_rreq_action(sim, node, action, clock)
             return
-        body = self.proto.open_body(pkt, RreqBody)
+        body = self.proto.open_body(pkt)
         if body is None or self.tampered or not body.path:
             super().handle_rreq(sim, node, sender, pkt, clock)
             return

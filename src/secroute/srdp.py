@@ -7,6 +7,11 @@ own, keyed by its broadcast secret so the next hop cannot forge it but
 the hop after that can check it.  Replies unicast back along the chosen
 path under the same two-MAC discipline, keyed by pairwise keys, with a
 reverse hash chain the source anchors in the source-destination secret.
+
+A request's round id travels in its clear header, bound to the seal, so
+a relay drops a neighbour's copy of a round it has already forwarded
+before opening the seal.  A relay opens and checks only its first
+copy of each round; a destination opens every copy.
 """
 
 from __future__ import annotations
@@ -27,7 +32,9 @@ from .frames import (
     RrepBody,
     RrepInfo,
     RrepPacket,
+    open_rreq,
     path_bytes,
+    seal_rreq,
 )
 
 # Drop reasons
@@ -212,22 +219,19 @@ class SrdpNode:
         m0 = rreq_hop_mac(self.keys.broadcast_secret, rreq, (), hash_bytes(h0))
         body = RreqBody(rreq, (), None, m0, h0)
         self._count("rreq_originated")
-        return RreqPacket(
-            sender_addr=self.node,
-            sender_seqno=self._seqno,
-            b_id=self._b_id,
-            mutable=RreqMutable(),
-            sealed=seal(self.keys.group_key, body.to_bytes()),
-        )
+        return seal_rreq(self.keys.group_key, self.node, self._seqno, RreqMutable(), body)
 
-    def open_body(self, frame: Union[RreqPacket, RrepPacket], body_cls):
-        """`frame`'s sealed body as a `body_cls` (RreqBody or RrepBody), or
-        None unless a neighbour sealed a well-formed one under its group key."""
+    def open_body(self, frame: Union[RreqPacket, RrepPacket]) -> Union[RreqBody, RrepBody, None]:
+        """`frame`'s sealed body (an RreqBody for an RREQ, an RrepBody for an
+        RREP), or None unless a neighbour sealed a well-formed one under its
+        group key.  An RREQ's body must also be bound to its clear header."""
         key = self.keys.neighbor_group_keys.get(frame.sender_addr)
         if key is None:
             return None
         try:
-            return body_cls.from_bytes(open_box(key, frame.sealed))
+            if isinstance(frame, RreqPacket):
+                return open_rreq(key, frame)
+            return RrepBody.from_bytes(open_box(key, frame.sealed))
         except (AuthFailure, MalformedFrame):
             return None
 
@@ -257,8 +261,17 @@ class SrdpNode:
 
         Returns ("forward", RreqPacket), ("drop", reason), or
         ("collected", round_id, first_arrival) at the destination.
+
+        A neighbour's copy of a round this node has already forwarded is
+        dropped on its clear header alone, before the seal is opened: the
+        seal binds that header, so the round id read there is the one the
+        body carries.  A destination never records its own rounds as seen,
+        so it collects every copy.
         """
-        body = self.open_body(frame, RreqBody)
+        rid = frame.round_id()
+        if frame.sender_addr in self.keys.neighbor_group_keys and rid in self.seen_rounds:
+            return self._drop(DUPLICATE)
+        body = self.open_body(frame)
         if body is None:
             return self._drop(SEAL_OPEN_FAIL)
         rreq = body.rreq
@@ -266,9 +279,6 @@ class SrdpNode:
             return self._drop(HOP_COUNT_MISMATCH)
         if rreq.d_addr == self.node:
             return self._collect_candidate(frame, body, link_bw, link_delay)
-        rid = rreq.round_id()
-        if rid in self.seen_rounds:
-            return self._drop(DUPLICATE)
         if frame.mutable.hop_count >= rreq.max_hops:
             return self._drop(HOP_LIMIT)
         bad = self._verify_two_hop(body)
@@ -290,8 +300,8 @@ class SrdpNode:
         link_bw: float,
         link_delay: float,
     ) -> RreqPacket:
-        """This node's onward copy of `frame`: the clear header carried over
-        the link it arrived on, and a sealed body claiming `new_path` and
+        """This node's onward copy of `frame`: the clear cost fields advanced
+        over the link it arrived on, and a sealed body claiming `new_path` and
         `h_new`, with `mac_prev` beside this node's own MAC.  An honest relay
         passes the arriving body's values; a tampering one, its lies."""
         m_self = rreq_hop_mac(self.keys.broadcast_secret, rreq, new_path, hash_bytes(h_new))
@@ -299,7 +309,7 @@ class SrdpNode:
         mutable = ecms.advance(frame.mutable, link_bw, link_delay, self.weights, self.literal_cost)
         mutable.hop_count = len(new_path)  # one more than the frame's, unless the path lies
         self._seqno += 1
-        return RreqPacket(self.node, self._seqno, frame.b_id, mutable, seal(self.keys.group_key, body.to_bytes()))
+        return seal_rreq(self.keys.group_key, self.node, self._seqno, mutable, body)
 
     def _collect_candidate(self, frame: RreqPacket, body: RreqBody, link_bw, link_delay):
         rreq = body.rreq
@@ -358,7 +368,7 @@ class SrdpNode:
 
     def process_rrep(self, frame: RrepPacket):
         """Returns ("forward", RrepPacket, next_hop), ("accept", route), or a drop."""
-        body = self.open_body(frame, RrepBody)
+        body = self.open_body(frame)
         if body is None:
             return self._drop(SEAL_OPEN_FAIL)
         rrep = body.rrep

@@ -2,7 +2,7 @@ import os
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from secroute import crypto
@@ -90,6 +90,44 @@ def test_seal_reproducible():
     a = crypto.seal(KEY, b"payload")
     b = crypto.seal(KEY, b"payload")
     assert a == b
+
+
+def test_seal_round_trip_with_aad():
+    box = crypto.seal(KEY, b"hello", b"header")
+    assert crypto.open_box(KEY, box, b"header") == b"hello"
+
+
+def test_open_with_wrong_aad_fails():
+    box = crypto.seal(KEY, b"hello", b"header")
+    for aad in (b"", b"headeR", b"header\x00", b"heade"):
+        with pytest.raises(AuthFailure):
+            crypto.open_box(KEY, box, aad)
+    with pytest.raises(AuthFailure):
+        crypto.open_box(KEY, crypto.seal(KEY, b"hello"), b"header")
+
+
+def test_empty_aad_box_pinned():
+    """A box sealed without associated data keeps its bytes from before
+    sealing took any: KDC envelopes, RREP bodies and REP codes stay
+    byte-identical."""
+    want = "63be2fd2b77158915d7c48b647c5c9a7035bb9d962e922b1cbebffebbf315bed9b"
+    assert crypto.seal(KEY, b"hello").to_bytes().hex() == want
+    assert crypto.seal(KEY, b"hello", b"").to_bytes().hex() == want
+
+
+@settings(max_examples=200)
+@given(st.binary(max_size=64), st.binary(max_size=64), st.binary(max_size=64))
+def test_distinct_aad_distinct_nonce(plaintext, aad_a, aad_b):
+    """Under one key and plaintext, different associated data never reuse
+    a nonce (nonce reuse would leak the Poly1305 key)."""
+    assume(aad_a != aad_b)
+    assert crypto.seal(KEY, plaintext, aad_a).nonce != crypto.seal(KEY, plaintext, aad_b).nonce
+
+
+def test_aad_and_plaintext_boundary_gives_distinct_nonces():
+    """Moving bytes between aad and plaintext changes the nonce."""
+    nonces = {crypto.seal(KEY, b"abcdef"[cut:], b"abcdef"[:cut]).nonce for cut in range(7)}
+    assert len(nonces) == 7
 
 
 def test_chain_basics():

@@ -15,13 +15,7 @@ KEY = b"q" * 32
 def sample_rreq():
     imm = frames.RreqImmutable("S", 7, 3, "D", 0, 16)
     body = frames.RreqBody(imm, ("A",), b"\x01" * 32, b"\x02" * 32, b"\x03" * 32)
-    return frames.RreqPacket(
-        sender_addr="A",
-        sender_seqno=12,
-        b_id=3,
-        mutable=frames.RreqMutable(1, 4.25, 1, 10.0, 2.0),
-        sealed=seal(KEY, body.to_bytes()),
-    )
+    return frames.seal_rreq(KEY, "A", 12, frames.RreqMutable(1, 4.25, 1, 10.0, 2.0), body)
 
 
 def sample_rrep():
@@ -36,6 +30,15 @@ def sample_rep():
 
 def sample_session():
     return frames.SessionFrame("B1", 100, b'{"seq": 1}')
+
+
+def body_from_bytes(like, raw):
+    """Decode `raw` as a body of `like`'s type.  An RREQ body takes its
+    round's source and seqno from `like`, as a receiver takes them from
+    the frame's clear header."""
+    if isinstance(like, frames.RreqBody):
+        return frames.RreqBody.from_bytes(raw, like.rreq.s_addr, like.rreq.s_seqno)
+    return type(like).from_bytes(raw)
 
 
 @pytest.mark.parametrize("make", [sample_rreq, sample_rrep, sample_rep, sample_session])
@@ -54,7 +57,42 @@ def test_body_round_trips():
 def test_rreq_body_inner_round_trip():
     imm = frames.RreqImmutable("S", 1, 2, "D", 3, 8)
     body = frames.RreqBody(imm, (), None, b"\x09" * 32, b"\x0a" * 32)
-    assert frames.RreqBody.from_bytes(body.to_bytes()) == body
+    assert frames.RreqBody.from_bytes(body.to_bytes(), "S", 1) == body
+
+
+def test_sealed_rreq_opens_to_its_body():
+    imm = frames.RreqImmutable("S", 7, 3, "D", 0, 16)
+    body = frames.RreqBody(imm, ("A",), b"\x01" * 32, b"\x02" * 32, b"\x03" * 32)
+    pkt = frames.decode_frame(frames.encode_frame(sample_rreq()))
+    assert frames.open_rreq(KEY, pkt) == body
+    assert pkt.round_id() == imm.round_id()
+
+
+def test_sealed_rreq_under_another_round_rejected():
+    """A body whose b_id differs from the header's fails to open, although
+    the seal itself verifies."""
+    body = frames.RreqBody(frames.RreqImmutable("S", 7, 4, "D", 0, 16), (), None, b"\x02" * 32, b"\x03" * 32)
+    forged = frames.RreqPacket("S", 7, "S", 7, 3, frames.RreqMutable(), BOX)
+    forged = dataclasses.replace(forged, sealed=seal(KEY, body.to_bytes(), forged.header))
+    with pytest.raises(MalformedFrame, match="b_id"):
+        frames.open_rreq(KEY, forged)
+
+
+@pytest.mark.parametrize(
+    "sender,source,path", [("A", "S", ("A",)), ("节点", "Nœud-é", ("A", "B", "C")), ("S", "S", ())]
+)
+def test_rreq_frame_length_matches_body_sealed_layout(sender, source, path):
+    """Moving s_addr and s_seqno from the sealed body into the clear header
+    keeps every RREQ frame's length: the length the layout with both
+    inside the body gave, which delivery times and trace sizes depend on."""
+    imm = frames.RreqImmutable(source, 7, 3, "D", 0, 16)
+    body = frames.RreqBody(imm, path, None if not path else b"\x01" * 32, b"\x02" * 32, b"\x03" * 32)
+    pkt = frames.seal_rreq(KEY, sender, 12, frames.RreqMutable(), body)
+    mac_prev = b"\x00" if not path else b"\x01" + b"\x01" * 32
+    sealed_plaintext = imm.to_bytes() + frames.path_bytes(path) + mac_prev + 64 * b"x"
+    header = 1 + 2 + len(sender.encode()) + 4 + 4  # type, sender_addr, sender_seqno, b_id
+    # then the mutable fields (27), the box's length (2), nonce (12), plaintext and tag (16)
+    assert len(frames.encode_frame(pkt)) == header + 27 + 2 + 12 + len(sealed_plaintext) + 16
 
 
 def test_rrep_body_inner_round_trip():
@@ -137,7 +175,7 @@ def test_mutated_bodies_raise_only_malformed(body):
         for _ in range(rng.randint(1, 3)):
             blob = mutate(rng, blob)
         try:
-            type(body).from_bytes(blob)
+            body_from_bytes(body, blob)
             decoded += 1
         except MalformedFrame:
             pass
@@ -154,9 +192,9 @@ NON_ASCII_IMM = frames.RreqImmutable("Nœud-é", 7, 3, "D", 0xFFFFFFFF, 255)
 
 GOLDEN = {
     "rreq": (
-        frames.RreqPacket("A", 12, 3, frames.RreqMutable(1, 4.25, 1, 10.0, 2.0), BOX),
-        "010001410000000c00000003014011000000000000000140240000000000004000000000000000001e"
-        "111111111111111111111111637422222222222222222222222222222222",
+        frames.RreqPacket("A", 12, "S", 7, 3, frames.RreqMutable(1, 4.25, 1, 10.0, 2.0), BOX),
+        "010001410000000c000153000000070000000301401100000000000000014024000000000000400000000000"
+        "0000001e111111111111111111111111637422222222222222222222222222222222",
     ),
     "rrep": (
         frames.RrepPacket("D", 1, BOX),
@@ -173,7 +211,7 @@ GOLDEN = {
 GOLDEN_BODIES = {
     "rreq-body": (
         frames.RreqBody(NON_ASCII_IMM, ("A", "节点"), b"\x01" * 32, b"\x02" * 32, b"\x03" * 32),
-        "00084ec59375642dc3a90000000700000003000144ffffffffff00020001410006e88a82e782b901"
+        "00000003000144ffffffffff00020001410006e88a82e782b901"
         + "01" * 32
         + "02" * 32
         + "03" * 32,
@@ -196,7 +234,7 @@ def test_frame_bytes_pinned(name):
 def test_body_bytes_pinned(name):
     body, hexed = GOLDEN_BODIES[name]
     assert body.to_bytes().hex() == hexed
-    assert type(body).from_bytes(bytes.fromhex(hexed)) == body
+    assert body_from_bytes(body, bytes.fromhex(hexed)) == body
 
 
 def test_immutable_and_path_bytes_pinned():
@@ -218,7 +256,7 @@ def test_immutable_bytes_derived_once_per_instance():
 def _rreq_body_raw(flag: int) -> bytes:
     imm = frames.RreqImmutable("S", 1, 2, "D", 3, 8)
     raw = frames.RreqBody(imm, ("A",), b"\x01" * 32, b"\x02" * 32, b"\x03" * 32).to_bytes()
-    at = len(imm.to_bytes()) + len(frames.path_bytes(("A",)))
+    at = len(raw) - 1 - 3 * 32  # mac_prev's flag, then mac_prev, mac_curr and h
     assert raw[at] == 1
     return raw[:at] + bytes([flag]) + raw[at + 1 :]
 
@@ -234,13 +272,17 @@ def _rrep_body_raw(flag: int, which: int) -> bytes:
 @pytest.mark.parametrize("flag", [2, 0x7F, 0x80, 0xFF])
 def test_opt_digest_flag_other_than_0_or_1_rejected(flag):
     for decode, raw in [
-        (frames.RreqBody.from_bytes, _rreq_body_raw(flag)),
+        (_rreq_body_from_bytes, _rreq_body_raw(flag)),
         (frames.RrepBody.from_bytes, _rrep_body_raw(flag, 0)),
         (frames.RrepBody.from_bytes, _rrep_body_raw(flag, 1)),
     ]:
         with pytest.raises(MalformedFrame, match="opt-digest flag"):
             decode(raw)
-    assert frames.RreqBody.from_bytes(_rreq_body_raw(1)).mac_prev == b"\x01" * 32
+    assert _rreq_body_from_bytes(_rreq_body_raw(1)).mac_prev == b"\x01" * 32
+
+
+def _rreq_body_from_bytes(raw: bytes) -> frames.RreqBody:
+    return frames.RreqBody.from_bytes(raw, "S", 1)
 
 
 def _patched(raw: bytes, old: bytes, new: bytes) -> bytes:
@@ -267,7 +309,7 @@ REJECTED = {
     ),
     "body-bad-utf8": (frames.RrepBody.from_bytes, b"\x00\x01\xff"),
     "rrep-body-trailing": (frames.RrepBody.from_bytes, GOLDEN_BODIES["rrep-body"][0].to_bytes() + b"\x00"),
-    "rreq-body-trailing": (frames.RreqBody.from_bytes, GOLDEN_BODIES["rreq-body"][0].to_bytes() + b"\x00"),
+    "rreq-body-trailing": (_rreq_body_from_bytes, GOLDEN_BODIES["rreq-body"][0].to_bytes() + b"\x00"),
 }
 
 
@@ -297,7 +339,7 @@ rreq_bodies = st.builds(frames.RreqBody, immutables, paths, st.none() | digest, 
 infos = st.builds(frames.RrepInfo, ids, u32, ids, u32, paths)
 rrep_bodies = st.builds(frames.RrepBody, infos, digest, st.none() | digest, st.none() | digest)
 packets = st.one_of(
-    st.builds(frames.RreqPacket, ids, u32, u32, st.builds(frames.RreqMutable, u8, f64, u16, f64, f64), boxes),
+    st.builds(frames.RreqPacket, ids, u32, ids, u32, u32, st.builds(frames.RreqMutable, u8, f64, u16, f64, f64), boxes),
     st.builds(frames.RrepPacket, ids, u32, boxes),
     st.builds(frames.RepPacket, ids, u32, ids, u32, boxes, paths),
     st.builds(frames.SessionFrame, ids, u8, st.binary(max_size=64)),
@@ -308,11 +350,19 @@ bodies = rreq_bodies | rrep_bodies
 @settings(max_examples=300)
 @given(packets)
 @example(frames.RepPacket("", 0xFFFFFFFF, "é", 0, BOX, LONG_PATH))
-@example(frames.RreqPacket("节点", 0xFFFFFFFF, 0, frames.RreqMutable(0xFF, -0.0, 0xFFFF, float("inf"), 1e-9), BOX))
+@example(
+    frames.RreqPacket(
+        "节点", 0xFFFFFFFF, "Nœud", 0, 0, frames.RreqMutable(0xFF, -0.0, 0xFFFF, float("inf"), 1e-9), BOX
+    )
+)
 def test_frame_round_trip_property(pkt):
     raw = frames.encode_frame(pkt)
     assert frames.decode_frame(raw) == pkt
     assert frames.encode_frame(frames.decode_frame(raw)) == raw
+    if isinstance(pkt, frames.RreqPacket):
+        # What the seal binds is the frame's prefix, as sent and as read.
+        assert raw.startswith(pkt.header)
+        assert frames.decode_frame(raw).header == pkt.header
 
 
 @settings(max_examples=300)
@@ -321,8 +371,8 @@ def test_frame_round_trip_property(pkt):
 @example(frames.RrepBody(frames.RrepInfo("", 0, "", 0xFFFFFFFF, LONG_PATH), b"\x00" * 32, None, None))
 def test_body_round_trip_property(body):
     raw = body.to_bytes()
-    assert type(body).from_bytes(raw) == body
-    assert type(body).from_bytes(raw).to_bytes() == raw
+    assert body_from_bytes(body, raw) == body
+    assert body_from_bytes(body, raw).to_bytes() == raw
 
 
 @given(packets)
@@ -338,7 +388,7 @@ def test_every_strict_body_prefix_rejected(body):
     raw = body.to_bytes()
     for cut in range(len(raw)):
         with pytest.raises(MalformedFrame):
-            type(body).from_bytes(raw[:cut])
+            body_from_bytes(body, raw[:cut])
 
 
 LONG = "x" * 0x10000

@@ -138,7 +138,7 @@ PINNED_REPORTS = {
     ),
     "adv-replay": (
         lambda: tamper_cfg("replay"),
-        "0c2fa3de5737145fff61002226655bdc3fd4f6f26fda36e710fd667e12af4136",
+        "a72cf5592102f2c1181708a0262a92408341f56f4f5461182402a110ba0006b7",
     ),
     "adv-cost-deflate": (
         lambda: tamper_cfg("cost-deflate"),
@@ -187,6 +187,16 @@ PINNED_REPORTS = {
 def test_report_bytes_pinned(name):
     make, digest = PINNED_REPORTS[name]
     assert hashlib.sha256(emit_report(run_scenario(make()))).hexdigest() == digest
+
+
+def test_replay_trace_holds_no_wire_bytes():
+    """The replay adversary keeps the frame it captured and tags its timer
+    without it, so the trace, and the trace digest, hold no ciphertext."""
+    harness = Harness(tamper_cfg("replay"))
+    report = harness.run()
+    timers = [e["tag"] for e in harness.sim.trace if e["ev"] == "timer" and "adversary-replay" in e["tag"]]
+    assert timers == [repr(("adversary-replay",))]
+    assert sum(c.get("drop:Duplicate", 0) for c in report.counters.values()) >= 1
 
 
 @pytest.mark.parametrize("literal", [False, True])

@@ -1,9 +1,21 @@
+import dataclasses
+
 import pytest
 
-from secroute import cost, srdp
-from secroute.crypto import chain, hash_bytes, mac, open_box, seal
+from secroute import cost, crypto, frames, srdp
+from secroute.crypto import SealedBox, chain, hash_bytes, mac, open_box, seal
 from secroute.errors import NoValidCandidate
-from secroute.frames import RreqBody, RreqMutable, RreqPacket, RrepBody, RrepInfo, RrepPacket
+from secroute.frames import (
+    RreqBody,
+    RreqMutable,
+    RreqPacket,
+    RrepBody,
+    RrepInfo,
+    RrepPacket,
+    decode_frame,
+    encode_frame,
+    open_rreq,
+)
 from secroute.harness import (
     Harness,
     ScenarioConfig,
@@ -26,6 +38,13 @@ link B D 10 2
 DIAMOND = LINE + "node C relay\nlink S C 5 8\nlink C D 5 8\n"
 
 
+def hand_sealed_rreq(key, raw, sender="S", sender_seqno=1, s_addr="S", s_seqno=1, b_id=1, mutable=None):
+    """An RREQ whose seal holds `raw` under `key`, bound to the clear
+    header built from the other arguments, as an honest sender binds it."""
+    pkt = RreqPacket(sender, sender_seqno, s_addr, s_seqno, b_id, mutable or RreqMutable(), SealedBox(b"", b"", b""))
+    return dataclasses.replace(pkt, sealed=seal(key, raw, pkt.header))
+
+
 @pytest.fixture
 def line_net():
     topo = load_topology(LINE)
@@ -39,7 +58,7 @@ def test_originate_rreq_shape(line_net):
     pkt = nodes["S"].originate_rreq("D")
     assert pkt.mutable.hop_count == 0
     assert pkt.mutable.path_cost == 0.0
-    body = RreqBody.from_bytes(open_box(nodes["S"].keys.group_key, pkt.sealed))
+    body = open_rreq(nodes["S"].keys.group_key, pkt)
     assert body.path == ()
     assert body.mac_prev is None
     # h0 anchors in the source-destination secret
@@ -55,8 +74,8 @@ def test_first_hop_forward_matches_construction(line_net):
     action = nodes["A"].process_rreq(pkt, 10, 2)
     assert action[0] == "forward"
     out = action[1]
-    body = RreqBody.from_bytes(open_box(nodes["A"].keys.group_key, out.sealed))
-    src_body = RreqBody.from_bytes(open_box(nodes["S"].keys.group_key, pkt.sealed))
+    body = open_rreq(nodes["A"].keys.group_key, out)
+    src_body = open_rreq(nodes["S"].keys.group_key, pkt)
     assert body.path == ("A",)
     assert body.h == hash_bytes(src_body.h)  # h1 = h(h0)
     assert body.mac_prev == src_body.mac_curr  # M0 promoted
@@ -70,6 +89,74 @@ def test_duplicate_round_dropped(line_net):
     pkt = nodes["S"].originate_rreq("D")
     assert nodes["A"].process_rreq(pkt, 10, 2)[0] == "forward"
     assert nodes["A"].process_rreq(pkt, 10, 2) == ("drop", srdp.DUPLICATE)
+
+
+@pytest.mark.parametrize(
+    "field,value", [("sender_seqno", 99), ("s_addr", "B"), ("s_addr", "D"), ("s_seqno", 99), ("b_id", 99)]
+)
+def test_rewritten_clear_header_fails_the_seal(line_net, field, value):
+    """The seal binds the clear header: a copy whose header was rewritten
+    in flight is dropped as SealOpenFail by a relay that has not seen the
+    round, as a flipped bit in the box is."""
+    topo, nodes = line_net
+    pkt = decode_frame(encode_frame(nodes["S"].originate_rreq("D")))
+    rewritten = decode_frame(encode_frame(dataclasses.replace(pkt, **{field: value})))
+    assert rewritten.round_id() not in nodes["A"].seen_rounds
+    assert nodes["A"].process_rreq(rewritten, 10, 2) == ("drop", srdp.SEAL_OPEN_FAIL)
+    assert nodes["A"].process_rreq(pkt, 10, 2)[0] == "forward"
+
+
+def test_body_round_other_than_header_round_dropped(line_net):
+    """A seal that verifies but holds a body for another b_id than the
+    header names is SealOpenFail: the round a relay dedupes on is the
+    round it forwards."""
+    topo, nodes = line_net
+    pkt = nodes["S"].originate_rreq("D")
+    body = open_rreq(nodes["S"].keys.group_key, pkt)
+    other = dataclasses.replace(body, rreq=dataclasses.replace(body.rreq, b_id=body.rreq.b_id + 1))
+    forged = hand_sealed_rreq(
+        nodes["S"].keys.group_key, other.to_bytes(), "S", pkt.sender_seqno, "S", pkt.s_seqno, pkt.b_id
+    )
+    assert nodes["A"].process_rreq(forged, 10, 2) == ("drop", srdp.SEAL_OPEN_FAIL)
+    assert nodes["A"].process_rreq(pkt, 10, 2)[0] == "forward"
+
+
+def test_neighbour_duplicate_dropped_before_opening(line_net, monkeypatch):
+    """A relay that forwarded a round drops a neighbour's later copy of it
+    on the clear header: no seal is opened and no body decoded."""
+    topo, nodes = line_net
+    calls = {"open_box": 0, "from_bytes": 0}
+    real_open, real_from_bytes = crypto.open_box, RreqBody.from_bytes.__func__
+
+    def counting_open(*args):
+        calls["open_box"] += 1
+        return real_open(*args)
+
+    def counting_from_bytes(cls, *args):
+        calls["from_bytes"] += 1
+        return real_from_bytes(cls, *args)
+
+    for module in (crypto, frames, srdp):
+        monkeypatch.setattr(module, "open_box", counting_open)
+    monkeypatch.setattr(RreqBody, "from_bytes", classmethod(counting_from_bytes))
+    out_a = nodes["A"].process_rreq(nodes["S"].originate_rreq("D"), 10, 2)[1]
+    out_b = nodes["B"].process_rreq(out_a, 10, 2)[1]
+    assert calls == {"open_box": 2, "from_bytes": 2}  # one open per forward
+    assert out_b.sender_addr in nodes["A"].keys.neighbor_group_keys
+    assert nodes["A"].process_rreq(out_b, 10, 2) == ("drop", srdp.DUPLICATE)
+    assert calls == {"open_box": 2, "from_bytes": 2}
+
+
+def test_non_neighbour_copy_of_seen_round_fails_the_seal(line_net):
+    """A copy of a seen round from a node this one holds no group key for,
+    as a replay adversary delivers it, is still SealOpenFail."""
+    topo, nodes = line_net
+    pkt = nodes["S"].originate_rreq("D")
+    out_a = nodes["A"].process_rreq(pkt, 10, 2)[1]
+    assert nodes["B"].process_rreq(out_a, 10, 2)[0] == "forward"
+    assert pkt.round_id() in nodes["B"].seen_rounds
+    assert "S" not in nodes["B"].keys.neighbor_group_keys
+    assert nodes["B"].process_rreq(pkt, 10, 2) == ("drop", srdp.SEAL_OPEN_FAIL)
 
 
 def test_hop_limit_enforced(line_net):
@@ -93,8 +180,8 @@ GARBAGE_BODIES = [b"", b"\x00" * 5, b"\xff" * 64, bytes(range(200))]
 def test_garbage_body_under_valid_group_key_dropped(line_net, garbage):
     topo, nodes = line_net
     valid = nodes["S"].originate_rreq("D")
-    for raw in (garbage, open_box(nodes["S"].keys.group_key, valid.sealed) + garbage[:1] + b"\x00"):
-        rreq = RreqPacket("S", 1, 1, RreqMutable(), seal(nodes["S"].keys.group_key, raw))
+    for raw in (garbage, open_box(nodes["S"].keys.group_key, valid.sealed, valid.header) + garbage[:1] + b"\x00"):
+        rreq = hand_sealed_rreq(nodes["S"].keys.group_key, raw)
         assert nodes["A"].process_rreq(rreq, 10, 2) == ("drop", srdp.SEAL_OPEN_FAIL)
         rrep = RrepPacket("B", 1, seal(nodes["B"].keys.group_key, raw))
         assert nodes["A"].process_rrep(rrep) == ("drop", srdp.SEAL_OPEN_FAIL)
@@ -129,16 +216,17 @@ def test_destination_rejects_short_chain(line_net):
     topo, nodes = line_net
     pkt = run_chain(nodes, ["A", "B"], nodes["S"].originate_rreq("D"))
     # Claim one hop fewer than the chain proves.
-    from secroute.crypto import seal
-
-    body = RreqBody.from_bytes(open_box(nodes["B"].keys.group_key, pkt.sealed))
+    body = open_rreq(nodes["B"].keys.group_key, pkt)
     shorter = RreqBody(body.rreq, body.path[:-1], body.mac_prev, body.mac_curr, body.h)
-    pkt = type(pkt)(
+    pkt = hand_sealed_rreq(
+        nodes["B"].keys.group_key,
+        shorter.to_bytes(),
         pkt.sender_addr,
         pkt.sender_seqno,
+        pkt.s_addr,
+        pkt.s_seqno,
         pkt.b_id,
-        type(pkt.mutable)(1, pkt.mutable.path_cost, 1, 10.0, 2.0),
-        seal(nodes["B"].keys.group_key, shorter.to_bytes()),
+        mutable=type(pkt.mutable)(1, pkt.mutable.path_cost, 1, 10.0, 2.0),
     )
     action = nodes["D"].process_rreq(pkt, 10, 2)
     assert action == ("drop", srdp.CHAIN_MISMATCH) or action == ("drop", srdp.TWO_HOP_AUTH_FAIL)
@@ -164,6 +252,20 @@ def test_finalize_picks_min_cost():
     rrep = nodes["D"].finalize_destination(a1[1])
     body = RrepBody.from_bytes(open_box(nodes["D"].keys.group_key, rrep.sealed))
     assert body.rrep.route == ("A", "B")  # three cheap links beat two slow ones
+
+
+@pytest.mark.parametrize("adversary", [None, ("B", "replay")])
+def test_diamond_destination_collects_every_copy(adversary):
+    """The destination never marks its own rounds as seen, so dropping
+    duplicates before opening leaves its candidates as they were: 2 in the
+    diamond, with or without a replaying relay."""
+    cfg = ScenarioConfig(topology_text=DIAMOND, source="S", dest="D", seed=5, adversary=adversary)
+    harness = Harness(cfg)
+    report = harness.run()
+    assert [len(state.candidates) for state in harness.protos["D"].dest_rounds.values()] == [2]
+    assert report.counters["D"]["rreq_collected"] == 2
+    assert report.counters["D"].get("drop:SealOpenFail", 0) == (1 if adversary else 0)
+    assert report.chosen_route == ["S", "A", "B", "D"]
 
 
 def test_rrep_relay_and_accept(line_net):
