@@ -53,8 +53,6 @@ def _cmd_run(args) -> int:
         seed=args.seed,
         adversary=adversary,
         collection_window=args.window,
-        monitor_interval=args.interval,
-        epsilon=args.epsilon,
         literal_cost=args.literal_cost,
         max_hops=args.max_hops,
     )
@@ -93,8 +91,6 @@ def main(argv=None) -> int:
     run_p.add_argument("--adversary", help="NODE:BEHAVIOR")
     run_p.add_argument("--literal-cost", action="store_true")
     run_p.add_argument("--window", type=float, default=50.0, help="collection window, ms")
-    run_p.add_argument("--interval", type=float, default=100.0, help="monitor interval, ms")
-    run_p.add_argument("--epsilon", type=float, default=0.1)
     run_p.add_argument("--max-hops", type=int, default=16)
     run_p.add_argument("--out")
     run_p.add_argument("--format", default="json", choices=["json", "text"])

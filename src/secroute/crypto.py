@@ -4,14 +4,15 @@ Digests and keys are plain 32-byte strings.  Multi-part MAC input is
 length-prefixed (4-byte big-endian length before each part) so part
 boundaries are unambiguous.  Sealing is authenticated encryption with
 associated data: any bit flip in the box, or in the associated data it
-was sealed with, is detected on open.
+was sealed with, is detected on open.  A sealed box is plain bytes,
+nonce (12) || ciphertext || tag (16), and every nonce is derived by one
+rule from key, associated data and plaintext (see `seal`).
 """
 
 from __future__ import annotations
 
 import hashlib
 import hmac
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import AuthFailure
@@ -23,24 +24,6 @@ DIGEST_LEN = 32
 KEY_LEN = 32
 NONCE_LEN = 12
 TAG_LEN = 16
-
-
-@dataclass(frozen=True)
-class SealedBox:
-    """Authenticated ciphertext: 12-byte nonce, body, 16-byte tag."""
-
-    nonce: bytes
-    body: bytes
-    tag: bytes
-
-    def to_bytes(self) -> bytes:
-        return self.nonce + self.body + self.tag
-
-    @classmethod
-    def from_bytes(cls, raw: bytes) -> "SealedBox":
-        if len(raw) < NONCE_LEN + TAG_LEN:
-            raise AuthFailure("sealed box too short")
-        return cls(raw[:NONCE_LEN], raw[NONCE_LEN:-TAG_LEN], raw[-TAG_LEN:])
 
 
 def hash_bytes(data: bytes) -> bytes:
@@ -78,33 +61,28 @@ def mac_framed(key: bytes, framed: bytes) -> bytes:
     return hmac.digest(key, framed, "sha256")
 
 
-def seal(key: bytes, plaintext: bytes, aad: bytes = b"") -> SealedBox:
+def seal(key: bytes, plaintext: bytes, aad: bytes = b"") -> bytes:
     """Authenticated encryption under a 32-byte key, binding `aad`.
 
-    `aad` is associated data: authenticated with the box but not carried
-    in it, so `open_box` must be given the same bytes.  The nonce is
-    derived from key, aad and plaintext, so sealing is a pure function of
-    its inputs and runs reproduce byte-identical boxes.  A repeated
-    (key, aad, plaintext) triple yields the identical box, which leaks
-    only equality; under one key, distinct (aad, plaintext) pairs get
-    distinct nonces.  Boxes with empty aad keep the derivation they had
-    before aad existed: its input starts with b"box-nonce", the aad
-    derivation's with b"aad-box-nonce" and the aad's length, so the two
-    never share an input.
+    Returns nonce (12) || ciphertext || tag (16).  `aad` is authenticated
+    but not carried in the box, so `open_box` must be given the same
+    bytes.  The nonce is HMAC-SHA256(key, b"box-nonce" || u32 len(aad) ||
+    aad || plaintext)[:12]: sealing is a pure function of its inputs, a
+    repeated (key, aad, plaintext) leaks only equality, and the length
+    prefix keeps distinct (aad, plaintext) pairs on distinct nonces.
     """
-    if aad:
-        nonce_input = b"aad-box-nonce" + len(aad).to_bytes(4, "big") + aad + plaintext
-    else:
-        nonce_input = b"box-nonce" + plaintext
+    nonce_input = b"box-nonce" + len(aad).to_bytes(4, "big") + aad + plaintext
     nonce = hmac.digest(key, nonce_input, "sha256")[:NONCE_LEN]
-    ct = ChaCha20Poly1305(key).encrypt(nonce, plaintext, aad)
-    return SealedBox(nonce, ct[:-TAG_LEN], ct[-TAG_LEN:])
+    return nonce + ChaCha20Poly1305(key).encrypt(nonce, plaintext, aad)
 
 
-def open_box(key: bytes, box: SealedBox, aad: bytes = b"") -> bytes:
-    """Inverse of seal; raises AuthFailure on wrong key, wrong aad or tampering."""
+def open_box(key: bytes, box: bytes, aad: bytes = b"") -> bytes:
+    """Inverse of seal; raises AuthFailure on a short box, wrong key,
+    wrong aad or tampering."""
+    if len(box) < NONCE_LEN + TAG_LEN:
+        raise AuthFailure("sealed box too short")
     try:
-        return ChaCha20Poly1305(key).decrypt(box.nonce, box.body + box.tag, aad)
+        return ChaCha20Poly1305(key).decrypt(box[:NONCE_LEN], box[NONCE_LEN:], aad)
     except InvalidTag:
         raise AuthFailure("seal verification failed") from None
 

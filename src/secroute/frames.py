@@ -2,7 +2,7 @@
 
 Layout: 1-byte frame type (1=RREQ, 2=RREP, 3=REP, 4=SESSION), big-endian
 fixed-width header fields, 2-byte length-prefixed variable sections, and
-sealed boxes as nonce||body||tag.  See docs/wire-format.md for the
+sealed boxes as nonce||ciphertext||tag.  See docs/wire-format.md for the
 byte-layout tables.
 
 An RREQ carries its round id `(s_addr, s_seqno, b_id)` in the clear
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Tuple
 
-from .crypto import DIGEST_LEN, NONCE_LEN, TAG_LEN, SealedBox, open_box, seal
+from .crypto import DIGEST_LEN, NONCE_LEN, TAG_LEN, open_box, seal
 from .errors import MalformedFrame
 
 FRAME_RREQ = 1
@@ -60,10 +60,6 @@ def _blob(b: bytes) -> bytes:
 
 def _text(s: str) -> bytes:
     return _blob(s.encode())
-
-
-def _box(b: SealedBox) -> bytes:
-    return _blob(b.to_bytes())
 
 
 def path_bytes(path: Tuple[str, ...]) -> bytes:
@@ -105,12 +101,11 @@ def _path_at(raw: bytes, off: int) -> Tuple[Tuple[str, ...], int]:
     return tuple(nodes), end
 
 
-def _box_at(raw: bytes, off: int) -> Tuple[SealedBox, int]:
+def _box_at(raw: bytes, off: int) -> Tuple[bytes, int]:
     start, end = _span_at(raw, off)
     if end - start < NONCE_LEN + TAG_LEN:
         raise MalformedFrame("sealed box too short")
-    mid = start + NONCE_LEN
-    return SealedBox(raw[start:mid], raw[mid : end - TAG_LEN], raw[end - TAG_LEN : end]), end
+    return raw[start:end], end
 
 
 def _opt_digest_at(raw: bytes, off: int) -> Tuple[Optional[bytes], int]:
@@ -249,7 +244,7 @@ class RreqPacket:
     s_seqno: int
     b_id: int
     mutable: RreqMutable
-    sealed: SealedBox
+    sealed: bytes
 
     @cached_property
     def header(self) -> bytes:
@@ -344,7 +339,7 @@ class RrepBody:
 class RrepPacket:
     sender_addr: str
     sender_seqno: int
-    sealed: SealedBox
+    sealed: bytes
 
 
 # -- REP (route error) -------------------------------------------------
@@ -356,7 +351,7 @@ class RepPacket:
     s_seqno: int
     d_addr: str
     d_seqno: int
-    sealed_code: SealedBox  # 1-byte error code under the source-dest key
+    sealed_code: bytes  # 1-byte error code under the source-dest key
     route: Tuple[str, ...]
 
 
@@ -379,11 +374,11 @@ def encode_frame(packet) -> bytes:
     if isinstance(packet, RreqPacket):
         m = packet.mutable
         return b"".join(
-            [packet.header, _RREQ_MUTABLE.pack(m.hop_count, m.path_cost, m.hc, m.bw, m.nd), _box(packet.sealed)]
+            [packet.header, _RREQ_MUTABLE.pack(m.hop_count, m.path_cost, m.hc, m.bw, m.nd), _blob(packet.sealed)]
         )
     if isinstance(packet, RrepPacket):
         return b"".join(
-            [_TYPE_BYTE[FRAME_RREP], _text(packet.sender_addr), _U32.pack(packet.sender_seqno), _box(packet.sealed)]
+            [_TYPE_BYTE[FRAME_RREP], _text(packet.sender_addr), _U32.pack(packet.sender_seqno), _blob(packet.sealed)]
         )
     if isinstance(packet, RepPacket):
         return b"".join(
@@ -393,7 +388,7 @@ def encode_frame(packet) -> bytes:
                 _U32.pack(packet.s_seqno),
                 _text(packet.d_addr),
                 _U32.pack(packet.d_seqno),
-                _box(packet.sealed_code),
+                _blob(packet.sealed_code),
                 path_bytes(packet.route),
             ]
         )

@@ -141,17 +141,7 @@ def provision(topo: Topology, k: int, m: int, seed: int):
     rings = {n: center.issue(n) for n in nodes}
     neighbors = {n: frozenset(topo.rdn(n)) for n in nodes}
     issued = srdp.Provisioning(params, svc, rings, neighbors)
-    stores = {
-        n: srdp.KeyStore(
-            node=n,
-            group_key=rings[n].rdn_group_key,
-            broadcast_secret=rings[n].broadcast_secret,
-            provisioning=issued,
-            neighbor_group_keys={x: rings[x].rdn_group_key for x in neighbors[n]},
-            neighbor_ids=neighbors[n],
-        )
-        for n in nodes
-    }
+    stores = {n: srdp.KeyStore(n, issued) for n in nodes}
     return stores, svc, params, rings
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Dict, FrozenSet, List, Sequence, Tuple
 
-from .crypto import SealedBox, frame_parts, hash_bytes, mac, mac_framed, open_box, seal
+from .crypto import frame_parts, hash_bytes, mac, mac_framed, open_box, seal
 from .errors import (
     AuthFailure,
     BadParams,
@@ -80,7 +80,7 @@ class BroadcastMessage:
 
     revoked: FrozenSet[str]
     cover_indices: Tuple[int, ...]
-    envelopes: Tuple[SealedBox, ...]
+    envelopes: Tuple[bytes, ...]
     tag: bytes
 
     @cached_property
@@ -88,11 +88,11 @@ class BroadcastMessage:
         """The framed MAC input: a label, the sorted revoked ids, every envelope."""
         parts = [b"broadcast-tag"]
         parts.extend(n.encode() for n in sorted(self.revoked))
-        parts.extend(e.to_bytes() for e in self.envelopes)
+        parts.extend(self.envelopes)
         return frame_parts(parts)
 
     @cached_property
-    def by_index(self) -> Dict[int, SealedBox]:
+    def by_index(self) -> Dict[int, bytes]:
         """Cover index -> the envelope sealed under it."""
         return dict(zip(self.cover_indices, self.envelopes))
 

