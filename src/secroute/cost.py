@@ -10,8 +10,8 @@ cross-check).  Selection runs in one of seven modes, each keyed to
 a single metric or metric product, with a fixed tie-break ladder:
 primary objective, then maximum hop*bandwidth*delay product, then maximum
 bandwidth-delay product, then lexicographically smallest path.
-Route maintenance watches the installed route's bandwidth-delay product
-and neighbor liveness.
+Nothing here watches an installed route: per-hop acks, route errors
+and rediscovery keep it alive (`harness`, `srdp`).
 """
 
 from __future__ import annotations
@@ -169,36 +169,3 @@ def select_route(candidates: Sequence[Candidate], mode: Mode) -> Sequence[str]:
         raise NoCandidates()
     return min(candidates, key=lambda c: selection_key(c, mode))[0]
 
-
-# -- route maintenance ------------------------------------------------
-
-LINK_BREAK = 1
-BDP_DEGRADE = 2
-
-
-class MonitorAction(enum.Enum):
-    KEEP = "keep"
-    SEND_REP = "send_rep"
-    REDISCOVER = "rediscover"
-
-
-@dataclass
-class MonitorState:
-    route: Sequence[str]
-    last_bdp: float
-    interval: float = 100.0  # ms
-    epsilon: float = 0.1  # relative BDP decrease tolerated
-
-
-def monitor(state: MonitorState, neighbor_responsive: bool, current_bdp: float):
-    """One interval-boundary check of the installed route.
-
-    Returns (action, error_code).  An unresponsive neighbor outranks a
-    BDP drop; a drop beyond epsilon triggers rediscovery.
-    """
-    if not neighbor_responsive:
-        return MonitorAction.SEND_REP, LINK_BREAK
-    if current_bdp < (1.0 - state.epsilon) * state.last_bdp:
-        return MonitorAction.REDISCOVER, BDP_DEGRADE
-    state.last_bdp = current_bdp
-    return MonitorAction.KEEP, None

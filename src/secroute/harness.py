@@ -1,7 +1,8 @@
 """Scenario runner: wires key provisioning, the simulator, and the
-protocol state machines together; runs discovery, maintenance, and
-session scenarios with optional scripted adversaries; emits
-machine-readable reports and compares selection against the oracle.
+protocol state machines together; runs a discovery, then sends cloudlets
+over the installed route with per-hop acks, a route error and
+rediscovery when an ack times out, with optional scripted adversaries;
+emits machine-readable reports and compares selection against the oracle.
 """
 
 from __future__ import annotations
@@ -9,8 +10,8 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Any, ClassVar, Dict, List, Optional, Set, Tuple
 
 from . import cost as ecms
 from . import kdc as kdclib
@@ -53,20 +54,19 @@ class ScenarioConfig:
     source: str
     dest: str
     mode: ecms.Mode = ecms.Mode.HC_BW_ND
-    weights: ecms.Weights = ecms.Weights()
     seed: int = 0
     adversary: Optional[Tuple[str, str]] = None  # (node, behavior)
     collection_window: float = 50.0
-    monitor_interval: float = 100.0
-    monitor_intervals: int = 0  # how many monitor checks to run after install
-    epsilon: float = 0.1
     literal_cost: bool = False
     max_hops: int = 16
-    kdc_k: int = 64
-    kdc_m: int = 8
     cloudlets: int = 0
-    ack_timeout: float = 60.0
     link_break: Optional[Tuple[str, str, float]] = None  # (a, b, at_ms)
+    # The same in every scenario: base cost weights, key pool size and ring
+    # size, and how long a hop waits for a cloudlet's ack (ms).
+    weights: ClassVar[ecms.Weights] = ecms.Weights()
+    kdc_k: ClassVar[int] = 64
+    kdc_m: ClassVar[int] = 8
+    ack_timeout: ClassVar[float] = 60.0
 
 
 @dataclass
@@ -198,9 +198,8 @@ class ProtocolBehavior(NodeBehavior):
 
     def handle_rep(self, sim, node, sender, pkt: RepPacket, clock) -> None:
         if node == pkt.s_addr:
-            code = self.proto.handle_rep(pkt)
-            if code is not None:
-                self.harness.on_rep_at_source(sim, node, pkt, code, clock)
+            if self.proto.handle_rep(pkt) is not None:
+                self.harness.on_rep_at_source(sim, node)
             return
         seq = srdp.reverse_sequence(pkt)
         if node in seq:
@@ -228,7 +227,7 @@ class ProtocolBehavior(NodeBehavior):
             return
         nxt = route[route.index(node) + 1]
         sim.unicast(node, nxt, encode_frame(pkt))
-        self.harness.expect_ack(sim, node, payload, nxt)
+        self.harness.expect_ack(sim, node, payload)
 
     def on_timer(self, sim: Simulator, node: str, tag: Any, clock) -> None:
         if tag[0] == "finalize":
@@ -240,9 +239,7 @@ class ProtocolBehavior(NodeBehavior):
             reply = self.proto.dest_rounds[tag[1]].reply
             sim.unicast(node, srdp.reverse_sequence(reply)[1], encode_frame(rrep))
         elif tag[0] == "ack-wait":
-            self.harness.ack_timeout(sim, node, tag[1], clock, self.proto)
-        elif tag[0] == "monitor":
-            self.harness.monitor_tick(sim, node, clock)
+            self.harness.ack_timeout(sim, node, tag[1], self.proto)
 
 
 def _cloudlet_payload(raw: bytes, topo: Topology) -> Optional[Dict[str, Any]]:
@@ -347,20 +344,20 @@ class Harness:
                 raise ConfigError("adversary node %r not in topology" % node)
             if behavior not in ADVERSARY_BEHAVIORS:
                 raise ConfigError("unknown adversary behavior %r" % behavior)
-        self.sim = Simulator(self.topo, seed=config.seed)
+        if not config.collection_window >= 0:  # also rejects NaN
+            raise ConfigError("collection window %r ms is not a nonnegative number" % config.collection_window)
+        if not 0 <= config.max_hops <= 255:
+            raise ConfigError("max hops %r is outside 0..255" % config.max_hops)
+        self.sim = Simulator(self.topo)
         self.stores = provision(self.topo, config.kdc_k, config.kdc_m, config.seed)[0]
         self.protos: Dict[str, srdp.SrdpNode] = {}
         self.detections: List[Dict[str, Any]] = []
         self.events: Dict[str, int] = {}
         self.routes_installed: List[Tuple[str, ...]] = []
         self.cloudlets_done: set = set()
-        self.pending_acks: Dict[Tuple[str, int], Dict[str, Any]] = {}
+        self.pending_acks: Set[Tuple[str, int]] = set()  # (node, seq) awaiting the next hop's ack
         self.rediscoveries = 0
-        self.monitor_state: Optional[ecms.MonitorState] = None
-        self.monitor_ticks_left = 0
-        self.cloudlets_to_send = 0
         self.next_cloudlet = 0
-        self.halted = False
         self._build_behaviors()
 
     def _build_behaviors(self) -> None:
@@ -392,75 +389,42 @@ class Harness:
 
     def on_route_installed(self, sim, node: str, route: Tuple[str, ...], clock) -> None:
         self.routes_installed.append(route)
-        self.halted = False
-        if self.cloudlets_to_send and node == self.config.source:
+        if self.config.cloudlets and node == self.config.source:
             # Delivery is serial, so anything past the delivered prefix was
             # lost with the old route and gets resent.
             self.next_cloudlet = len(self.cloudlets_done)
             self._send_next_cloudlet(sim, node)
-        if self.config.monitor_intervals and node == self.config.source:
-            _, m = self._route_totals(route)
-            self.monitor_state = ecms.MonitorState(
-                route=route,
-                last_bdp=m.bw * m.nd,
-                interval=self.config.monitor_interval,
-                epsilon=self.config.epsilon,
-            )
-            self.monitor_ticks_left = self.config.monitor_intervals
-            sim.set_timer(node, self.config.monitor_interval, ("monitor",))
-
-    def monitor_tick(self, sim, node: str, clock) -> None:
-        if self.monitor_state is None or self.monitor_ticks_left <= 0:
-            return
-        self.monitor_ticks_left -= 1
-        _, m = self._route_totals(self.monitor_state.route)
-        action, _code = ecms.monitor(self.monitor_state, True, m.bw * m.nd)
-        if action is ecms.MonitorAction.REDISCOVER:
-            self.rediscoveries += 1
-            self._rediscover(sim, node)
-        elif self.monitor_ticks_left > 0:
-            sim.set_timer(node, self.monitor_state.interval, ("monitor",))
-
-    def _route_totals(self, route: Tuple[str, ...]) -> Tuple[float, ecms.PathMetrics]:
-        """Path cost and metrics of a full route over the topology's links."""
-        w = ecms.weights_for_mode(self.config.mode, self.config.weights)
-        return ecms.aggregate(route, ecms.CostMatrices.from_topology(self.topo), w, self.config.literal_cost)
 
     # cloudlet bookkeeping
 
-    def _route_payload(self, route: Tuple[str, ...], seq: int) -> bytes:
-        return json.dumps({"route": list(route), "seq": seq}, sort_keys=True).encode()
-
     def _send_next_cloudlet(self, sim, source: str) -> None:
-        if self.halted or self.next_cloudlet >= self.cloudlets_to_send:
+        if self.next_cloudlet >= self.config.cloudlets:
             return
         route = self.protos[source].installed_routes.get(self.config.dest)
         if route is None:
             return
-        seq = self.next_cloudlet
+        payload = {"route": list(route), "seq": self.next_cloudlet}
         self.next_cloudlet += 1
-        payload = self._route_payload(route, seq)
-        sim.unicast(source, route[1], encode_frame(SessionFrame(source, STEP_CLOUDLET, payload)))
-        self.expect_ack(sim, source, {"route": list(route), "seq": seq}, route[1])
+        raw = json.dumps(payload, sort_keys=True).encode()
+        sim.unicast(source, route[1], encode_frame(SessionFrame(source, STEP_CLOUDLET, raw)))
+        self.expect_ack(sim, source, payload)
 
-    def expect_ack(self, sim, node: str, payload: Dict[str, Any], nxt: str) -> None:
-        key = (node, payload["seq"])
-        self.pending_acks[key] = payload
+    def expect_ack(self, sim, node: str, payload: Dict[str, Any]) -> None:
+        self.pending_acks.add((node, payload["seq"]))
         sim.set_timer(node, self.config.ack_timeout, ("ack-wait", payload))
 
     def ack_received(self, node: str, seq: int) -> None:
-        self.pending_acks.pop((node, seq), None)
+        self.pending_acks.discard((node, seq))
 
     def cloudlet_delivered(self, seq: int) -> None:
         self.cloudlets_done.add(seq)
-        src = self.config.source
-        self._send_next_cloudlet(self.sim, src)
+        self._send_next_cloudlet(self.sim, self.config.source)
 
-    def ack_timeout(self, sim, node: str, payload: Dict[str, Any], clock, proto: srdp.SrdpNode) -> None:
+    def ack_timeout(self, sim, node: str, payload: Dict[str, Any], proto: srdp.SrdpNode) -> None:
         key = (node, payload["seq"])
         if key not in self.pending_acks:
             return
-        self.pending_acks.pop(key)
+        self.pending_acks.remove(key)
         self.events["link_break_detected"] = self.events.get("link_break_detected", 0) + 1
         route = tuple(payload["route"])
         rrep = RrepInfo(
@@ -472,38 +436,34 @@ class Harness:
         )
         if node == route[0]:
             # Source saw the break itself; no REP needed.
-            self.on_rep_at_source(sim, node, None, srdp.LINK_BREAK, clock)
+            self.on_rep_at_source(sim, node)
             return
         rep = proto.build_rep(rrep, srdp.LINK_BREAK)
         seq = srdp.reverse_sequence(rep)
         nxt = seq[seq.index(node) + 1]
         sim.unicast(node, nxt, encode_frame(rep))
 
-    def on_rep_at_source(self, sim, node: str, rep: Optional[RepPacket], code: int, clock) -> None:
+    def on_rep_at_source(self, sim, node: str) -> None:
         self.events["rep_at_source"] = self.events.get("rep_at_source", 0) + 1
-        self.halted = True
         # Drop outstanding expectations for the dead route.
-        for key in [k for k in self.pending_acks if k[0] == node]:
-            self.pending_acks.pop(key)
+        self.pending_acks = {k for k in self.pending_acks if k[0] != node}
         self.protos[node].installed_routes.pop(self.config.dest, None)
         self.rediscoveries += 1
-        self._rediscover(sim, node)
+        self._discover(sim, node)
 
-    def _rediscover(self, sim, node: str) -> None:
+    def _discover(self, sim, node: str) -> None:
         pkt = self.protos[node].originate_rreq(self.config.dest)
         sim.broadcast(node, encode_frame(pkt))
 
     # -- run -----------------------------------------------------------
 
-    def run(self, stop: Optional[float] = None) -> RunReport:
+    def run(self) -> RunReport:
         cfg = self.config
-        self.cloudlets_to_send = cfg.cloudlets
         if cfg.link_break is not None:
             a, b, at = cfg.link_break
             self.sim.break_link(a, b, at)
-        pkt = self.protos[cfg.source].originate_rreq(cfg.dest)
-        self.sim.broadcast(cfg.source, encode_frame(pkt))
-        self.sim.run_until(stop=stop)
+        self._discover(self.sim, cfg.source)
+        self.sim.run_until()
         return self._report()
 
     def _report(self) -> RunReport:
@@ -512,7 +472,8 @@ class Harness:
         route = src_proto.installed_routes.get(cfg.dest)
         path_cost = metrics = None
         if route is not None:
-            path_cost, m = self._route_totals(route)
+            w = ecms.weights_for_mode(cfg.mode, cfg.weights)
+            path_cost, m = ecms.aggregate(route, ecms.CostMatrices.from_topology(self.topo), w, cfg.literal_cost)
             metrics = {"hc": m.hc, "bw": m.bw, "nd": m.nd}
         trace_repr = json.dumps(self.sim.trace, sort_keys=True, default=str).encode()
         counters = {n: dict(sorted(p.counters.items())) for n, p in sorted(self.protos.items()) if p.counters}
@@ -538,35 +499,28 @@ class Harness:
         )
 
 
-def run_scenario(config: ScenarioConfig, stop: Optional[float] = None) -> RunReport:
-    return Harness(config).run(stop=stop)
+def run_scenario(config: ScenarioConfig) -> RunReport:
+    return Harness(config).run()
 
 
 # -- oracle comparison -------------------------------------------------
 
 
-def compare_oracle(
-    topo: Topology,
-    source: str,
-    dest: str,
-    modes=tuple(ecms.Mode),
-    base: ecms.Weights = ecms.Weights(),
-    literal: bool = False,
-    max_hops: int = 16,
-) -> Dict[str, Any]:
-    """Check select_route against brute-force enumeration, mode by mode."""
+def compare_oracle(topo: Topology, source: str, dest: str) -> Dict[str, Any]:
+    """Check select_route against brute-force enumeration, mode by mode,
+    under the default weights, reciprocal bandwidth cost and 16 hops."""
     matrices = ecms.CostMatrices.from_topology(topo)
+    paths = oraclelib.all_simple_paths(topo, source, dest)
     results = {}
     all_match = True
-    for mode in modes:
-        w = ecms.weights_for_mode(mode, base)
-        paths = oraclelib.all_simple_paths(topo, source, dest, max_hops)
-        candidates = [(tuple(p[1:-1]), *ecms.aggregate(p, matrices, w, literal)) for p in paths]
+    for mode in ecms.Mode:
+        w = ecms.weights_for_mode(mode)
+        candidates = [(tuple(p[1:-1]), *ecms.aggregate(p, matrices, w, False)) for p in paths]
         chosen = ecms.select_route(candidates, mode)
         chosen_key = ecms.selection_key(
             next(cand for cand in candidates if cand[0] == chosen), mode
         )
-        oracle_path, oracle_key_val = oraclelib.oracle_select(topo, source, dest, mode, w, literal, max_hops)
+        oracle_path, oracle_key_val = oraclelib.oracle_select(topo, source, dest, mode, w)
         match = tuple(chosen) == tuple(oracle_path[1:-1]) and chosen_key == oracle_key_val
         all_match = all_match and match
         results[mode.value] = {

@@ -2,16 +2,16 @@
 
 Single-threaded event loop over a Topology: timed broadcast/unicast frame
 delivery, per-node timers, scripted link breaks, and a full event trace.
-Identical (topology, seed, behavior script) always reproduces the
-identical trace; ties at equal timestamps break FIFO by insertion order.
+The loop draws no random numbers: identical (topology, behavior script)
+always reproduces the identical trace, and ties at equal timestamps break
+FIFO by insertion order.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-import random
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from .errors import UnknownLink, UnknownNode
 from .topology import Topology
@@ -31,9 +31,9 @@ class NodeBehavior:
 
 class Simulator:
     def __init__(self, topo: Topology, seed: int = 0):
+        """`seed` is accepted for callers that pass one; a run does not read it."""
         self.topo = topo
         self.clock = 0
-        self.rng = random.Random(seed)
         self.behaviors: Dict[str, NodeBehavior] = {}
         self.trace: List[Dict[str, Any]] = []
         self._queue: List[Tuple[Any, int, str, tuple]] = []
@@ -108,21 +108,18 @@ class Simulator:
 
     # -- event loop ----------------------------------------------------
 
-    def run_until(self, stop: Optional[float] = None, max_events: int = MAX_EVENTS_DEFAULT):
-        """Process events until quiescence, the stop time, or the budget.
+    def run_until(self, max_events: int = MAX_EVENTS_DEFAULT):
+        """Process events until quiescence or the budget.
 
         Returns the trace.  A truncation marker is appended if the budget
         runs out before quiescence.
         """
         processed = 0
         while self._queue:
-            at, _, kind, payload = self._queue[0]
-            if stop is not None and at > stop:
-                break
             if processed >= max_events:
                 self.log("truncated", budget=max_events)
                 break
-            heapq.heappop(self._queue)
+            at, _, kind, payload = heapq.heappop(self._queue)
             self.clock = at
             processed += 1
             if kind == "deliver":

@@ -49,8 +49,10 @@ Q_CHAIN_MISMATCH = "QChainMismatch"
 # Drops that are detections: evidence of tampering, not plain loss.
 DETECTION_REASONS = frozenset((TWO_HOP_AUTH_FAIL, CHAIN_MISMATCH, Q_CHAIN_MISMATCH))
 
-LINK_BREAK = ecms.LINK_BREAK
-BDP_DEGRADE = ecms.BDP_DEGRADE
+# Route error (REP) codes.  A source accepts both; the simulator raises
+# only LINK_BREAK, when a hop's cloudlet ack times out.
+LINK_BREAK = 1
+BDP_DEGRADE = 2
 
 
 class Provisioning:
@@ -209,7 +211,7 @@ class SrdpNode:
 
     # -- RREQ origination ---------------------------------------------
 
-    def originate_rreq(self, dest: str, d_seqno: int = 0) -> RreqPacket:
+    def originate_rreq(self, dest: str) -> RreqPacket:
         k_sd = self.keys.pairwise_key(dest)
         self._seqno += 1
         self._b_id += 1
@@ -218,7 +220,7 @@ class SrdpNode:
             s_seqno=self._seqno,
             b_id=self._b_id,
             d_addr=dest,
-            d_seqno=d_seqno,
+            d_seqno=0,
             max_hops=self.max_hops,
         )
         h0 = mac(k_sd, [rreq.to_bytes()])

@@ -254,21 +254,6 @@ def test_link_break_recovery_on_alternate_route():
             assert (first_edge[1], first_edge[0]) not in final_edges
 
 
-def test_stable_route_triggers_no_rediscovery():
-    with verdict("constant-quality route triggers 0 rediscoveries over 10 checks"):
-        cfg = ScenarioConfig(
-            topology_text=DIAMOND,
-            source="S",
-            dest="D",
-            seed=1,
-            epsilon=0.1,
-            monitor_intervals=10,
-        )
-        report = Harness(cfg).run()
-        assert report.chosen_route is not None
-        assert report.rediscoveries == 0
-
-
 def test_accepted_packets_satisfy_hash_chains():
     with verdict("hash chains sound on 1000+ accepted requests and all replies"):
         candidates = 0

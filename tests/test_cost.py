@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from secroute import cost
-from secroute.cost import Mode, MonitorAction, MonitorState, PathMetrics, Weights
+from secroute.cost import Mode, PathMetrics, Weights
 from secroute.errors import MissingEdge, NoCandidates, NonpositiveBandwidth
 from secroute.harness import random_topology
 from secroute.frames import RreqMutable
@@ -158,26 +158,3 @@ def test_bandwidth_scaling_argmax_invariance():
 def test_cost_accumulation_monotone(prev, bw, delay):
     assert cost.path_cost_step(prev, bw, delay, Weights(1, 0.1, 1)) >= prev
 
-
-def test_monitor_keep():
-    state = MonitorState(route=("S", "D"), last_bdp=100.0)
-    assert cost.monitor(state, True, 100.0) == (MonitorAction.KEEP, None)
-
-
-def test_monitor_link_break():
-    state = MonitorState(route=("S", "D"), last_bdp=100.0)
-    action, code = cost.monitor(state, False, 100.0)
-    assert action is MonitorAction.SEND_REP and code == cost.LINK_BREAK
-
-
-def test_monitor_bdp_degrade():
-    state = MonitorState(route=("S", "D"), last_bdp=100.0, epsilon=0.1)
-    action, code = cost.monitor(state, True, 85.0)
-    assert action is MonitorAction.REDISCOVER and code == cost.BDP_DEGRADE
-
-
-def test_monitor_hysteresis_constant_bdp():
-    state = MonitorState(route=("S", "D"), last_bdp=50.0, epsilon=0.1)
-    for _ in range(10):
-        action, _ = cost.monitor(state, True, 50.0)
-        assert action is MonitorAction.KEEP

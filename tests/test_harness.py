@@ -176,10 +176,6 @@ PINNED_REPORTS = {
         lambda: diamond_cfg(literal_cost=True),
         "e46d915e43f51c5b4bb6c6852f12f0486ef7fe9ace976cf071ea556e75b50acc",
     ),
-    "monitor": (
-        lambda: diamond_cfg(monitor_intervals=10),
-        "71aae9846ca4556e7b60bcf063a047ffac4dfeb2eaed91b3c75c6383bcf29d8a",
-    ),
 }
 
 
@@ -257,7 +253,7 @@ def test_malformed_session_frame_is_dropped(step, payload):
 @pytest.mark.parametrize("step", [0, 1, 99, 102, 255])
 def test_session_frame_with_other_step_is_ignored(step):
     h = Harness(diamond_cfg())
-    h.pending_acks[("A", 1)] = {"seq": 1, "route": ["A", "S"]}
+    h.pending_acks.add(("A", 1))
     for payload in (b'{"seq": 1, "route": ["S", "A"]}', b"not json"):  # well-formed, malformed
         h.sim.unicast("S", "A", encode_frame(SessionFrame("S", step, payload)))
     trace = h.sim.run_until()
@@ -519,6 +515,23 @@ def test_cli_run_missed_detection_exit_two(topo_file, tmp_path, monkeypatch, cap
 def test_cli_bad_adversary_spec(topo_file, capsys):
     rc = main(["run", "--topology", str(topo_file), "--adversary", "nonsense"])
     assert rc == 1
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--window", "-40"], ["--window", "-1"], ["--window", "nan"], ["--max-hops", "256"], ["--max-hops", "-1"]],
+)
+def test_cli_rejects_out_of_range_input(topo_file, capsys, flags):
+    # A negative window would run the clock backwards; max hops is the RREQ's u8 field.
+    rc = main(["run", "--topology", str(topo_file), *flags])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("flags", [["--window", "0"], ["--max-hops", "0"], ["--max-hops", "255"]])
+def test_cli_accepts_range_edges(topo_file, capsys, flags):
+    assert main(["run", "--topology", str(topo_file), *flags]) == 0
 
 
 def test_cli_missing_topology(tmp_path, capsys):
