@@ -21,6 +21,14 @@ RrepBody.from_bytes raise MalformedFrame, and nothing else, on any byte
 string they cannot parse: truncation, bad UTF-8, a sealed box shorter
 than nonce plus tag, an opt-digest flag other than 0 or 1, an unknown
 frame type, or trailing bytes.
+
+An RREQ body's path is MAC'd as its wire section, `path_bytes(path)`.
+`RreqBody.from_bytes` keeps that section as the slice of the plaintext
+it was read from (`RreqBody.path_section`), and the two sections a
+relay MACs next are derived from it rather than re-encoded:
+`parent_path_bytes` drops the last id, for the check of the MAC laid
+down two hops upstream, and `extend_path_bytes` appends the relay's
+own, for its own MAC and its onward body.
 """
 
 from __future__ import annotations
@@ -67,6 +75,21 @@ def path_bytes(path: Tuple[str, ...]) -> bytes:
     if len(path) > 0xFFFF:
         raise MalformedFrame("path too long")
     return b"".join([_U16.pack(len(path)), *map(_text, path)])
+
+
+def extend_path_bytes(section: bytes, node: str) -> bytes:
+    """`path_bytes(path + (node,))`, given `section == path_bytes(path)`."""
+    count = _U16.unpack_from(section)[0] + 1
+    if count > 0xFFFF:
+        raise MalformedFrame("path too long")
+    return b"".join([_U16.pack(count), section[2:], _text(node)])
+
+
+def parent_path_bytes(section: bytes, path: Tuple[str, ...]) -> bytes:
+    """`path_bytes(path[:-1])`, given `section == path_bytes(path)`."""
+    if not path:
+        return section
+    return _U16.pack(len(path) - 1) + section[2 : len(section) - 2 - len(path[-1].encode())]
 
 
 def _opt_digest(d: Optional[bytes]) -> Tuple[bytes, ...]:
@@ -158,7 +181,7 @@ class RreqImmutable:
         return (self.s_addr, self.s_seqno, self.b_id)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RreqMutable:
     """Fields every relay revises; ride in the clear, unauthenticated."""
 
@@ -185,6 +208,29 @@ class RreqBody:
     mac_curr: bytes
     h: bytes  # hash-chain value, advanced once per hop
 
+    @classmethod
+    def with_path_section(
+        cls,
+        rreq: RreqImmutable,
+        path: Tuple[str, ...],
+        section: bytes,
+        mac_prev: Optional[bytes],
+        mac_curr: bytes,
+        h: bytes,
+    ) -> "RreqBody":
+        """A body whose `path_section` is `section`, which must equal
+        `path_bytes(path)`: the bytes a caller already holds are kept."""
+        body = cls(rreq, path, mac_prev, mac_curr, h)
+        body.__dict__["path_section"] = section
+        return body
+
+    @cached_property
+    def path_section(self) -> bytes:
+        # from_bytes and with_path_section store the bytes they hold here;
+        # a body built any other way, `dataclasses.replace` included,
+        # encodes its own path on first read.
+        return path_bytes(self.path)
+
     def to_bytes(self) -> bytes:
         r = self.rreq
         return b"".join(
@@ -192,7 +238,7 @@ class RreqBody:
                 _U32.pack(r.b_id),
                 _text(r.d_addr),
                 _IMM_TAIL.pack(r.d_seqno, r.max_hops),
-                path_bytes(self.path),
+                self.path_section,
                 *_opt_digest(self.mac_prev),
                 self.mac_curr,
                 self.h,
@@ -205,14 +251,15 @@ class RreqBody:
             (b_id,) = _U32.unpack_from(raw, 0)
             d_addr, off = _text_at(raw, _U32.size)
             d_seqno, max_hops = _IMM_TAIL.unpack_from(raw, off)
-            path, off = _path_at(raw, off + _IMM_TAIL.size)
-            mac_prev, off = _opt_digest_at(raw, off)
+            path_at = off + _IMM_TAIL.size
+            path, off = _path_at(raw, path_at)
+            mac_prev, mac_at = _opt_digest_at(raw, off)
         except _DECODE_ERRORS as exc:
             raise MalformedFrame(str(exc)) from None
-        mid, end = off + DIGEST_LEN, off + 2 * DIGEST_LEN
+        mid, end = mac_at + DIGEST_LEN, mac_at + 2 * DIGEST_LEN
         _done(raw, end)
         rreq = RreqImmutable(s_addr, s_seqno, b_id, d_addr, d_seqno, max_hops)
-        return cls(rreq, path, mac_prev, raw[off:mid], raw[mid:end])
+        return cls.with_path_section(rreq, path, raw[path_at:off], mac_prev, raw[mac_at:mid], raw[mid:end])
 
 
 def _rreq_header(sender_addr: str, sender_seqno: int, s_addr: str, s_seqno: int, b_id: int) -> bytes:

@@ -28,6 +28,7 @@ from .frames import (
     SessionFrame,
     decode_frame,
     encode_frame,
+    path_bytes,
 )
 from .sim import NodeBehavior, Simulator
 from .topology import Topology, load_topology
@@ -159,7 +160,9 @@ class ProtocolBehavior(NodeBehavior):
 
     def on_frame(self, sim: Simulator, node: str, sender: str, frame: bytes, clock) -> None:
         try:
-            pkt = decode_frame(frame)
+            # One decode per transmission: every receiver of a broadcast gets
+            # the same packet, which is frozen, so none can change it.
+            pkt = sim.decoded(frame, decode_frame)
         except SecrouteError:
             sim.log_drop(node, "MalformedFrame")
             return
@@ -236,6 +239,9 @@ class ProtocolBehavior(NodeBehavior):
             except NoValidCandidate:
                 self.harness.events["no_valid_candidate"] = self.harness.events.get("no_valid_candidate", 0) + 1
                 return
+            if rrep is None:
+                self.harness.record_drop(node, srdp.NO_PAIRWISE_KEY, clock, self.proto)
+                return
             reply = self.proto.dest_rounds[tag[1]].reply
             sim.unicast(node, srdp.reverse_sequence(reply)[1], encode_frame(rrep))
         elif tag[0] == "ack-wait":
@@ -293,8 +299,8 @@ class AdversaryBehavior(ProtocolBehavior):
             action = self.proto.process_rreq(pkt, link.avl_bw, link.nw_delay)
             if action[0] == "forward":
                 out = action[1]
-                out.mutable.path_cost = 0.0  # lie in the clear header
-                sim.broadcast(node, encode_frame(out))
+                lie = replace(out, mutable=replace(out.mutable, path_cost=0.0))  # in the clear header
+                sim.broadcast(node, encode_frame(lie))
                 self.tampered = True
             else:
                 self.dispatch_rreq_action(sim, node, action, clock)
@@ -325,7 +331,9 @@ class AdversaryBehavior(ProtocolBehavior):
             new_path = path[:-1] + (node,)  # the chain is now one step too long for the claim
         else:  # rreq-field-tamper
             rreq = replace(rreq, d_seqno=rreq.d_seqno + 1)
-        return self.proto.relay_rreq(pkt, rreq, new_path, mac_prev, h_new, link.avl_bw, link.nw_delay)
+        return self.proto.relay_rreq(
+            pkt, rreq, new_path, path_bytes(new_path), mac_prev, h_new, link.avl_bw, link.nw_delay
+        )
 
 
 # -- harness -----------------------------------------------------------

@@ -16,8 +16,8 @@ copy of each round; a destination opens every copy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from dataclasses import dataclass, field, replace
+from typing import Dict, FrozenSet, List, Mapping, Optional, Set, Tuple, Union
 
 from . import cost as ecms
 from . import kdc
@@ -32,7 +32,9 @@ from .frames import (
     RrepBody,
     RrepInfo,
     RrepPacket,
+    extend_path_bytes,
     open_rreq,
+    parent_path_bytes,
     path_bytes,
     seal_rreq,
 )
@@ -46,6 +48,7 @@ HOP_COUNT_MISMATCH = "HopCountMismatch"
 CHAIN_MISMATCH = "ChainMismatch"
 NOT_ON_ROUTE = "NotOnRoute"
 Q_CHAIN_MISMATCH = "QChainMismatch"
+NO_PAIRWISE_KEY = "NoPairwiseKey"  # a reply names a node this one shares no key with
 # Drops that are detections: evidence of tampering, not plain loss.
 DETECTION_REASONS = frozenset((TWO_HOP_AUTH_FAIL, CHAIN_MISMATCH, Q_CHAIN_MISMATCH))
 
@@ -161,9 +164,10 @@ class RoundState:
     reply: Optional[RrepInfo] = None  # what finalize_destination answered
 
 
-def rreq_hop_mac(t_secret: bytes, rreq: RreqImmutable, path: Sequence[str], h_next: bytes) -> bytes:
-    """MAC a relay lays down for the node two hops downstream."""
-    return mac(t_secret, [rreq.to_bytes(), path_bytes(tuple(path)), h_next])
+def rreq_hop_mac(t_secret: bytes, rreq: RreqImmutable, path_section: bytes, h_next: bytes) -> bytes:
+    """MAC a relay lays down for the node two hops downstream;
+    `path_section` is `frames.path_bytes` of the path it claims."""
+    return mac(t_secret, [rreq.to_bytes(), path_section, h_next])
 
 
 def rrep_hop_mac(pair_key: bytes, rrep: RrepInfo, q_next: bytes) -> bytes:
@@ -224,7 +228,7 @@ class SrdpNode:
             max_hops=self.max_hops,
         )
         h0 = mac(k_sd, [rreq.to_bytes()])
-        m0 = rreq_hop_mac(self.keys.broadcast_secret, rreq, (), hash_bytes(h0))
+        m0 = rreq_hop_mac(self.keys.broadcast_secret, rreq, path_bytes(()), hash_bytes(h0))
         body = RreqBody(rreq, (), None, m0, h0)
         self._count("rreq_originated")
         return seal_rreq(self.keys.group_key, self.node, self._seqno, RreqMutable(), body)
@@ -259,7 +263,7 @@ class SrdpNode:
                 # by construction; structurally unverifiable, not hostile.
                 return None
             return "no secret for claimed upstream %s" % two_up
-        expect = rreq_hop_mac(t, body.rreq, body.path[:-1], body.h)
+        expect = rreq_hop_mac(t, body.rreq, parent_path_bytes(body.path_section, body.path), body.h)
         if expect != body.mac_prev:
             return "upstream MAC mismatch (claimed %s)" % two_up
         return None
@@ -295,7 +299,10 @@ class SrdpNode:
         self.seen_rounds.add(rid)
         self._count("rreq_forwarded")
         new_path = body.path + (self.node,)
-        out = self.relay_rreq(frame, rreq, new_path, body.mac_curr, hash_bytes(body.h), link_bw, link_delay)
+        new_section = extend_path_bytes(body.path_section, self.node)
+        out = self.relay_rreq(
+            frame, rreq, new_path, new_section, body.mac_curr, hash_bytes(body.h), link_bw, link_delay
+        )
         return ("forward", out)
 
     def relay_rreq(
@@ -303,19 +310,22 @@ class SrdpNode:
         frame: RreqPacket,
         rreq: RreqImmutable,
         new_path: Tuple[str, ...],
+        new_section: bytes,
         mac_prev: Optional[bytes],
         h_new: bytes,
         link_bw: float,
         link_delay: float,
     ) -> RreqPacket:
         """This node's onward copy of `frame`: the clear cost fields advanced
-        over the link it arrived on, and a sealed body claiming `new_path` and
-        `h_new`, with `mac_prev` beside this node's own MAC.  An honest relay
-        passes the arriving body's values; a tampering one, its lies."""
-        m_self = rreq_hop_mac(self.keys.broadcast_secret, rreq, new_path, hash_bytes(h_new))
-        body = RreqBody(rreq, new_path, mac_prev, m_self, h_new)
+        over the link it arrived on, and a sealed body claiming `new_path`
+        (whose `path_bytes` is `new_section`) and `h_new`, with `mac_prev`
+        beside this node's own MAC.  An honest relay passes the arriving
+        body's values; a tampering one, its lies."""
+        m_self = rreq_hop_mac(self.keys.broadcast_secret, rreq, new_section, hash_bytes(h_new))
+        body = RreqBody.with_path_section(rreq, new_path, new_section, mac_prev, m_self, h_new)
         mutable = ecms.advance(frame.mutable, link_bw, link_delay, self.weights, self.literal_cost)
-        mutable.hop_count = len(new_path)  # one more than the frame's, unless the path lies
+        if mutable.hop_count != len(new_path):  # the path lies
+            mutable = replace(mutable, hop_count=len(new_path))
         self._seqno += 1
         return seal_rreq(self.keys.group_key, self.node, self._seqno, mutable, body)
 
@@ -343,8 +353,12 @@ class SrdpNode:
         self._count("rreq_collected")
         return ("collected", rid, first)
 
-    def finalize_destination(self, rid: Tuple[str, int, int]) -> RrepPacket:
-        """Close the collection window and answer the best surviving request."""
+    def finalize_destination(self, rid: Tuple[str, int, int]) -> Optional[RrepPacket]:
+        """Close the collection window and answer the best surviving request.
+
+        Returns None, and counts a NoPairwiseKey drop, if this node shares
+        no key with the round's source or with the node two hops back on
+        the chosen route."""
         state = self.dest_rounds.get(rid)
         if state is None or not state.candidates:
             raise NoValidCandidate(str(rid))
@@ -360,13 +374,16 @@ class SrdpNode:
             d_seqno=rreq.d_seqno,
             route=route,
         )
-        state.reply = rrep
-        k_sd = self.keys.pairwise_key(rreq.s_addr)
-        q0 = mac(k_sd, [rrep.to_bytes()])
         seq = reverse_sequence(rrep)
-        mac_curr = None
-        if len(seq) > 2:
-            mac_curr = rrep_hop_mac(self.keys.pairwise_key(seq[2]), rrep, hash_bytes(q0))
+        try:
+            k_sd = self.keys.pairwise_key(rreq.s_addr)
+            k_next = self.keys.pairwise_key(seq[2]) if len(seq) > 2 else None
+        except NoPairwiseKey as exc:
+            self._drop(NO_PAIRWISE_KEY, str(exc))
+            return None
+        state.reply = rrep
+        q0 = mac(k_sd, [rrep.to_bytes()])
+        mac_curr = None if k_next is None else rrep_hop_mac(k_next, rrep, hash_bytes(q0))
         body = RrepBody(rrep, q0, None, mac_curr)
         self._seqno += 1
         self._count("rrep_originated")
@@ -411,7 +428,10 @@ class SrdpNode:
         q_new = hash_bytes(body.q)
         mac_curr = None
         if pos + 2 < len(seq):
-            key = self.keys.pairwise_key(seq[pos + 2])
+            try:
+                key = self.keys.pairwise_key(seq[pos + 2])
+            except NoPairwiseKey as exc:
+                return self._drop(NO_PAIRWISE_KEY, str(exc))
             mac_curr = rrep_hop_mac(key, body.rrep, hash_bytes(q_new))
         new_body = RrepBody(body.rrep, q_new, body.mac_curr, mac_curr)
         self._seqno += 1

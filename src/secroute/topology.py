@@ -11,7 +11,7 @@ Document format::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Set
+from typing import Dict, FrozenSet, Set, Tuple
 
 from .errors import InvariantError, ParseError, UnknownLink, UnknownNode
 
@@ -25,19 +25,24 @@ class Link:
 
 
 class Topology:
-    """Nodes by id with their roles, links by unordered node pair, and an
-    adjacency index that `add_node` and `add_link` keep in step with them."""
+    """Nodes by id with their roles, links by unordered node pair, and a
+    link table that `add_node` and `add_link` keep in step with them: each
+    `Link` indexed under both of its endpoints, and each node's
+    (neighbour, link) out-list sorted by neighbour id.  An out-list is
+    built when first read and again after a link is added at its node,
+    so building a topology sorts nothing."""
 
     def __init__(self) -> None:
         self.nodes: Dict[str, str] = {}  # id -> role
         self.links: Dict[FrozenSet[str], Link] = {}
-        self._adjacent: Dict[str, Set[str]] = {}
+        self._adjacent: Dict[str, Dict[str, Link]] = {}  # node -> neighbour -> link
+        self._out: Dict[str, Tuple[Tuple[str, Link], ...]] = {}  # built on read
 
     def add_node(self, node: str, role: str = "relay") -> None:
         if role not in ROLES:
             raise InvariantError("unknown role %r" % role)
         self.nodes[node] = role
-        self._adjacent.setdefault(node, set())
+        self._adjacent.setdefault(node, {})
 
     def add_link(self, a: str, b: str, bw: float, delay: float) -> None:
         if a == b:
@@ -52,18 +57,20 @@ class Topology:
             raise InvariantError("bandwidth must be positive on %s-%s" % (a, b))
         if delay < 0:
             raise InvariantError("delay must be nonnegative on %s-%s" % (a, b))
-        self.links[key] = Link(avl_bw=bw, nw_delay=delay)
-        self._adjacent[a].add(b)
-        self._adjacent[b].add(a)
+        link = self.links[key] = Link(avl_bw=bw, nw_delay=delay)
+        self._adjacent[a][b] = self._adjacent[b][a] = link
+        if self._out:
+            self._out.pop(a, None)
+            self._out.pop(b, None)
 
     def link(self, a: str, b: str) -> Link:
         try:
-            return self.links[frozenset((a, b))]
+            return self._adjacent[a][b]
         except KeyError:
             raise UnknownLink("%s-%s" % (a, b)) from None
 
     def has_link(self, a: str, b: str) -> bool:
-        return frozenset((a, b)) in self.links
+        return b in self._adjacent.get(a, ())
 
     def rdn(self, node: str) -> Set[str]:
         """One-hop neighborhood of a node (a copy the caller may change)."""
@@ -71,6 +78,16 @@ class Topology:
             return set(self._adjacent[node])
         except KeyError:
             raise UnknownNode(node) from None
+
+    def out_links(self, node: str) -> Tuple[Tuple[str, Link], ...]:
+        """`node`'s (neighbour, link) pairs, sorted by neighbour id."""
+        out = self._out.get(node)
+        if out is None:
+            try:
+                out = self._out[node] = tuple(sorted(self._adjacent[node].items()))
+            except KeyError:
+                raise UnknownNode(node) from None
+        return out
 
 
 def load_topology(text: str) -> Topology:

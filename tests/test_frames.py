@@ -407,3 +407,33 @@ LONG = "x" * 0x10000
 def test_oversized_section_rejected_on_encode(encode):
     with pytest.raises(MalformedFrame):
         encode()
+
+
+# -- path sections derived from the bytes that arrived ------------------------
+
+short_paths = st.lists(ids, max_size=20).map(tuple)
+
+
+@settings(max_examples=300)
+@given(short_paths, ids)
+@example((), "")
+@example(("",), "节点")
+@example(("Nœud-é", "", "节点"), "A")
+def test_derived_path_sections_equal_their_encodings(path, node):
+    """The sections a relay MACs, derived from the section it received,
+    are the bytes `path_bytes` gives, and `from_bytes` keeps the received
+    section as the slice it read."""
+    section = frames.path_bytes(path)
+    assert frames.extend_path_bytes(section, node) == frames.path_bytes(path + (node,))
+    assert frames.parent_path_bytes(section, path) == frames.path_bytes(path[:-1])
+    body = frames.RreqBody(NON_ASCII_IMM, path, b"\x01" * 32, b"\x02" * 32, b"\x03" * 32)
+    kept = frames.RreqBody.from_bytes(body.to_bytes(), NON_ASCII_IMM.s_addr, NON_ASCII_IMM.s_seqno)
+    assert vars(kept)["path_section"] == section == frames.path_bytes(kept.path)
+
+
+def test_decoded_rreq_mutable_fields_are_frozen():
+    """Every receiver of a broadcast shares one decoded packet, so none of
+    them may change its clear cost fields."""
+    pkt = frames.decode_frame(frames.encode_frame(sample_rreq()))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        pkt.mutable.path_cost = 0.0

@@ -8,9 +8,11 @@ import pytest
 from secroute import cost as ecms
 from secroute import kdc
 from secroute import oracle as oraclelib
+from secroute import srdp
 from secroute.cli import main
+from secroute.crypto import seal
 from secroute.errors import EmptyCover, NoPairwiseKey, NoUsableIndex, TooLarge
-from secroute.frames import SessionFrame, encode_frame
+from secroute.frames import RrepBody, RrepInfo, RrepPacket, SessionFrame, encode_frame
 from secroute.harness import (
     STEP_ACK,
     STEP_CLOUDLET,
@@ -261,6 +263,36 @@ def test_session_frame_with_other_step_is_ignored(step):
     assert [(e["ev"], e["node"]) for e in trace] == [("send", "S")] * 2 + [("deliver", "A")] * 2
     assert h.cloudlets_done == set()
     assert list(h.pending_acks) == [("A", 1)]
+
+
+def test_rrep_naming_an_unkeyed_node_is_dropped():
+    """An insider's reply that names, two hops past a relay, a node nobody
+    holds a key with is dropped at that relay with a reason, and the run
+    goes on: after the honest run on the diamond, D seals a reply for the
+    route ghost-A-B under its own group key and unicasts it to B."""
+    h = Harness(diamond_cfg())
+    honest = h.run()
+    d = h.protos["D"]
+    info = RrepInfo("S", 1, "D", 0, ("ghost", "A", "B"))
+    body = RrepBody(info, b"\x00" * 32, None, None)
+    h.sim.unicast("D", "B", encode_frame(RrepPacket("D", 99, seal(d.keys.group_key, body.to_bytes()))))
+    trace = h.sim.run_until()
+    assert trace[-1]["ev"] == "drop"
+    assert (trace[-1]["node"], trace[-1]["reason"]) == ("B", srdp.NO_PAIRWISE_KEY)
+    assert h.protos["B"].counters["drop:" + srdp.NO_PAIRWISE_KEY] == 1
+    assert h._report().chosen_route == honest.chosen_route
+
+
+def test_malformed_broadcast_dropped_by_every_receiver():
+    """A frame that does not decode is decoded again, and dropped, by each
+    receiver; a run leaves no decoded frame behind."""
+    h = Harness(diamond_cfg())
+    h.sim.broadcast("S", b"\x09not a frame")
+    trace = h.sim.run_until()
+    drops = [(e["node"], e["reason"]) for e in trace if e["ev"] == "drop"]
+    assert drops == [("A", "MalformedFrame"), ("C", "MalformedFrame")]
+    h.run()
+    assert h.sim._decoded == {} and h.sim._pending == {}
 
 
 # -- key provisioning --------------------------------------------------

@@ -80,7 +80,7 @@ def test_first_hop_forward_matches_construction(line_net):
     assert body.h == hash_bytes(src_body.h)  # h1 = h(h0)
     assert body.mac_prev == src_body.mac_curr  # M0 promoted
     t_a = nodes["A"].keys.broadcast_secret
-    assert body.mac_curr == srdp.rreq_hop_mac(t_a, body.rreq, ("A",), hash_bytes(body.h))
+    assert body.mac_curr == srdp.rreq_hop_mac(t_a, body.rreq, frames.path_bytes(("A",)), hash_bytes(body.h))
     assert out.mutable.hop_count == 1
 
 
@@ -236,6 +236,19 @@ def test_finalize_without_candidates(line_net):
     topo, nodes = line_net
     with pytest.raises(NoValidCandidate):
         nodes["D"].finalize_destination(("S", 1, 1))
+
+
+def test_finalize_drops_reply_through_unkeyed_node(line_net):
+    """A chosen route that names, two hops back, a node the destination
+    shares no key with yields no reply and a NoPairwiseKey drop."""
+    topo, nodes = line_net
+    pkt = run_chain(nodes, ["A", "B"], nodes["S"].originate_rreq("D"))
+    rid = nodes["D"].process_rreq(pkt, 10, 2)[1]
+    state = nodes["D"].dest_rounds[rid]
+    state.candidates[0] = dataclasses.replace(state.candidates[0], path=("ghost", "B"))
+    assert nodes["D"].finalize_destination(rid) is None
+    assert nodes["D"].counters["drop:" + srdp.NO_PAIRWISE_KEY] == 1
+    assert state.reply is None and not state.window_open
 
 
 def test_finalize_picks_min_cost():
