@@ -7,12 +7,18 @@ associated data: any bit flip in the box, or in the associated data it
 was sealed with, is detected on open.  A sealed box is plain bytes,
 nonce (12) || ciphertext || tag (16), and every nonce is derived by one
 rule from key, associated data and plaintext (see `seal`).
+
+Every MAC and every nonce is HMAC-SHA256 (RFC 2104), computed by one
+private kernel: the key, hashed first if longer than the 64-byte block,
+is zero-padded to a block and XORed with the ipad and opad bytes by
+`bytes.translate`, and the inner and outer hashes are copies of one
+module-level SHA-256 object, so a call pays for no per-call set-up
+beyond two hashes.  Its output equals `hmac.digest(key, msg, "sha256")`.
 """
 
 from __future__ import annotations
 
 import hashlib
-import hmac
 from typing import Sequence
 
 from .errors import AuthFailure
@@ -24,6 +30,11 @@ DIGEST_LEN = 32
 KEY_LEN = 32
 NONCE_LEN = 12
 TAG_LEN = 16
+
+_BLOCK = 64  # SHA-256 block size
+_SHA256 = hashlib.sha256()  # empty state; the kernel hashes copies of it
+_IPAD = bytes(b ^ 0x36 for b in range(256))  # translate tables: XOR every byte
+_OPAD = bytes(b ^ 0x5C for b in range(256))
 
 
 def hash_bytes(data: bytes) -> bytes:
@@ -58,7 +69,21 @@ def mac_framed(key: bytes, framed: bytes) -> bytes:
     mac_framed(k, frame_parts(parts)) == mac(k, parts); use it to MAC the
     same framed parts under many keys without framing them again.
     """
-    return hmac.digest(key, framed, "sha256")
+    return _hmac_sha256(key, framed)
+
+
+def _hmac_sha256(key: bytes, msg: bytes) -> bytes:
+    """HMAC-SHA256 per RFC 2104; equals hmac.digest(key, msg, "sha256")."""
+    if len(key) > _BLOCK:
+        key = hashlib.sha256(key).digest()
+    key = key.ljust(_BLOCK, b"\0")
+    inner = _SHA256.copy()
+    inner.update(key.translate(_IPAD))
+    inner.update(msg)
+    outer = _SHA256.copy()
+    outer.update(key.translate(_OPAD))
+    outer.update(inner.digest())
+    return outer.digest()
 
 
 def seal(key: bytes, plaintext: bytes, aad: bytes = b"") -> bytes:
@@ -72,7 +97,7 @@ def seal(key: bytes, plaintext: bytes, aad: bytes = b"") -> bytes:
     prefix keeps distinct (aad, plaintext) pairs on distinct nonces.
     """
     nonce_input = b"box-nonce" + len(aad).to_bytes(4, "big") + aad + plaintext
-    nonce = hmac.digest(key, nonce_input, "sha256")[:NONCE_LEN]
+    nonce = _hmac_sha256(key, nonce_input)[:NONCE_LEN]
     return nonce + ChaCha20Poly1305(key).encrypt(nonce, plaintext, aad)
 
 

@@ -221,14 +221,18 @@ class ProtocolBehavior(NodeBehavior):
         if pkt.step == STEP_ACK:
             self.harness.ack_received(node, payload["seq"])
             return
-        sim.unicast(node, sender, encode_frame(SessionFrame(node, STEP_ACK, pkt.payload)))
         route = payload["route"]
-        if node == route[-1]:
+        # A cloudlet is taken only from this node's predecessor on the route
+        # it names, so a hop never forwards one as the route's source.
+        pos = route.index(node) if node in route else 0
+        if pos == 0 or route[pos - 1] != sender:
+            sim.log_drop(node, srdp.NOT_ON_ROUTE)
+            return
+        sim.unicast(node, sender, encode_frame(SessionFrame(node, STEP_ACK, pkt.payload)))
+        if pos == len(route) - 1:
             self.harness.cloudlet_delivered(payload["seq"])
             return
-        if node not in route:
-            return
-        nxt = route[route.index(node) + 1]
+        nxt = route[pos + 1]
         sim.unicast(node, nxt, encode_frame(pkt))
         self.harness.expect_ack(sim, node, payload)
 
@@ -442,7 +446,7 @@ class Harness:
             d_seqno=0,
             route=route[1:-1],
         )
-        if node == route[0]:
+        if node == self.config.source:
             # Source saw the break itself; no REP needed.
             self.on_rep_at_source(sim, node)
             return
@@ -483,7 +487,8 @@ class Harness:
             w = ecms.weights_for_mode(cfg.mode, cfg.weights)
             path_cost, m = ecms.aggregate(route, ecms.CostMatrices.from_topology(self.topo), w, cfg.literal_cost)
             metrics = {"hc": m.hc, "bw": m.bw, "nd": m.nd}
-        trace_repr = json.dumps(self.sim.trace, sort_keys=True, default=str).encode()
+        # Trace entries are flat dicts of scalars, so no cycle check is needed.
+        trace_repr = json.dumps(self.sim.trace, sort_keys=True, default=str, check_circular=False).encode()
         counters = {n: dict(sorted(p.counters.items())) for n, p in sorted(self.protos.items()) if p.counters}
         return RunReport(
             config_summary={

@@ -8,6 +8,11 @@ broadcast a secret readable by everyone except a revoked set by sealing
 it under the encryption secrets whose indices no revoked node holds.
 A ring derives each encryption secret the first time it is read, so a
 node that never seals a broadcast never derives any.
+
+A node's index set is derived once per network: `index_set` keeps each
+set it derives on the `KdcParams` instance, the one `setup` returns, and
+`Kdc.issue` and `cover_indices` both read it from there.  The memo dies
+with its network; a second `setup` starts an empty one.
 """
 
 from __future__ import annotations
@@ -35,6 +40,10 @@ class KdcParams:
     k: int
     m: int
     master_seed: bytes
+    # node -> its index set, derived on first read by `index_set`
+    _index_sets: Dict[str, Tuple[int, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
 
 @dataclass(frozen=True)
@@ -127,7 +136,12 @@ def index_set(params: KdcParams, node: str) -> List[int]:
 
     Takes the first m distinct values of hash(node || counter) mod k.
     Needs no secrets, so any node can compute any other node's indices.
+    Each node's set is hashed once per `params`; every call returns a
+    fresh list.
     """
+    known = params._index_sets.get(node)
+    if known is not None:
+        return list(known)
     if not node:
         raise ValueError("node id must be nonempty")
     out: List[int] = []
@@ -140,6 +154,7 @@ def index_set(params: KdcParams, node: str) -> List[int]:
             seen.add(idx)
             out.append(idx)
         counter += 1
+    params._index_sets[node] = tuple(out)
     return out
 
 

@@ -64,7 +64,7 @@ class Simulator:
         self.trace.append(entry)
 
     def log_drop(self, node: str, reason: str, **detail) -> None:
-        self.log("drop", node=node, reason=reason, **detail)
+        self.trace.append({"t": self.clock, "ev": "drop", "node": node, "reason": reason, **detail})
 
     # -- scheduling ----------------------------------------------------
 

@@ -51,6 +51,21 @@ Q_CHAIN_MISMATCH = "QChainMismatch"
 NO_PAIRWISE_KEY = "NoPairwiseKey"  # a reply names a node this one shares no key with
 # Drops that are detections: evidence of tampering, not plain loss.
 DETECTION_REASONS = frozenset((TWO_HOP_AUTH_FAIL, CHAIN_MISMATCH, Q_CHAIN_MISMATCH))
+# reason -> its counter key, built once rather than per drop
+_DROP_KEYS = {
+    r: "drop:" + r
+    for r in (
+        DUPLICATE,
+        HOP_LIMIT,
+        TWO_HOP_AUTH_FAIL,
+        SEAL_OPEN_FAIL,
+        HOP_COUNT_MISMATCH,
+        CHAIN_MISMATCH,
+        NOT_ON_ROUTE,
+        Q_CHAIN_MISMATCH,
+        NO_PAIRWISE_KEY,
+    )
+}
 
 # Route error (REP) codes.  A source accepts both; the simulator raises
 # only LINK_BREAK, when a hop's cloudlet ack times out.
@@ -208,7 +223,7 @@ class SrdpNode:
         self.counters[key] = self.counters.get(key, 0) + 1
 
     def _drop(self, reason: str, detail: str = "") -> Tuple[str, str]:
-        self._count("drop:" + reason)
+        self._count(_DROP_KEYS[reason])
         if reason in DETECTION_REASONS:
             self.detections.append((reason, detail))
         return ("drop", reason)

@@ -3,7 +3,7 @@ import os
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from secroute import crypto
@@ -123,6 +123,19 @@ def test_nonce_is_the_documented_rule(aad):
     nonce_input = b"box-nonce" + len(aad).to_bytes(4, "big") + aad + plaintext
     want = hmac.digest(KEY, nonce_input, "sha256")[:12]
     assert crypto.seal(KEY, plaintext, aad)[:12] == want
+
+
+@settings(max_examples=300)
+@given(st.binary(max_size=200), st.binary(max_size=4096))
+@example(b"", b"")
+@example(b"k" * 63, b"m")
+@example(b"k" * 64, b"m")
+@example(b"k" * 65, b"m")
+@example(b"k" * 200, b"m" * 4096)
+def test_mac_kernel_equals_hmac_digest(key, msg):
+    """The MAC kernel is RFC 2104 HMAC-SHA256 for keys shorter than, equal
+    to and longer than the 64-byte block, which hashes a long key first."""
+    assert crypto.mac_framed(key, msg) == hmac.digest(key, msg, "sha256")
 
 
 @settings(max_examples=200)

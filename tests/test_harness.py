@@ -265,6 +265,34 @@ def test_session_frame_with_other_step_is_ignored(step):
     assert list(h.pending_acks) == [("A", 1)]
 
 
+@pytest.mark.parametrize(
+    "sender, to, route",
+    [
+        ("B", "D", ["D", "A"]),  # D would forward over a missing link, then rediscover itself
+        ("A", "B", ["B", "S"]),  # relay B would flood a rediscovery
+        ("S", "A", ["A", "B", "D"]),  # D would count a delivered cloudlet
+    ],
+)
+def test_forged_cloudlet_off_route_is_dropped(sender, to, route):
+    """A cloudlet is taken only from the receiver's predecessor on the route
+    it names: after the diamond's honest run, each of these is dropped on
+    arrival, unacknowledged."""
+    h = Harness(diamond_cfg())
+    honest = h.run()
+    payload = json.dumps({"route": route, "seq": 5}).encode()
+    h.sim.unicast(sender, to, encode_frame(SessionFrame(sender, STEP_CLOUDLET, payload)))
+    tail = h.sim.run_until()[-2:]
+    assert tail == [
+        {"t": tail[0]["t"], "ev": "deliver", "node": to, "sender": sender, "size": tail[0]["size"]},
+        {"t": tail[0]["t"], "ev": "drop", "node": to, "reason": srdp.NOT_ON_ROUTE},
+    ]
+    report = h._report()
+    assert report.cloudlets_delivered == 0
+    assert report.rediscoveries == 0
+    assert report.routes_installed == honest.routes_installed
+    assert h.pending_acks == set()
+
+
 def test_rrep_naming_an_unkeyed_node_is_dropped():
     """An insider's reply that names, two hops past a relay, a node nobody
     holds a key with is dropped at that relay with a reason, and the run

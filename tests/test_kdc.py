@@ -49,6 +49,74 @@ def test_index_set_contract(small_kdc):
     assert all(1 <= i <= 64 for i in a)
 
 
+def fresh_index_set(params, node):
+    """The node's index set derived anew: a copy of `params` starts with no memo."""
+    return kdc.index_set(dataclasses.replace(params), node)
+
+
+@pytest.fixture
+def hashed(monkeypatch):
+    """Every input `kdc` hashes, in order."""
+    inputs = []
+    real = kdc.hash_bytes
+
+    def counted(data):
+        inputs.append(data)
+        return real(data)
+
+    monkeypatch.setattr(kdc, "hash_bytes", counted)
+    return inputs
+
+
+def test_index_set_hashed_once_per_setup(hashed):
+    nodes = ["N%d" % i for i in range(12)]
+    params, pool, _ = kdc.setup(64, 8, SEED)
+    center = kdc.Kdc(params, pool)
+    for n in nodes:
+        center.issue(n)
+    issued = len(hashed)
+    assert issued >= 8 * len(nodes)
+    for i in range(len(nodes)):
+        kdc.cover_indices(params, nodes[: i + 1])
+        kdc.index_set(params, nodes[i])
+    assert len(hashed) == issued  # cover_indices and later reads hash nothing
+    assert len(set(hashed)) == issued  # no (node, counter) input hashed twice
+
+
+def test_setups_share_no_index_set_memo(hashed):
+    first = kdc.setup(64, 8, SEED)[0]
+    second = kdc.setup(64, 8, SEED)[0]
+    assert first == second
+    a = kdc.index_set(first, "A")
+    once = len(hashed)
+    assert kdc.index_set(second, "A") == a
+    assert len(hashed) == 2 * once
+
+
+def test_index_set_returns_a_fresh_list(small_kdc):
+    params, _, _, center = small_kdc
+    want = fresh_index_set(params, "A")
+    got = kdc.index_set(params, "A")
+    got.append(0)
+    got[0] = -1
+    ring = center.issue("A")
+    ring.indices.reverse()
+    assert kdc.index_set(params, "A") == want
+    assert kdc.cover_indices(params, ["A"]) == [i for i in range(1, 65) if i not in want]
+
+
+def test_cover_indices_is_complement_of_fresh_sets(small_kdc):
+    params, _, _, center = small_kdc
+    rng = random.Random(5)
+    nodes = ["node-%d" % i for i in range(20)]
+    for n in nodes[:10]:
+        center.issue(n)  # half the sets are memoised before the first cover
+    for _ in range(50):
+        revoked = rng.sample(nodes, rng.randint(0, 4))
+        held = set().union(*(fresh_index_set(params, n) for n in revoked))
+        assert kdc.cover_indices(params, revoked) == [i for i in range(1, 65) if i not in held]
+
+
 def test_index_set_uniformity(small_kdc):
     # Each index should be hit with frequency ~ m/k over many node ids.
     params = small_kdc[0]
