@@ -218,10 +218,16 @@ class ProtocolBehavior(NodeBehavior):
         if payload is None:
             sim.log_drop(node, "MalformedSession")
             return
+        route = payload["route"]
         if pkt.step == STEP_ACK:
+            # An ack is taken only from this node's successor on the route it
+            # names, so no other neighbour can clear the wait for a hop.
+            pos = route.index(node) if node in route else len(route)
+            if pos + 1 >= len(route) or route[pos + 1] != sender:
+                sim.log_drop(node, srdp.NOT_ON_ROUTE)
+                return
             self.harness.ack_received(node, payload["seq"])
             return
-        route = payload["route"]
         # A cloudlet is taken only from this node's predecessor on the route
         # it names, so a hop never forwards one as the route's source.
         pos = route.index(node) if node in route else 0

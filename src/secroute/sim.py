@@ -6,6 +6,16 @@ The loop draws no random numbers: identical (topology, behavior script)
 always reproduces the identical trace, and ties at equal timestamps break
 FIFO by insertion order.
 
+Pending events are kept per time: a dict maps each distinct pending time
+to a FIFO (`deque`) of its events, and a heap holds each of those times
+once.  The loop drains the earliest time's FIFO front to back; an event
+scheduled for that same time while it drains joins the tail, so order is
+"time ascending, FIFO among equal times" without a sequence number.  A
+flood puts many events on few times, so a push costs a dict lookup and an
+append, and the heap is touched only by a new time.  An event time is
+never earlier than the clock: link delays are finite and nonnegative
+(`Topology.add_link`), and so are timer delays (`set_timer`).
+
 A broadcast hands every neighbour the same frame, so a behaviour that
 parses frames can do it once per transmission: `Simulator.decoded(frame,
 decode)` returns `decode(frame)`, computed at the first delivery and kept
@@ -21,7 +31,8 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Any, Callable, Dict, List, Tuple
+from collections import deque
+from typing import Any, Callable, Deque, Dict, List, Tuple
 
 from .errors import UnknownLink, UnknownNode
 from .topology import Link, Topology
@@ -40,6 +51,30 @@ class NodeBehavior:
         pass
 
 
+class _Calendar:
+    """Pending events: a FIFO of `(at, kind, payload)` per distinct time
+    `at`, and a heap holding each of those times once.  Each event keeps
+    its own `at`, so times equal in value but not in type (2 and 2.0)
+    share a FIFO while the clock still shows each event's own value."""
+
+    __slots__ = ("fifos", "times")
+
+    def __init__(self) -> None:
+        self.fifos: Dict[Any, Deque[Tuple[Any, str, tuple]]] = {}
+        self.times: List[Any] = []
+
+    def __len__(self) -> int:
+        """Events queued; costs O(distinct pending times)."""
+        return sum(map(len, self.fifos.values()))
+
+    def push(self, at, kind: str, payload: tuple) -> None:
+        fifo = self.fifos.get(at)
+        if fifo is None:
+            fifo = self.fifos[at] = deque()
+            heapq.heappush(self.times, at)
+        fifo.append((at, kind, payload))
+
+
 class Simulator:
     def __init__(self, topo: Topology, seed: int = 0):
         """`seed` is accepted for callers that pass one; a run does not read it."""
@@ -47,8 +82,7 @@ class Simulator:
         self.clock = 0
         self.behaviors: Dict[str, NodeBehavior] = {}
         self.trace: List[Dict[str, Any]] = []
-        self._queue: List[Tuple[Any, int, str, tuple]] = []
-        self._seq = 0
+        self._queue = _Calendar()
         self._breaks: Dict[frozenset, Any] = {}  # link -> break time
         self._pending: Dict[bytes, int] = {}  # frame -> deliveries queued
         self._decoded: Dict[bytes, Any] = {}  # frame -> decode(frame), while queued
@@ -68,10 +102,6 @@ class Simulator:
 
     # -- scheduling ----------------------------------------------------
 
-    def _push(self, at, kind: str, payload: tuple) -> None:
-        heapq.heappush(self._queue, (at, self._seq, kind, payload))
-        self._seq += 1
-
     def _link_up(self, a: str, b: str) -> bool:
         broken_at = self._breaks.get(frozenset((a, b)))
         return broken_at is None or self.clock < broken_at
@@ -83,7 +113,9 @@ class Simulator:
         sent = 0
         for neighbor, link in self.topo.out_links(sender):
             sent += self._send_one(sender, neighbor, link, frame)
-        self.log("send", node=sender, kind="broadcast", n=sent, size=len(frame))
+        self.trace.append(
+            {"t": self.clock, "ev": "send", "node": sender, "kind": "broadcast", "n": sent, "size": len(frame)}
+        )
         return sent
 
     def unicast(self, sender: str, to: str, frame: bytes) -> bool:
@@ -92,18 +124,20 @@ class Simulator:
         try:
             link = self.topo.link(sender, to)
         except UnknownLink:
-            self.log("send", node=sender, kind="unicast", to=to, n=0, size=len(frame))
-            return False
-        ok = bool(self._send_one(sender, to, link, frame))
-        self.log("send", node=sender, kind="unicast", to=to, n=int(ok), size=len(frame))
-        return ok
+            sent = 0
+        else:
+            sent = self._send_one(sender, to, link, frame)
+        self.trace.append(
+            {"t": self.clock, "ev": "send", "node": sender, "kind": "unicast", "to": to, "n": sent, "size": len(frame)}
+        )
+        return bool(sent)
 
     def _send_one(self, sender: str, to: str, link: Link, frame: bytes) -> int:
         if self._breaks and not self._link_up(sender, to):
             self.log("suppress", node=sender, to=to)
             return 0
         tx = math.ceil(len(frame) * 8 / (link.avl_bw * 1000.0))  # bw Mb/s = 1000 bits/ms
-        self._push(self.clock + link.nw_delay + tx, "deliver", (sender, to, frame))
+        self._queue.push(self.clock + link.nw_delay + tx, "deliver", (sender, to, frame))
         pending = self._pending
         pending[frame] = pending.get(frame, 0) + 1
         return 1
@@ -119,7 +153,10 @@ class Simulator:
         return value
 
     def set_timer(self, node: str, delay, tag: Any) -> None:
-        self._push(self.clock + delay, "timer", (node, tag))
+        """Fire `on_timer(tag)` at `node` after `delay`, finite and >= 0."""
+        if not 0 <= delay < math.inf:
+            raise ValueError("timer delay must be finite and nonnegative, got %r" % (delay,))
+        self._queue.push(self.clock + delay, "timer", (node, tag))
 
     def break_link(self, a: str, b: str, at) -> None:
         key = frozenset((a, b))
@@ -133,33 +170,41 @@ class Simulator:
         """Process events until quiescence or the budget.
 
         Returns the trace.  A truncation marker is appended if the budget
-        runs out before quiescence.
+        runs out before quiescence; the events not run stay queued, and a
+        later call resumes with them in order.
         """
         processed = 0
-        pending, decoded = self._pending, self._decoded
-        while self._queue:
-            if processed >= max_events:
-                self.log("truncated", budget=max_events)
-                break
-            at, _, kind, payload = heapq.heappop(self._queue)
-            self.clock = at
-            processed += 1
-            if kind == "deliver":
-                sender, to, frame = payload
-                self.log("deliver", node=to, sender=sender, size=len(frame))
-                behavior = self.behaviors.get(to)
-                if behavior is not None:
-                    behavior.on_frame(self, to, sender, frame, self.clock)
-                left = pending[frame] - 1
-                if left:
-                    pending[frame] = left
-                else:
-                    del pending[frame]
-                    decoded.pop(frame, None)
-            elif kind == "timer":
-                node, tag = payload
-                self.log("timer", node=node, tag=repr(tag))
-                behavior = self.behaviors.get(node)
-                if behavior is not None:
-                    behavior.on_timer(self, node, tag, self.clock)
+        fifos, times = self._queue.fifos, self._queue.times
+        append = self.trace.append
+        behaviors, pending, decoded = self.behaviors, self._pending, self._decoded
+        while times:
+            time = times[0]
+            fifo = fifos[time]
+            while fifo:
+                if processed >= max_events:
+                    self.log("truncated", budget=max_events)
+                    return self.trace
+                at, kind, payload = fifo.popleft()
+                self.clock = at
+                processed += 1
+                if kind == "deliver":
+                    sender, to, frame = payload
+                    append({"t": at, "ev": "deliver", "node": to, "sender": sender, "size": len(frame)})
+                    behavior = behaviors.get(to)
+                    if behavior is not None:
+                        behavior.on_frame(self, to, sender, frame, at)
+                    left = pending[frame] - 1
+                    if left:
+                        pending[frame] = left
+                    else:
+                        del pending[frame]
+                        decoded.pop(frame, None)
+                elif kind == "timer":
+                    node, tag = payload
+                    append({"t": at, "ev": "timer", "node": node, "tag": repr(tag)})
+                    behavior = behaviors.get(node)
+                    if behavior is not None:
+                        behavior.on_timer(self, node, tag, at)
+            del fifos[time]
+            heapq.heappop(times)
         return self.trace

@@ -10,6 +10,7 @@ Document format::
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Set, Tuple
 
@@ -20,8 +21,8 @@ ROLES = ("broker", "exchange", "coordinator", "relay")
 
 @dataclass(frozen=True)
 class Link:
-    avl_bw: float  # Mb/s, > 0
-    nw_delay: float  # ms, >= 0
+    avl_bw: float  # Mb/s, finite and > 0
+    nw_delay: float  # ms, finite and >= 0
 
 
 class Topology:
@@ -53,10 +54,11 @@ class Topology:
         key = frozenset((a, b))
         if key in self.links:
             raise InvariantError("duplicate link %s-%s" % (a, b))
-        if bw <= 0:
-            raise InvariantError("bandwidth must be positive on %s-%s" % (a, b))
-        if delay < 0:
-            raise InvariantError("delay must be nonnegative on %s-%s" % (a, b))
+        # NaN fails every comparison, so each check also rejects it.
+        if not 0 < bw < math.inf:
+            raise InvariantError("bandwidth must be positive and finite on %s-%s" % (a, b))
+        if not 0 <= delay < math.inf:
+            raise InvariantError("delay must be nonnegative and finite on %s-%s" % (a, b))
         link = self.links[key] = Link(avl_bw=bw, nw_delay=delay)
         self._adjacent[a][b] = self._adjacent[b][a] = link
         if self._out:

@@ -293,6 +293,29 @@ def test_forged_cloudlet_off_route_is_dropped(sender, to, route):
     assert h.pending_acks == set()
 
 
+@pytest.mark.parametrize(
+    "sender,route,cleared",
+    [
+        ("S", ["C"], False),  # A is not on the route the ack names
+        ("S", ["S", "A", "B", "D"], False),  # S is A's predecessor, not its successor
+        ("B", ["A"], False),  # A ends the route, so it has no successor
+        ("B", ["S", "A", "B", "D"], True),  # the honest ack
+    ],
+)
+def test_cloudlet_ack_taken_only_from_successor_on_its_route(sender, route, cleared):
+    """A cloudlet ack clears a hop's wait only when the hop is on the route
+    the ack names and the ack comes from its successor there; any other is
+    dropped on arrival."""
+    h = Harness(diamond_cfg())
+    h.pending_acks.add(("A", 1))
+    payload = json.dumps({"seq": 1, "route": route}).encode()
+    h.sim.unicast(sender, "A", encode_frame(SessionFrame(sender, STEP_ACK, payload)))
+    trace = h.sim.run_until()
+    drops = [(e["node"], e["reason"]) for e in trace if e["ev"] == "drop"]
+    assert drops == ([] if cleared else [("A", srdp.NOT_ON_ROUTE)])
+    assert h.pending_acks == (set() if cleared else {("A", 1)})
+
+
 def test_rrep_naming_an_unkeyed_node_is_dropped():
     """An insider's reply that names, two hops past a relay, a node nobody
     holds a key with is dropped at that relay with a reason, and the run
@@ -585,6 +608,17 @@ def test_cli_rejects_out_of_range_input(topo_file, capsys, flags):
     # A negative window would run the clock backwards; max hops is the RREQ's u8 field.
     rc = main(["run", "--topology", str(topo_file), *flags])
     assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("metrics", ["nan 2", "10 nan", "10 inf"])
+def test_cli_rejects_non_finite_link_metric(tmp_path, capsys, metrics):
+    # A NaN bandwidth crashed the delivery-time arithmetic; a NaN or infinite
+    # delay ran with event times no clock reaches.
+    p = tmp_path / "bad.topo"
+    p.write_text(DIAMOND.replace("link S A 10 2", "link S A " + metrics))
+    assert main(["run", "--topology", str(p)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
 

@@ -1,4 +1,9 @@
+import heapq
+import json
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from secroute.errors import InvariantError, ParseError, UnknownLink, UnknownNode
 from secroute.harness import random_topology, topology_to_text
@@ -34,6 +39,12 @@ def test_self_loop_rejected():
 def test_duplicate_edge_rejected():
     with pytest.raises(InvariantError):
         load_topology("node S relay\nnode A relay\nlink S A 10 2\nlink A S 5 1\n")
+
+
+@pytest.mark.parametrize("metrics", ["nan 2", "inf 2", "-inf 2", "10 nan", "10 inf", "0 2", "10 -1"])
+def test_link_metrics_must_be_finite_and_in_range(metrics):
+    with pytest.raises(InvariantError):
+        load_topology("node S relay\nnode A relay\nlink S A %s\n" % metrics)
 
 
 def test_unknown_node_in_link():
@@ -180,6 +191,14 @@ def test_break_unknown_link():
         sim.break_link("S", "D", 0)
 
 
+@pytest.mark.parametrize("delay", [-1, -0.5, float("nan"), float("inf")])
+def test_timer_delay_must_be_finite_and_nonnegative(delay):
+    sim = Simulator(load_topology(LINE))
+    with pytest.raises(ValueError):
+        sim.set_timer("S", delay, "go")
+    assert len(sim._queue) == 0 and sim.run_until() == []
+
+
 def test_empty_queue_quiesces():
     topo = load_topology(LINE)
     sim = Simulator(topo)
@@ -303,3 +322,168 @@ def test_memo_empty_after_truncated_run_resumes():
     assert len(got) == 1 and sim._pending == {b"x": 2}
     sim.run_until()
     assert len(got) == 3 and sim._decoded == {} and sim._pending == {}
+
+
+# -- the event queue ---------------------------------------------------------------
+
+
+class HeapQueue:
+    """The reference order: one heap of (time, insertion order, event)."""
+
+    def __init__(self):
+        self.heap = []
+        self.seq = 0
+
+    def __len__(self):
+        return len(self.heap)
+
+    def push(self, at, kind, payload):
+        heapq.heappush(self.heap, (at, self.seq, kind, payload))
+        self.seq += 1
+
+
+class HeapSimulator(Simulator):
+    """`Simulator` with the reference heap as its queue and a loop that pops
+    it; sending and timers are the simulator's own."""
+
+    def __init__(self, topo):
+        super().__init__(topo)
+        self._queue = HeapQueue()
+
+    def run_until(self, max_events=1_000_000):
+        processed = 0
+        heap = self._queue.heap
+        while heap:
+            if processed >= max_events:
+                self.log("truncated", budget=max_events)
+                break
+            at, _, kind, payload = heapq.heappop(heap)
+            self.clock = at
+            processed += 1
+            if kind == "deliver":
+                sender, to, frame = payload
+                self.log("deliver", node=to, sender=sender, size=len(frame))
+                self.behaviors[to].on_frame(self, to, sender, frame, at)
+            else:
+                node, tag = payload
+                self.log("timer", node=node, tag=repr(tag))
+                self.behaviors[node].on_timer(self, node, tag, at)
+        return self.trace
+
+
+QUEUE_NODES = ("A", "B", "C", "D")
+
+
+class Script:
+    """Runs the k-th scripted action list at the k-th event any node
+    handles, and checks after each send or timer that the queue's length
+    is the number of events scheduled and not yet handled."""
+
+    def __init__(self, steps):
+        self.steps = steps
+        self.handled = 0
+        self.queued = 0
+
+    def act(self, sim, node, actions):
+        for action in actions:
+            if action[0] == "broadcast":
+                self.queued += sim.broadcast(node, b"m" * action[1])
+            elif action[0] == "unicast":
+                self.queued += sim.unicast(node, QUEUE_NODES[action[1]], b"u" * action[2])
+            else:
+                sim.set_timer(node, action[1], ("tag", self.handled))
+                self.queued += 1
+            assert len(sim._queue) == self.queued - self.handled
+
+    def on_event(self, sim, node):
+        step = self.steps[self.handled] if self.handled < len(self.steps) else []
+        self.handled += 1
+        self.act(sim, node, step)
+
+
+class Scripted(NodeBehavior):
+    def __init__(self, script):
+        self.script = script
+
+    def on_frame(self, sim, node, sender, frame, clock):
+        assert clock == sim.clock
+        self.script.on_event(sim, node)
+
+    def on_timer(self, sim, node, tag, clock):
+        assert clock == sim.clock
+        self.script.on_event(sim, node)
+
+
+# Small delays and sizes put many events on few times: a 0-byte frame has
+# tx 0, and a delay of 1 or 1.0 lands an int and a float time on one value.
+frame_size = st.integers(min_value=0, max_value=3)
+queue_actions = st.lists(
+    st.one_of(
+        st.tuples(st.just("broadcast"), frame_size),
+        st.tuples(st.just("unicast"), st.integers(min_value=0, max_value=3), frame_size),
+        st.tuples(st.just("timer"), st.sampled_from([0, 0, 1, 1.0, 2, 0.5])),
+    ),
+    max_size=3,
+)
+link_metrics = st.tuples(st.sampled_from([0.008, 0.016, 1000]), st.sampled_from([0, 1, 1.0, 2]))
+
+
+def scripted_sim(cls, links, brk, steps, start):
+    topo = Topology()
+    for n in QUEUE_NODES:
+        topo.add_node(n)
+    pairs = [(a, b) for i, a in enumerate(QUEUE_NODES) for b in QUEUE_NODES[i + 1 :]]
+    for (a, b), (bw, delay) in zip(pairs, links):
+        topo.add_link(a, b, bw, delay)
+    sim = cls(topo)
+    script = Script(steps)
+    for n in QUEUE_NODES:
+        sim.install(n, Scripted(script))
+    if brk is not None:
+        sim.break_link(*pairs[brk[0]], brk[1])
+    for node, actions in start:
+        script.act(sim, QUEUE_NODES[node], actions)
+    return sim
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    links=st.lists(link_metrics, min_size=6, max_size=6),
+    brk=st.none() | st.tuples(st.integers(min_value=0, max_value=5), st.sampled_from([0, 1, 2.5])),
+    steps=st.lists(queue_actions, max_size=40),
+    start=st.lists(st.tuples(st.integers(min_value=0, max_value=3), queue_actions), min_size=1, max_size=3),
+    budget=st.none() | st.integers(min_value=0, max_value=60),
+)
+# Every link 0 ms and tx 0 for an empty frame: A's broadcast lands at t=0,
+# and its first delivery schedules a zero-delay timer and an empty unicast
+# for t=0 while t=0 drains; the budget cuts the run inside t=0.
+@example(
+    links=[(1000, 0)] * 6,
+    brk=None,
+    steps=[[("timer", 0), ("unicast", 2, 0), ("broadcast", 0)], [("timer", 0)]],
+    start=[(0, [("broadcast", 0)])],
+    budget=4,
+)
+# Int and float times of equal value (1 and 1.0) share one FIFO.
+@example(
+    links=[(1000, 1), (1000, 1.0), (1000, 1), (1000, 1.0), (1000, 1), (1000, 1.0)],
+    brk=None,
+    steps=[[("timer", 1)], [("timer", 1.0)]],
+    start=[(0, [("broadcast", 0), ("timer", 1)]), (3, [("unicast", 1, 0)])],
+    budget=None,
+)
+def test_event_order_matches_reference_heap(links, brk, steps, start, budget):
+    """Random broadcasts, unicasts and timers, many on equal times, run in
+    the order of a (time, insertion order) heap, with the same trace bytes:
+    events scheduled for a time while it drains run after those already
+    queued for it.  A run cut by the budget, even in the middle of a time,
+    keeps the rest queued, and a second run resumes in that order."""
+    sims = [scripted_sim(cls, links, brk, steps, start) for cls in (Simulator, HeapSimulator)]
+    if budget is not None:
+        cut = [json.dumps(sim.run_until(max_events=budget)) for sim in sims]
+        assert cut[0] == cut[1]
+        assert len(sims[0]._queue) == len(sims[1]._queue)
+    done = [json.dumps(sim.run_until()) for sim in sims]
+    assert done[0] == done[1]
+    assert len(sims[0]._queue) == 0 and sims[0]._queue.times == []
+
