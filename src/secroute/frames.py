@@ -96,6 +96,12 @@ def _opt_digest(d: Optional[bytes]) -> Tuple[bytes, ...]:
     return (_ABSENT,) if d is None else (_PRESENT, d)
 
 
+def _round_bytes(s_addr: str, s_seqno: int, d_addr: str, n: int) -> bytes:
+    """The block an RREP body, a REP and a SESSION frame each carry: round
+    `(s_addr, s_seqno)`, its destination, and a u32 (`d_seqno` or `seq`)."""
+    return b"".join([_text(s_addr), _U32.pack(s_seqno), _text(d_addr), _U32.pack(n)])
+
+
 # -- decoding ----------------------------------------------------------
 #
 # Each reader takes the offset of its field and returns the value and the
@@ -122,6 +128,15 @@ def _path_at(raw: bytes, off: int) -> Tuple[Tuple[str, ...], int]:
         end = start + _U16.unpack_from(raw, end)[0]
         nodes.append(raw[start:end].decode())
     return tuple(nodes), end
+
+
+def _round_at(raw: bytes, off: int) -> Tuple[Tuple[str, int, str, int], int]:
+    """The `_round_bytes` block at `off`, as its four values."""
+    s_addr, off = _text_at(raw, off)
+    (s_seqno,) = _U32.unpack_from(raw, off)
+    d_addr, off = _text_at(raw, off + _U32.size)
+    (n,) = _U32.unpack_from(raw, off)
+    return (s_addr, s_seqno, d_addr, n), off + _U32.size
 
 
 def _box_at(raw: bytes, off: int) -> Tuple[bytes, int]:
@@ -342,15 +357,7 @@ class RrepInfo:
     route: Tuple[str, ...]  # intermediate nodes, source->destination order
 
     def to_bytes(self) -> bytes:
-        return b"".join(
-            [
-                _text(self.s_addr),
-                _U32.pack(self.s_seqno),
-                _text(self.d_addr),
-                _U32.pack(self.d_seqno),
-                path_bytes(self.route),
-            ]
-        )
+        return _round_bytes(self.s_addr, self.s_seqno, self.d_addr, self.d_seqno) + path_bytes(self.route)
 
 
 @dataclass(frozen=True)
@@ -368,18 +375,15 @@ class RrepBody:
     @classmethod
     def from_bytes(cls, raw: bytes) -> "RrepBody":
         try:
-            s_addr, off = _text_at(raw, 0)
-            (s_seqno,) = _U32.unpack_from(raw, off)
-            d_addr, off = _text_at(raw, off + _U32.size)
-            (d_seqno,) = _U32.unpack_from(raw, off)
-            route, q_at = _path_at(raw, off + _U32.size)
+            fields, off = _round_at(raw, 0)
+            route, q_at = _path_at(raw, off)
         except _DECODE_ERRORS as exc:
             raise MalformedFrame(str(exc)) from None
         mac_prev, off = _opt_digest_at(raw, q_at + DIGEST_LEN)
         mac_curr, off = _opt_digest_at(raw, off)
         _done(raw, off)
         q = raw[q_at : q_at + DIGEST_LEN]
-        return cls(RrepInfo(s_addr, s_seqno, d_addr, d_seqno, route), q, mac_prev, mac_curr)
+        return cls(RrepInfo(*fields, route), q, mac_prev, mac_curr)
 
 
 @dataclass(frozen=True)
@@ -407,11 +411,16 @@ class RepPacket:
 
 @dataclass(frozen=True)
 class SessionFrame:
-    """Cloudlet (step 100) or its ack (step 101): 1-byte step tag plus an opaque payload."""
+    """Cloudlet (step 100) or its ack (step 101): the `seq`th cloudlet of
+    round `(s_addr, s_seqno)` from `s_addr` to `d_addr`.  It names the
+    round, not a route: each hop looks up the route it holds for it."""
 
     sender_addr: str
     step: int
-    payload: bytes
+    s_addr: str
+    s_seqno: int
+    d_addr: str
+    seq: int
 
 
 # -- top-level codec ---------------------------------------------------
@@ -428,21 +437,11 @@ def encode_frame(packet) -> bytes:
             [_TYPE_BYTE[FRAME_RREP], _text(packet.sender_addr), _U32.pack(packet.sender_seqno), _blob(packet.sealed)]
         )
     if isinstance(packet, RepPacket):
-        return b"".join(
-            [
-                _TYPE_BYTE[FRAME_REP],
-                _text(packet.s_addr),
-                _U32.pack(packet.s_seqno),
-                _text(packet.d_addr),
-                _U32.pack(packet.d_seqno),
-                _blob(packet.sealed_code),
-                path_bytes(packet.route),
-            ]
-        )
+        rnd = _round_bytes(packet.s_addr, packet.s_seqno, packet.d_addr, packet.d_seqno)
+        return b"".join([_TYPE_BYTE[FRAME_REP], rnd, _blob(packet.sealed_code), path_bytes(packet.route)])
     if isinstance(packet, SessionFrame):
-        return b"".join(
-            [_TYPE_BYTE[FRAME_SESSION], _text(packet.sender_addr), _U8.pack(packet.step), _blob(packet.payload)]
-        )
+        rnd = _round_bytes(packet.s_addr, packet.s_seqno, packet.d_addr, packet.seq)
+        return b"".join([_TYPE_BYTE[FRAME_SESSION], _text(packet.sender_addr), _U8.pack(packet.step), rnd])
     raise MalformedFrame("unknown packet type %r" % type(packet).__name__)
 
 
@@ -467,18 +466,15 @@ def decode_frame(raw: bytes):
             sealed, off = _box_at(raw, off + _U32.size)
             pkt = RrepPacket(sender, seqno, sealed)
         elif ftype == FRAME_REP:
-            s_addr, off = _text_at(raw, 1)
-            (s_seqno,) = _U32.unpack_from(raw, off)
-            d_addr, off = _text_at(raw, off + _U32.size)
-            (d_seqno,) = _U32.unpack_from(raw, off)
-            sealed, off = _box_at(raw, off + _U32.size)
+            fields, off = _round_at(raw, 1)
+            sealed, off = _box_at(raw, off)
             route, off = _path_at(raw, off)
-            pkt = RepPacket(s_addr, s_seqno, d_addr, d_seqno, sealed, route)
+            pkt = RepPacket(*fields, sealed, route)
         elif ftype == FRAME_SESSION:
             sender, off = _text_at(raw, 1)
             (step,) = _U8.unpack_from(raw, off)
-            start, off = _span_at(raw, off + 1)
-            pkt = SessionFrame(sender, step, raw[start:off])
+            fields, off = _round_at(raw, off + 1)
+            pkt = SessionFrame(sender, step, *fields)
         else:
             raise MalformedFrame("unknown frame type %d" % ftype)
     except _DECODE_ERRORS as exc:

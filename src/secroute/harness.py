@@ -3,6 +3,10 @@ protocol state machines together; runs a discovery, then sends cloudlets
 over the installed route with per-hop acks, a route error and
 rediscovery when an ack times out, with optional scripted adversaries;
 emits machine-readable reports and compares selection against the oracle.
+
+Cloudlets, acks and route errors name their round, not a route: each
+node acts on one only along the route it holds for that round
+(`SrdpNode.routes`), from the neighbour it expects there.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from .frames import (
     RepPacket,
     RreqBody,
     RreqPacket,
-    RrepInfo,
     RrepPacket,
     SessionFrame,
     decode_frame,
@@ -191,6 +194,9 @@ class ProtocolBehavior(NodeBehavior):
                 sim.set_timer(node, self.harness.config.collection_window, ("finalize", rid))
 
     def handle_rrep(self, sim, node, sender, pkt: RrepPacket, clock) -> None:
+        if sender != pkt.sender_addr:  # the hop checks read the claimed sender
+            self.harness.record_drop(node, srdp.NOT_ON_ROUTE, clock, self.proto)
+            return
         action = self.proto.process_rrep(pkt)
         if action[0] == "forward":
             sim.unicast(node, action[2], encode_frame(action[1]))
@@ -200,47 +206,35 @@ class ProtocolBehavior(NodeBehavior):
             self.harness.on_route_installed(sim, node, action[1], clock)
 
     def handle_rep(self, sim, node, sender, pkt: RepPacket, clock) -> None:
-        if node == pkt.s_addr:
-            if self.proto.handle_rep(pkt) is not None:
-                self.harness.on_rep_at_source(sim, node)
-            return
-        seq = srdp.reverse_sequence(pkt)
-        if node in seq:
-            nxt = seq[seq.index(node) + 1]
-            sim.unicast(node, nxt, encode_frame(pkt))
+        action = self.proto.handle_rep(pkt, sender)
+        if action[0] == "forward":
+            sim.unicast(node, action[2], encode_frame(pkt))
+        elif action[0] == "drop":
+            self.harness.record_drop(node, action[1], clock, self.proto)
+        else:
+            self.harness.on_rep_at_source(sim, node, action[1])
 
     # cloudlet forwarding with per-hop acks
 
     def handle_session(self, sim, node, sender, pkt: SessionFrame, clock) -> None:
         if pkt.step not in (STEP_ACK, STEP_CLOUDLET):
             return
-        payload = _cloudlet_payload(pkt.payload, sim.topo)
-        if payload is None:
-            sim.log_drop(node, "MalformedSession")
-            return
-        route = payload["route"]
-        if pkt.step == STEP_ACK:
-            # An ack is taken only from this node's successor on the route it
-            # names, so no other neighbour can clear the wait for a hop.
-            pos = route.index(node) if node in route else len(route)
-            if pos + 1 >= len(route) or route[pos + 1] != sender:
-                sim.log_drop(node, srdp.NOT_ON_ROUTE)
-                return
-            self.harness.ack_received(node, payload["seq"])
-            return
-        # A cloudlet is taken only from this node's predecessor on the route
-        # it names, so a hop never forwards one as the route's source.
-        pos = route.index(node) if node in route else 0
-        if pos == 0 or route[pos - 1] != sender:
+        # A cloudlet is taken only from this node's previous hop, and an ack
+        # only from its next hop, on the route it holds for the round.
+        hop = self.proto.hop_on_route(pkt.s_addr, pkt.s_seqno, pkt.d_addr, sender, pkt.step == STEP_CLOUDLET)
+        if hop is None:
             sim.log_drop(node, srdp.NOT_ON_ROUTE)
             return
-        sim.unicast(node, sender, encode_frame(SessionFrame(node, STEP_ACK, pkt.payload)))
-        if pos == len(route) - 1:
-            self.harness.cloudlet_delivered(payload["seq"])
+        if pkt.step == STEP_ACK:
+            self.harness.ack_received(node, pkt)
             return
-        nxt = route[pos + 1]
-        sim.unicast(node, nxt, encode_frame(pkt))
-        self.harness.expect_ack(sim, node, payload)
+        nodes, pos = hop
+        sim.unicast(node, sender, encode_frame(replace(pkt, sender_addr=node, step=STEP_ACK)))
+        if pos == len(nodes) - 1:
+            self.harness.cloudlet_delivered(pkt.seq)
+            return
+        sim.unicast(node, nodes[pos + 1], encode_frame(pkt))
+        self.harness.expect_ack(sim, node, pkt)
 
     def on_timer(self, sim: Simulator, node: str, tag: Any, clock) -> None:
         if tag[0] == "finalize":
@@ -252,27 +246,10 @@ class ProtocolBehavior(NodeBehavior):
             if rrep is None:
                 self.harness.record_drop(node, srdp.NO_PAIRWISE_KEY, clock, self.proto)
                 return
-            reply = self.proto.dest_rounds[tag[1]].reply
-            sim.unicast(node, srdp.reverse_sequence(reply)[1], encode_frame(rrep))
+            reply = self.proto.routes[(tag[1][0], node)]
+            sim.unicast(node, srdp.route_nodes(reply)[-2], encode_frame(rrep))
         elif tag[0] == "ack-wait":
-            self.harness.ack_timeout(sim, node, tag[1], self.proto)
-
-
-def _cloudlet_payload(raw: bytes, topo: Topology) -> Optional[Dict[str, Any]]:
-    """The JSON object a cloudlet or its ack carries, or None unless it holds
-    an integer "seq" and a nonempty "route" list of the topology's nodes."""
-    try:
-        payload = json.loads(raw.decode())
-    except (ValueError, RecursionError):  # bad UTF-8, bad JSON, or nesting too deep
-        return None
-    if not isinstance(payload, dict):
-        return None
-    seq, route = payload.get("seq"), payload.get("route")
-    if type(seq) is not int or not isinstance(route, list) or not route:
-        return None
-    if not all(isinstance(n, str) and n in topo.nodes for n in route):
-        return None
-    return payload
+            self.harness.ack_timeout(sim, node, tag[1:], self.proto)
 
 
 # -- adversaries -------------------------------------------------------
@@ -373,7 +350,8 @@ class Harness:
         self.events: Dict[str, int] = {}
         self.routes_installed: List[Tuple[str, ...]] = []
         self.cloudlets_done: set = set()
-        self.pending_acks: Set[Tuple[str, int]] = set()  # (node, seq) awaiting the next hop's ack
+        # (node, (s_addr, s_seqno, d_addr, seq)): a hop awaiting its next hop's ack
+        self.pending_acks: Set[Tuple[str, Tuple[str, int, str, int]]] = set()
         self.rediscoveries = 0
         self.next_cloudlet = 0
         self._build_behaviors()
@@ -418,59 +396,56 @@ class Harness:
     def _send_next_cloudlet(self, sim, source: str) -> None:
         if self.next_cloudlet >= self.config.cloudlets:
             return
-        route = self.protos[source].installed_routes.get(self.config.dest)
-        if route is None:
+        info = self.protos[source].routes.get((source, self.config.dest))
+        if info is None:
             return
-        payload = {"route": list(route), "seq": self.next_cloudlet}
+        pkt = SessionFrame(source, STEP_CLOUDLET, source, info.s_seqno, info.d_addr, self.next_cloudlet)
         self.next_cloudlet += 1
-        raw = json.dumps(payload, sort_keys=True).encode()
-        sim.unicast(source, route[1], encode_frame(SessionFrame(source, STEP_CLOUDLET, raw)))
-        self.expect_ack(sim, source, payload)
+        sim.unicast(source, srdp.route_nodes(info)[1], encode_frame(pkt))
+        self.expect_ack(sim, source, pkt)
 
-    def expect_ack(self, sim, node: str, payload: Dict[str, Any]) -> None:
-        self.pending_acks.add((node, payload["seq"]))
-        sim.set_timer(node, self.config.ack_timeout, ("ack-wait", payload))
+    def expect_ack(self, sim, node: str, pkt: SessionFrame) -> None:
+        cloudlet = (pkt.s_addr, pkt.s_seqno, pkt.d_addr, pkt.seq)
+        self.pending_acks.add((node, cloudlet))
+        sim.set_timer(node, self.config.ack_timeout, ("ack-wait", *cloudlet))
 
-    def ack_received(self, node: str, seq: int) -> None:
-        self.pending_acks.discard((node, seq))
+    def ack_received(self, node: str, pkt: SessionFrame) -> None:
+        self.pending_acks.discard((node, (pkt.s_addr, pkt.s_seqno, pkt.d_addr, pkt.seq)))
 
     def cloudlet_delivered(self, seq: int) -> None:
         self.cloudlets_done.add(seq)
         self._send_next_cloudlet(self.sim, self.config.source)
 
-    def ack_timeout(self, sim, node: str, payload: Dict[str, Any], proto: srdp.SrdpNode) -> None:
-        key = (node, payload["seq"])
-        if key not in self.pending_acks:
+    def ack_timeout(self, sim, node: str, cloudlet: Tuple[str, int, str, int], proto: srdp.SrdpNode) -> None:
+        if (node, cloudlet) not in self.pending_acks:
             return
-        self.pending_acks.remove(key)
+        self.pending_acks.remove((node, cloudlet))
+        s_addr, s_seqno, d_addr, _ = cloudlet
+        info = proto.routes.get((s_addr, d_addr))
+        if info is None or info.s_seqno != s_seqno:
+            return  # a later round has replaced the route
         self.events["link_break_detected"] = self.events.get("link_break_detected", 0) + 1
-        route = tuple(payload["route"])
-        rrep = RrepInfo(
-            s_addr=route[0],
-            s_seqno=0,
-            d_addr=route[-1],
-            d_seqno=0,
-            route=route[1:-1],
-        )
-        if node == self.config.source:
+        if node == s_addr:
             # Source saw the break itself; no REP needed.
-            self.on_rep_at_source(sim, node)
+            self.on_rep_at_source(sim, node, d_addr)
             return
-        rep = proto.build_rep(rrep, srdp.LINK_BREAK)
-        seq = srdp.reverse_sequence(rep)
-        nxt = seq[seq.index(node) + 1]
-        sim.unicast(node, nxt, encode_frame(rep))
+        rep = proto.build_rep(info, srdp.LINK_BREAK)
+        if rep is None:
+            self.record_drop(node, srdp.NO_PAIRWISE_KEY, sim.clock, proto)
+            return
+        nodes = srdp.route_nodes(info)
+        sim.unicast(node, nodes[nodes.index(node) - 1], encode_frame(rep))
 
-    def on_rep_at_source(self, sim, node: str) -> None:
+    def on_rep_at_source(self, sim, node: str, dest: str) -> None:
         self.events["rep_at_source"] = self.events.get("rep_at_source", 0) + 1
         # Drop outstanding expectations for the dead route.
         self.pending_acks = {k for k in self.pending_acks if k[0] != node}
-        self.protos[node].installed_routes.pop(self.config.dest, None)
+        self.protos[node].drop_route(dest)
         self.rediscoveries += 1
-        self._discover(sim, node)
+        self._discover(sim, node, dest)
 
-    def _discover(self, sim, node: str) -> None:
-        pkt = self.protos[node].originate_rreq(self.config.dest)
+    def _discover(self, sim, node: str, dest: str) -> None:
+        pkt = self.protos[node].originate_rreq(dest)
         sim.broadcast(node, encode_frame(pkt))
 
     # -- run -----------------------------------------------------------
@@ -480,7 +455,7 @@ class Harness:
         if cfg.link_break is not None:
             a, b, at = cfg.link_break
             self.sim.break_link(a, b, at)
-        self._discover(self.sim, cfg.source)
+        self._discover(self.sim, cfg.source, cfg.dest)
         self.sim.run_until()
         return self._report()
 

@@ -48,7 +48,7 @@ HOP_COUNT_MISMATCH = "HopCountMismatch"
 CHAIN_MISMATCH = "ChainMismatch"
 NOT_ON_ROUTE = "NotOnRoute"
 Q_CHAIN_MISMATCH = "QChainMismatch"
-NO_PAIRWISE_KEY = "NoPairwiseKey"  # a reply names a node this one shares no key with
+NO_PAIRWISE_KEY = "NoPairwiseKey"  # a reply or route names a node this one shares no key with
 # Drops that are detections: evidence of tampering, not plain loss.
 DETECTION_REASONS = frozenset((TWO_HOP_AUTH_FAIL, CHAIN_MISMATCH, Q_CHAIN_MISMATCH))
 # reason -> its counter key, built once rather than per drop
@@ -67,10 +67,8 @@ _DROP_KEYS = {
     )
 }
 
-# Route error (REP) codes.  A source accepts both; the simulator raises
-# only LINK_BREAK, when a hop's cloudlet ack times out.
+# The one route error (REP) code: a hop's cloudlet ack timed out.
 LINK_BREAK = 1
-BDP_DEGRADE = 2
 
 
 class Provisioning:
@@ -116,7 +114,8 @@ class KeyStore:
     and neighbourhood as provisioned.  Two-hop secrets and pairwise keys
     are obtained the first time they are read, then kept: `twohop_secret`
     opens the sender's broadcast with this node's own ring, and
-    `pairwise_key` derives only keys that have this node at one end.
+    `pairwise_key` derives only keys that have this node at one end.  Both
+    return None for a missing key, which each protocol step makes a drop.
     """
 
     def __init__(self, node: str, provisioning: Provisioning):
@@ -154,11 +153,9 @@ class KeyStore:
                 pass
         return prov.rings[sender].broadcast_secret  # pairwise fallback delivery
 
-    def pairwise_key(self, peer: str) -> bytes:
+    def pairwise_key(self, peer: str) -> Optional[bytes]:
         key = self._pairwise.get(peer)
-        if key is None:
-            if peer == self.node or peer not in self.provisioning.rings:
-                raise NoPairwiseKey("%s has no key with %s" % (self.node, peer))
+        if key is None and peer != self.node and peer in self.provisioning.rings:
             key = self._pairwise[peer] = self.provisioning.svc.pairwise_key(self.node, peer)
         return key
 
@@ -176,7 +173,6 @@ class RoundState:
     candidates: List[Candidate] = field(default_factory=list)
     window_open: bool = True
     rreq: Optional[RreqImmutable] = None
-    reply: Optional[RrepInfo] = None  # what finalize_destination answered
 
 
 def rreq_hop_mac(t_secret: bytes, rreq: RreqImmutable, path_section: bytes, h_next: bytes) -> bytes:
@@ -189,14 +185,16 @@ def rrep_hop_mac(pair_key: bytes, rrep: RrepInfo, q_next: bytes) -> bytes:
     return mac(pair_key, [rrep.to_bytes(), q_next])
 
 
-def reverse_sequence(msg: Union[RrepInfo, RepPacket]) -> List[str]:
-    """Node order a reply or a route error traverses: destination, relays
-    reversed, source."""
-    return [msg.d_addr, *reversed(msg.route), msg.s_addr]
+def route_nodes(info: RrepInfo) -> Tuple[str, ...]:
+    """A route's nodes from source to destination; its reply and route
+    errors traverse them in reverse."""
+    return (info.s_addr, *info.route, info.d_addr)
 
 
 class SrdpNode:
-    """Protocol state for one node; transport is supplied by the caller."""
+    """Protocol state for one node; transport is supplied by the caller.
+    `routes` holds, per `(s_addr, d_addr)`, the reply of the latest round
+    this node answered as destination, relayed, or installed as source."""
 
     def __init__(
         self,
@@ -214,10 +212,15 @@ class SrdpNode:
         self._b_id = 0
         self.seen_rounds: Set[Tuple[str, int, int]] = set()
         self.dest_rounds: Dict[Tuple[str, int, int], RoundState] = {}
-        self.installed_routes: Dict[str, Tuple[str, ...]] = {}  # dest -> full path
+        self.routes: Dict[Tuple[str, str], RrepInfo] = {}
         self.counters: Dict[str, int] = {}
         self.detections: List[Tuple[str, str]] = []  # (reason, detail)
         self.accepted_rreps: List[Tuple[RrepInfo, bytes]] = []  # (reply, carried q)
+
+    @property
+    def installed_routes(self) -> Dict[str, Tuple[str, ...]]:
+        """dest -> full path of each route this node installed as source."""
+        return {d: route_nodes(info) for (s, d), info in self.routes.items() if s == self.node}
 
     def _count(self, key: str) -> None:
         self.counters[key] = self.counters.get(key, 0) + 1
@@ -232,6 +235,8 @@ class SrdpNode:
 
     def originate_rreq(self, dest: str) -> RreqPacket:
         k_sd = self.keys.pairwise_key(dest)
+        if k_sd is None:
+            raise NoPairwiseKey("%s has no key with %s" % (self.node, dest))
         self._seqno += 1
         self._b_id += 1
         rreq = RreqImmutable(
@@ -350,9 +355,8 @@ class SrdpNode:
         bad = self._verify_two_hop(body)
         if bad is not None:
             return self._drop(TWO_HOP_AUTH_FAIL, bad)
-        try:
-            k_sd = self.keys.pairwise_key(rreq.s_addr)
-        except NoPairwiseKey:
+        k_sd = self.keys.pairwise_key(rreq.s_addr)
+        if k_sd is None:
             return self._drop(SEAL_OPEN_FAIL, "no source key")
         h0 = mac(k_sd, [rreq.to_bytes()])
         if body.h != chain(h0, frame.mutable.hop_count):
@@ -389,14 +393,13 @@ class SrdpNode:
             d_seqno=rreq.d_seqno,
             route=route,
         )
-        seq = reverse_sequence(rrep)
-        try:
-            k_sd = self.keys.pairwise_key(rreq.s_addr)
-            k_next = self.keys.pairwise_key(seq[2]) if len(seq) > 2 else None
-        except NoPairwiseKey as exc:
-            self._drop(NO_PAIRWISE_KEY, str(exc))
+        seq = route_nodes(rrep)[::-1]
+        k_sd = self.keys.pairwise_key(rreq.s_addr)
+        k_next = self.keys.pairwise_key(seq[2]) if len(seq) > 2 else None
+        if k_sd is None or (len(seq) > 2 and k_next is None):
+            self._drop(NO_PAIRWISE_KEY)
             return None
-        state.reply = rrep
+        self.routes[(rrep.s_addr, rrep.d_addr)] = rrep
         q0 = mac(k_sd, [rrep.to_bytes()])
         mac_curr = None if k_next is None else rrep_hop_mac(k_next, rrep, hash_bytes(q0))
         body = RrepBody(rrep, q0, None, mac_curr)
@@ -412,10 +415,12 @@ class SrdpNode:
         if body is None:
             return self._drop(SEAL_OPEN_FAIL)
         rrep = body.rrep
-        seq = reverse_sequence(rrep)
+        seq = route_nodes(rrep)[::-1]
         if self.node not in seq:
             return self._drop(NOT_ON_ROUTE)
-        pos = seq.index(self.node)
+        # The source takes a reply for its own round only as its end, so no
+        # reply that names it again as a relay can replace its route.
+        pos = len(seq) - 1 if rrep.s_addr == self.node else seq.index(self.node)
         if pos == 0 or seq[pos - 1] != frame.sender_addr:
             return self._drop(NOT_ON_ROUTE, "unexpected previous hop")
         bad = self._verify_rrep_mac(body, seq, pos)
@@ -425,80 +430,101 @@ class SrdpNode:
             return self._accept_rrep(body, seq)
         return self._relay_rrep(body, seq, pos)
 
-    def _verify_rrep_mac(self, body: RrepBody, seq: List[str], pos: int) -> Optional[str]:
+    def _verify_rrep_mac(self, body: RrepBody, seq: Tuple[str, ...], pos: int) -> Optional[str]:
         if pos < 2:
             return "unexpected upstream MAC" if body.mac_prev is not None else None
         if body.mac_prev is None:
             return "missing upstream MAC"
         two_up = seq[pos - 2]
-        try:
-            key = self.keys.pairwise_key(two_up)
-        except NoPairwiseKey:
+        key = self.keys.pairwise_key(two_up)
+        if key is None:
             return "no pairwise key with %s" % two_up
         if rrep_hop_mac(key, body.rrep, body.q) != body.mac_prev:
             return "upstream MAC mismatch (claimed %s)" % two_up
         return None
 
-    def _relay_rrep(self, body: RrepBody, seq: List[str], pos: int):
+    def _relay_rrep(self, body: RrepBody, seq: Tuple[str, ...], pos: int):
         q_new = hash_bytes(body.q)
         mac_curr = None
         if pos + 2 < len(seq):
-            try:
-                key = self.keys.pairwise_key(seq[pos + 2])
-            except NoPairwiseKey as exc:
-                return self._drop(NO_PAIRWISE_KEY, str(exc))
+            key = self.keys.pairwise_key(seq[pos + 2])
+            if key is None:
+                return self._drop(NO_PAIRWISE_KEY)
             mac_curr = rrep_hop_mac(key, body.rrep, hash_bytes(q_new))
+        self.routes[(body.rrep.s_addr, body.rrep.d_addr)] = body.rrep
         new_body = RrepBody(body.rrep, q_new, body.mac_curr, mac_curr)
         self._seqno += 1
         self._count("rrep_forwarded")
         out = RrepPacket(self.node, self._seqno, seal(self.keys.group_key, new_body.to_bytes()))
         return ("forward", out, seq[pos + 1])
 
-    def _accept_rrep(self, body: RrepBody, seq: List[str]):
+    def _accept_rrep(self, body: RrepBody, seq: Tuple[str, ...]):
         rrep = body.rrep
         k_sd = self.keys.pairwise_key(rrep.d_addr)
+        if k_sd is None:
+            return self._drop(NO_PAIRWISE_KEY)
         q0 = mac(k_sd, [rrep.to_bytes()])
         if body.q != chain(q0, len(rrep.route)):
             return self._drop(Q_CHAIN_MISMATCH)
-        full = (rrep.s_addr,) + rrep.route + (rrep.d_addr,)
-        self.installed_routes[rrep.d_addr] = full
+        full = route_nodes(rrep)
+        self.routes[(rrep.s_addr, rrep.d_addr)] = rrep
         self.accepted_rreps.append((rrep, body.q))
         self._count("route_installed")
         return ("accept", full)
 
-    # -- route error packets ------------------------------------------
+    # -- route upkeep: cloudlets, acks and route errors -----------------
 
-    def build_rep(self, rrep: RrepInfo, code: int) -> RepPacket:
-        """Route error raised by this node for an installed route."""
+    def hop_on_route(self, s_addr: str, s_seqno: int, d_addr: str, sender: str, from_source: bool):
+        """`(route_nodes, this node's index)` of the route held for round
+        `(s_addr, s_seqno)` to `d_addr`; None unless `sender` is this node's
+        previous hop there if `from_source`, else its next hop."""
+        info = self.routes.get((s_addr, d_addr))
+        if info is None or info.s_seqno != s_seqno:
+            return None
+        nodes = route_nodes(info)
+        pos = nodes.index(self.node)
+        peer = pos - 1 if from_source else pos + 1
+        if not 0 <= peer < len(nodes) or nodes[peer] != sender:
+            return None
+        return nodes, pos
+
+    def build_rep(self, rrep: RrepInfo, code: int) -> Optional[RepPacket]:
+        """Route error raised by this node for the route `rrep` names, or
+        None, and a NoPairwiseKey drop, if it shares no key with its source."""
         key = self.keys.pairwise_key(rrep.s_addr)
-        return RepPacket(
-            s_addr=rrep.s_addr,
-            s_seqno=rrep.s_seqno,
-            d_addr=rrep.d_addr,
-            d_seqno=rrep.d_seqno,
-            sealed_code=seal(key, bytes([code])),
-            route=rrep.route,
-        )
+        if key is None:
+            self._drop(NO_PAIRWISE_KEY)
+            return None
+        return RepPacket(rrep.s_addr, rrep.s_seqno, rrep.d_addr, rrep.d_seqno, seal(key, bytes([code])), rrep.route)
 
-    def handle_rep(self, rep: RepPacket) -> Optional[int]:
-        """Source-side: authenticate a route error; returns the code or None.
-
-        The sealing key is the reporter's pairwise key with us, and the
-        reporter is some node on the route (or the destination), so every
-        plausible key is tried; an unauthentic REP is discarded.
-        """
-        for peer in tuple(rep.route) + (rep.d_addr,):
-            try:
-                key = self.keys.pairwise_key(peer)
-            except NoPairwiseKey:
+    def handle_rep(self, rep: RepPacket, sender: str):
+        """A route error from `sender`, taken only for a round this node
+        holds a route for and from its next hop there.  The route it names
+        is the reporter's, which need not be this node's: only the source's
+        next hop can bring it one, and that hop could break the route by
+        withholding acks anyway.  Returns ("forward", rep, next_hop) at a
+        relay, ("accept", d_addr) at the source, which opens the code under
+        its key with each relay the error names (the reporter is one of
+        them) and accepts only LINK_BREAK, or a drop."""
+        hop = self.hop_on_route(rep.s_addr, rep.s_seqno, rep.d_addr, sender, from_source=False)
+        if hop is None:
+            return self._drop(NOT_ON_ROUTE)
+        nodes, pos = hop
+        if pos:
+            return ("forward", rep, nodes[pos - 1])
+        for peer in rep.route:
+            key = self.keys.pairwise_key(peer)
+            if key is None:
                 continue
             try:
                 code = open_box(key, rep.sealed_code)
             except AuthFailure:
                 continue
-            if len(code) == 1 and code[0] in (LINK_BREAK, BDP_DEGRADE):
+            if code == bytes([LINK_BREAK]):
                 self._count("rep_accepted")
-                self.installed_routes.pop(rep.d_addr, None)
-                return code[0]
-        self._count("rep_discarded")
-        return None
+                return ("accept", rep.d_addr)
+        return self._drop(SEAL_OPEN_FAIL)
+
+    def drop_route(self, d_addr: str) -> None:
+        """Forget the route this node installed to `d_addr`."""
+        self.routes.pop((self.node, d_addr), None)

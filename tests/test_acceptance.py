@@ -304,7 +304,7 @@ def test_codec_identity_and_fuzz():
 
         info = RrepInfo("S", 1, "D", 0, ("A", "B"))
         frames.append(nodes["B"].build_rep(info, srdp.LINK_BREAK))
-        frames.append(SessionFrame("S", 100, b'{"route": ["S"], "seq": 0}'))
+        frames.append(SessionFrame("S", 100, "S", 1, "D", 0))
         for frame in frames:
             assert decode_frame(encode_frame(frame)) == frame
         rng = random.Random(2026)

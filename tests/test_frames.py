@@ -29,7 +29,7 @@ def sample_rep():
 
 
 def sample_session():
-    return frames.SessionFrame("B1", 100, b'{"seq": 1}')
+    return frames.SessionFrame("B1", 100, "S", 7, "D", 1)
 
 
 def body_from_bytes(like, raw):
@@ -102,10 +102,10 @@ def test_rrep_body_inner_round_trip():
 
 
 def test_truncated_bytes_rejected():
-    raw = frames.encode_frame(sample_rreq())
-    for cut in range(len(raw)):
-        with pytest.raises(MalformedFrame):
-            frames.decode_frame(raw[:cut])
+    for raw in (frames.encode_frame(sample_rreq()), frames.encode_frame(sample_session())):
+        for cut in range(len(raw)):
+            with pytest.raises(MalformedFrame):
+                frames.decode_frame(raw[:cut])
 
 
 def test_unknown_frame_type_rejected():
@@ -205,7 +205,7 @@ GOLDEN = {
         "030001530000000700014400000000001e11111111111111111111111163742222222222222222222222"
         "22222222220002000141000142",
     ),
-    "session": (frames.SessionFrame("B1", 100, b'{"seq": 1}'), "040002423164000a7b22736571223a20317d"),
+    "session": (frames.SessionFrame("B1", 100, "S", 7, "D", 1), "0400024231640001530000000700014400000001"),
 }
 
 GOLDEN_BODIES = {
@@ -293,7 +293,7 @@ def _patched(raw: bytes, old: bytes, new: bytes) -> bytes:
 REJECTED = {
     "bad-utf8-text": (
         frames.decode_frame,
-        _patched(frames.encode_frame(frames.SessionFrame("AB", 1, b"")), b"AB", b"\xc3\x28"),
+        _patched(frames.encode_frame(frames.SessionFrame("AB", 1, "S", 1, "D", 0)), b"AB", b"\xc3\x28"),
     ),
     "bad-utf8-path": (
         frames.decode_frame,
@@ -340,7 +340,7 @@ packets = st.one_of(
     st.builds(frames.RreqPacket, ids, u32, ids, u32, u32, st.builds(frames.RreqMutable, u8, f64, u16, f64, f64), boxes),
     st.builds(frames.RrepPacket, ids, u32, boxes),
     st.builds(frames.RepPacket, ids, u32, ids, u32, boxes, paths),
-    st.builds(frames.SessionFrame, ids, u8, st.binary(max_size=64)),
+    st.builds(frames.SessionFrame, ids, u8, ids, u32, ids, u32),
 )
 bodies = rreq_bodies | rrep_bodies
 
@@ -395,8 +395,8 @@ LONG = "x" * 0x10000
 @pytest.mark.parametrize(
     "encode",
     [
-        lambda: frames.encode_frame(frames.SessionFrame(LONG, 1, b"")),
-        lambda: frames.encode_frame(frames.SessionFrame("S", 1, b"\x00" * 0x10000)),
+        lambda: frames.encode_frame(frames.SessionFrame(LONG, 1, "S", 1, "D", 0)),
+        lambda: frames.encode_frame(frames.SessionFrame("S", 1, "S", 1, LONG, 0)),  # the round it names
         lambda: frames.encode_frame(frames.RrepPacket("S", 1, b"\x00" * 12 + b"\x00" * 0xFFF0 + b"\x22" * 16)),
         lambda: frames.encode_frame(frames.RepPacket("S", 1, "D", 2, BOX, ("A", LONG))),
         lambda: frames.RreqImmutable(LONG, 1, 2, "D", 3, 8).to_bytes(),

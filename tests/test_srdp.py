@@ -10,7 +10,6 @@ from secroute.frames import (
     RreqMutable,
     RreqPacket,
     RrepBody,
-    RrepInfo,
     RrepPacket,
     decode_frame,
     encode_frame,
@@ -248,7 +247,7 @@ def test_finalize_drops_reply_through_unkeyed_node(line_net):
     state.candidates[0] = dataclasses.replace(state.candidates[0], path=("ghost", "B"))
     assert nodes["D"].finalize_destination(rid) is None
     assert nodes["D"].counters["drop:" + srdp.NO_PAIRWISE_KEY] == 1
-    assert state.reply is None and not state.window_open
+    assert ("S", "D") not in nodes["D"].routes and not state.window_open
 
 
 def test_finalize_picks_min_cost():
@@ -295,6 +294,18 @@ def test_rrep_relay_and_accept(line_net):
     rrep_info, q = nodes["S"].accepted_rreps[0]
     q0 = mac(nodes["S"].keys.pairwise_key("D"), [rrep_info.to_bytes()])
     assert q == chain(q0, len(rrep_info.route))
+    # Every node on the route holds the reply it answered, relayed or installed.
+    assert all(nodes[n].routes == {("S", "D"): rrep_info} for n in "SABD")
+
+
+def install_route(nodes):
+    """Run a discovery S -> A -> B -> D on the line; returns the reply."""
+    pkt = run_chain(nodes, ["A", "B"], nodes["S"].originate_rreq("D"))
+    rrep = nodes["D"].finalize_destination(nodes["D"].process_rreq(pkt, 10, 2)[1])
+    for hop in ("B", "A"):
+        rrep = nodes[hop].process_rrep(rrep)[1]
+    assert nodes["S"].process_rrep(rrep)[0] == "accept"
+    return nodes["S"].routes[("S", "D")]
 
 
 def test_rrep_off_route_node_drops(line_net):
@@ -331,28 +342,60 @@ def test_rrep_tamper_detected_by_q_chain(line_net):
 
 def test_rep_round_trip(line_net):
     topo, nodes = line_net
-    info = RrepInfo("S", 1, "D", 0, ("A", "B"))
-    rep = nodes["B"].build_rep(info, srdp.LINK_BREAK)
-    assert nodes["S"].handle_rep(rep) == srdp.LINK_BREAK
+    info = install_route(nodes)
+    rep = nodes["B"].build_rep(nodes["B"].routes[("S", "D")], srdp.LINK_BREAK)
+    assert nodes["A"].handle_rep(rep, "B") == ("forward", rep, "S")
+    assert nodes["S"].handle_rep(rep, "A") == ("accept", "D")
+    assert nodes["S"].routes[("S", "D")] == info  # dropping it is the caller's call
+    nodes["S"].drop_route("D")
+    assert nodes["S"].routes == {} and nodes["S"].installed_routes == {}
 
 
 def test_rep_wrong_key_discarded(line_net):
     topo, nodes = line_net
-    from secroute.crypto import seal
-
-    info = RrepInfo("S", 1, "D", 0, ("A", "B"))
-    rep = nodes["B"].build_rep(info, srdp.BDP_DEGRADE)
-    forged = type(rep)(
-        rep.s_addr, rep.s_seqno, rep.d_addr, rep.d_seqno, seal(b"z" * 32, b"\x01"), rep.route
-    )
-    assert nodes["S"].handle_rep(forged) is None
+    info = install_route(nodes)
+    rep = nodes["B"].build_rep(info, srdp.LINK_BREAK)
+    forged = dataclasses.replace(rep, sealed_code=seal(b"z" * 32, bytes([srdp.LINK_BREAK])))
+    assert nodes["S"].handle_rep(forged, "A") == ("drop", srdp.SEAL_OPEN_FAIL)
 
 
 def test_rep_code_round_trip(line_net):
+    """LINK_BREAK is the only route error code: an authentic report under
+    any other code is discarded."""
     topo, nodes = line_net
-    info = RrepInfo("S", 1, "D", 0, ("A", "B"))
-    rep = nodes["A"].build_rep(info, srdp.BDP_DEGRADE)
-    assert nodes["S"].handle_rep(rep) == srdp.BDP_DEGRADE
+    info = install_route(nodes)
+    rep = nodes["A"].build_rep(info, 2)
+    assert nodes["S"].handle_rep(rep, "A") == ("drop", srdp.SEAL_OPEN_FAIL)
+    assert nodes["S"].installed_routes == {"D": ("S", "A", "B", "D")}
+
+
+@pytest.mark.parametrize(
+    "node, sender, change",
+    [
+        ("S", "A", {"s_seqno": 0}),  # another round
+        ("S", "A", {"d_addr": "B"}),  # another destination
+        ("S", "B", {}),  # not S's next hop
+        ("A", "S", {}),  # A's previous hop, not its next
+        ("D", "B", {}),  # the destination has no next hop
+    ],
+)
+def test_rep_taken_only_for_the_held_round_from_next_hop(line_net, node, sender, change):
+    """A relay forwards, and the source accepts, a route error only for a
+    round it holds a route for, and only from its next hop there."""
+    topo, nodes = line_net
+    info = install_route(nodes)
+    rep = dataclasses.replace(nodes["B"].build_rep(info, srdp.LINK_BREAK), **change)
+    assert nodes[node].handle_rep(rep, sender) == ("drop", srdp.NOT_ON_ROUTE)
+
+
+def test_rep_naming_the_reporters_own_route_is_accepted(line_net):
+    """The route a route error names is the reporter's, which may differ
+    from the source's: an authentic LINK_BREAK from the source's next hop
+    for its round is accepted whatever route it names."""
+    topo, nodes = line_net
+    info = install_route(nodes)
+    rep = nodes["A"].build_rep(dataclasses.replace(info, route=("A", "C")), srdp.LINK_BREAK)
+    assert nodes["S"].handle_rep(rep, "A") == ("accept", "D")
 
 
 # -- scenario-level adversary checks ----------------------------------
