@@ -81,15 +81,14 @@ def path_cost_step(
 def advance(prev: RreqMutable, link_bw: float, link_delay: float, w: Weights, literal: bool) -> RreqMutable:
     """`prev`'s totals carried over one more link.
 
-    Cost grows by `path_cost_step`, hop_count and hc by one, bw becomes
-    the bottleneck (the link's own bandwidth on the first hop, when bw is
-    still 0) and nd adds the link's delay.
+    Cost grows by `path_cost_step`, hop_count by one, bw becomes the
+    bottleneck (the link's own bandwidth on the first hop, when hop_count
+    is still 0) and nd adds the link's delay.
     """
     return RreqMutable(
         hop_count=prev.hop_count + 1,
         path_cost=path_cost_step(prev.path_cost, link_bw, link_delay, w, literal),
-        hc=prev.hc + 1,
-        bw=link_bw if prev.hc == 0 else min(prev.bw, link_bw),
+        bw=link_bw if prev.hop_count == 0 else min(prev.bw, link_bw),
         nd=prev.nd + link_delay,
     )
 
@@ -129,7 +128,7 @@ def aggregate(
         if key not in matrices.m_bw:
             raise MissingEdge("%s-%s" % (a, b))
         t = advance(t, matrices.m_bw[key], matrices.m_nd[key], w, literal)
-    return t.path_cost, PathMetrics(t.hc, t.bw, t.nd)
+    return t.path_cost, PathMetrics(t.hop_count, t.bw, t.nd)
 
 
 def products(m: PathMetrics) -> Tuple[float, float, float, float]:

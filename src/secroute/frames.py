@@ -5,12 +5,14 @@ fixed-width header fields, 2-byte length-prefixed variable sections, and
 sealed boxes as nonce||ciphertext||tag.  See docs/wire-format.md for the
 byte-layout tables.
 
-An RREQ carries its round id `(s_addr, s_seqno, b_id)` in the clear
-header, and its seal binds the header, from the frame type through
-`b_id`, as associated data: `seal_rreq` and `open_rreq` are the only
+Every frame names its round as `(s_addr, s_seqno)`: the source and the
+source's sequence number for the discovery.  An RREQ carries it in the
+clear header, and its seal binds the header, from the frame type through
+`s_seqno`, as associated data: `seal_rreq` and `open_rreq` are the only
 way its body is sealed and opened.  A receiver can thus read the round
 before opening anything, and a rewritten header fails the open.  The
-cost fields after it are neither sealed nor bound.
+cost fields after it are neither sealed nor bound; of them, only
+`hop_count` is checked, against the sealed path and the hash chain.
 
 Each run of fixed-width fields is packed and unpacked by one precompiled
 `struct.Struct`.  Decoding walks an offset through the input and slices
@@ -49,9 +51,7 @@ FRAME_SESSION = 4
 _U8 = struct.Struct(">B")
 _U16 = struct.Struct(">H")
 _U32 = struct.Struct(">I")
-_U32X2 = struct.Struct(">II")  # RREQ round: s_seqno, b_id
-_IMM_TAIL = struct.Struct(">IB")  # d_seqno, max_hops
-_RREQ_MUTABLE = struct.Struct(">BdHdd")  # RreqMutable's fields
+_RREQ_MUTABLE = struct.Struct(">Bddd")  # RreqMutable's fields
 _TYPE_BYTE = {t: bytes((t,)) for t in (FRAME_RREQ, FRAME_RREP, FRAME_REP, FRAME_SESSION)}
 _ABSENT, _PRESENT = b"\x00", b"\x01"  # opt-digest flags
 _DECODE_ERRORS = (struct.error, UnicodeDecodeError)  # short fixed block, bad text
@@ -96,10 +96,11 @@ def _opt_digest(d: Optional[bytes]) -> Tuple[bytes, ...]:
     return (_ABSENT,) if d is None else (_PRESENT, d)
 
 
-def _round_bytes(s_addr: str, s_seqno: int, d_addr: str, n: int) -> bytes:
-    """The block an RREP body, a REP and a SESSION frame each carry: round
-    `(s_addr, s_seqno)`, its destination, and a u32 (`d_seqno` or `seq`)."""
-    return b"".join([_text(s_addr), _U32.pack(s_seqno), _text(d_addr), _U32.pack(n)])
+def _round_bytes(s_addr: str, s_seqno: int, d_addr: str) -> bytes:
+    """The round block: round `(s_addr, s_seqno)` and its destination.  An
+    RREP body, a REP and a SESSION frame each carry it, and an RREQ's
+    immutable fields begin with it."""
+    return b"".join([_text(s_addr), _U32.pack(s_seqno), _text(d_addr)])
 
 
 # -- decoding ----------------------------------------------------------
@@ -130,13 +131,12 @@ def _path_at(raw: bytes, off: int) -> Tuple[Tuple[str, ...], int]:
     return tuple(nodes), end
 
 
-def _round_at(raw: bytes, off: int) -> Tuple[Tuple[str, int, str, int], int]:
-    """The `_round_bytes` block at `off`, as its four values."""
+def _round_at(raw: bytes, off: int) -> Tuple[Tuple[str, int, str], int]:
+    """The `_round_bytes` block at `off`, as its three values."""
     s_addr, off = _text_at(raw, off)
     (s_seqno,) = _U32.unpack_from(raw, off)
     d_addr, off = _text_at(raw, off + _U32.size)
-    (n,) = _U32.unpack_from(raw, off)
-    return (s_addr, s_seqno, d_addr, n), off + _U32.size
+    return (s_addr, s_seqno, d_addr), off
 
 
 def _box_at(raw: bytes, off: int) -> Tuple[bytes, int]:
@@ -171,9 +171,7 @@ class RreqImmutable:
 
     s_addr: str
     s_seqno: int
-    b_id: int
     d_addr: str
-    d_seqno: int
     max_hops: int
 
     def to_bytes(self) -> bytes:
@@ -183,26 +181,20 @@ class RreqImmutable:
     def _bytes(self) -> bytes:
         # Derived once per instance: every MAC over the round reads it, and
         # `dataclasses.replace` builds a new instance that derives its own.
-        return b"".join(
-            [
-                _text(self.s_addr),
-                _U32X2.pack(self.s_seqno, self.b_id),
-                _text(self.d_addr),
-                _IMM_TAIL.pack(self.d_seqno, self.max_hops),
-            ]
-        )
+        return _round_bytes(self.s_addr, self.s_seqno, self.d_addr) + _U8.pack(self.max_hops)
 
-    def round_id(self) -> Tuple[str, int, int]:
-        return (self.s_addr, self.s_seqno, self.b_id)
+    def round_id(self) -> Tuple[str, int]:
+        return (self.s_addr, self.s_seqno)
 
 
 @dataclass(frozen=True)
 class RreqMutable:
-    """Fields every relay revises; ride in the clear, unauthenticated."""
+    """Fields every relay revises; ride in the clear, unauthenticated.
+    Receivers check `hop_count` against the sealed path, and the
+    destination against the hash chain; the rest are taken on trust."""
 
     hop_count: int = 0
     path_cost: float = 0.0
-    hc: int = 0
     bw: float = 0.0  # bottleneck so far, Mb/s; 0 before the first hop
     nd: float = 0.0  # summed delay so far, ms
 
@@ -250,9 +242,8 @@ class RreqBody:
         r = self.rreq
         return b"".join(
             [
-                _U32.pack(r.b_id),
                 _text(r.d_addr),
-                _IMM_TAIL.pack(r.d_seqno, r.max_hops),
+                _U8.pack(r.max_hops),
                 self.path_section,
                 *_opt_digest(self.mac_prev),
                 self.mac_curr,
@@ -263,30 +254,21 @@ class RreqBody:
     @classmethod
     def from_bytes(cls, raw: bytes, s_addr: str, s_seqno: int) -> "RreqBody":
         try:
-            (b_id,) = _U32.unpack_from(raw, 0)
-            d_addr, off = _text_at(raw, _U32.size)
-            d_seqno, max_hops = _IMM_TAIL.unpack_from(raw, off)
-            path_at = off + _IMM_TAIL.size
+            d_addr, off = _text_at(raw, 0)
+            (max_hops,) = _U8.unpack_from(raw, off)
+            path_at = off + _U8.size
             path, off = _path_at(raw, path_at)
             mac_prev, mac_at = _opt_digest_at(raw, off)
         except _DECODE_ERRORS as exc:
             raise MalformedFrame(str(exc)) from None
         mid, end = mac_at + DIGEST_LEN, mac_at + 2 * DIGEST_LEN
         _done(raw, end)
-        rreq = RreqImmutable(s_addr, s_seqno, b_id, d_addr, d_seqno, max_hops)
+        rreq = RreqImmutable(s_addr, s_seqno, d_addr, max_hops)
         return cls.with_path_section(rreq, path, raw[path_at:off], mac_prev, raw[mac_at:mid], raw[mid:end])
 
 
-def _rreq_header(sender_addr: str, sender_seqno: int, s_addr: str, s_seqno: int, b_id: int) -> bytes:
-    return b"".join(
-        [
-            _TYPE_BYTE[FRAME_RREQ],
-            _text(sender_addr),
-            _U32.pack(sender_seqno),
-            _text(s_addr),
-            _U32X2.pack(s_seqno, b_id),
-        ]
-    )
+def _rreq_header(sender_addr: str, s_addr: str, s_seqno: int) -> bytes:
+    return b"".join([_TYPE_BYTE[FRAME_RREQ], _text(sender_addr), _text(s_addr), _U32.pack(s_seqno)])
 
 
 @dataclass(frozen=True)
@@ -294,17 +276,15 @@ class RreqPacket:
     """An RREQ as it travels: the clear header and the sealed `RreqBody`.
 
     `header` is the frame's first bytes, from the frame type through
-    `b_id`; the seal binds them as associated data, so a receiver can
-    read the round id `(s_addr, s_seqno, b_id)` before opening the box
-    and any rewrite of them fails the open.  The `mutable` cost fields
-    follow the header and are not bound.
+    `s_seqno`; the seal binds them as associated data, so a receiver can
+    read the round id `(s_addr, s_seqno)` before opening the box and any
+    rewrite of them fails the open.  The `mutable` cost fields follow the
+    header and are not bound.
     """
 
     sender_addr: str
-    sender_seqno: int
     s_addr: str
     s_seqno: int
-    b_id: int
     mutable: RreqMutable
     sealed: bytes
 
@@ -312,19 +292,19 @@ class RreqPacket:
     def header(self) -> bytes:
         # decode_frame and seal_rreq store the bytes they already hold
         # here; a packet built any other way derives them on first read.
-        return _rreq_header(self.sender_addr, self.sender_seqno, self.s_addr, self.s_seqno, self.b_id)
+        return _rreq_header(self.sender_addr, self.s_addr, self.s_seqno)
 
-    def round_id(self) -> Tuple[str, int, int]:
-        return (self.s_addr, self.s_seqno, self.b_id)
+    def round_id(self) -> Tuple[str, int]:
+        return (self.s_addr, self.s_seqno)
 
 
-def seal_rreq(key: bytes, sender_addr: str, sender_seqno: int, mutable: RreqMutable, body: RreqBody) -> RreqPacket:
+def seal_rreq(key: bytes, sender_addr: str, mutable: RreqMutable, body: RreqBody) -> RreqPacket:
     """An RREQ from `sender_addr` carrying `body` sealed under `key`, its
     clear header built once for both the seal and the encoding."""
     r = body.rreq
-    header = _rreq_header(sender_addr, sender_seqno, r.s_addr, r.s_seqno, r.b_id)
+    header = _rreq_header(sender_addr, r.s_addr, r.s_seqno)
     sealed = seal(key, body.to_bytes(), header)
-    pkt = RreqPacket(sender_addr, sender_seqno, r.s_addr, r.s_seqno, r.b_id, mutable, sealed)
+    pkt = RreqPacket(sender_addr, r.s_addr, r.s_seqno, mutable, sealed)
     pkt.__dict__["header"] = header
     return pkt
 
@@ -334,13 +314,10 @@ def open_rreq(key: bytes, pkt: RreqPacket) -> RreqBody:
 
     Raises AuthFailure if the box or its bound header was altered or `key`
     is not the sealer's, and MalformedFrame if the plaintext does not
-    parse or names another `b_id` than the header: the round a relay
-    dedupes on must be the round it forwards.
+    parse.  The body's round is the header's, so the round a relay dedupes
+    on is the round it forwards.
     """
-    body = RreqBody.from_bytes(open_box(key, pkt.sealed, pkt.header), pkt.s_addr, pkt.s_seqno)
-    if body.rreq.b_id != pkt.b_id:
-        raise MalformedFrame("body b_id %d under header b_id %d" % (body.rreq.b_id, pkt.b_id))
-    return body
+    return RreqBody.from_bytes(open_box(key, pkt.sealed, pkt.header), pkt.s_addr, pkt.s_seqno)
 
 
 # -- RREP --------------------------------------------------------------
@@ -353,11 +330,10 @@ class RrepInfo:
     s_addr: str
     s_seqno: int
     d_addr: str
-    d_seqno: int
     route: Tuple[str, ...]  # intermediate nodes, source->destination order
 
     def to_bytes(self) -> bytes:
-        return _round_bytes(self.s_addr, self.s_seqno, self.d_addr, self.d_seqno) + path_bytes(self.route)
+        return _round_bytes(self.s_addr, self.s_seqno, self.d_addr) + path_bytes(self.route)
 
 
 @dataclass(frozen=True)
@@ -389,7 +365,6 @@ class RrepBody:
 @dataclass(frozen=True)
 class RrepPacket:
     sender_addr: str
-    sender_seqno: int
     sealed: bytes
 
 
@@ -401,7 +376,6 @@ class RepPacket:
     s_addr: str
     s_seqno: int
     d_addr: str
-    d_seqno: int
     sealed_code: bytes  # 1-byte error code under the source-dest key
     route: Tuple[str, ...]
 
@@ -430,18 +404,18 @@ def encode_frame(packet) -> bytes:
     if isinstance(packet, RreqPacket):
         m = packet.mutable
         return b"".join(
-            [packet.header, _RREQ_MUTABLE.pack(m.hop_count, m.path_cost, m.hc, m.bw, m.nd), _blob(packet.sealed)]
+            [packet.header, _RREQ_MUTABLE.pack(m.hop_count, m.path_cost, m.bw, m.nd), _blob(packet.sealed)]
         )
     if isinstance(packet, RrepPacket):
-        return b"".join(
-            [_TYPE_BYTE[FRAME_RREP], _text(packet.sender_addr), _U32.pack(packet.sender_seqno), _blob(packet.sealed)]
-        )
+        return b"".join([_TYPE_BYTE[FRAME_RREP], _text(packet.sender_addr), _blob(packet.sealed)])
     if isinstance(packet, RepPacket):
-        rnd = _round_bytes(packet.s_addr, packet.s_seqno, packet.d_addr, packet.d_seqno)
+        rnd = _round_bytes(packet.s_addr, packet.s_seqno, packet.d_addr)
         return b"".join([_TYPE_BYTE[FRAME_REP], rnd, _blob(packet.sealed_code), path_bytes(packet.route)])
     if isinstance(packet, SessionFrame):
-        rnd = _round_bytes(packet.s_addr, packet.s_seqno, packet.d_addr, packet.seq)
-        return b"".join([_TYPE_BYTE[FRAME_SESSION], _text(packet.sender_addr), _U8.pack(packet.step), rnd])
+        rnd = _round_bytes(packet.s_addr, packet.s_seqno, packet.d_addr)
+        return b"".join(
+            [_TYPE_BYTE[FRAME_SESSION], _text(packet.sender_addr), _U8.pack(packet.step), rnd, _U32.pack(packet.seq)]
+        )
     raise MalformedFrame("unknown packet type %r" % type(packet).__name__)
 
 
@@ -452,19 +426,17 @@ def decode_frame(raw: bytes):
     try:
         if ftype == FRAME_RREQ:
             sender, off = _text_at(raw, 1)
-            (seqno,) = _U32.unpack_from(raw, off)
-            s_addr, off = _text_at(raw, off + _U32.size)
-            s_seqno, b_id = _U32X2.unpack_from(raw, off)
-            header_end = off + _U32X2.size
+            s_addr, off = _text_at(raw, off)
+            (s_seqno,) = _U32.unpack_from(raw, off)
+            header_end = off + _U32.size
             mutable = RreqMutable(*_RREQ_MUTABLE.unpack_from(raw, header_end))
             sealed, off = _box_at(raw, header_end + _RREQ_MUTABLE.size)
-            pkt = RreqPacket(sender, seqno, s_addr, s_seqno, b_id, mutable, sealed)
+            pkt = RreqPacket(sender, s_addr, s_seqno, mutable, sealed)
             pkt.__dict__["header"] = raw[:header_end]  # the bytes the seal binds, as read
         elif ftype == FRAME_RREP:
             sender, off = _text_at(raw, 1)
-            (seqno,) = _U32.unpack_from(raw, off)
-            sealed, off = _box_at(raw, off + _U32.size)
-            pkt = RrepPacket(sender, seqno, sealed)
+            sealed, off = _box_at(raw, off)
+            pkt = RrepPacket(sender, sealed)
         elif ftype == FRAME_REP:
             fields, off = _round_at(raw, 1)
             sealed, off = _box_at(raw, off)
@@ -474,7 +446,9 @@ def decode_frame(raw: bytes):
             sender, off = _text_at(raw, 1)
             (step,) = _U8.unpack_from(raw, off)
             fields, off = _round_at(raw, off + 1)
-            pkt = SessionFrame(sender, step, *fields)
+            (seq,) = _U32.unpack_from(raw, off)
+            off += _U32.size
+            pkt = SessionFrame(sender, step, *fields, seq)
         else:
             raise MalformedFrame("unknown frame type %d" % ftype)
     except _DECODE_ERRORS as exc:

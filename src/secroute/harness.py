@@ -317,7 +317,7 @@ class AdversaryBehavior(ProtocolBehavior):
         elif self.behavior == "path-delete":
             new_path = path[:-1] + (node,)  # the chain is now one step too long for the claim
         else:  # rreq-field-tamper
-            rreq = replace(rreq, d_seqno=rreq.d_seqno + 1)
+            rreq = replace(rreq, max_hops=rreq.max_hops ^ 1)
         return self.proto.relay_rreq(
             pkt, rreq, new_path, path_bytes(new_path), mac_prev, h_new, link.avl_bw, link.nw_delay
         )

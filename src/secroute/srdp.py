@@ -8,10 +8,15 @@ the hop after that can check it.  Replies unicast back along the chosen
 path under the same two-MAC discipline, keyed by pairwise keys, with a
 reverse hash chain the source anchors in the source-destination secret.
 
-A request's round id travels in its clear header, bound to the seal, so
-a relay drops a neighbour's copy of a round it has already forwarded
-before opening the seal.  A relay opens and checks only its first
-copy of each round; a destination opens every copy.
+Every frame names its round as `(s_addr, s_seqno)`: the source and the
+number of the discovery it started.  A request carries it in its clear
+header, bound to the seal, so a relay drops a neighbour's copy of a
+round it has already forwarded, and the source a copy of a round it
+started, before opening the seal.  A relay opens and checks only its
+first copy of each round; a destination opens every copy.  The hop
+count in a candidate's metrics is the request's `hop_count`, which the
+destination checks against the sealed path and the hash chain; the other
+clear cost fields are taken as they arrive.
 """
 
 from __future__ import annotations
@@ -208,10 +213,9 @@ class SrdpNode:
         self.weights = weights
         self.max_hops = max_hops
         self.literal_cost = literal_cost
-        self._seqno = 0
-        self._b_id = 0
-        self.seen_rounds: Set[Tuple[str, int, int]] = set()
-        self.dest_rounds: Dict[Tuple[str, int, int], RoundState] = {}
+        self._seqno = 0  # rounds this node has started
+        self.seen_rounds: Set[Tuple[str, int]] = set()
+        self.dest_rounds: Dict[Tuple[str, int], RoundState] = {}
         self.routes: Dict[Tuple[str, str], RrepInfo] = {}
         self.counters: Dict[str, int] = {}
         self.detections: List[Tuple[str, str]] = []  # (reason, detail)
@@ -238,20 +242,15 @@ class SrdpNode:
         if k_sd is None:
             raise NoPairwiseKey("%s has no key with %s" % (self.node, dest))
         self._seqno += 1
-        self._b_id += 1
-        rreq = RreqImmutable(
-            s_addr=self.node,
-            s_seqno=self._seqno,
-            b_id=self._b_id,
-            d_addr=dest,
-            d_seqno=0,
-            max_hops=self.max_hops,
-        )
+        rreq = RreqImmutable(s_addr=self.node, s_seqno=self._seqno, d_addr=dest, max_hops=self.max_hops)
         h0 = mac(k_sd, [rreq.to_bytes()])
         m0 = rreq_hop_mac(self.keys.broadcast_secret, rreq, path_bytes(()), hash_bytes(h0))
         body = RreqBody(rreq, (), None, m0, h0)
+        # The neighbours' copies that come back are duplicates, not requests
+        # for this node to relay.
+        self.seen_rounds.add(rreq.round_id())
         self._count("rreq_originated")
-        return seal_rreq(self.keys.group_key, self.node, self._seqno, RreqMutable(), body)
+        return seal_rreq(self.keys.group_key, self.node, RreqMutable(), body)
 
     def open_body(self, frame: Union[RreqPacket, RrepPacket]) -> Union[RreqBody, RrepBody, None]:
         """`frame`'s sealed body (an RreqBody for an RREQ, an RrepBody for an
@@ -297,8 +296,8 @@ class SrdpNode:
         A neighbour's copy of a round this node has already forwarded is
         dropped on its clear header alone, before the seal is opened: the
         seal binds that header, so the round id read there is the one the
-        body carries.  A destination never records its own rounds as seen,
-        so it collects every copy.
+        body carries.  The source records its own round as seen when it
+        starts it; a destination never does, so it collects every copy.
         """
         rid = frame.round_id()
         if frame.sender_addr in self.keys.neighbor_ids and rid in self.seen_rounds:
@@ -346,8 +345,7 @@ class SrdpNode:
         mutable = ecms.advance(frame.mutable, link_bw, link_delay, self.weights, self.literal_cost)
         if mutable.hop_count != len(new_path):  # the path lies
             mutable = replace(mutable, hop_count=len(new_path))
-        self._seqno += 1
-        return seal_rreq(self.keys.group_key, self.node, self._seqno, mutable, body)
+        return seal_rreq(self.keys.group_key, self.node, mutable, body)
 
     def _collect_candidate(self, frame: RreqPacket, body: RreqBody, link_bw, link_delay):
         rreq = body.rreq
@@ -364,15 +362,16 @@ class SrdpNode:
         state = self.dest_rounds.setdefault(rid, RoundState(rreq=rreq))
         if not state.window_open:
             return self._drop(DUPLICATE, "window closed")
-        # Fold in the final link so cost and metrics span the whole path.
+        # Fold in the final link so cost and metrics span the whole path; the
+        # hop count folded is the one checked against the path and the chain.
         t = ecms.advance(frame.mutable, link_bw, link_delay, self.weights, self.literal_cost)
-        metrics = ecms.PathMetrics(t.hc, t.bw, t.nd)
+        metrics = ecms.PathMetrics(t.hop_count, t.bw, t.nd)
         first = not state.candidates
         state.candidates.append(Candidate(body.path, t.path_cost, metrics, body.h))
         self._count("rreq_collected")
         return ("collected", rid, first)
 
-    def finalize_destination(self, rid: Tuple[str, int, int]) -> Optional[RrepPacket]:
+    def finalize_destination(self, rid: Tuple[str, int]) -> Optional[RrepPacket]:
         """Close the collection window and answer the best surviving request.
 
         Returns None, and counts a NoPairwiseKey drop, if this node shares
@@ -386,13 +385,7 @@ class SrdpNode:
             [(c.path, c.path_cost, c.metrics) for c in state.candidates], ecms.Mode.HC_BW_ND
         )
         rreq = state.rreq
-        rrep = RrepInfo(
-            s_addr=rreq.s_addr,
-            s_seqno=rreq.s_seqno,
-            d_addr=self.node,
-            d_seqno=rreq.d_seqno,
-            route=route,
-        )
+        rrep = RrepInfo(s_addr=rreq.s_addr, s_seqno=rreq.s_seqno, d_addr=self.node, route=route)
         seq = route_nodes(rrep)[::-1]
         k_sd = self.keys.pairwise_key(rreq.s_addr)
         k_next = self.keys.pairwise_key(seq[2]) if len(seq) > 2 else None
@@ -403,9 +396,8 @@ class SrdpNode:
         q0 = mac(k_sd, [rrep.to_bytes()])
         mac_curr = None if k_next is None else rrep_hop_mac(k_next, rrep, hash_bytes(q0))
         body = RrepBody(rrep, q0, None, mac_curr)
-        self._seqno += 1
         self._count("rrep_originated")
-        return RrepPacket(self.node, self._seqno, seal(self.keys.group_key, body.to_bytes()))
+        return RrepPacket(self.node, seal(self.keys.group_key, body.to_bytes()))
 
     # -- RREP relay / source acceptance -------------------------------
 
@@ -453,9 +445,8 @@ class SrdpNode:
             mac_curr = rrep_hop_mac(key, body.rrep, hash_bytes(q_new))
         self.routes[(body.rrep.s_addr, body.rrep.d_addr)] = body.rrep
         new_body = RrepBody(body.rrep, q_new, body.mac_curr, mac_curr)
-        self._seqno += 1
         self._count("rrep_forwarded")
-        out = RrepPacket(self.node, self._seqno, seal(self.keys.group_key, new_body.to_bytes()))
+        out = RrepPacket(self.node, seal(self.keys.group_key, new_body.to_bytes()))
         return ("forward", out, seq[pos + 1])
 
     def _accept_rrep(self, body: RrepBody, seq: Tuple[str, ...]):
@@ -495,7 +486,7 @@ class SrdpNode:
         if key is None:
             self._drop(NO_PAIRWISE_KEY)
             return None
-        return RepPacket(rrep.s_addr, rrep.s_seqno, rrep.d_addr, rrep.d_seqno, seal(key, bytes([code])), rrep.route)
+        return RepPacket(rrep.s_addr, rrep.s_seqno, rrep.d_addr, seal(key, bytes([code])), rrep.route)
 
     def handle_rep(self, rep: RepPacket, sender: str):
         """A route error from `sender`, taken only for a round this node

@@ -13,7 +13,6 @@ from math import comb
 
 import pytest
 
-from secroute import cost as ecms
 from secroute import kdc, oracle as oraclelib, session, srdp
 from secroute.crypto import chain, mac
 from secroute.errors import (
@@ -302,7 +301,7 @@ def test_codec_identity_and_fuzz():
         frames.append(fwd[1])
         from secroute.frames import RrepInfo, SessionFrame
 
-        info = RrepInfo("S", 1, "D", 0, ("A", "B"))
+        info = RrepInfo("S", 1, "D", ("A", "B"))
         frames.append(nodes["B"].build_rep(info, srdp.LINK_BREAK))
         frames.append(SessionFrame("S", 100, "S", 1, "D", 0))
         for frame in frames:

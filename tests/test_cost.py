@@ -65,11 +65,11 @@ def test_aggregate():
 def test_advance_one_link():
     w = Weights(1, 0.1, 1)
     first = cost.advance(RreqMutable(), 20, 3, w, False)
-    assert first == RreqMutable(1, cost.path_cost_step(0.0, 20, 3, w), 1, 20, 3)
+    assert first == RreqMutable(1, cost.path_cost_step(0.0, 20, 3, w), 20, 3)
     second = cost.advance(first, 10, 2, w, False)
-    assert second == RreqMutable(2, cost.path_cost_step(first.path_cost, 10, 2, w), 2, 10, 5)
+    assert second == RreqMutable(2, cost.path_cost_step(first.path_cost, 10, 2, w), 10, 5)
     assert cost.advance(second, 50, 1, w, False).bw == 10  # the bottleneck stays
-    assert first.hc == 1  # advance builds a new header; prev is untouched
+    assert first.hop_count == 1  # advance builds a new header; prev is untouched
 
 
 @pytest.mark.parametrize("seed", range(6))

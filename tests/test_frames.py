@@ -7,25 +7,25 @@ from hypothesis import strategies as st
 
 from secroute import frames
 from secroute.crypto import seal
-from secroute.errors import MalformedFrame
+from secroute.errors import AuthFailure, MalformedFrame
 
 KEY = b"q" * 32
 
 
 def sample_rreq():
-    imm = frames.RreqImmutable("S", 7, 3, "D", 0, 16)
+    imm = frames.RreqImmutable("S", 7, "D", 16)
     body = frames.RreqBody(imm, ("A",), b"\x01" * 32, b"\x02" * 32, b"\x03" * 32)
-    return frames.seal_rreq(KEY, "A", 12, frames.RreqMutable(1, 4.25, 1, 10.0, 2.0), body)
+    return frames.seal_rreq(KEY, "A", frames.RreqMutable(1, 4.25, 10.0, 2.0), body)
 
 
 def sample_rrep():
-    info = frames.RrepInfo("S", 7, "D", 0, ("A", "B"))
+    info = frames.RrepInfo("S", 7, "D", ("A", "B"))
     body = frames.RrepBody(info, b"\x04" * 32, None, b"\x05" * 32)
-    return frames.RrepPacket("D", 1, seal(KEY, body.to_bytes()))
+    return frames.RrepPacket("D", seal(KEY, body.to_bytes()))
 
 
 def sample_rep():
-    return frames.RepPacket("S", 7, "D", 0, seal(KEY, b"\x01"), ("A", "B"))
+    return frames.RepPacket("S", 7, "D", seal(KEY, b"\x01"), ("A", "B"))
 
 
 def sample_session():
@@ -55,13 +55,13 @@ def test_body_round_trips():
 
 
 def test_rreq_body_inner_round_trip():
-    imm = frames.RreqImmutable("S", 1, 2, "D", 3, 8)
+    imm = frames.RreqImmutable("S", 1, "D", 8)
     body = frames.RreqBody(imm, (), None, b"\x09" * 32, b"\x0a" * 32)
     assert frames.RreqBody.from_bytes(body.to_bytes(), "S", 1) == body
 
 
 def test_sealed_rreq_opens_to_its_body():
-    imm = frames.RreqImmutable("S", 7, 3, "D", 0, 16)
+    imm = frames.RreqImmutable("S", 7, "D", 16)
     body = frames.RreqBody(imm, ("A",), b"\x01" * 32, b"\x02" * 32, b"\x03" * 32)
     pkt = frames.decode_frame(frames.encode_frame(sample_rreq()))
     assert frames.open_rreq(KEY, pkt) == body
@@ -69,34 +69,37 @@ def test_sealed_rreq_opens_to_its_body():
 
 
 def test_sealed_rreq_under_another_round_rejected():
-    """A body whose b_id differs from the header's fails to open, although
-    the seal itself verifies."""
-    body = frames.RreqBody(frames.RreqImmutable("S", 7, 4, "D", 0, 16), (), None, b"\x02" * 32, b"\x03" * 32)
-    forged = frames.RreqPacket("S", 7, "S", 7, 3, frames.RreqMutable(), BOX)
-    forged = dataclasses.replace(forged, sealed=seal(KEY, body.to_bytes(), forged.header))
-    with pytest.raises(MalformedFrame, match="b_id"):
-        frames.open_rreq(KEY, forged)
+    """A body sealed for one round does not open under another round's
+    header: the body names no round of its own, so the header it was sealed
+    with is the only round it can belong to."""
+    body = frames.RreqBody(frames.RreqImmutable("S", 4, "D", 16), (), None, b"\x02" * 32, b"\x03" * 32)
+    sealed = frames.seal_rreq(KEY, "S", frames.RreqMutable(), body)
+    assert frames.open_rreq(KEY, sealed) == body
+    for moved in (dataclasses.replace(sealed, s_seqno=3), dataclasses.replace(sealed, s_addr="T")):
+        with pytest.raises(AuthFailure):
+            frames.open_rreq(KEY, moved)
 
 
 @pytest.mark.parametrize(
     "sender,source,path", [("A", "S", ("A",)), ("节点", "Nœud-é", ("A", "B", "C")), ("S", "S", ())]
 )
 def test_rreq_frame_length_matches_body_sealed_layout(sender, source, path):
-    """Moving s_addr and s_seqno from the sealed body into the clear header
-    keeps every RREQ frame's length: the length the layout with both
-    inside the body gave, which delivery times and trace sizes depend on."""
-    imm = frames.RreqImmutable(source, 7, 3, "D", 0, 16)
+    """An RREQ frame is its clear header, the cost fields and the box
+    around its body plaintext, each as long as docs/wire-format.md lays it
+    out; delivery times and trace sizes depend on these lengths."""
+    imm = frames.RreqImmutable(source, 7, "D", 16)
     body = frames.RreqBody(imm, path, None if not path else b"\x01" * 32, b"\x02" * 32, b"\x03" * 32)
-    pkt = frames.seal_rreq(KEY, sender, 12, frames.RreqMutable(), body)
-    mac_prev = b"\x00" if not path else b"\x01" + b"\x01" * 32
-    sealed_plaintext = imm.to_bytes() + frames.path_bytes(path) + mac_prev + 64 * b"x"
-    header = 1 + 2 + len(sender.encode()) + 4 + 4  # type, sender_addr, sender_seqno, b_id
-    # then the mutable fields (27), the box's length (2), nonce (12), plaintext and tag (16)
-    assert len(frames.encode_frame(pkt)) == header + 27 + 2 + 12 + len(sealed_plaintext) + 16
+    pkt = frames.seal_rreq(KEY, sender, frames.RreqMutable(), body)
+    mac_prev = 1 if not path else 1 + 32
+    # d_addr, max_hops, path, mac_prev, mac_curr and h
+    plaintext = 2 + 1 + 1 + len(frames.path_bytes(path)) + mac_prev + 64
+    header = 1 + 2 + len(sender.encode()) + 2 + len(source.encode()) + 4  # type, sender_addr, s_addr, s_seqno
+    # then hop_count (1), path_cost, bw and nd (8 each), the box's length (2), nonce (12), plaintext and tag (16)
+    assert len(frames.encode_frame(pkt)) == header + 25 + 2 + 12 + plaintext + 16
 
 
 def test_rrep_body_inner_round_trip():
-    info = frames.RrepInfo("S", 1, "D", 2, ())
+    info = frames.RrepInfo("S", 1, "D", ())
     body = frames.RrepBody(info, b"\x0b" * 32, b"\x0c" * 32, None)
     assert frames.RrepBody.from_bytes(body.to_bytes()) == body
 
@@ -159,10 +162,10 @@ def mutate(rng, raw):
 @pytest.mark.parametrize(
     "body",
     [
-        frames.RreqBody(frames.RreqImmutable("S", 7, 3, "D", 0, 16), ("A", "B"), b"\x01" * 32, b"\x02" * 32, b"\x03" * 32),
-        frames.RreqBody(frames.RreqImmutable("S", 1, 2, "D", 3, 8), (), None, b"\x09" * 32, b"\x0a" * 32),
-        frames.RrepBody(frames.RrepInfo("S", 7, "D", 0, ("A", "B")), b"\x04" * 32, None, b"\x05" * 32),
-        frames.RrepBody(frames.RrepInfo("S", 1, "D", 2, ("C",)), b"\x0b" * 32, b"\x0c" * 32, None),
+        frames.RreqBody(frames.RreqImmutable("S", 7, "D", 16), ("A", "B"), b"\x01" * 32, b"\x02" * 32, b"\x03" * 32),
+        frames.RreqBody(frames.RreqImmutable("S", 1, "D", 8), (), None, b"\x09" * 32, b"\x0a" * 32),
+        frames.RrepBody(frames.RrepInfo("S", 7, "D", ("A", "B")), b"\x04" * 32, None, b"\x05" * 32),
+        frames.RrepBody(frames.RrepInfo("S", 1, "D", ("C",)), b"\x0b" * 32, b"\x0c" * 32, None),
     ],
     ids=["rreq", "rreq-origin", "rrep", "rrep-last"],
 )
@@ -185,40 +188,48 @@ def test_mutated_bodies_raise_only_malformed(body):
 # -- pinned wire bytes ---------------------------------------------------
 #
 # A round trip cannot catch an encoder and decoder that change the layout
-# together; these bytes can.
+# together; these bytes can.  Each is written out field by field from the
+# tables in docs/wire-format.md: `text` "A" is 000141, `text` "S" 000153,
+# `text` "D" 000144, and the box is its u16 length (30 = 001e), then its
+# bytes.
 
 BOX = b"\x11" * 12 + b"ct" + b"\x22" * 16
-NON_ASCII_IMM = frames.RreqImmutable("Nœud-é", 7, 3, "D", 0xFFFFFFFF, 255)
+BOX_BLOB = "001e" + "11" * 12 + "6374" + "22" * 16
+NON_ASCII_IMM = frames.RreqImmutable("Nœud-é", 0xFFFFFFFF, "D", 255)
 
 GOLDEN = {
     "rreq": (
-        frames.RreqPacket("A", 12, "S", 7, 3, frames.RreqMutable(1, 4.25, 1, 10.0, 2.0), BOX),
-        "010001410000000c000153000000070000000301401100000000000000014024000000000000400000000000"
-        "0000001e111111111111111111111111637422222222222222222222222222222222",
+        frames.RreqPacket("A", "S", 7, frames.RreqMutable(1, 4.25, 10.0, 2.0), BOX),
+        "01" "000141" "000153" "00000007"  # type, sender_addr, s_addr, s_seqno
+        "01" "4011000000000000" "4024000000000000" "4000000000000000"  # hop_count, path_cost, bw, nd
+        + BOX_BLOB,
     ),
-    "rrep": (
-        frames.RrepPacket("D", 1, BOX),
-        "0200014400000001001e111111111111111111111111637422222222222222222222222222222222",
-    ),
+    "rrep": (frames.RrepPacket("D", BOX), "02" "000144" + BOX_BLOB),  # type, sender_addr, sealed
     "rep": (
-        frames.RepPacket("S", 7, "D", 0, BOX, ("A", "B")),
-        "030001530000000700014400000000001e11111111111111111111111163742222222222222222222222"
-        "22222222220002000141000142",
+        frames.RepPacket("S", 7, "D", BOX, ("A", "B")),
+        "03" "000153" "00000007" "000144"  # type, s_addr, s_seqno, d_addr
+        + BOX_BLOB
+        + "0002" "000141" "000142",  # route
     ),
-    "session": (frames.SessionFrame("B1", 100, "S", 7, "D", 1), "0400024231640001530000000700014400000001"),
+    "session": (
+        frames.SessionFrame("B1", 100, "S", 7, "D", 1),
+        "04" "00024231" "64" "000153" "00000007" "000144" "00000001",  # type, sender_addr, step, s_addr, s_seqno, d_addr, seq
+    ),
 }
 
 GOLDEN_BODIES = {
     "rreq-body": (
         frames.RreqBody(NON_ASCII_IMM, ("A", "节点"), b"\x01" * 32, b"\x02" * 32, b"\x03" * 32),
-        "00000003000144ffffffffff00020001410006e88a82e782b901"
-        + "01" * 32
-        + "02" * 32
-        + "03" * 32,
+        "000144" "ff"  # d_addr, max_hops
+        "0002" "000141" "0006e88a82e782b9"  # path ("A", "节点")
+        "01" + "01" * 32 + "02" * 32 + "03" * 32,  # mac_prev (present), mac_curr, h
     ),
     "rrep-body": (
-        frames.RrepBody(frames.RrepInfo("S", 7, "D", 0, ("A", "B")), b"\x04" * 32, None, b"\x05" * 32),
-        "00015300000007000144000000000002000141000142" + "04" * 32 + "0001" + "05" * 32,
+        frames.RrepBody(frames.RrepInfo("S", 7, "D", ("A", "B")), b"\x04" * 32, None, b"\x05" * 32),
+        "000153" "00000007" "000144"  # s_addr, s_seqno, d_addr
+        "0002" "000141" "000142"  # route
+        + "04" * 32  # q
+        + "00" "01" + "05" * 32,  # mac_prev (absent), mac_curr (present)
     ),
 }
 
@@ -238,23 +249,24 @@ def test_body_bytes_pinned(name):
 
 
 def test_immutable_and_path_bytes_pinned():
-    assert NON_ASCII_IMM.to_bytes().hex() == "00084ec59375642dc3a90000000700000003000144ffffffffff"
+    # s_addr "Nœud-é" (8 UTF-8 bytes), s_seqno, d_addr, max_hops
+    assert NON_ASCII_IMM.to_bytes().hex() == "0008" "4ec59375642dc3a9" "ffffffff" "000144" "ff"
     assert frames.path_bytes(("A", "节点", "")).hex() == "00030001410006e88a82e782b90000"
 
 
 def test_immutable_bytes_derived_once_per_instance():
-    imm = frames.RreqImmutable("S", 1, 2, "D", 3, 8)
+    imm = frames.RreqImmutable("S", 1, "D", 8)
     assert imm.to_bytes() is imm.to_bytes()
     changed = dataclasses.replace(imm, s_seqno=9)
     assert changed.to_bytes() != imm.to_bytes()
-    assert changed.to_bytes() == frames.RreqImmutable("S", 9, 2, "D", 3, 8).to_bytes()
+    assert changed.to_bytes() == frames.RreqImmutable("S", 9, "D", 8).to_bytes()
 
 
 # -- rejected inputs -------------------------------------------------------
 
 
 def _rreq_body_raw(flag: int) -> bytes:
-    imm = frames.RreqImmutable("S", 1, 2, "D", 3, 8)
+    imm = frames.RreqImmutable("S", 1, "D", 8)
     raw = frames.RreqBody(imm, ("A",), b"\x01" * 32, b"\x02" * 32, b"\x03" * 32).to_bytes()
     at = len(raw) - 1 - 3 * 32  # mac_prev's flag, then mac_prev, mac_curr and h
     assert raw[at] == 1
@@ -262,7 +274,7 @@ def _rreq_body_raw(flag: int) -> bytes:
 
 
 def _rrep_body_raw(flag: int, which: int) -> bytes:
-    info = frames.RrepInfo("S", 1, "D", 2, ("A",))
+    info = frames.RrepInfo("S", 1, "D", ("A",))
     raw = frames.RrepBody(info, b"\x04" * 32, b"\x05" * 32, b"\x06" * 32).to_bytes()
     at = len(info.to_bytes()) + 32 + which * 33
     assert raw[at] == 1
@@ -297,15 +309,15 @@ REJECTED = {
     ),
     "bad-utf8-path": (
         frames.decode_frame,
-        _patched(frames.encode_frame(frames.RepPacket("S", 7, "D", 0, BOX, ("Z",))), b"Z", b"\xff"),
+        _patched(frames.encode_frame(frames.RepPacket("S", 7, "D", BOX, ("Z",))), b"Z", b"\xff"),
     ),
     "path-count-past-end": (
         frames.decode_frame,
-        frames.encode_frame(frames.RepPacket("S", 7, "D", 0, BOX, ()))[:-2] + b"\xff\xff",
+        frames.encode_frame(frames.RepPacket("S", 7, "D", BOX, ()))[:-2] + b"\xff\xff",
     ),
     "short-box": (
         frames.decode_frame,
-        frames.encode_frame(frames.RrepPacket("D", 1, b"\x11" * 12 + b"\x22" * 15)),
+        frames.encode_frame(frames.RrepPacket("D", b"\x11" * 12 + b"\x22" * 15)),
     ),
     "body-bad-utf8": (frames.RrepBody.from_bytes, b"\x00\x01\xff"),
     "rrep-body-trailing": (frames.RrepBody.from_bytes, GOLDEN_BODIES["rrep-body"][0].to_bytes() + b"\x00"),
@@ -324,7 +336,6 @@ def test_rejected_inputs(name):
 
 ids = st.text(max_size=12)
 u8 = st.integers(0, 0xFF)
-u16 = st.integers(0, 0xFFFF)
 u32 = st.integers(0, 0xFFFFFFFF)
 f64 = st.floats(allow_nan=False)
 digest = st.binary(min_size=32, max_size=32)
@@ -332,14 +343,14 @@ paths = st.lists(ids, max_size=40).map(tuple)
 LONG_PATH = tuple("N%d" % i for i in range(300))
 boxes = st.binary(min_size=28, max_size=92)
 
-immutables = st.builds(frames.RreqImmutable, ids, u32, u32, ids, u32, u8)
+immutables = st.builds(frames.RreqImmutable, ids, u32, ids, u8)
 rreq_bodies = st.builds(frames.RreqBody, immutables, paths, st.none() | digest, digest, digest)
-infos = st.builds(frames.RrepInfo, ids, u32, ids, u32, paths)
+infos = st.builds(frames.RrepInfo, ids, u32, ids, paths)
 rrep_bodies = st.builds(frames.RrepBody, infos, digest, st.none() | digest, st.none() | digest)
 packets = st.one_of(
-    st.builds(frames.RreqPacket, ids, u32, ids, u32, u32, st.builds(frames.RreqMutable, u8, f64, u16, f64, f64), boxes),
-    st.builds(frames.RrepPacket, ids, u32, boxes),
-    st.builds(frames.RepPacket, ids, u32, ids, u32, boxes, paths),
+    st.builds(frames.RreqPacket, ids, ids, u32, st.builds(frames.RreqMutable, u8, f64, f64, f64), boxes),
+    st.builds(frames.RrepPacket, ids, boxes),
+    st.builds(frames.RepPacket, ids, u32, ids, boxes, paths),
     st.builds(frames.SessionFrame, ids, u8, ids, u32, ids, u32),
 )
 bodies = rreq_bodies | rrep_bodies
@@ -347,12 +358,8 @@ bodies = rreq_bodies | rrep_bodies
 
 @settings(max_examples=300)
 @given(packets)
-@example(frames.RepPacket("", 0xFFFFFFFF, "é", 0, BOX, LONG_PATH))
-@example(
-    frames.RreqPacket(
-        "节点", 0xFFFFFFFF, "Nœud", 0, 0, frames.RreqMutable(0xFF, -0.0, 0xFFFF, float("inf"), 1e-9), BOX
-    )
-)
+@example(frames.RepPacket("", 0xFFFFFFFF, "é", BOX, LONG_PATH))
+@example(frames.RreqPacket("节点", "Nœud", 0xFFFFFFFF, frames.RreqMutable(0xFF, -0.0, float("inf"), 1e-9), BOX))
 def test_frame_round_trip_property(pkt):
     raw = frames.encode_frame(pkt)
     assert frames.decode_frame(raw) == pkt
@@ -366,7 +373,7 @@ def test_frame_round_trip_property(pkt):
 @settings(max_examples=300)
 @given(bodies)
 @example(frames.RreqBody(NON_ASCII_IMM, LONG_PATH, None, b"\x00" * 32, b"\xff" * 32))
-@example(frames.RrepBody(frames.RrepInfo("", 0, "", 0xFFFFFFFF, LONG_PATH), b"\x00" * 32, None, None))
+@example(frames.RrepBody(frames.RrepInfo("", 0xFFFFFFFF, "", LONG_PATH), b"\x00" * 32, None, None))
 def test_body_round_trip_property(body):
     raw = body.to_bytes()
     assert body_from_bytes(body, raw) == body
@@ -397,9 +404,9 @@ LONG = "x" * 0x10000
     [
         lambda: frames.encode_frame(frames.SessionFrame(LONG, 1, "S", 1, "D", 0)),
         lambda: frames.encode_frame(frames.SessionFrame("S", 1, "S", 1, LONG, 0)),  # the round it names
-        lambda: frames.encode_frame(frames.RrepPacket("S", 1, b"\x00" * 12 + b"\x00" * 0xFFF0 + b"\x22" * 16)),
-        lambda: frames.encode_frame(frames.RepPacket("S", 1, "D", 2, BOX, ("A", LONG))),
-        lambda: frames.RreqImmutable(LONG, 1, 2, "D", 3, 8).to_bytes(),
+        lambda: frames.encode_frame(frames.RrepPacket("S", b"\x00" * 12 + b"\x00" * 0xFFF0 + b"\x22" * 16)),
+        lambda: frames.encode_frame(frames.RepPacket("S", 1, "D", BOX, ("A", LONG))),
+        lambda: frames.RreqImmutable(LONG, 1, "D", 8).to_bytes(),
         lambda: frames.path_bytes(("A",) * 0x10000),
     ],
     ids=["text", "payload", "box", "path-entry", "immutable", "path-count"],

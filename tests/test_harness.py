@@ -26,7 +26,7 @@ from secroute.harness import (
     run_scenario,
     topology_to_text,
 )
-from secroute.topology import Topology, load_topology
+from secroute.topology import load_topology
 from test_acceptance import tamper_scenarios
 
 DIAMOND = """
@@ -91,6 +91,22 @@ def test_link_break_triggers_rediscovery():
     assert ["S", "C", "D"] in report.routes_installed
 
 
+@pytest.mark.parametrize(
+    "make", [diamond_cfg, lambda: diamond_cfg(cloudlets=6, link_break=("A", "B", 90.0))], ids=["honest", "break-a-b"]
+)
+def test_source_broadcasts_each_round_once_and_relays_none(make):
+    """The source records each round it starts as seen, so its neighbours'
+    copies that come back are duplicates, not requests for it to relay: S
+    broadcasts once per round, and forwards no request."""
+    h = Harness(make())
+    report = h.run()
+    rounds = 1 + report.rediscoveries
+    broadcasts = [e for e in h.sim.trace if e["ev"] == "send" and e["node"] == "S" and e["kind"] == "broadcast"]
+    assert len(broadcasts) == rounds
+    assert "rreq_forwarded" not in report.counters["S"]
+    assert report.counters["S"]["drop:" + srdp.DUPLICATE] == 2 * rounds  # A's and C's copies
+
+
 def tamper_cfg(behavior):
     """The first acceptance tamper topology, with its adversary acting."""
     seed, adversary, topo = tamper_scenarios(1)[0]
@@ -108,76 +124,76 @@ def tamper_cfg(behavior):
 # entry feed these hashes, so a codec, simulator or cost change that alters
 # any of them shows here.
 PINNED_REPORTS = {
-    "honest": (lambda: diamond_cfg(cloudlets=3), "40b27d5bb753254da6e183107993692731e3b5cc9fb2e9c87b2d141059b15b27"),
+    "honest": (lambda: diamond_cfg(cloudlets=3), "98be4ccad4ef2c8e8f18ecc2d310a8f839ac32ada84074751462e16c1dafcca3"),
     "break-a-b": (  # A's second route error names the round S has already dropped
         lambda: diamond_cfg(cloudlets=6, link_break=("A", "B", 90.0)),
-        "d85b6dcaef0081e6dad055f71d4e5565a672cf58b59836e206902be8bfbd0588",
+        "429dcf6c597702a2ce5fdd6f6adc9eae7274e43d2d70889391d3255f62aa8304",
     ),
     "break-b-d": (  # B's route error is relayed by A to S
         lambda: diamond_cfg(cloudlets=6, link_break=("B", "D", 90.0)),
-        "05d63a571e72340798815001de5b7bb6388d4c432f5e22198817b935244e1a0d",
+        "741b1fe9996e5320b5e3a628cbfbf0d1e5e91201b60ffa5c2ff8f9b807e280f8",
     ),
     "n40": (
         lambda: ScenarioConfig(
             topology_text=topology_to_text(random_topology(11, 40, 0.12)), source="N0", dest="N39", seed=1, cloudlets=2
         ),
-        "ec6cac991a05776671aadec94b3140ae553b1b9987da6c4c68c2b7bc0bea0e9b",
+        "b3d1dd4cc61852379347b1ae6680853e43ebdc597ea2ec828b7a7a35184805c7",
     ),
     "adv-path-insert": (
         lambda: tamper_cfg("path-insert"),
-        "351d3f47ed14d34b3547c20c489face8c141b55771eaed0dddb9f1bb378d2107",
+        "1915d5cad4f62358569db3045f35757a0b34a8efbcb1fb6ba92d1ecd95a10323",
     ),
     "adv-path-delete": (
         lambda: tamper_cfg("path-delete"),
-        "e5b3af99374e93c0bc0285ac2e6b124345ea9c4cba506d69e1c08f46905df81d",
+        "fa50efa730a6cb1ecd0aff065ebaa3e7bdcabe27dd8252f1117ddc46c3120524",
     ),
     "adv-path-modify": (
         lambda: tamper_cfg("path-modify"),
-        "113ef87188b9e577093c95897fc0d8bf6ca73ab05061f8c284ea951ae864a4d4",
+        "7d60f92d9ce6f88bc3c45685887a5bac2805e025495d276125e594717c381940",
     ),
     "adv-rreq-field-tamper": (
         lambda: tamper_cfg("rreq-field-tamper"),
-        "59937c3ac52796d6e72576ec287d5bc6101bb2cd78a1076a946fb1ea2deef059",
+        "95aefd001019d4baeed88c1bce1215d785ff69b2dc2e45559a920cb90c580f3a",
     ),
     "adv-replay": (
         lambda: tamper_cfg("replay"),
-        "a72cf5592102f2c1181708a0262a92408341f56f4f5461182402a110ba0006b7",
+        "ce2a24e7d5bb110f8e8d9dc2dc07b69ecdf7966bc811fdd0e23c7b72011f546b",
     ),
     "adv-cost-deflate": (
         lambda: tamper_cfg("cost-deflate"),
-        "831a62c45a16e778421bf591f5598a9af2cd7b5053bc5d2f8169aa817d7d1a65",
+        "6bd09ec170a873bc5eab8f0adad9044b024584a5cc90698c5b79a0cdfd394525",
     ),
     "mode-hc": (
         lambda: diamond_cfg(mode=ecms.Mode.HC),
-        "06d53ab8c75899877785d5ac06d56e607cd49c16f5cce7fa952d20448f893a1b",
+        "ea5aa91507e86c6cdfed8328de8948934b10f3b35161d6b10ccdc31ef4e33b37",
     ),
     "mode-bw": (
         lambda: diamond_cfg(mode=ecms.Mode.BW),
-        "ffa998a2ac0dfa50ddc1725693dae23afe2cc6dbfed67c4f673057746928116a",
+        "91a175f3a4d8a92e8ca9287c1e426e0429ca4f3d6474ae0e0de23f9ae2663528",
     ),
     "mode-nd": (
         lambda: diamond_cfg(mode=ecms.Mode.ND),
-        "0594b3bbb069a49c1b1e3174a7d2a5b8e86f38145d9df4e234b8003f2be8d75d",
+        "6cf365ed4bc83a320da4445dc23b1c788ae2b5dfd28c08050bdffbbdfe7a4270",
     ),
     "mode-hc_bw": (
         lambda: diamond_cfg(mode=ecms.Mode.HC_BW),
-        "67cde0c98c70c459237693aa1abdee50ef2d891e5a77c74bec72e813577ae9d3",
+        "5778c5cff0921372e94e08f92b2844ee2c3dd16beed1f47f7cfbbedbcbdcb37f",
     ),
     "mode-bw_nd": (
         lambda: diamond_cfg(mode=ecms.Mode.BW_ND),
-        "066457c493382116f50d775937f20b20d57194b73956269b6003b9387a002552",
+        "1bec0a128e57d14a00c9a59ff3adf39691a93cbd12341c74fbafbceb3853935a",
     ),
     "mode-hc_nd": (
         lambda: diamond_cfg(mode=ecms.Mode.HC_ND),
-        "9126c8523cf9ed23e08ed3def83dc010d0a60cffb8236064edc6894c6b7c5320",
+        "feb564b4a1201b4cc5b6a88ba9646827a2c13fbbfcf646b4173ae02ee5f05b64",
     ),
     "mode-hc_bw_nd": (
         lambda: diamond_cfg(mode=ecms.Mode.HC_BW_ND),
-        "7a53b39a894f058ada7d828426fc11553dbac39fabd15890271431fffd0e1718",
+        "7d50b2787d49a0f7a926a16797e3fc7f63dbed48a1a80d23610bbe5433517005",
     ),
     "literal-cost": (
         lambda: diamond_cfg(literal_cost=True),
-        "e46d915e43f51c5b4bb6c6852f12f0486ef7fe9ace976cf071ea556e75b50acc",
+        "d04b4e83da5fa364d3bb0ff72ec43a0684775fbb9a4b135553615c0244df6eaf",
     ),
 }
 
@@ -302,7 +318,7 @@ def test_route_error_for_a_route_the_source_never_held_is_dropped():
     route S-C-D is dropped, and S keeps S-A-B-D without rediscovering."""
     h = Harness(diamond_cfg())
     honest = h.run()
-    rep = h.protos["C"].build_rep(RrepInfo("S", 0, "D", 0, ("C",)), srdp.LINK_BREAK)
+    rep = h.protos["C"].build_rep(RrepInfo("S", 0, "D", ("C",)), srdp.LINK_BREAK)
     h.sim.unicast("C", "S", encode_frame(rep))
     trace = h.sim.run_until()
     assert (trace[-1]["ev"], trace[-1]["node"], trace[-1]["reason"]) == ("drop", "S", srdp.NOT_ON_ROUTE)
@@ -318,7 +334,7 @@ def test_route_error_at_a_relay_holding_no_such_round_is_dropped():
     S's round, and is dropped there."""
     h = Harness(diamond_cfg())
     h.run()
-    rep = h.protos["D"].build_rep(RrepInfo("S", 1, "D", 0, ("C",)), srdp.LINK_BREAK)
+    rep = h.protos["D"].build_rep(RrepInfo("S", 1, "D", ("C",)), srdp.LINK_BREAK)
     h.sim.unicast("D", "C", encode_frame(rep))
     trace = h.sim.run_until()
     assert (trace[-1]["ev"], trace[-1]["node"], trace[-1]["reason"]) == ("drop", "C", srdp.NOT_ON_ROUTE)
@@ -337,10 +353,10 @@ class PoisonThenDrop(ProtocolBehavior):
         super().handle_rrep(sim, node, sender, pkt, clock)
         if not self.poisoned:
             self.poisoned = True
-            info = RrepInfo("S", 1, "D", 0, ("A", "B", "B"))
+            info = RrepInfo("S", 1, "D", ("A", "B", "B"))
             q = b"\x00" * 32
             body = RrepBody(info, q, srdp.rrep_hop_mac(self.proto.keys.pairwise_key("A"), info, q), None)
-            sim.unicast(node, "A", encode_frame(RrepPacket(node, 99, seal(self.proto.keys.group_key, body.to_bytes()))))
+            sim.unicast(node, "A", encode_frame(RrepPacket(node, seal(self.proto.keys.group_key, body.to_bytes()))))
 
     def handle_session(self, sim, node, sender, pkt, clock):
         if not (pkt.step == STEP_CLOUDLET and pkt.s_seqno == 1):
@@ -371,8 +387,8 @@ def test_reply_from_another_sender_than_it_claims_is_dropped():
     h.run()
     held = h.protos["A"].routes[("S", "D")]
     b = h.protos["B"]
-    body = RrepBody(RrepInfo("S", 1, "D", 0, ("A",)), b"\x00" * 32, None, None)
-    h.sim.unicast("B", "A", encode_frame(RrepPacket("D", 99, seal(b.keys.group_key, body.to_bytes()))))
+    body = RrepBody(RrepInfo("S", 1, "D", ("A",)), b"\x00" * 32, None, None)
+    h.sim.unicast("B", "A", encode_frame(RrepPacket("D", seal(b.keys.group_key, body.to_bytes()))))
     trace = h.sim.run_until()
     assert (trace[-1]["ev"], trace[-1]["node"], trace[-1]["reason"]) == ("drop", "A", srdp.NOT_ON_ROUTE)
     assert h.protos["A"].routes[("S", "D")] == held
@@ -387,10 +403,10 @@ def test_source_never_relays_a_reply_for_its_own_round():
     h.run()
     held = h.protos["S"].routes[("S", "D")]
     c = h.protos["C"]
-    info = RrepInfo("S", 1, "D", 0, ("S", "C", "C"))
+    info = RrepInfo("S", 1, "D", ("S", "C", "C"))
     q = b"\x00" * 32
     body = RrepBody(info, q, srdp.rrep_hop_mac(c.keys.pairwise_key("S"), info, q), None)
-    h.sim.unicast("C", "S", encode_frame(RrepPacket("C", 99, seal(c.keys.group_key, body.to_bytes()))))
+    h.sim.unicast("C", "S", encode_frame(RrepPacket("C", seal(c.keys.group_key, body.to_bytes()))))
     trace = h.sim.run_until()
     assert (trace[-1]["ev"], trace[-1]["node"], trace[-1]["reason"]) == ("drop", "S", srdp.NOT_ON_ROUTE)
     assert h.protos["S"].routes[("S", "D")] == held
@@ -406,10 +422,10 @@ def test_reply_naming_an_unkeyed_destination_is_dropped_at_the_source():
     h = Harness(diamond_cfg())
     honest = h.run()
     a = h.protos["A"]
-    info = RrepInfo("S", 1, "ghost", 0, ("A", "A"))
+    info = RrepInfo("S", 1, "ghost", ("A", "A"))
     q = b"\x00" * 32
     body = RrepBody(info, q, srdp.rrep_hop_mac(a.keys.pairwise_key("S"), info, q), None)
-    h.sim.unicast("A", "S", encode_frame(RrepPacket("A", 99, seal(a.keys.group_key, body.to_bytes()))))
+    h.sim.unicast("A", "S", encode_frame(RrepPacket("A", seal(a.keys.group_key, body.to_bytes()))))
     trace = h.sim.run_until()
     assert (trace[-1]["ev"], trace[-1]["node"], trace[-1]["reason"]) == ("drop", "S", srdp.NO_PAIRWISE_KEY)
     assert h.protos["S"].counters["drop:" + srdp.NO_PAIRWISE_KEY] == 1
@@ -424,9 +440,9 @@ def test_rrep_naming_an_unkeyed_node_is_dropped():
     h = Harness(diamond_cfg())
     honest = h.run()
     d = h.protos["D"]
-    info = RrepInfo("S", 1, "D", 0, ("ghost", "A", "B"))
+    info = RrepInfo("S", 1, "D", ("ghost", "A", "B"))
     body = RrepBody(info, b"\x00" * 32, None, None)
-    h.sim.unicast("D", "B", encode_frame(RrepPacket("D", 99, seal(d.keys.group_key, body.to_bytes()))))
+    h.sim.unicast("D", "B", encode_frame(RrepPacket("D", seal(d.keys.group_key, body.to_bytes()))))
     trace = h.sim.run_until()
     assert trace[-1]["ev"] == "drop"
     assert (trace[-1]["node"], trace[-1]["reason"]) == ("B", srdp.NO_PAIRWISE_KEY)

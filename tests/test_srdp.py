@@ -15,13 +15,7 @@ from secroute.frames import (
     encode_frame,
     open_rreq,
 )
-from secroute.harness import (
-    Harness,
-    ScenarioConfig,
-    provision,
-    random_topology,
-    topology_to_text,
-)
+from secroute.harness import Harness, ScenarioConfig, provision
 from secroute.topology import load_topology
 
 LINE = """
@@ -37,10 +31,10 @@ link B D 10 2
 DIAMOND = LINE + "node C relay\nlink S C 5 8\nlink C D 5 8\n"
 
 
-def hand_sealed_rreq(key, raw, sender="S", sender_seqno=1, s_addr="S", s_seqno=1, b_id=1, mutable=None):
+def hand_sealed_rreq(key, raw, sender="S", s_addr="S", s_seqno=1, mutable=None):
     """An RREQ whose seal holds `raw` under `key`, bound to the clear
     header built from the other arguments, as an honest sender binds it."""
-    pkt = RreqPacket(sender, sender_seqno, s_addr, s_seqno, b_id, mutable or RreqMutable(), b"")
+    pkt = RreqPacket(sender, s_addr, s_seqno, mutable or RreqMutable(), b"")
     return dataclasses.replace(pkt, sealed=seal(key, raw, pkt.header))
 
 
@@ -64,7 +58,7 @@ def test_originate_rreq_shape(line_net):
     k_sd = nodes["S"].keys.pairwise_key("D")
     assert body.h == mac(k_sd, [body.rreq.to_bytes()])
     pkt2 = nodes["S"].originate_rreq("D")
-    assert (pkt2.sender_seqno, pkt2.b_id) != (pkt.sender_seqno, pkt.b_id)
+    assert (pkt.round_id(), pkt2.round_id()) == (("S", 1), ("S", 2))
 
 
 def test_first_hop_forward_matches_construction(line_net):
@@ -90,9 +84,7 @@ def test_duplicate_round_dropped(line_net):
     assert nodes["A"].process_rreq(pkt, 10, 2) == ("drop", srdp.DUPLICATE)
 
 
-@pytest.mark.parametrize(
-    "field,value", [("sender_seqno", 99), ("s_addr", "B"), ("s_addr", "D"), ("s_seqno", 99), ("b_id", 99)]
-)
+@pytest.mark.parametrize("field,value", [("s_addr", "B"), ("s_addr", "D"), ("s_seqno", 99)])
 def test_rewritten_clear_header_fails_the_seal(line_net, field, value):
     """The seal binds the clear header: a copy whose header was rewritten
     in flight is dropped as SealOpenFail by a relay that has not seen the
@@ -102,21 +94,6 @@ def test_rewritten_clear_header_fails_the_seal(line_net, field, value):
     rewritten = decode_frame(encode_frame(dataclasses.replace(pkt, **{field: value})))
     assert rewritten.round_id() not in nodes["A"].seen_rounds
     assert nodes["A"].process_rreq(rewritten, 10, 2) == ("drop", srdp.SEAL_OPEN_FAIL)
-    assert nodes["A"].process_rreq(pkt, 10, 2)[0] == "forward"
-
-
-def test_body_round_other_than_header_round_dropped(line_net):
-    """A seal that verifies but holds a body for another b_id than the
-    header names is SealOpenFail: the round a relay dedupes on is the
-    round it forwards."""
-    topo, nodes = line_net
-    pkt = nodes["S"].originate_rreq("D")
-    body = open_rreq(nodes["S"].keys.group_key, pkt)
-    other = dataclasses.replace(body, rreq=dataclasses.replace(body.rreq, b_id=body.rreq.b_id + 1))
-    forged = hand_sealed_rreq(
-        nodes["S"].keys.group_key, other.to_bytes(), "S", pkt.sender_seqno, "S", pkt.s_seqno, pkt.b_id
-    )
-    assert nodes["A"].process_rreq(forged, 10, 2) == ("drop", srdp.SEAL_OPEN_FAIL)
     assert nodes["A"].process_rreq(pkt, 10, 2)[0] == "forward"
 
 
@@ -182,7 +159,7 @@ def test_garbage_body_under_valid_group_key_dropped(line_net, garbage):
     for raw in (garbage, open_box(nodes["S"].keys.group_key, valid.sealed, valid.header) + garbage[:1] + b"\x00"):
         rreq = hand_sealed_rreq(nodes["S"].keys.group_key, raw)
         assert nodes["A"].process_rreq(rreq, 10, 2) == ("drop", srdp.SEAL_OPEN_FAIL)
-        rrep = RrepPacket("B", 1, seal(nodes["B"].keys.group_key, raw))
+        rrep = RrepPacket("B", seal(nodes["B"].keys.group_key, raw))
         assert nodes["A"].process_rrep(rrep) == ("drop", srdp.SEAL_OPEN_FAIL)
 
 
@@ -221,20 +198,35 @@ def test_destination_rejects_short_chain(line_net):
         nodes["B"].keys.group_key,
         shorter.to_bytes(),
         pkt.sender_addr,
-        pkt.sender_seqno,
         pkt.s_addr,
         pkt.s_seqno,
-        pkt.b_id,
-        mutable=type(pkt.mutable)(1, pkt.mutable.path_cost, 1, 10.0, 2.0),
+        mutable=RreqMutable(1, pkt.mutable.path_cost, 10.0, 2.0),
     )
     action = nodes["D"].process_rreq(pkt, 10, 2)
     assert action == ("drop", srdp.CHAIN_MISMATCH) or action == ("drop", srdp.TWO_HOP_AUTH_FAIL)
 
 
+def test_destination_ranks_on_the_checked_hop_count(line_net):
+    """A candidate's hop count is the request's `hop_count`, the one field
+    of the clear header that every receiver checks against the sealed path
+    (and the destination against the hash chain), plus the final link."""
+    topo, nodes = line_net
+    pkt = run_chain(nodes, ["A", "B"], nodes["S"].originate_rreq("D"))
+    path = open_rreq(nodes["B"].keys.group_key, pkt).path
+    m = pkt.mutable
+    clear = RreqMutable(hop_count=len(path), path_cost=m.path_cost, bw=m.bw, nd=m.nd)
+    lie = dataclasses.replace(clear, hop_count=len(path) + 1)
+    assert nodes["D"].process_rreq(dataclasses.replace(pkt, mutable=lie), 10, 2) == ("drop", srdp.HOP_COUNT_MISMATCH)
+    action = nodes["D"].process_rreq(dataclasses.replace(pkt, mutable=clear), 10, 2)
+    assert action[0] == "collected"
+    (cand,) = nodes["D"].dest_rounds[action[1]].candidates
+    assert cand.metrics == cost.PathMetrics(len(path) + 1, 10, 6)
+
+
 def test_finalize_without_candidates(line_net):
     topo, nodes = line_net
     with pytest.raises(NoValidCandidate):
-        nodes["D"].finalize_destination(("S", 1, 1))
+        nodes["D"].finalize_destination(("S", 1))
 
 
 def test_finalize_drops_reply_through_unkeyed_node(line_net):
@@ -329,7 +321,7 @@ def test_rrep_tamper_detected_by_q_chain(line_net):
 
     bad = RrepBody(body.rrep, b"\x00" * 32, body.mac_prev, body.mac_curr)
     fwd_b = nodes["B"].process_rrep(
-        type(rrep)(rrep.sender_addr, rrep.sender_seqno, seal(nodes["D"].keys.group_key, bad.to_bytes()))
+        RrepPacket(rrep.sender_addr, seal(nodes["D"].keys.group_key, bad.to_bytes()))
     )
     assert fwd_b[0] == "forward"
     fwd_a = nodes["A"].process_rrep(fwd_b[1])
