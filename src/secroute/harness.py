@@ -468,8 +468,6 @@ class Harness:
             w = ecms.weights_for_mode(cfg.mode, cfg.weights)
             path_cost, m = ecms.aggregate(route, ecms.CostMatrices.from_topology(self.topo), w, cfg.literal_cost)
             metrics = {"hc": m.hc, "bw": m.bw, "nd": m.nd}
-        # Trace entries are flat dicts of scalars, so no cycle check is needed.
-        trace_repr = json.dumps(self.sim.trace, sort_keys=True, default=str, check_circular=False).encode()
         counters = {n: dict(sorted(p.counters.items())) for n, p in sorted(self.protos.items()) if p.counters}
         return RunReport(
             config_summary={
@@ -489,7 +487,7 @@ class Harness:
             cloudlets_delivered=len(self.cloudlets_done),
             rediscoveries=self.rediscoveries,
             routes_installed=[list(r) for r in self.routes_installed],
-            trace_digest=hashlib.sha256(trace_repr).hexdigest(),
+            trace_digest=self.sim.trace_digest(),
         )
 
 

@@ -11,6 +11,7 @@ under pairwise keys; everything stays symmetric.
 
 from __future__ import annotations
 
+import hmac
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -42,7 +43,7 @@ class AuthToken:
     def verify(self, svc: PairwiseKeyService) -> bool:
         key = svc.pairwise_key(self.issuer, self.subject)
         good = mac(key, [b"auth-token", self.subject.encode(), self.issuer.encode(), self.purpose.encode()])
-        return good == self.tag
+        return hmac.compare_digest(good, self.tag)
 
 
 @dataclass

@@ -25,11 +25,30 @@ pending delivery, so it holds only frames in flight and is empty at
 quiescence.  `decode` must be pure and its result must not be changed by
 a receiver; a call that raises is not kept.  The simulator knows nothing
 of what `decode` parses.
+
+The trace is one list of plain tuples `(ev, t, *fields)`, `t` the clock
+at the event.  Each kind has one field order (`TRACE_LAYOUT`):
+
+    deliver    node, sender, size
+    timer      node, tag                    tag is repr() of the timer's tag
+    drop       node, reason
+    send       node, kind, to, n, size      kind "broadcast" (to None) or
+                                            "unicast"; n deliveries queued
+    suppress   node, to                     a send over a broken link
+    truncated  budget                       the event budget ran out
+
+`Simulator.trace` copies the store into `TraceEntry` tuples that are also
+read by field name (`e["size"]`, `e.get("to")`).  `trace_digest()` is the
+SHA-256 hex digest of `json.dumps(store, check_circular=False)`: each
+entry a JSON array in its layout's order, with `json`'s default
+separators and ASCII escaping.
 """
 
 from __future__ import annotations
 
+import hashlib
 import heapq
+import json
 import math
 from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Tuple
@@ -39,6 +58,31 @@ from .topology import Link, Topology
 
 MAX_EVENTS_DEFAULT = 1_000_000
 _MISSING = object()
+
+TRACE_LAYOUT: Dict[str, Tuple[str, ...]] = {
+    "deliver": ("node", "sender", "size"),
+    "timer": ("node", "tag"),
+    "drop": ("node", "reason"),
+    "send": ("node", "kind", "to", "n", "size"),
+    "suppress": ("node", "to"),
+    "truncated": ("budget",),
+}
+_FIELD_INDEX = {ev: {name: i for i, name in enumerate(("ev", "t") + fields)} for ev, fields in TRACE_LAYOUT.items()}
+
+
+class TraceEntry(tuple):
+    """One trace entry, read by position or by its layout's field names."""
+
+    __slots__ = ()
+
+    def __getitem__(self, key):
+        if isinstance(key, str):
+            key = _FIELD_INDEX[tuple.__getitem__(self, 0)][key]
+        return tuple.__getitem__(self, key)
+
+    def get(self, key: str, default=None):
+        i = _FIELD_INDEX[tuple.__getitem__(self, 0)].get(key)
+        return default if i is None else tuple.__getitem__(self, i)
 
 
 class NodeBehavior:
@@ -81,7 +125,7 @@ class Simulator:
         self.topo = topo
         self.clock = 0
         self.behaviors: Dict[str, NodeBehavior] = {}
-        self.trace: List[Dict[str, Any]] = []
+        self._trace: List[tuple] = []  # (ev, t, *fields); see TRACE_LAYOUT
         self._queue = _Calendar()
         self._breaks: Dict[frozenset, Any] = {}  # link -> break time
         self._pending: Dict[bytes, int] = {}  # frame -> deliveries queued
@@ -92,13 +136,17 @@ class Simulator:
             raise UnknownNode(node)
         self.behaviors[node] = behavior
 
-    def log(self, ev: str, **fields) -> None:
-        entry = {"t": self.clock, "ev": ev}
-        entry.update(fields)
-        self.trace.append(entry)
+    @property
+    def trace(self) -> List[TraceEntry]:
+        """A new list of the trace's entries, each readable by field name."""
+        return [TraceEntry(e) for e in self._trace]
 
-    def log_drop(self, node: str, reason: str, **detail) -> None:
-        self.trace.append({"t": self.clock, "ev": "drop", "node": node, "reason": reason, **detail})
+    def trace_digest(self) -> str:
+        """SHA-256 of the trace's JSON encoding; see the module docstring."""
+        return hashlib.sha256(json.dumps(self._trace, check_circular=False).encode()).hexdigest()
+
+    def log_drop(self, node: str, reason: str) -> None:
+        self._trace.append(("drop", self.clock, node, reason))
 
     # -- scheduling ----------------------------------------------------
 
@@ -113,9 +161,7 @@ class Simulator:
         sent = 0
         for neighbor, link in self.topo.out_links(sender):
             sent += self._send_one(sender, neighbor, link, frame)
-        self.trace.append(
-            {"t": self.clock, "ev": "send", "node": sender, "kind": "broadcast", "n": sent, "size": len(frame)}
-        )
+        self._trace.append(("send", self.clock, sender, "broadcast", None, sent, len(frame)))
         return sent
 
     def unicast(self, sender: str, to: str, frame: bytes) -> bool:
@@ -127,14 +173,12 @@ class Simulator:
             sent = 0
         else:
             sent = self._send_one(sender, to, link, frame)
-        self.trace.append(
-            {"t": self.clock, "ev": "send", "node": sender, "kind": "unicast", "to": to, "n": sent, "size": len(frame)}
-        )
+        self._trace.append(("send", self.clock, sender, "unicast", to, sent, len(frame)))
         return bool(sent)
 
     def _send_one(self, sender: str, to: str, link: Link, frame: bytes) -> int:
         if self._breaks and not self._link_up(sender, to):
-            self.log("suppress", node=sender, to=to)
+            self._trace.append(("suppress", self.clock, sender, to))
             return 0
         tx = math.ceil(len(frame) * 8 / (link.avl_bw * 1000.0))  # bw Mb/s = 1000 bits/ms
         self._queue.push(self.clock + link.nw_delay + tx, "deliver", (sender, to, frame))
@@ -166,30 +210,30 @@ class Simulator:
 
     # -- event loop ----------------------------------------------------
 
-    def run_until(self, max_events: int = MAX_EVENTS_DEFAULT):
+    def run_until(self, max_events: int = MAX_EVENTS_DEFAULT) -> None:
         """Process events until quiescence or the budget.
 
-        Returns the trace.  A truncation marker is appended if the budget
-        runs out before quiescence; the events not run stay queued, and a
-        later call resumes with them in order.
+        A truncation marker is traced if the budget runs out before
+        quiescence; the events not run stay queued, and a later call
+        resumes with them in order.
         """
         processed = 0
         fifos, times = self._queue.fifos, self._queue.times
-        append = self.trace.append
+        append = self._trace.append
         behaviors, pending, decoded = self.behaviors, self._pending, self._decoded
         while times:
             time = times[0]
             fifo = fifos[time]
             while fifo:
                 if processed >= max_events:
-                    self.log("truncated", budget=max_events)
-                    return self.trace
+                    append(("truncated", self.clock, max_events))
+                    return
                 at, kind, payload = fifo.popleft()
                 self.clock = at
                 processed += 1
                 if kind == "deliver":
                     sender, to, frame = payload
-                    append({"t": at, "ev": "deliver", "node": to, "sender": sender, "size": len(frame)})
+                    append(("deliver", at, to, sender, len(frame)))
                     behavior = behaviors.get(to)
                     if behavior is not None:
                         behavior.on_frame(self, to, sender, frame, at)
@@ -201,10 +245,9 @@ class Simulator:
                         decoded.pop(frame, None)
                 elif kind == "timer":
                     node, tag = payload
-                    append({"t": at, "ev": "timer", "node": node, "tag": repr(tag)})
+                    append(("timer", at, node, repr(tag)))
                     behavior = behaviors.get(node)
                     if behavior is not None:
                         behavior.on_timer(self, node, tag, at)
             del fifos[time]
             heapq.heappop(times)
-        return self.trace

@@ -21,6 +21,7 @@ clear cost fields are taken as they arrive.
 
 from __future__ import annotations
 
+import hmac
 from dataclasses import dataclass, field, replace
 from typing import Dict, FrozenSet, List, Mapping, Optional, Set, Tuple, Union
 
@@ -283,7 +284,7 @@ class SrdpNode:
                 return None
             return "no secret for claimed upstream %s" % two_up
         expect = rreq_hop_mac(t, body.rreq, parent_path_bytes(body.path_section, body.path), body.h)
-        if expect != body.mac_prev:
+        if not hmac.compare_digest(expect, body.mac_prev):
             return "upstream MAC mismatch (claimed %s)" % two_up
         return None
 
@@ -357,7 +358,7 @@ class SrdpNode:
         if k_sd is None:
             return self._drop(SEAL_OPEN_FAIL, "no source key")
         h0 = mac(k_sd, [rreq.to_bytes()])
-        if body.h != chain(h0, frame.mutable.hop_count):
+        if not hmac.compare_digest(body.h, chain(h0, frame.mutable.hop_count)):
             return self._drop(CHAIN_MISMATCH, "h-chain length disagrees with hop count")
         state = self.dest_rounds.setdefault(rid, RoundState(rreq=rreq))
         if not state.window_open:
@@ -431,7 +432,7 @@ class SrdpNode:
         key = self.keys.pairwise_key(two_up)
         if key is None:
             return "no pairwise key with %s" % two_up
-        if rrep_hop_mac(key, body.rrep, body.q) != body.mac_prev:
+        if not hmac.compare_digest(rrep_hop_mac(key, body.rrep, body.q), body.mac_prev):
             return "upstream MAC mismatch (claimed %s)" % two_up
         return None
 
@@ -455,7 +456,7 @@ class SrdpNode:
         if k_sd is None:
             return self._drop(NO_PAIRWISE_KEY)
         q0 = mac(k_sd, [rrep.to_bytes()])
-        if body.q != chain(q0, len(rrep.route)):
+        if not hmac.compare_digest(body.q, chain(q0, len(rrep.route))):
             return self._drop(Q_CHAIN_MISMATCH)
         full = route_nodes(rrep)
         self.routes[(rrep.s_addr, rrep.d_addr)] = rrep

@@ -26,6 +26,7 @@ from secroute.harness import (
     run_scenario,
     topology_to_text,
 )
+from secroute.sim import TRACE_LAYOUT
 from secroute.topology import load_topology
 from test_acceptance import tamper_scenarios
 
@@ -124,76 +125,76 @@ def tamper_cfg(behavior):
 # entry feed these hashes, so a codec, simulator or cost change that alters
 # any of them shows here.
 PINNED_REPORTS = {
-    "honest": (lambda: diamond_cfg(cloudlets=3), "98be4ccad4ef2c8e8f18ecc2d310a8f839ac32ada84074751462e16c1dafcca3"),
+    "honest": (lambda: diamond_cfg(cloudlets=3), "4b04a5143991d1b6eaf19de2b8088142e38a833fd4ff01036768cedd533707b7"),
     "break-a-b": (  # A's second route error names the round S has already dropped
         lambda: diamond_cfg(cloudlets=6, link_break=("A", "B", 90.0)),
-        "429dcf6c597702a2ce5fdd6f6adc9eae7274e43d2d70889391d3255f62aa8304",
+        "10cdabab301c53ca41ffc9d77fc8bb492359a69c4eba7df971340193d95937d4",
     ),
     "break-b-d": (  # B's route error is relayed by A to S
         lambda: diamond_cfg(cloudlets=6, link_break=("B", "D", 90.0)),
-        "741b1fe9996e5320b5e3a628cbfbf0d1e5e91201b60ffa5c2ff8f9b807e280f8",
+        "2cbe3493ac9acfb2366bc44cb505805eb1c876288f9184716f9e46243d15ec49",
     ),
     "n40": (
         lambda: ScenarioConfig(
             topology_text=topology_to_text(random_topology(11, 40, 0.12)), source="N0", dest="N39", seed=1, cloudlets=2
         ),
-        "b3d1dd4cc61852379347b1ae6680853e43ebdc597ea2ec828b7a7a35184805c7",
+        "e010d474fc5aa2fcd12520be68dc80b072f80e5088fb2b8be14e5c140a265474",
     ),
     "adv-path-insert": (
         lambda: tamper_cfg("path-insert"),
-        "1915d5cad4f62358569db3045f35757a0b34a8efbcb1fb6ba92d1ecd95a10323",
+        "63427fa5d10064c381a3ea6b848c67abb1445ea6512ecc18885e82a509fdda60",
     ),
     "adv-path-delete": (
         lambda: tamper_cfg("path-delete"),
-        "fa50efa730a6cb1ecd0aff065ebaa3e7bdcabe27dd8252f1117ddc46c3120524",
+        "c0663fba15db5da3af79f31769c450715e125ca3aa1d755adf0eaf7f7235c586",
     ),
     "adv-path-modify": (
         lambda: tamper_cfg("path-modify"),
-        "7d60f92d9ce6f88bc3c45685887a5bac2805e025495d276125e594717c381940",
+        "4844ea56310ad491e4bbfc6a8663983283c6548290234b145767cf96793235cf",
     ),
     "adv-rreq-field-tamper": (
         lambda: tamper_cfg("rreq-field-tamper"),
-        "95aefd001019d4baeed88c1bce1215d785ff69b2dc2e45559a920cb90c580f3a",
+        "4b9008bf16a1ec5781d93997735db6b6b4d8233fc40fbc47a616a908a005ff98",
     ),
     "adv-replay": (
         lambda: tamper_cfg("replay"),
-        "ce2a24e7d5bb110f8e8d9dc2dc07b69ecdf7966bc811fdd0e23c7b72011f546b",
+        "64ddd2515b00e091cf1d941e967d800864db29938923d0371125782452ec9417",
     ),
     "adv-cost-deflate": (
         lambda: tamper_cfg("cost-deflate"),
-        "6bd09ec170a873bc5eab8f0adad9044b024584a5cc90698c5b79a0cdfd394525",
+        "ee8d35735ff9b9d40909ca9d48d49cbd9244cc11a901c4ce9c062aeed25954b2",
     ),
     "mode-hc": (
         lambda: diamond_cfg(mode=ecms.Mode.HC),
-        "ea5aa91507e86c6cdfed8328de8948934b10f3b35161d6b10ccdc31ef4e33b37",
+        "37204bbcaa5441035d1148871f69cce8045b113b75b91793d6ef86c14d571faf",
     ),
     "mode-bw": (
         lambda: diamond_cfg(mode=ecms.Mode.BW),
-        "91a175f3a4d8a92e8ca9287c1e426e0429ca4f3d6474ae0e0de23f9ae2663528",
+        "d47ed31959c4b1d0a5509935c8d72328c6f1d255c59cfab65117fda90404b8ff",
     ),
     "mode-nd": (
         lambda: diamond_cfg(mode=ecms.Mode.ND),
-        "6cf365ed4bc83a320da4445dc23b1c788ae2b5dfd28c08050bdffbbdfe7a4270",
+        "2e5a6c2bcce224c952b38c3aa4b6315567a01fb7216c1e83946c2c1ec2a59277",
     ),
     "mode-hc_bw": (
         lambda: diamond_cfg(mode=ecms.Mode.HC_BW),
-        "5778c5cff0921372e94e08f92b2844ee2c3dd16beed1f47f7cfbbedbcbdcb37f",
+        "6a1e59b8a5d70c12646955e0643f41d3ee115494cbc332525be65624ef4bd44d",
     ),
     "mode-bw_nd": (
         lambda: diamond_cfg(mode=ecms.Mode.BW_ND),
-        "1bec0a128e57d14a00c9a59ff3adf39691a93cbd12341c74fbafbceb3853935a",
+        "c5ce3ac3542e4429176b8e784af26d4fc361b35f41144bb5222156368a7b7783",
     ),
     "mode-hc_nd": (
         lambda: diamond_cfg(mode=ecms.Mode.HC_ND),
-        "feb564b4a1201b4cc5b6a88ba9646827a2c13fbbfcf646b4173ae02ee5f05b64",
+        "ae7ec725a3fd96f0246f6f7ccf4062abc2be4b330ca98a7a33374330a9d7ef09",
     ),
     "mode-hc_bw_nd": (
         lambda: diamond_cfg(mode=ecms.Mode.HC_BW_ND),
-        "7d50b2787d49a0f7a926a16797e3fc7f63dbed48a1a80d23610bbe5433517005",
+        "80b116df0b220c922894a648af4e0ef6921634163a64e6a378e86ee023d0eaf3",
     ),
     "literal-cost": (
         lambda: diamond_cfg(literal_cost=True),
-        "d04b4e83da5fa364d3bb0ff72ec43a0684775fbb9a4b135553615c0244df6eaf",
+        "d94010d212d0cbeb22743a28fc604d66aa1d7e098f2258acecde453d650d4305",
     ),
 }
 
@@ -202,6 +203,34 @@ PINNED_REPORTS = {
 def test_report_bytes_pinned(name):
     make, digest = PINNED_REPORTS[name]
     assert hashlib.sha256(emit_report(run_scenario(make()))).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", ["honest", "break-a-b"])
+def test_trace_entries_follow_their_layout(name):
+    """Each trace entry is `(ev, t, *fields)` in its kind's layout, reads
+    the same by field name as by position, and the digest is the SHA-256
+    of the entries' JSON arrays."""
+    h = Harness(PINNED_REPORTS[name][0]())
+    report = h.run()
+    trace = h.sim.trace
+    assert trace == h.sim._trace
+    for e in trace:
+        assert e[0] in TRACE_LAYOUT
+        names = ("ev", "t") + TRACE_LAYOUT[e[0]]
+        assert len(e) == len(names)
+        for i, field in enumerate(names):
+            assert e[field] is e[i] and e.get(field) is e[i]
+        assert e.get("missing") is None and e.get("missing", 0) == 0
+        with pytest.raises(KeyError):
+            e["missing"]
+        if e["ev"] == "send":
+            assert (e["to"] is None) == (e["kind"] == "broadcast")
+    kinds = Counter(e["ev"] for e in trace)
+    assert {"deliver", "send", "timer"} <= set(kinds)
+    if name == "break-a-b":
+        assert kinds["suppress"] and kinds["drop"]
+    encoded = json.dumps([list(e) for e in trace], separators=(", ", ": "), ensure_ascii=True)
+    assert h.sim.trace_digest() == report.trace_digest == hashlib.sha256(encoded.encode()).hexdigest()
 
 
 def test_replay_trace_holds_no_wire_bytes():
@@ -253,7 +282,8 @@ def test_session_frame_with_other_step_is_ignored(step):
     h.pending_acks.add(("A", ("S", 1, "D", 1)))
     for frame in (SessionFrame("B", step, "S", 1, "D", 1), SessionFrame("S", step, "S", 0, "D", 1)):  # held, not held
         h.sim.unicast(frame.sender_addr, "A", encode_frame(frame))
-    tail = h.sim.run_until()[-4:]
+    h.sim.run_until()
+    tail = h.sim.trace[-4:]
     # A receives both frames and answers neither: no drop, no ack, no delivery.
     assert [(e["ev"], e["node"]) for e in tail] == [("send", "B"), ("send", "S"), ("deliver", "A"), ("deliver", "A")]
     assert h.cloudlets_done == set()
@@ -277,10 +307,11 @@ def test_forged_cloudlet_off_route_is_dropped(sender, to, route):
     h = Harness(diamond_cfg())
     honest = h.run()
     h.sim.unicast(sender, to, encode_frame(SessionFrame(sender, STEP_CLOUDLET, *route, 5)))
-    tail = h.sim.run_until()[-2:]
+    h.sim.run_until()
+    tail = h.sim.trace[-2:]
     assert tail == [
-        {"t": tail[0]["t"], "ev": "deliver", "node": to, "sender": sender, "size": tail[0]["size"]},
-        {"t": tail[0]["t"], "ev": "drop", "node": to, "reason": srdp.NOT_ON_ROUTE},
+        ("deliver", tail[0]["t"], to, sender, tail[0]["size"]),
+        ("drop", tail[0]["t"], to, srdp.NOT_ON_ROUTE),
     ]
     report = h._report()
     assert report.cloudlets_delivered == 0
@@ -306,7 +337,8 @@ def test_cloudlet_ack_taken_only_from_successor_on_its_route(sender, route, clea
     h.run()
     h.pending_acks.add(("A", ("S", 1, "D", 1)))
     h.sim.unicast(sender, "A", encode_frame(SessionFrame(sender, STEP_ACK, *route, 1)))
-    trace = h.sim.run_until()[-1:]
+    h.sim.run_until()
+    trace = h.sim.trace[-1:]
     drops = [(e["node"], e["reason"]) for e in trace if e["ev"] == "drop"]
     assert drops == ([] if cleared else [("A", srdp.NOT_ON_ROUTE)])
     assert h.pending_acks == (set() if cleared else {("A", ("S", 1, "D", 1))})
@@ -320,7 +352,8 @@ def test_route_error_for_a_route_the_source_never_held_is_dropped():
     honest = h.run()
     rep = h.protos["C"].build_rep(RrepInfo("S", 0, "D", ("C",)), srdp.LINK_BREAK)
     h.sim.unicast("C", "S", encode_frame(rep))
-    trace = h.sim.run_until()
+    h.sim.run_until()
+    trace = h.sim.trace
     assert (trace[-1]["ev"], trace[-1]["node"], trace[-1]["reason"]) == ("drop", "S", srdp.NOT_ON_ROUTE)
     report = h._report()
     assert report.rediscoveries == 0
@@ -336,7 +369,8 @@ def test_route_error_at_a_relay_holding_no_such_round_is_dropped():
     h.run()
     rep = h.protos["D"].build_rep(RrepInfo("S", 1, "D", ("C",)), srdp.LINK_BREAK)
     h.sim.unicast("D", "C", encode_frame(rep))
-    trace = h.sim.run_until()
+    h.sim.run_until()
+    trace = h.sim.trace
     assert (trace[-1]["ev"], trace[-1]["node"], trace[-1]["reason"]) == ("drop", "C", srdp.NOT_ON_ROUTE)
     assert h.protos["C"].counters["drop:" + srdp.NOT_ON_ROUTE] == 1
     assert h._report().rediscoveries == 0
@@ -389,7 +423,8 @@ def test_reply_from_another_sender_than_it_claims_is_dropped():
     b = h.protos["B"]
     body = RrepBody(RrepInfo("S", 1, "D", ("A",)), b"\x00" * 32, None, None)
     h.sim.unicast("B", "A", encode_frame(RrepPacket("D", seal(b.keys.group_key, body.to_bytes()))))
-    trace = h.sim.run_until()
+    h.sim.run_until()
+    trace = h.sim.trace
     assert (trace[-1]["ev"], trace[-1]["node"], trace[-1]["reason"]) == ("drop", "A", srdp.NOT_ON_ROUTE)
     assert h.protos["A"].routes[("S", "D")] == held
 
@@ -407,7 +442,8 @@ def test_source_never_relays_a_reply_for_its_own_round():
     q = b"\x00" * 32
     body = RrepBody(info, q, srdp.rrep_hop_mac(c.keys.pairwise_key("S"), info, q), None)
     h.sim.unicast("C", "S", encode_frame(RrepPacket("C", seal(c.keys.group_key, body.to_bytes()))))
-    trace = h.sim.run_until()
+    h.sim.run_until()
+    trace = h.sim.trace
     assert (trace[-1]["ev"], trace[-1]["node"], trace[-1]["reason"]) == ("drop", "S", srdp.NOT_ON_ROUTE)
     assert h.protos["S"].routes[("S", "D")] == held
     assert h.protos["S"].installed_routes == {"D": ("S", "A", "B", "D")}
@@ -426,7 +462,8 @@ def test_reply_naming_an_unkeyed_destination_is_dropped_at_the_source():
     q = b"\x00" * 32
     body = RrepBody(info, q, srdp.rrep_hop_mac(a.keys.pairwise_key("S"), info, q), None)
     h.sim.unicast("A", "S", encode_frame(RrepPacket("A", seal(a.keys.group_key, body.to_bytes()))))
-    trace = h.sim.run_until()
+    h.sim.run_until()
+    trace = h.sim.trace
     assert (trace[-1]["ev"], trace[-1]["node"], trace[-1]["reason"]) == ("drop", "S", srdp.NO_PAIRWISE_KEY)
     assert h.protos["S"].counters["drop:" + srdp.NO_PAIRWISE_KEY] == 1
     assert h._report().chosen_route == honest.chosen_route
@@ -443,7 +480,8 @@ def test_rrep_naming_an_unkeyed_node_is_dropped():
     info = RrepInfo("S", 1, "D", ("ghost", "A", "B"))
     body = RrepBody(info, b"\x00" * 32, None, None)
     h.sim.unicast("D", "B", encode_frame(RrepPacket("D", seal(d.keys.group_key, body.to_bytes()))))
-    trace = h.sim.run_until()
+    h.sim.run_until()
+    trace = h.sim.trace
     assert trace[-1]["ev"] == "drop"
     assert (trace[-1]["node"], trace[-1]["reason"]) == ("B", srdp.NO_PAIRWISE_KEY)
     assert h.protos["B"].counters["drop:" + srdp.NO_PAIRWISE_KEY] == 1
@@ -455,7 +493,8 @@ def test_malformed_broadcast_dropped_by_every_receiver():
     receiver; a run leaves no decoded frame behind."""
     h = Harness(diamond_cfg())
     h.sim.broadcast("S", b"\x09not a frame")
-    trace = h.sim.run_until()
+    h.sim.run_until()
+    trace = h.sim.trace
     drops = [(e["node"], e["reason"]) for e in trace if e["ev"] == "drop"]
     assert drops == [("A", "MalformedFrame"), ("C", "MalformedFrame")]
     h.run()

@@ -196,13 +196,16 @@ def test_timer_delay_must_be_finite_and_nonnegative(delay):
     sim = Simulator(load_topology(LINE))
     with pytest.raises(ValueError):
         sim.set_timer("S", delay, "go")
-    assert len(sim._queue) == 0 and sim.run_until() == []
+    assert len(sim._queue) == 0
+    sim.run_until()
+    assert sim.trace == []
 
 
 def test_empty_queue_quiesces():
     topo = load_topology(LINE)
     sim = Simulator(topo)
-    assert sim.run_until() == []
+    sim.run_until()
+    assert sim.trace == [] and sim._trace == []
 
 
 def test_trace_deterministic():
@@ -218,9 +221,12 @@ def test_trace_deterministic():
         for n in topo.nodes:
             sim.install(n, Relay())
         sim.broadcast("S", b"x")
-        return sim.run_until()
+        sim.run_until()
+        return sim
 
-    assert run() == run()
+    a, b = run(), run()
+    assert a._trace == b._trace
+    assert a.trace_digest() == b.trace_digest()
 
 
 def test_event_budget_truncation():
@@ -234,8 +240,9 @@ def test_event_budget_truncation():
     sim.install("A", PingPong())
     sim.install("B", PingPong())
     sim.broadcast("A", b"x" * 100)
-    trace = sim.run_until(max_events=500)
-    assert trace[-1]["ev"] == "truncated"
+    sim.run_until(max_events=500)
+    assert sim.trace[-1]["ev"] == "truncated"
+    assert sim._trace[-1] == ("truncated", sim.clock, 500)
 
 
 # -- the decode memo -------------------------------------------------------------
@@ -355,20 +362,19 @@ class HeapSimulator(Simulator):
         heap = self._queue.heap
         while heap:
             if processed >= max_events:
-                self.log("truncated", budget=max_events)
+                self._trace.append(("truncated", self.clock, max_events))
                 break
             at, _, kind, payload = heapq.heappop(heap)
             self.clock = at
             processed += 1
             if kind == "deliver":
                 sender, to, frame = payload
-                self.log("deliver", node=to, sender=sender, size=len(frame))
+                self._trace.append(("deliver", at, to, sender, len(frame)))
                 self.behaviors[to].on_frame(self, to, sender, frame, at)
             else:
                 node, tag = payload
-                self.log("timer", node=node, tag=repr(tag))
+                self._trace.append(("timer", at, node, repr(tag)))
                 self.behaviors[node].on_timer(self, node, tag, at)
-        return self.trace
 
 
 QUEUE_NODES = ("A", "B", "C", "D")
@@ -480,10 +486,12 @@ def test_event_order_matches_reference_heap(links, brk, steps, start, budget):
     keeps the rest queued, and a second run resumes in that order."""
     sims = [scripted_sim(cls, links, brk, steps, start) for cls in (Simulator, HeapSimulator)]
     if budget is not None:
-        cut = [json.dumps(sim.run_until(max_events=budget)) for sim in sims]
-        assert cut[0] == cut[1]
+        for sim in sims:
+            sim.run_until(max_events=budget)
+        assert json.dumps(sims[0]._trace) == json.dumps(sims[1]._trace)
         assert len(sims[0]._queue) == len(sims[1]._queue)
-    done = [json.dumps(sim.run_until()) for sim in sims]
-    assert done[0] == done[1]
+    for sim in sims:
+        sim.run_until()
+    assert json.dumps(sims[0]._trace) == json.dumps(sims[1]._trace)
     assert len(sims[0]._queue) == 0 and sims[0]._queue.times == []
 
