@@ -3,7 +3,8 @@
 `secroute run` executes one scenario and writes a report; `secroute
 oracle` checks route selection against exhaustive enumeration.  Exit code
 2 flags a scenario whose adversary should have been detected but was not,
-so CI can gate on it.
+so CI can gate on it.  Bad input, and a topology or report file that
+cannot be read as text or written, exit 1 with one `error:` line.
 """
 
 from __future__ import annotations
@@ -105,7 +106,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SecrouteError as exc:
+    # OSError and UnicodeDecodeError: a topology file that cannot be read
+    # as text, or a report file that cannot be written.
+    except (SecrouteError, OSError, UnicodeDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

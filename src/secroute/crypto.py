@@ -19,6 +19,7 @@ beyond two hashes.  Its output equals `hmac.digest(key, msg, "sha256")`.
 from __future__ import annotations
 
 import hashlib
+import struct
 from typing import Sequence
 
 from .errors import AuthFailure
@@ -35,6 +36,7 @@ _BLOCK = 64  # SHA-256 block size
 _SHA256 = hashlib.sha256()  # empty state; the kernel hashes copies of it
 _IPAD = bytes(b ^ 0x36 for b in range(256))  # translate tables: XOR every byte
 _OPAD = bytes(b ^ 0x5C for b in range(256))
+_PART_LEN = struct.Struct(">I").pack  # a MAC part's length prefix
 
 
 def hash_bytes(data: bytes) -> bytes:
@@ -45,11 +47,11 @@ def hash_bytes(data: bytes) -> bytes:
 def frame_parts(parts: Sequence[bytes]) -> bytes:
     """The MAC input `mac` builds from its parts: each part after its
     4-byte big-endian length."""
-    out = bytearray()
+    out = []
     for p in parts:
-        out += len(p).to_bytes(4, "big")
-        out += p
-    return bytes(out)
+        out.append(_PART_LEN(len(p)))
+        out.append(p)
+    return b"".join(out)
 
 
 def mac(key: bytes, parts: Sequence[bytes]) -> bytes:

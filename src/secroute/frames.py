@@ -30,7 +30,13 @@ it was read from (`RreqBody.path_section`), and the two sections a
 relay MACs next are derived from it rather than re-encoded:
 `parent_path_bytes` drops the last id, for the check of the MAC laid
 down two hops upstream, and `extend_path_bytes` appends the relay's
-own, for its own MAC and its onward body.
+own, for its own MAC and its onward body.  In the same way `open_rreq`
+gives the body's `RreqImmutable` the authenticated bytes it already
+holds: `(s_addr, s_seqno)` as the bound header ends with them and
+`(d_addr, max_hops)` as the plaintext begins with them.  The hop MACs,
+`RreqBody.to_bytes` and `seal_rreq` read those, so a relay's onward copy
+re-encodes nothing it opened.  An instance built any other way, by
+`dataclasses.replace` included, derives its own bytes on first read.
 """
 
 from __future__ import annotations
@@ -96,11 +102,16 @@ def _opt_digest(d: Optional[bytes]) -> Tuple[bytes, ...]:
     return (_ABSENT,) if d is None else (_PRESENT, d)
 
 
+def _round_id_bytes(s_addr: str, s_seqno: int) -> bytes:
+    """Round `(s_addr, s_seqno)`: the tail of an RREQ's clear header."""
+    return _text(s_addr) + _U32.pack(s_seqno)
+
+
 def _round_bytes(s_addr: str, s_seqno: int, d_addr: str) -> bytes:
     """The round block: round `(s_addr, s_seqno)` and its destination.  An
     RREP body, a REP and a SESSION frame each carry it, and an RREQ's
     immutable fields begin with it."""
-    return b"".join([_text(s_addr), _U32.pack(s_seqno), _text(d_addr)])
+    return _round_id_bytes(s_addr, s_seqno) + _text(d_addr)
 
 
 # -- decoding ----------------------------------------------------------
@@ -177,11 +188,23 @@ class RreqImmutable:
     def to_bytes(self) -> bytes:
         return self._bytes
 
+    # Each byte run is derived once per instance, on first read, unless
+    # `open_rreq` stored the bytes it opened; `dataclasses.replace` builds
+    # a new instance that derives its own.
+
     @cached_property
     def _bytes(self) -> bytes:
-        # Derived once per instance: every MAC over the round reads it, and
-        # `dataclasses.replace` builds a new instance that derives its own.
-        return _round_bytes(self.s_addr, self.s_seqno, self.d_addr) + _U8.pack(self.max_hops)
+        return self._header_tail + self._body_head
+
+    @cached_property
+    def _header_tail(self) -> bytes:
+        # (s_addr, s_seqno), as an RREQ's clear header ends with them
+        return _round_id_bytes(self.s_addr, self.s_seqno)
+
+    @cached_property
+    def _body_head(self) -> bytes:
+        # (d_addr, max_hops), as an RREQ body begins with them
+        return _text(self.d_addr) + _U8.pack(self.max_hops)
 
     def round_id(self) -> Tuple[str, int]:
         return (self.s_addr, self.s_seqno)
@@ -239,20 +262,14 @@ class RreqBody:
         return path_bytes(self.path)
 
     def to_bytes(self) -> bytes:
-        r = self.rreq
         return b"".join(
-            [
-                _text(r.d_addr),
-                _U8.pack(r.max_hops),
-                self.path_section,
-                *_opt_digest(self.mac_prev),
-                self.mac_curr,
-                self.h,
-            ]
+            [self.rreq._body_head, self.path_section, *_opt_digest(self.mac_prev), self.mac_curr, self.h]
         )
 
     @classmethod
     def from_bytes(cls, raw: bytes, s_addr: str, s_seqno: int) -> "RreqBody":
+        """The body `raw` encodes, of round `(s_addr, s_seqno)`; its `rreq`
+        keeps the slice of `raw` that `(d_addr, max_hops)` was read from."""
         try:
             d_addr, off = _text_at(raw, 0)
             (max_hops,) = _U8.unpack_from(raw, off)
@@ -264,11 +281,13 @@ class RreqBody:
         mid, end = mac_at + DIGEST_LEN, mac_at + 2 * DIGEST_LEN
         _done(raw, end)
         rreq = RreqImmutable(s_addr, s_seqno, d_addr, max_hops)
+        rreq.__dict__["_body_head"] = raw[:path_at]
         return cls.with_path_section(rreq, path, raw[path_at:off], mac_prev, raw[mac_at:mid], raw[mid:end])
 
 
-def _rreq_header(sender_addr: str, s_addr: str, s_seqno: int) -> bytes:
-    return b"".join([_TYPE_BYTE[FRAME_RREQ], _text(sender_addr), _text(s_addr), _U32.pack(s_seqno)])
+def _rreq_header(sender_addr: str, round_id: bytes) -> bytes:
+    """An RREQ's clear header; `round_id` is `_round_id_bytes` of its round."""
+    return b"".join([_TYPE_BYTE[FRAME_RREQ], _text(sender_addr), round_id])
 
 
 @dataclass(frozen=True)
@@ -292,7 +311,7 @@ class RreqPacket:
     def header(self) -> bytes:
         # decode_frame and seal_rreq store the bytes they already hold
         # here; a packet built any other way derives them on first read.
-        return _rreq_header(self.sender_addr, self.s_addr, self.s_seqno)
+        return _rreq_header(self.sender_addr, _round_id_bytes(self.s_addr, self.s_seqno))
 
     def round_id(self) -> Tuple[str, int]:
         return (self.s_addr, self.s_seqno)
@@ -302,7 +321,7 @@ def seal_rreq(key: bytes, sender_addr: str, mutable: RreqMutable, body: RreqBody
     """An RREQ from `sender_addr` carrying `body` sealed under `key`, its
     clear header built once for both the seal and the encoding."""
     r = body.rreq
-    header = _rreq_header(sender_addr, r.s_addr, r.s_seqno)
+    header = _rreq_header(sender_addr, r._header_tail)
     sealed = seal(key, body.to_bytes(), header)
     pkt = RreqPacket(sender_addr, r.s_addr, r.s_seqno, mutable, sealed)
     pkt.__dict__["header"] = header
@@ -315,9 +334,16 @@ def open_rreq(key: bytes, pkt: RreqPacket) -> RreqBody:
     Raises AuthFailure if the box or its bound header was altered or `key`
     is not the sealer's, and MalformedFrame if the plaintext does not
     parse.  The body's round is the header's, so the round a relay dedupes
-    on is the round it forwards.
+    on is the round it forwards.  The body's `rreq` keeps, as its bytes,
+    the header's `(s_addr, s_seqno)` and the plaintext's `(d_addr,
+    max_hops)`, both as authenticated, so a relay re-encodes none of them.
     """
-    return RreqBody.from_bytes(open_box(key, pkt.sealed, pkt.header), pkt.s_addr, pkt.s_seqno)
+    header = pkt.header
+    body = RreqBody.from_bytes(open_box(key, pkt.sealed, header), pkt.s_addr, pkt.s_seqno)
+    round_id = header[3 + _U16.unpack_from(header, 1)[0] :]  # past the frame type and sender_addr
+    rreq = body.rreq
+    rreq.__dict__.update(_header_tail=round_id, _bytes=round_id + rreq._body_head)
+    return body
 
 
 # -- RREP --------------------------------------------------------------

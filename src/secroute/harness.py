@@ -181,7 +181,10 @@ class ProtocolBehavior(NodeBehavior):
     def handle_rreq(self, sim, node, sender, pkt: RreqPacket, clock) -> None:
         link = sim.topo.link(sender, node)
         action = self.proto.process_rreq(pkt, link.avl_bw, link.nw_delay)
-        self.dispatch_rreq_action(sim, node, action, clock)
+        if action is srdp.DUPLICATE_DROP:  # most copies of a flood: traced, nothing more
+            sim.log_drop(node, srdp.DUPLICATE)
+        else:
+            self.dispatch_rreq_action(sim, node, action, clock)
 
     def dispatch_rreq_action(self, sim, node, action, clock) -> None:
         if action[0] == "forward":

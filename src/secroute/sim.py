@@ -16,6 +16,10 @@ append, and the heap is touched only by a new time.  An event time is
 never earlier than the clock: link delays are finite and nonnegative
 (`Topology.add_link`), and so are timer delays (`set_timer`).
 
+A broadcast and a unicast queue their copies by one loop (`_send`): a
+copy per link that is up at the clock, a `suppress` entry for each
+broken one, and one update of the frame's pending count per send.
+
 A broadcast hands every neighbour the same frame, so a behaviour that
 parses frames can do it once per transmission: `Simulator.decoded(frame,
 decode)` returns `decode(frame)`, computed at the first delivery and kept
@@ -51,7 +55,7 @@ import heapq
 import json
 import math
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Tuple
+from typing import Any, Callable, Deque, Dict, Iterable, List, Tuple
 
 from .errors import UnknownLink, UnknownNode
 from .topology import Link, Topology
@@ -158,9 +162,7 @@ class Simulator:
         """Schedule one delivery per unbroken adjacent link; returns fan-out."""
         if sender not in self.topo.nodes:
             raise UnknownNode(sender)
-        sent = 0
-        for neighbor, link in self.topo.out_links(sender):
-            sent += self._send_one(sender, neighbor, link, frame)
+        sent = self._send(sender, self.topo.out_links(sender), frame)
         self._trace.append(("send", self.clock, sender, "broadcast", None, sent, len(frame)))
         return sent
 
@@ -172,19 +174,26 @@ class Simulator:
         except UnknownLink:
             sent = 0
         else:
-            sent = self._send_one(sender, to, link, frame)
+            sent = self._send(sender, ((to, link),), frame)
         self._trace.append(("send", self.clock, sender, "unicast", to, sent, len(frame)))
         return bool(sent)
 
-    def _send_one(self, sender: str, to: str, link: Link, frame: bytes) -> int:
-        if self._breaks and not self._link_up(sender, to):
-            self._trace.append(("suppress", self.clock, sender, to))
-            return 0
-        tx = math.ceil(len(frame) * 8 / (link.avl_bw * 1000.0))  # bw Mb/s = 1000 bits/ms
-        self._queue.push(self.clock + link.nw_delay + tx, "deliver", (sender, to, frame))
-        pending = self._pending
-        pending[frame] = pending.get(frame, 0) + 1
-        return 1
+    def _send(self, sender: str, links: Iterable[Tuple[str, Link]], frame: bytes) -> int:
+        """Queue `frame` from `sender` over each `(to, link)` of `links`,
+        tracing a suppression for each broken one; returns copies queued."""
+        clock, push, breaks = self.clock, self._queue.push, self._breaks
+        bits = len(frame) * 8
+        sent = 0
+        for to, link in links:
+            if breaks and not self._link_up(sender, to):
+                self._trace.append(("suppress", clock, sender, to))
+                continue
+            tx = math.ceil(bits / (link.avl_bw * 1000.0))  # bw Mb/s = 1000 bits/ms
+            push(clock + link.nw_delay + tx, "deliver", (sender, to, frame))
+            sent += 1
+        if sent:
+            self._pending[frame] = self._pending.get(frame, 0) + sent
+        return sent
 
     def decoded(self, frame: bytes, decode: Callable[[bytes], Any]) -> Any:
         """`decode(frame)`, computed once while deliveries of `frame` are

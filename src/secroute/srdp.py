@@ -13,7 +13,11 @@ number of the discovery it started.  A request carries it in its clear
 header, bound to the seal, so a relay drops a neighbour's copy of a
 round it has already forwarded, and the source a copy of a round it
 started, before opening the seal.  A relay opens and checks only its
-first copy of each round; a destination opens every copy.  The hop
+first copy of each round; a destination opens every copy.  Most copies
+of a flood are such duplicates, so one costs the header test and its
+drop count, and `process_rreq` returns the shared `DUPLICATE_DROP` for
+the caller to log as it stands.  A forwarded copy is sealed from the
+bytes the relay opened (see `frames`).  The hop
 count in a candidate's metrics is the request's `hop_count`, which the
 destination checks against the sealed path and the hash chain; the other
 clear cost fields are taken as they arrive.
@@ -72,6 +76,10 @@ _DROP_KEYS = {
         NO_PAIRWISE_KEY,
     )
 }
+
+# `process_rreq`'s action for a copy of a round already forwarded, the
+# flood's commonest outcome: one shared value, told apart by identity.
+DUPLICATE_DROP = ("drop", DUPLICATE)
 
 # The one route error (REP) code: a hop's cloudlet ack timed out.
 LINK_BREAK = 1
@@ -297,12 +305,15 @@ class SrdpNode:
         A neighbour's copy of a round this node has already forwarded is
         dropped on its clear header alone, before the seal is opened: the
         seal binds that header, so the round id read there is the one the
-        body carries.  The source records its own round as seen when it
-        starts it; a destination never does, so it collects every copy.
+        body carries.  Such a copy costs the header test and its drop
+        count, and returns `DUPLICATE_DROP` itself.  The source records its own
+        round as seen when it starts it; a destination never does, so it
+        collects every copy.
         """
-        rid = frame.round_id()
-        if frame.sender_addr in self.keys.neighbor_ids and rid in self.seen_rounds:
-            return self._drop(DUPLICATE)
+        rid = (frame.s_addr, frame.s_seqno)
+        if rid in self.seen_rounds and frame.sender_addr in self.keys.neighbor_ids:
+            self._count(_DROP_KEYS[DUPLICATE])
+            return DUPLICATE_DROP
         body = self.open_body(frame)
         if body is None:
             return self._drop(SEAL_OPEN_FAIL)

@@ -6,6 +6,9 @@ Document format::
     # comment
     node <id> <broker|exchange|coordinator|relay>
     link <a> <b> <bw_mbps> <delay_ms>
+
+A node or a link declared twice is an InvariantError: a second `node`
+line would otherwise change the node's role.
 """
 
 from __future__ import annotations
@@ -42,8 +45,10 @@ class Topology:
     def add_node(self, node: str, role: str = "relay") -> None:
         if role not in ROLES:
             raise InvariantError("unknown role %r" % role)
+        if node in self.nodes:
+            raise InvariantError("duplicate node %r" % node)
         self.nodes[node] = role
-        self._adjacent.setdefault(node, {})
+        self._adjacent[node] = {}
 
     def add_link(self, a: str, b: str, bw: float, delay: float) -> None:
         if a == b:

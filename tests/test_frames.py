@@ -260,6 +260,23 @@ def test_immutable_bytes_derived_once_per_instance():
     changed = dataclasses.replace(imm, s_seqno=9)
     assert changed.to_bytes() != imm.to_bytes()
     assert changed.to_bytes() == frames.RreqImmutable("S", 9, "D", 8).to_bytes()
+    # An opened instance keeps the bytes it was read from; a replace of it,
+    # as the rreq-field-tamper adversary makes, derives its own, and so do
+    # the body and the clear header sealed around it.
+    body = frames.open_rreq(KEY, frames.decode_frame(frames.encode_frame(sample_rreq())))
+    opened = body.rreq
+    assert opened.to_bytes() == frames.RreqImmutable("S", 7, "D", 16).to_bytes()
+    for field, value, fresh in [
+        ("max_hops", 17, frames.RreqImmutable("S", 7, "D", 17)),
+        ("d_addr", "É", frames.RreqImmutable("S", 7, "É", 16)),
+        ("s_addr", "", frames.RreqImmutable("", 7, "D", 16)),
+        ("s_seqno", 9, frames.RreqImmutable("S", 9, "D", 16)),
+    ]:
+        lie = dataclasses.replace(opened, **{field: value})
+        assert lie.to_bytes() == fresh.to_bytes() != opened.to_bytes()
+        sealed = frames.seal_rreq(KEY, "A", frames.RreqMutable(), dataclasses.replace(body, rreq=lie))
+        expect = frames.seal_rreq(KEY, "A", frames.RreqMutable(), dataclasses.replace(body, rreq=fresh))
+        assert frames.encode_frame(sealed) == frames.encode_frame(expect)
 
 
 # -- rejected inputs -------------------------------------------------------

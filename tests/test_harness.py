@@ -781,9 +781,42 @@ def test_cli_accepts_range_edges(topo_file, capsys, flags):
     assert main(["run", "--topology", str(topo_file), *flags]) == 0
 
 
+def _assert_one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_cli_missing_topology(tmp_path, capsys):
-    with pytest.raises(OSError):
-        main(["run", "--topology", str(tmp_path / "absent.topo")])
+    assert main(["run", "--topology", str(tmp_path / "absent.topo")]) == 1
+    _assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize("command", ["run", "oracle"])
+def test_cli_topology_is_a_directory(tmp_path, capsys, command):
+    assert main([command, "--topology", str(tmp_path)]) == 1
+    _assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize("out", ["", "absent/report.json"])
+def test_cli_unwritable_out(topo_file, tmp_path, capsys, out):
+    # A directory, or a file in a directory that does not exist.
+    assert main(["run", "--topology", str(topo_file), "--out", str(tmp_path / out)]) == 1
+    _assert_one_error_line(capsys)
+
+
+def test_cli_topology_not_utf8(tmp_path, capsys):
+    p = tmp_path / "latin1.topo"
+    p.write_bytes(DIAMOND.replace("node B relay", "node B\xe9 relay").encode("latin-1"))
+    assert main(["run", "--topology", str(p)]) == 1
+    _assert_one_error_line(capsys)
+
+
+def test_cli_repeated_node_line(tmp_path, capsys):
+    # A second `node A` line used to make A both default endpoints.
+    p = tmp_path / "twice.topo"
+    p.write_text(DIAMOND + "node S coordinator\n")
+    assert main(["run", "--topology", str(p)]) == 1
+    _assert_one_error_line(capsys)
 
 
 def test_cli_oracle_subcommand(topo_file, capsys):

@@ -1,6 +1,8 @@
 import dataclasses
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from secroute import cost, crypto, frames, srdp
 from secroute.crypto import chain, hash_bytes, mac, open_box, seal
@@ -16,7 +18,7 @@ from secroute.frames import (
     open_rreq,
 )
 from secroute.harness import Harness, ScenarioConfig, provision
-from secroute.topology import load_topology
+from secroute.topology import Topology, load_topology
 
 LINE = """
 node S broker
@@ -75,6 +77,60 @@ def test_first_hop_forward_matches_construction(line_net):
     t_a = nodes["A"].keys.broadcast_secret
     assert body.mac_curr == srdp.rreq_hop_mac(t_a, body.rreq, frames.path_bytes(("A",)), hash_bytes(body.h))
     assert out.mutable.hop_count == 1
+
+
+digests = st.binary(min_size=32, max_size=32)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    keyed=st.lists(st.text(min_size=1, max_size=5), min_size=3, max_size=3, unique=True),
+    free=st.lists(st.text(max_size=5), min_size=8, max_size=8),
+    hops=st.integers(min_value=0, max_value=7),
+    s_seqno=st.integers(min_value=0, max_value=2**32 - 1),
+    max_hops=st.integers(min_value=8, max_value=255),
+    h=digests,
+    mac_curr=digests,
+)
+def test_forwarded_frame_equals_fresh_construction(keyed, free, hops, s_seqno, max_hops, h, mac_curr):
+    """A relay seals its onward copy from the bytes it opened, not from a
+    re-encoding.  Whatever the ids (empty, non-ASCII) and the path, that
+    copy equals the one sealed from a freshly constructed RreqImmutable.
+
+    Only the ids the relay checks a key for are provisioned: its own, the
+    sender's and, on a path, the id two hops upstream.  The destination,
+    and on a path of two or more hops the source and all but the last two
+    relays, are any text, the empty id included."""
+    relay, last, two_up = keyed
+    dest = free[-1]
+    assume(dest != relay)
+    if hops < 2:
+        src, path = two_up, ((last,) if hops else ())
+    else:
+        src, path = free[0], (*free[1 : hops - 1], two_up, last)
+    sender = path[-1] if path else src
+    topo = Topology()
+    for n in keyed:
+        topo.add_node(n)
+    topo.add_link(sender, relay, 10, 2)
+    stores = provision(topo, 64, 8, seed=0)[0]
+    rreq = frames.RreqImmutable(src, s_seqno, dest, max_hops)
+    mac_prev = None
+    if path:  # laid down two hops upstream, under that node's broadcast secret
+        t = stores[two_up].broadcast_secret
+        mac_prev = srdp.rreq_hop_mac(t, rreq, frames.path_bytes(path[:-1]), h)
+    body = RreqBody(rreq, path, mac_prev, mac_curr, h)
+    arriving = frames.seal_rreq(stores[sender].group_key, sender, RreqMutable(hop_count=hops), body)
+
+    action = srdp.SrdpNode(stores[relay]).process_rreq(decode_frame(encode_frame(arriving)), 10, 2)
+    assert action[0] == "forward"
+    fresh = frames.RreqImmutable(src, s_seqno, dest, max_hops)
+    new_path = path + (relay,)
+    h_new = hash_bytes(h)
+    m_self = srdp.rreq_hop_mac(stores[relay].broadcast_secret, fresh, frames.path_bytes(new_path), hash_bytes(h_new))
+    fresh_body = RreqBody(fresh, new_path, mac_curr, m_self, h_new)
+    expected = frames.seal_rreq(stores[relay].group_key, relay, action[1].mutable, fresh_body)
+    assert encode_frame(action[1]) == encode_frame(expected)
 
 
 def test_duplicate_round_dropped(line_net):

@@ -41,6 +41,13 @@ def test_duplicate_edge_rejected():
         load_topology("node S relay\nnode A relay\nlink S A 10 2\nlink A S 5 1\n")
 
 
+@pytest.mark.parametrize("second", ["coordinator", "broker"])
+def test_duplicate_node_rejected(second):
+    # A second declaration would silently change the node's role.
+    with pytest.raises(InvariantError):
+        load_topology("node A broker\nnode B relay\nlink A B 10 2\nnode A %s\n" % second)
+
+
 @pytest.mark.parametrize("metrics", ["nan 2", "inf 2", "-inf 2", "10 nan", "10 inf", "0 2", "10 -1"])
 def test_link_metrics_must_be_finite_and_in_range(metrics):
     with pytest.raises(InvariantError):
