@@ -1,7 +1,8 @@
 """Command line entry points.
 
 `secroute run` executes one scenario and writes a report; `secroute
-oracle` checks route selection against exhaustive enumeration.  Exit code
+oracle` runs the protocol in every selection mode and checks the route it
+installs against exhaustive enumeration.  Exit code
 2 flags a scenario whose adversary should have been detected but was not,
 so CI can gate on it.  Bad input, and a topology or report file that
 cannot be read as text or written, exit 1 with one `error:` line.
@@ -69,13 +70,26 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _route(nodes) -> str:
+    return "-".join(nodes) if nodes else "none"
+
+
 def _cmd_oracle(args) -> int:
     text = Path(args.topology).read_text()
     topo = load_topology(text)
     source, dest = _pick_endpoints(topo, args.source, args.dest)
     diff = compare_oracle(topo, source, dest)
     for mode, res in diff["modes"].items():
-        print("%s: %s" % (mode, "match" if res["match"] else "MISMATCH"))
+        print(
+            "%s: %s, installed %s, best delivered %s, oracle %s"
+            % (
+                mode,
+                "match" if res["match"] else "MISMATCH",
+                _route(res["installed"]),
+                _route(res["best_delivered"]),
+                _route(res["oracle"]),
+            )
+        )
     return 0 if diff["all_match"] else 1
 
 
@@ -97,7 +111,7 @@ def main(argv=None) -> int:
     run_p.add_argument("--format", default="json", choices=["json", "text"])
     run_p.set_defaults(func=_cmd_run)
 
-    oracle_p = sub.add_parser("oracle", help="compare selection against enumeration")
+    oracle_p = sub.add_parser("oracle", help="check the installed route against enumeration, per mode")
     oracle_p.add_argument("--topology", required=True)
     oracle_p.add_argument("--source")
     oracle_p.add_argument("--dest")

@@ -4,12 +4,14 @@ Cost accumulates per link from hop count, bandwidth, and delay under
 nonnegative weights.  `advance` is the one per-link rule: it carries a
 path's cost, hop count, bottleneck bandwidth and summed delay over one
 more link.  Relays and the destination apply it to the request's clear
-header, and `aggregate` folds it over a whole node sequence; no other
-code does this arithmetic (`oracle` keeps its own copy as the
+header, and `aggregate` folds it over a whole node sequence for reports;
+no other code does this arithmetic (`oracle` keeps its own copy as the
 cross-check).  Selection runs in one of seven modes, each keyed to
 a single metric or metric product, with a fixed tie-break ladder:
 primary objective, then maximum hop*bandwidth*delay product, then maximum
-bandwidth-delay product, then lexicographically smallest path.
+bandwidth-delay product, then lexicographically smallest path.  Its one
+caller in the protocol is the destination, which ranks the requests it
+collected by the run's mode (`srdp.SrdpNode.finalize_destination`).
 Nothing here watches an installed route: per-hop acks, route errors
 and rediscovery keep it alive (`harness`, `srdp`).
 """

@@ -2,7 +2,8 @@
 protocol state machines together; runs a discovery, then sends cloudlets
 over the installed route with per-hop acks, a route error and
 rediscovery when an ack times out, with optional scripted adversaries;
-emits machine-readable reports and compares selection against the oracle.
+emits machine-readable reports and checks the route the protocol installs
+against the oracle.
 
 Cloudlets, acks and route errors name their round, not a route: each
 node acts on one only along the route it holds for that round
@@ -368,6 +369,7 @@ class Harness:
                 weights=w,
                 max_hops=self.config.max_hops,
                 literal_cost=self.config.literal_cost,
+                mode=self.config.mode,
             )
             self.protos[n] = proto
             if n == adv_node:
@@ -502,28 +504,43 @@ def run_scenario(config: ScenarioConfig) -> RunReport:
 
 
 def compare_oracle(topo: Topology, source: str, dest: str) -> Dict[str, Any]:
-    """Check select_route against brute-force enumeration, mode by mode,
-    under the default weights, reciprocal bandwidth cost and 16 hops."""
-    matrices = ecms.CostMatrices.from_topology(topo)
-    paths = oraclelib.all_simple_paths(topo, source, dest)
+    """Run the protocol from `source` to `dest` once per mode, with default
+    settings otherwise, and check the route it installs against the oracle.
+
+    Each mode reports three full routes: `installed`, the one the source
+    installed (None if none was); `best_delivered`, the best of the
+    candidates the destination collected in the installed round; and
+    `oracle`, the oracle's pick over every simple path.  The candidates are
+    ranked by `oracle.oracle_key`, which shares no code with the
+    protocol's own ranking.  A mode matches when the installed route is
+    the best delivered one; `oracle_pick` says whether it is also the
+    oracle's pick, which the first-copy flood need not deliver.  Raises
+    `NoCandidates` when no path joins the endpoints.
+    """
+    text = topology_to_text(topo)
     results = {}
-    all_match = True
     for mode in ecms.Mode:
-        w = ecms.weights_for_mode(mode)
-        candidates = [(tuple(p[1:-1]), *ecms.aggregate(p, matrices, w, False)) for p in paths]
-        chosen = ecms.select_route(candidates, mode)
-        chosen_key = ecms.selection_key(
-            next(cand for cand in candidates if cand[0] == chosen), mode
-        )
-        oracle_path, oracle_key_val = oraclelib.oracle_select(topo, source, dest, mode, w)
-        match = tuple(chosen) == tuple(oracle_path[1:-1]) and chosen_key == oracle_key_val
-        all_match = all_match and match
+        w = ecms.weights_for_mode(mode, ScenarioConfig.weights)
+        oracle_path = oraclelib.oracle_select(topo, source, dest, mode, w)[0]
+        harness = Harness(ScenarioConfig(topology_text=text, source=source, dest=dest, mode=mode))
+        harness.run()
+        info = harness.protos[source].routes.get((source, dest))
+        installed = best = None
+        if info is not None:
+            installed = srdp.route_nodes(info)
+            state = harness.protos[dest].dest_rounds[(info.s_addr, info.s_seqno)]
+            best = min(
+                ((source, *c.path, dest) for c in state.candidates),
+                key=lambda p: oraclelib.oracle_key(topo, p, mode, w, False),
+            )
         results[mode.value] = {
-            "match": match,
-            "selected": list(chosen),
-            "oracle": list(oracle_path[1:-1]),
+            "match": installed is not None and installed == best,
+            "oracle_pick": installed == oracle_path,
+            "installed": list(installed) if installed else None,
+            "best_delivered": list(best) if best else None,
+            "oracle": list(oracle_path),
         }
-    return {"all_match": all_match, "modes": results}
+    return {"all_match": all(r["match"] for r in results.values()), "modes": results}
 
 
 # -- topology generation ----------------------------------------------
@@ -576,5 +593,6 @@ def topology_to_text(topo: Topology) -> str:
     for key in sorted(topo.links, key=lambda k: tuple(sorted(k))):
         a, b = sorted(key)
         link = topo.links[key]
-        lines.append("link %s %s %g %g" % (a, b, link.avl_bw, link.nw_delay))
+        # 17 significant digits read back as the same float.
+        lines.append("link %s %s %.17g %.17g" % (a, b, link.avl_bw, link.nw_delay))
     return "\n".join(lines) + "\n"

@@ -143,7 +143,7 @@ def index_set(params: KdcParams, node: str) -> List[int]:
     if known is not None:
         return list(known)
     if not node:
-        raise ValueError("node id must be nonempty")
+        raise BadParams("node id must be nonempty")
     out: List[int] = []
     seen = set()
     counter = 0

@@ -3,7 +3,8 @@
 Enumerates every simple path between two nodes and applies the same
 objective and tie-break ladder as the online selector, but computed
 directly from the edge tables rather than through the protocol path.
-Used to validate selection on small topologies.
+`harness.compare_oracle` uses it to check the route the protocol installs
+on small topologies.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from typing import List, Sequence, Tuple
 
 from .cost import Mode, Weights
-from .errors import TooLarge
+from .errors import NoCandidates, TooLarge
 from .topology import Topology
 
 ENUM_NODE_BUDGET = 12
@@ -86,6 +87,6 @@ def oracle_select(
     """Best full path and its tie-break tuple, by brute force."""
     paths = all_simple_paths(topo, src, dst, max_hops)
     if not paths:
-        raise ValueError("no path %s -> %s" % (src, dst))
+        raise NoCandidates("no path %s -> %s" % (src, dst))
     best = min(paths, key=lambda p: oracle_key(topo, p, mode, w, literal))
     return best, oracle_key(topo, best, mode, w, literal)

@@ -20,7 +20,10 @@ the caller to log as it stands.  A forwarded copy is sealed from the
 bytes the relay opened (see `frames`).  The hop
 count in a candidate's metrics is the request's `hop_count`, which the
 destination checks against the sealed path and the hash chain; the other
-clear cost fields are taken as they arrive.
+clear cost fields are taken as they arrive.  When its collection window
+closes, the destination answers the candidate that ranks first under the
+run's selection mode (`SrdpNode.mode`); this is the one place a route is
+chosen.
 """
 
 from __future__ import annotations
@@ -208,7 +211,10 @@ def route_nodes(info: RrepInfo) -> Tuple[str, ...]:
 class SrdpNode:
     """Protocol state for one node; transport is supplied by the caller.
     `routes` holds, per `(s_addr, d_addr)`, the reply of the latest round
-    this node answered as destination, relayed, or installed as source."""
+    this node answered as destination, relayed, or installed as source.
+    `weights` price each hop of a request this node relays or collects;
+    `mode` is the run's selection mode, by which this node, as a
+    destination, ranks the requests it collected (`cost.select_route`)."""
 
     def __init__(
         self,
@@ -216,10 +222,13 @@ class SrdpNode:
         weights: ecms.Weights = ecms.Weights(),
         max_hops: int = 16,
         literal_cost: bool = False,
+        *,
+        mode: ecms.Mode = ecms.Mode.HC_BW_ND,
     ):
         self.keys = keys
         self.node = keys.node
         self.weights = weights
+        self.mode = mode
         self.max_hops = max_hops
         self.literal_cost = literal_cost
         self._seqno = 0  # rounds this node has started
@@ -384,7 +393,8 @@ class SrdpNode:
         return ("collected", rid, first)
 
     def finalize_destination(self, rid: Tuple[str, int]) -> Optional[RrepPacket]:
-        """Close the collection window and answer the best surviving request.
+        """Close the collection window and answer the request that ranks
+        first under `self.mode`.
 
         Returns None, and counts a NoPairwiseKey drop, if this node shares
         no key with the round's source or with the node two hops back on
@@ -393,9 +403,7 @@ class SrdpNode:
         if state is None or not state.candidates:
             raise NoValidCandidate(str(rid))
         state.window_open = False
-        route = ecms.select_route(
-            [(c.path, c.path_cost, c.metrics) for c in state.candidates], ecms.Mode.HC_BW_ND
-        )
+        route = ecms.select_route([(c.path, c.path_cost, c.metrics) for c in state.candidates], self.mode)
         rreq = state.rreq
         rrep = RrepInfo(s_addr=rreq.s_addr, s_seqno=rreq.s_seqno, d_addr=self.node, route=route)
         seq = route_nodes(rrep)[::-1]

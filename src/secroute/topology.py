@@ -45,6 +45,8 @@ class Topology:
     def add_node(self, node: str, role: str = "relay") -> None:
         if role not in ROLES:
             raise InvariantError("unknown role %r" % role)
+        if not node:
+            raise InvariantError("empty node id")
         if node in self.nodes:
             raise InvariantError("duplicate node %r" % node)
         self.nodes[node] = role

@@ -82,17 +82,28 @@ def is_real_path(topo, route):
     )
 
 
+# Modes whose objective adds up link by link; on these topologies the
+# first-copy flood delivers their oracle pick.  hc*bw and bw*nd grow with extra hops and delay, so
+# their best path is often a long one no relay forwards first.
+ADDITIVE_MODES = ("hc", "nd", "hc_nd", "hc_bw_nd")
+
+
 def test_route_selection_matches_oracle():
-    with verdict("route selection matches exhaustive oracle (140/140)"):
+    with verdict("installed route is the oracle-best delivered one (140/140), the oracle's pick in additive modes (80/80)"):
         start = time.monotonic()
-        checked = 0
+        best = picks = additive_picks = 0
         for seed in range(20):
             topo = random_topology(seed)
             diff = compare_oracle(topo, "N0", "N7")
             assert diff["all_match"], (seed, diff)
-            checked += len(diff["modes"])
+            for mode, res in diff["modes"].items():
+                best += res["match"]
+                picks += res["oracle_pick"]
+                additive_picks += res["oracle_pick"] and mode in ADDITIVE_MODES
         elapsed = time.monotonic() - start
-        assert checked == 140
+        assert best == 140
+        assert additive_picks == 80
+        assert picks >= 111, picks  # fewer: the flood delivers fewer oracle picks
         assert elapsed < 10.0, elapsed
 
 

@@ -50,6 +50,17 @@ def diamond_cfg(**kw):
     return ScenarioConfig(**base)
 
 
+@pytest.mark.parametrize(
+    "mode, route",
+    [
+        (ecms.Mode.HC_BW, ["S", "A", "B", "D"]),  # hc*bw 3*10 = 30 beats 2*5 = 10
+        (ecms.Mode.BW_ND, ["S", "C", "D"]),  # bw*nd 5*16 = 80 beats 10*6 = 60
+    ],
+)
+def test_destination_ranks_by_the_run_mode(mode, route):
+    assert run_scenario(diamond_cfg(mode=mode)).chosen_route == route
+
+
 def test_honest_run_installs_route():
     report = run_scenario(diamond_cfg())
     assert report.chosen_route == ["S", "A", "B", "D"]
@@ -178,11 +189,11 @@ PINNED_REPORTS = {
     ),
     "mode-hc_bw": (
         lambda: diamond_cfg(mode=ecms.Mode.HC_BW),
-        "6a1e59b8a5d70c12646955e0643f41d3ee115494cbc332525be65624ef4bd44d",
+        "c346ee837730e68d2a1719edfbff924d547475cfa70c2b11f761319691a025d8",
     ),
     "mode-bw_nd": (
         lambda: diamond_cfg(mode=ecms.Mode.BW_ND),
-        "c5ce3ac3542e4429176b8e784af26d4fc361b35f41144bb5222156368a7b7783",
+        "1c3a7d1d4973ce42a1a148ce31ba0057655ed56d3bccf0d32a5377f230162fe9",
     ),
     "mode-hc_nd": (
         lambda: diamond_cfg(mode=ecms.Mode.HC_ND),
@@ -668,6 +679,11 @@ def test_compare_oracle_diamond():
     diff = compare_oracle(topo, "S", "D")
     assert diff["all_match"]
     assert set(diff["modes"]) == {m.value for m in ecms.Mode}
+    for mode, res in diff["modes"].items():
+        # On the diamond the flood delivers both paths, so every pick is the oracle's.
+        assert res["oracle_pick"] and res["installed"] == res["best_delivered"] == res["oracle"], mode
+        # The route checked is the one a plain run of the protocol installs.
+        assert res["installed"] == run_scenario(diamond_cfg(mode=ecms.Mode(mode), seed=0)).chosen_route, mode
 
 
 def test_compare_oracle_random_graphs():
@@ -695,6 +711,12 @@ def test_topology_text_round_trip():
     topo = random_topology(11)
     again = load_topology(topology_to_text(topo))
     assert topology_to_text(again) == topology_to_text(topo)
+    # Non-integer metrics read back as the same floats.
+    exact = load_topology(
+        "node S broker\nnode A relay\nnode D coordinator\n"
+        "link S A 12.3456789 0.1234567\nlink A D 0.30000000000000004 1e-300\n"
+    )
+    assert load_topology(topology_to_text(exact)).links == exact.links
 
 
 # -- CLI ---------------------------------------------------------------
@@ -784,6 +806,7 @@ def test_cli_accepts_range_edges(topo_file, capsys, flags):
 def _assert_one_error_line(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
 
 
 def test_cli_missing_topology(tmp_path, capsys):
@@ -822,8 +845,30 @@ def test_cli_repeated_node_line(tmp_path, capsys):
 def test_cli_oracle_subcommand(topo_file, capsys):
     rc = main(["oracle", "--topology", str(topo_file)])
     assert rc == 0
-    out = capsys.readouterr().out
-    assert out.count("match") >= 7 and "MISMATCH" not in out
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [m.value for m in ecms.Mode]
+    assert all(line.split(": ")[1].startswith("match, installed ") for line in lines), lines
+    assert "hc_bw: match, installed S-A-B-D, best delivered S-A-B-D, oracle S-A-B-D" in lines
+    assert "bw_nd: match, installed S-C-D, best delivered S-C-D, oracle S-C-D" in lines
+
+
+def test_cli_oracle_flags_a_route_the_destination_misranks(topo_file, capsys, monkeypatch):
+    # A destination that answers its worst candidate must fail the check.
+    def worst(cands, mode):
+        return max(cands, key=lambda c: ecms.selection_key(c, mode))[0]
+
+    monkeypatch.setattr(ecms, "select_route", worst)
+    assert main(["oracle", "--topology", str(topo_file)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 7 and all(": MISMATCH, installed " in line for line in lines), lines
+
+
+def test_cli_oracle_no_path(tmp_path, capsys):
+    p = tmp_path / "split.topo"
+    p.write_text("node S broker\nnode A relay\nnode D coordinator\nlink S A 10 2\n")
+    assert main(["oracle", "--topology", str(p)]) == 1
+    err = _assert_one_error_line(capsys)
+    assert "S" in err and "D" in err, err
 
 
 def test_example_topology_is_the_test_diamond():

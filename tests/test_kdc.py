@@ -49,6 +49,11 @@ def test_index_set_contract(small_kdc):
     assert all(1 <= i <= 64 for i in a)
 
 
+def test_index_set_rejects_empty_node_id(small_kdc):
+    with pytest.raises(BadParams):
+        kdc.index_set(small_kdc[0], "")
+
+
 def fresh_index_set(params, node):
     """The node's index set derived anew: a copy of `params` starts with no memo."""
     return kdc.index_set(dataclasses.replace(params), node)

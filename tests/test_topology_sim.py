@@ -48,6 +48,12 @@ def test_duplicate_node_rejected(second):
         load_topology("node A broker\nnode B relay\nlink A B 10 2\nnode A %s\n" % second)
 
 
+def test_empty_node_id_rejected():
+    # The file loader splits on whitespace and cannot make one; the API can.
+    with pytest.raises(InvariantError):
+        Topology().add_node("")
+
+
 @pytest.mark.parametrize("metrics", ["nan 2", "inf 2", "-inf 2", "10 nan", "10 inf", "0 2", "10 -1"])
 def test_link_metrics_must_be_finite_and_in_range(metrics):
     with pytest.raises(InvariantError):
