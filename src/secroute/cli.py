@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import cost as ecms
-from .errors import SecrouteError
+from .errors import ConfigError, SecrouteError
 from .harness import (
     DETECTABLE_BEHAVIORS,
     ScenarioConfig,
@@ -43,8 +43,7 @@ def _cmd_run(args) -> int:
     adversary = None
     if args.adversary:
         if ":" not in args.adversary:
-            print("adversary spec must be NODE:BEHAVIOR", file=sys.stderr)
-            return 1
+            raise ConfigError("adversary spec %r is not NODE:BEHAVIOR" % args.adversary)
         node, behavior = args.adversary.split(":", 1)
         adversary = (node, behavior)
     config = ScenarioConfig(

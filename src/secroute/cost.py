@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Sequence, Tuple
 
 from .errors import MissingEdge, NoCandidates, NonpositiveBandwidth
-from .frames import RreqMutable
+from .frames import RreqMutable, _frozen
 
 
 @dataclass(frozen=True)
@@ -85,9 +85,11 @@ def advance(prev: RreqMutable, link_bw: float, link_delay: float, w: Weights, li
 
     Cost grows by `path_cost_step`, hop_count by one, bw becomes the
     bottleneck (the link's own bandwidth on the first hop, when hop_count
-    is still 0) and nd adds the link's delay.
+    is still 0) and nd adds the link's delay.  Each relay calls this once
+    per forwarded copy, so the result is built by `frames._frozen`.
     """
-    return RreqMutable(
+    return _frozen(
+        RreqMutable,
         hop_count=prev.hop_count + 1,
         path_cost=path_cost_step(prev.path_cost, link_bw, link_delay, w, literal),
         bw=link_bw if prev.hop_count == 0 else min(prev.bw, link_bw),

@@ -1,6 +1,7 @@
 """Symmetric primitives: hashing, keyed MACs, authenticated sealing, hash chains.
 
-Digests and keys are plain 32-byte strings.  Multi-part MAC input is
+Digests are plain 32-byte strings, and keys 32-byte strings, plain
+`bytes` or `Key` (below).  Multi-part MAC input is
 length-prefixed (4-byte big-endian length before each part) so part
 boundaries are unambiguous.  Sealing is authenticated encryption with
 associated data: any bit flip in the box, or in the associated data it
@@ -9,11 +10,20 @@ nonce (12) || ciphertext || tag (16), and every nonce is derived by one
 rule from key, associated data and plaintext (see `seal`).
 
 Every MAC and every nonce is HMAC-SHA256 (RFC 2104), computed by one
-private kernel: the key, hashed first if longer than the 64-byte block,
-is zero-padded to a block and XORed with the ipad and opad bytes by
-`bytes.translate`, and the inner and outer hashes are copies of one
-module-level SHA-256 object, so a call pays for no per-call set-up
-beyond two hashes.  Its output equals `hmac.digest(key, msg, "sha256")`.
+private kernel from a key's two pad states: the key, hashed first if
+longer than the 64-byte block, is zero-padded to a block, XORed with the
+ipad and opad bytes by `bytes.translate`, and hashed into copies of one
+module-level SHA-256 object.  The kernel then hashes the message on
+(copies of) the two pad states and returns `hmac.digest(key, msg,
+"sha256")`.
+
+A key that is used many times is a `Key`: plain bytes in every way that
+can be seen (equality, hashing, slicing, concatenation, `repr`) that
+also keep their own pad states and their own `ChaCha20Poly1305` object,
+built the first time the key MACs or seals and kept for its lifetime.
+`mac`, `mac_framed`, `seal` and `open_box` take either kind and return
+the same bytes for both; for plain bytes they build that state per
+call.  Nothing else holds it: a `Key`'s state dies with the key.
 """
 
 from __future__ import annotations
@@ -37,6 +47,39 @@ _SHA256 = hashlib.sha256()  # empty state; the kernel hashes copies of it
 _IPAD = bytes(b ^ 0x36 for b in range(256))  # translate tables: XOR every byte
 _OPAD = bytes(b ^ 0x5C for b in range(256))
 _PART_LEN = struct.Struct(">I").pack  # a MAC part's length prefix
+
+
+def _pad_states(key: bytes) -> tuple:
+    """SHA-256 states that have hashed `key`'s inner and outer HMAC pads."""
+    if len(key) > _BLOCK:
+        key = hashlib.sha256(key).digest()
+    key = key.ljust(_BLOCK, b"\0")
+    inner = _SHA256.copy()
+    inner.update(key.translate(_IPAD))
+    outer = _SHA256.copy()
+    outer.update(key.translate(_OPAD))
+    return inner, outer
+
+
+class Key(bytes):
+    """A long-lived key: its bytes, plus the HMAC pad states and the AEAD
+    object the module's functions would otherwise build per call, each
+    built on first use.  Equal to, and hashed as, its bytes; any slice or
+    concatenation of it is plain bytes."""
+
+    # Class-level None until the instance sets its own on first use.
+    _pads = None  # (inner, outer) pad states
+    _aead = None  # ChaCha20Poly1305 under this key
+
+
+def _cipher(key: bytes) -> ChaCha20Poly1305:
+    """`key`'s AEAD object: a Key's own, or one built for this call."""
+    if not isinstance(key, Key):
+        return ChaCha20Poly1305(key)
+    aead = key._aead
+    if aead is None:
+        aead = key._aead = ChaCha20Poly1305(key)
+    return aead
 
 
 def hash_bytes(data: bytes) -> bytes:
@@ -76,14 +119,14 @@ def mac_framed(key: bytes, framed: bytes) -> bytes:
 
 def _hmac_sha256(key: bytes, msg: bytes) -> bytes:
     """HMAC-SHA256 per RFC 2104; equals hmac.digest(key, msg, "sha256")."""
-    if len(key) > _BLOCK:
-        key = hashlib.sha256(key).digest()
-    key = key.ljust(_BLOCK, b"\0")
-    inner = _SHA256.copy()
-    inner.update(key.translate(_IPAD))
+    if isinstance(key, Key):
+        pads = key._pads
+        if pads is None:
+            pads = key._pads = _pad_states(key)
+        inner, outer = pads[0].copy(), pads[1].copy()
+    else:
+        inner, outer = _pad_states(key)  # used once, so not copied
     inner.update(msg)
-    outer = _SHA256.copy()
-    outer.update(key.translate(_OPAD))
     outer.update(inner.digest())
     return outer.digest()
 
@@ -100,7 +143,7 @@ def seal(key: bytes, plaintext: bytes, aad: bytes = b"") -> bytes:
     """
     nonce_input = b"box-nonce" + len(aad).to_bytes(4, "big") + aad + plaintext
     nonce = _hmac_sha256(key, nonce_input)[:NONCE_LEN]
-    return nonce + ChaCha20Poly1305(key).encrypt(nonce, plaintext, aad)
+    return nonce + _cipher(key).encrypt(nonce, plaintext, aad)
 
 
 def open_box(key: bytes, box: bytes, aad: bytes = b"") -> bytes:
@@ -109,7 +152,7 @@ def open_box(key: bytes, box: bytes, aad: bytes = b"") -> bytes:
     if len(box) < NONCE_LEN + TAG_LEN:
         raise AuthFailure("sealed box too short")
     try:
-        return ChaCha20Poly1305(key).decrypt(box[:NONCE_LEN], box[NONCE_LEN:], aad)
+        return _cipher(key).decrypt(box[:NONCE_LEN], box[NONCE_LEN:], aad)
     except InvalidTag:
         raise AuthFailure("seal verification failed") from None
 

@@ -37,6 +37,15 @@ holds: `(s_addr, s_seqno)` as the bound header ends with them and
 `RreqBody.to_bytes` and `seal_rreq` read those, so a relay's onward copy
 re-encodes nothing it opened.  An instance built any other way, by
 `dataclasses.replace` included, derives its own bytes on first read.
+
+Every packet is a frozen dataclass, and the generated `__init__` of one
+pays an `object.__setattr__` per field.  The RREQ hot path, which is
+`decode_frame`, `RreqBody.from_bytes` and `with_path_section`,
+`seal_rreq`, and `cost.advance`, builds its packets with the private
+`_frozen` instead, which fills the instance's attributes at once, the
+bytes it already holds for the cached properties included.  Such a
+packet equals, hashes, prints, `dataclasses.replace`s and refuses
+assignment exactly as one built by the constructor.
 """
 
 from __future__ import annotations
@@ -61,6 +70,16 @@ _RREQ_MUTABLE = struct.Struct(">Bddd")  # RreqMutable's fields
 _TYPE_BYTE = {t: bytes((t,)) for t in (FRAME_RREQ, FRAME_RREP, FRAME_REP, FRAME_SESSION)}
 _ABSENT, _PRESENT = b"\x00", b"\x01"  # opt-digest flags
 _DECODE_ERRORS = (struct.error, UnicodeDecodeError)  # short fixed block, bad text
+_new = object.__new__
+
+
+def _frozen(cls, **attrs):
+    """An instance of the frozen dataclass `cls` with `attrs` as its
+    attributes: every field by name, and any cached property whose value
+    the caller already holds.  See the module docstring."""
+    obj = _new(cls)
+    obj.__dict__.update(attrs)
+    return obj
 
 
 # -- encoding ----------------------------------------------------------
@@ -250,9 +269,9 @@ class RreqBody:
     ) -> "RreqBody":
         """A body whose `path_section` is `section`, which must equal
         `path_bytes(path)`: the bytes a caller already holds are kept."""
-        body = cls(rreq, path, mac_prev, mac_curr, h)
-        body.__dict__["path_section"] = section
-        return body
+        return _frozen(
+            cls, rreq=rreq, path=path, mac_prev=mac_prev, mac_curr=mac_curr, h=h, path_section=section
+        )
 
     @cached_property
     def path_section(self) -> bytes:
@@ -280,8 +299,9 @@ class RreqBody:
             raise MalformedFrame(str(exc)) from None
         mid, end = mac_at + DIGEST_LEN, mac_at + 2 * DIGEST_LEN
         _done(raw, end)
-        rreq = RreqImmutable(s_addr, s_seqno, d_addr, max_hops)
-        rreq.__dict__["_body_head"] = raw[:path_at]
+        rreq = _frozen(
+            RreqImmutable, s_addr=s_addr, s_seqno=s_seqno, d_addr=d_addr, max_hops=max_hops, _body_head=raw[:path_at]
+        )
         return cls.with_path_section(rreq, path, raw[path_at:off], mac_prev, raw[mac_at:mid], raw[mid:end])
 
 
@@ -323,9 +343,15 @@ def seal_rreq(key: bytes, sender_addr: str, mutable: RreqMutable, body: RreqBody
     r = body.rreq
     header = _rreq_header(sender_addr, r._header_tail)
     sealed = seal(key, body.to_bytes(), header)
-    pkt = RreqPacket(sender_addr, r.s_addr, r.s_seqno, mutable, sealed)
-    pkt.__dict__["header"] = header
-    return pkt
+    return _frozen(
+        RreqPacket,
+        sender_addr=sender_addr,
+        s_addr=r.s_addr,
+        s_seqno=r.s_seqno,
+        mutable=mutable,
+        sealed=sealed,
+        header=header,
+    )
 
 
 def open_rreq(key: bytes, pkt: RreqPacket) -> RreqBody:
@@ -455,10 +481,18 @@ def decode_frame(raw: bytes):
             s_addr, off = _text_at(raw, off)
             (s_seqno,) = _U32.unpack_from(raw, off)
             header_end = off + _U32.size
-            mutable = RreqMutable(*_RREQ_MUTABLE.unpack_from(raw, header_end))
+            hop_count, path_cost, bw, nd = _RREQ_MUTABLE.unpack_from(raw, header_end)
             sealed, off = _box_at(raw, header_end + _RREQ_MUTABLE.size)
-            pkt = RreqPacket(sender, s_addr, s_seqno, mutable, sealed)
-            pkt.__dict__["header"] = raw[:header_end]  # the bytes the seal binds, as read
+            mutable = _frozen(RreqMutable, hop_count=hop_count, path_cost=path_cost, bw=bw, nd=nd)
+            pkt = _frozen(
+                RreqPacket,
+                sender_addr=sender,
+                s_addr=s_addr,
+                s_seqno=s_seqno,
+                mutable=mutable,
+                sealed=sealed,
+                header=raw[:header_end],  # the bytes the seal binds, as read
+            )
         elif ftype == FRAME_RREP:
             sender, off = _text_at(raw, 1)
             sealed, off = _box_at(raw, off)

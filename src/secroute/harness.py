@@ -170,13 +170,14 @@ class ProtocolBehavior(NodeBehavior):
         except SecrouteError:
             sim.log_drop(node, "MalformedFrame")
             return
-        if isinstance(pkt, RreqPacket):
+        kind = type(pkt)  # decode_frame builds these four classes, never a subclass
+        if kind is RreqPacket:
             self.handle_rreq(sim, node, sender, pkt, clock)
-        elif isinstance(pkt, RrepPacket):
+        elif kind is RrepPacket:
             self.handle_rrep(sim, node, sender, pkt, clock)
-        elif isinstance(pkt, RepPacket):
+        elif kind is RepPacket:
             self.handle_rep(sim, node, sender, pkt, clock)
-        elif isinstance(pkt, SessionFrame):
+        elif kind is SessionFrame:
             self.handle_session(sim, node, sender, pkt, clock)
 
     def handle_rreq(self, sim, node, sender, pkt: RreqPacket, clock) -> None:
@@ -260,7 +261,14 @@ class ProtocolBehavior(NodeBehavior):
 
 
 class AdversaryBehavior(ProtocolBehavior):
-    """Tampers with the first RREQ it would forward; honest otherwise."""
+    """Tampers with the first RREQ it would forward; honest otherwise.
+
+    A tampering relay (path-insert, path-delete, path-modify,
+    rreq-field-tamper) tests a copy's round on its clear header before it
+    opens anything, so a round it has already broadcast is a duplicate,
+    and it lets a copy that comes straight from the source (empty path)
+    go by unrelayed, waiting for one with a path to lie about.  It thus
+    broadcasts each round at most once."""
 
     def __init__(self, proto, harness, behavior: str, rng: random.Random):
         super().__init__(proto, harness)
@@ -296,14 +304,17 @@ class AdversaryBehavior(ProtocolBehavior):
             else:
                 self.dispatch_rreq_action(sim, node, action, clock)
             return
-        body = self.proto.open_body(pkt)
-        if body is None or self.tampered or not body.path:
-            super().handle_rreq(sim, node, sender, pkt, clock)
-            return
-        self.tampered = True
-        out = self._tampered_forward(pkt, body, sim.topo.link(sender, node))
-        self.proto.seen_rounds.add(body.rreq.round_id())
-        sim.broadcast(node, encode_frame(out))
+        if not self.tampered and pkt.round_id() not in self.proto.seen_rounds:
+            body = self.proto.open_body(pkt)
+            if body is not None and body.path:
+                self.tampered = True
+                out = self._tampered_forward(pkt, body, sim.topo.link(sender, node))
+                self.proto.seen_rounds.add(body.rreq.round_id())
+                sim.broadcast(node, encode_frame(out))
+                return
+            if body is not None and body.rreq.d_addr != node:
+                return  # straight from the source: wait for a copy with a path
+        super().handle_rreq(sim, node, sender, pkt, clock)
 
     def _tampered_forward(self, pkt: RreqPacket, body: RreqBody, link) -> RreqPacket:
         node = self.proto.node

@@ -9,6 +9,13 @@ it under the encryption secrets whose indices no revoked node holds.
 A ring derives each encryption secret the first time it is read, so a
 node that never seals a broadcast never derives any.
 
+The keys that are used many times are `crypto.Key`s, which keep their
+prepared HMAC and AEAD state: the master seed (`setup` MACs every pool
+key and the pairwise root under it, and `Kdc.issue` each node's master),
+the pairwise root, and each ring's `rdn_group_key` and
+`broadcast_secret`.  Pool keys, encryption secrets and the envelope keys
+a receiver derives stay plain bytes: each seals or opens about once.
+
 A node's index set is derived once per network: `index_set` keeps each
 set it derives on the `KdcParams` instance, the one `setup` returns, and
 `Kdc.issue` and `cover_indices` both read it from there.  The memo dies
@@ -23,7 +30,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Dict, FrozenSet, List, Sequence, Tuple
 
-from .crypto import frame_parts, hash_bytes, mac, mac_framed, open_box, seal
+from .crypto import Key, frame_parts, hash_bytes, mac, mac_framed, open_box, seal
 from .errors import (
     AuthFailure,
     BadParams,
@@ -123,11 +130,11 @@ def setup(k: int, m: int, seed: bytes) -> Tuple[KdcParams, KeyPool, PairwiseKeyS
     """Derive the key pool and pairwise-key root deterministically from seed."""
     if k <= 0 or m < 1 or m >= k or k > 4096:
         raise BadParams("require 1 <= m < k <= 4096, got k=%d m=%d" % (k, m))
-    params = KdcParams(k=k, m=m, master_seed=bytes(seed))
+    params = KdcParams(k=k, m=m, master_seed=Key(seed))
     keys = tuple(
         mac(params.master_seed, [b"pool", i.to_bytes(4, "big")]) for i in range(1, k + 1)
     )
-    svc = PairwiseKeyService(mac(params.master_seed, [b"pairwise-root"]))
+    svc = PairwiseKeyService(Key(mac(params.master_seed, [b"pairwise-root"])))
     return params, KeyPool(keys), svc
 
 
@@ -176,8 +183,8 @@ class Kdc:
             node=node,
             indices=indices,
             decryption_secrets=[self.pool.key(i) for i in indices],
-            rdn_group_key=mac(node_master, [b"rdn-group"]),
-            broadcast_secret=mac(node_master, [b"broadcast-secret"]),
+            rdn_group_key=Key(mac(node_master, [b"rdn-group"])),
+            broadcast_secret=Key(mac(node_master, [b"broadcast-secret"])),
             _pool_key=self.pool.key,
         )
         self._issued[node] = ring

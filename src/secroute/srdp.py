@@ -34,7 +34,7 @@ from typing import Dict, FrozenSet, List, Mapping, Optional, Set, Tuple, Union
 
 from . import cost as ecms
 from . import kdc
-from .crypto import chain, hash_bytes, mac, open_box, seal
+from .crypto import Key, chain, hash_bytes, mac, open_box, seal
 from .errors import AuthFailure, EmptyCover, MalformedFrame, NoPairwiseKey, NoUsableIndex, NoValidCandidate
 from .frames import (
     RepPacket,
@@ -83,6 +83,7 @@ _DROP_KEYS = {
 # `process_rreq`'s action for a copy of a round already forwarded, the
 # flood's commonest outcome: one shared value, told apart by identity.
 DUPLICATE_DROP = ("drop", DUPLICATE)
+_DUPLICATE_KEY = _DROP_KEYS[DUPLICATE]
 
 # The one route error (REP) code: a hop's cloudlet ack timed out.
 LINK_BREAK = 1
@@ -94,6 +95,8 @@ class Provisioning:
     `neighbors` is each node's neighbour set as it was when the rings were
     issued.  A sender's two-hop broadcast revokes those neighbours; it is
     built when a receiver first asks for it and kept for all receivers.
+    The stores of one network share one `crypto.Key` per key value
+    (`shared_key`).
     """
 
     def __init__(
@@ -108,6 +111,19 @@ class Provisioning:
         self.rings = rings
         self.neighbors = neighbors
         self._broadcasts: Dict[str, Optional[kdc.BroadcastMessage]] = {}
+        # key value -> this network's one Key of that value; see shared_key
+        self._keys: Dict[bytes, Key] = {r.broadcast_secret: r.broadcast_secret for r in rings.values()}
+
+    def shared_key(self, raw: bytes) -> Key:
+        """This network's one `Key` equal to `raw`.  A sender's broadcast
+        secret, which each receiver opens for itself, and a pairwise key,
+        which each end derives, are then one object with one prepared
+        state, built once per network: for a broadcast secret, the
+        sender's own ring key."""
+        key = self._keys.get(raw)
+        if key is None:
+            key = self._keys[raw] = Key(raw)
+        return key
 
     def broadcast(self, sender: str) -> Optional[kdc.BroadcastMessage]:
         """`sender`'s two-hop broadcast, or None when its neighbours jointly
@@ -133,6 +149,9 @@ class KeyStore:
     opens the sender's broadcast with this node's own ring, and
     `pairwise_key` derives only keys that have this node at one end.  Both
     return None for a missing key, which each protocol step makes a drop.
+    Every key a KeyStore hands out is its network's `crypto.Key` of that
+    value, so each keeps its prepared MAC and seal state for as long as
+    the network does.
     """
 
     def __init__(self, node: str, provisioning: Provisioning):
@@ -142,8 +161,8 @@ class KeyStore:
         self.group_key = ring.rdn_group_key  # own one-hop key, shared with the neighborhood
         self.broadcast_secret = ring.broadcast_secret  # own two-hop secret, confined from neighbors
         self.neighbor_ids = provisioning.neighbors[node]
-        self._twohop: Dict[str, Optional[bytes]] = {}
-        self._pairwise: Dict[str, bytes] = {}
+        self._twohop: Dict[str, Optional[Key]] = {}
+        self._pairwise: Dict[str, Key] = {}
 
     def neighbor_group_key(self, peer: str) -> Optional[bytes]:
         """`peer`'s one-hop group key if it is a neighbour, else None."""
@@ -151,11 +170,12 @@ class KeyStore:
             return self.provisioning.rings[peer].rdn_group_key
         return None
 
-    def twohop_secret(self, sender: str) -> Optional[bytes]:
+    def twohop_secret(self, sender: str) -> Optional[Key]:
         """`sender`'s broadcast secret; None for this node itself, for the
         sender's neighbours and for ids that were never provisioned."""
         if sender not in self._twohop:
-            self._twohop[sender] = self._open_twohop(sender)
+            secret = self._open_twohop(sender)
+            self._twohop[sender] = None if secret is None else self.provisioning.shared_key(secret)
         return self._twohop[sender]
 
     def _open_twohop(self, sender: str) -> Optional[bytes]:
@@ -170,10 +190,11 @@ class KeyStore:
                 pass
         return prov.rings[sender].broadcast_secret  # pairwise fallback delivery
 
-    def pairwise_key(self, peer: str) -> Optional[bytes]:
+    def pairwise_key(self, peer: str) -> Optional[Key]:
         key = self._pairwise.get(peer)
         if key is None and peer != self.node and peer in self.provisioning.rings:
-            key = self._pairwise[peer] = self.provisioning.svc.pairwise_key(self.node, peer)
+            prov = self.provisioning
+            key = self._pairwise[peer] = prov.shared_key(prov.svc.pairwise_key(self.node, peer))
         return key
 
 
@@ -321,7 +342,8 @@ class SrdpNode:
         """
         rid = (frame.s_addr, frame.s_seqno)
         if rid in self.seen_rounds and frame.sender_addr in self.keys.neighbor_ids:
-            self._count(_DROP_KEYS[DUPLICATE])
+            counters = self.counters  # _count, inlined for the commonest drop
+            counters[_DUPLICATE_KEY] = counters.get(_DUPLICATE_KEY, 0) + 1
             return DUPLICATE_DROP
         body = self.open_body(frame)
         if body is None:

@@ -180,3 +180,42 @@ def test_round_trip_property(plaintext, key):
 def test_chain_composition_property(i, j):
     h0 = crypto.hash_bytes(b"seed")
     assert crypto.chain(h0, i + j) == crypto.chain(crypto.chain(h0, i), j)
+
+
+def _outcome(fn):
+    """`fn()`'s value, or the type and text of what it raised."""
+    try:
+        return fn()
+    except Exception as exc:  # the two kinds must fail alike, too
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200)
+@given(
+    st.integers(min_value=0, max_value=130).flatmap(lambda n: st.binary(min_size=n, max_size=n)),
+    st.lists(st.binary(max_size=80), min_size=1, max_size=4),
+    st.binary(max_size=100),
+    st.binary(max_size=16),
+)
+@example(b"", [b""], b"", b"")
+@example(b"k" * 32, [b"m"], b"p", b"a")
+@example(b"k" * 64, [b"m"], b"p", b"")
+@example(b"k" * 65, [b"m"], b"p", b"")
+@example(b"k" * 130, [b"m" * 80], b"p", b"a")
+def test_key_type_gives_the_outputs_of_its_bytes(raw, parts, plaintext, aad):
+    """A `Key` is its bytes to every reader, and every primitive gives under
+    it what it gives under the plain bytes, on the use that builds its
+    prepared state and on the uses after; a key of the wrong length for
+    the AEAD fails alike."""
+    key = crypto.Key(raw)
+    assert key == raw and raw == key and hash(key) == hash(raw) and repr(key) == repr(raw)
+    assert {raw: "found"}[key] == "found" and key + b"x" == raw + b"x" and key[1:] == raw[1:]
+    framed = crypto.frame_parts(parts)
+    box = crypto.seal(KEY, plaintext, aad) if len(raw) != crypto.KEY_LEN else crypto.seal(raw, plaintext, aad)
+    tampered = box[:-1] + bytes([box[-1] ^ 1])
+    for _ in range(2):
+        assert crypto.mac(key, parts) == crypto.mac(raw, parts)
+        assert crypto.mac_framed(key, framed) == crypto.mac_framed(raw, framed)
+        assert _outcome(lambda: crypto.seal(key, plaintext, aad)) == _outcome(lambda: crypto.seal(raw, plaintext, aad))
+        for b in (box, tampered, box[:27]):
+            assert _outcome(lambda: crypto.open_box(key, b, aad)) == _outcome(lambda: crypto.open_box(raw, b, aad))

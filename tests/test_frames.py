@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from secroute import frames
+from secroute import cost, crypto, frames
 from secroute.crypto import seal
 from secroute.errors import AuthFailure, MalformedFrame
 
@@ -461,3 +461,66 @@ def test_decoded_rreq_mutable_fields_are_frozen():
     pkt = frames.decode_frame(frames.encode_frame(sample_rreq()))
     with pytest.raises(dataclasses.FrozenInstanceError):
         pkt.mutable.path_cost = 0.0
+
+
+# -- packets the hot path builds without the generated __init__ ---------------
+
+
+def rebuilt(value):
+    """`value` rebuilt through the constructors: every frozen dataclass in
+    it, nested ones included, comes from its generated `__init__`."""
+    if dataclasses.is_dataclass(value):
+        return type(value)(*(rebuilt(getattr(value, f.name)) for f in dataclasses.fields(value)))
+    return value
+
+
+def assert_acts_as_constructed(pkt):
+    twin = rebuilt(pkt)
+    assert type(pkt) is type(twin)
+    assert pkt == twin and twin == pkt and hash(pkt) == hash(twin) and repr(pkt) == repr(twin)
+    assert dataclasses.replace(pkt) == twin and hash(dataclasses.replace(pkt)) == hash(twin)
+    for f in dataclasses.fields(pkt):
+        marker = object()
+        changed = dataclasses.replace(pkt, **{f.name: marker})
+        assert changed == dataclasses.replace(twin, **{f.name: marker}) != pkt
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(pkt, f.name, getattr(twin, f.name))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(pkt, f.name)
+    assert pkt == twin  # nothing above changed it
+
+
+mutables = st.builds(frames.RreqMutable, u8, f64, f64, f64)
+link_metrics = st.floats(min_value=1e-3, max_value=1e6)
+
+
+@settings(max_examples=200)
+@given(rreq_bodies, ids, mutables, ids, link_metrics, link_metrics)
+@example(
+    frames.RreqBody(NON_ASCII_IMM, LONG_PATH, None, b"\x00" * 32, b"\xff" * 32),
+    "节点",
+    frames.RreqMutable(0, -0.0, 0.0, 0.0),
+    "",
+    1.0,
+    0.0,
+)
+def test_hot_path_packets_act_as_constructed(body, sender, mutable, relay, link_bw, link_delay):
+    """Every RREQ packet the hot path builds (sealed, decoded, opened and
+    forwarded) equals, hashes, prints and `replace`s as the same values
+    built by the constructors do, and refuses assignment."""
+    sealed = frames.seal_rreq(KEY, sender, mutable, body)
+    decoded = frames.decode_frame(frames.encode_frame(sealed))
+    opened = frames.open_rreq(KEY, decoded)
+    advanced = cost.advance(decoded.mutable, link_bw, link_delay, cost.Weights(), False)
+    onward_body = frames.RreqBody.with_path_section(
+        opened.rreq,
+        opened.path + (relay,),
+        frames.extend_path_bytes(opened.path_section, relay),
+        opened.mac_curr,
+        b"\x07" * 32,
+        crypto.hash_bytes(opened.h),
+    )
+    onward = frames.seal_rreq(KEY, relay, advanced, onward_body)
+    for pkt in (sealed, decoded, decoded.mutable, opened, opened.rreq, advanced, onward_body, onward):
+        assert_acts_as_constructed(pkt)
+    assert opened == body and decoded == sealed

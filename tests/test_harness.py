@@ -10,10 +10,11 @@ from secroute import kdc
 from secroute import oracle as oraclelib
 from secroute import srdp
 from secroute.cli import main
-from secroute.crypto import seal
+from secroute.crypto import Key, seal
 from secroute.errors import EmptyCover, NoUsableIndex, TooLarge
 from secroute.frames import RrepBody, RrepInfo, RrepPacket, SessionFrame, encode_frame
 from secroute.harness import (
+    DETECTABLE_BEHAVIORS,
     STEP_ACK,
     STEP_CLOUDLET,
     Harness,
@@ -117,6 +118,27 @@ def test_source_broadcasts_each_round_once_and_relays_none(make):
     assert len(broadcasts) == rounds
     assert "rreq_forwarded" not in report.counters["S"]
     assert report.counters["S"]["drop:" + srdp.DUPLICATE] == 2 * rounds  # A's and C's copies
+
+
+@pytest.mark.parametrize("behavior", DETECTABLE_BEHAVIORS)
+def test_tampering_adversary_broadcasts_each_round_once(behavior):
+    """An adversary next to the source waits past the source's own copy
+    for one with a path to tamper with, and drops later copies of the
+    round on the clear header: it broadcasts the round once, and the
+    destination still detects the tampering."""
+    cfg = ScenarioConfig(
+        topology_text=topology_to_text(random_topology(3, 12, 0.4)),
+        source="N0",
+        dest="N11",
+        adversary=("N5", behavior),
+    )
+    h = Harness(cfg)
+    assert h.topo.has_link("N0", "N5")
+    report = h.run()
+    broadcasts = [e for e in h.sim.trace if e["ev"] == "send" and e["node"] == "N5" and e["kind"] == "broadcast"]
+    assert len(broadcasts) == 1 + report.rediscoveries == 1
+    assert "rreq_forwarded" not in report.counters["N5"]  # the one broadcast is the tampered copy
+    assert report.detections and {d["node"] for d in report.detections} == {"N11"}
 
 
 def tamper_cfg(behavior):
@@ -567,6 +589,29 @@ def test_keys_on_first_use_match_eager_provisioning(seed, n, p, k, m, empty_cove
         assert stores[node].pairwise_key("ghost") is None
 
 
+def test_long_lived_keys_are_one_key_per_network():
+    """Every key used many times is a `crypto.Key`: the master seed, the
+    pairwise root, each ring's group key and broadcast secret, and every
+    key a store hands out.  A network's stores share one Key per value: a
+    two-hop secret is the sender's own ring key, and a pairwise key is one
+    object at both ends.  Pool keys and encryption secrets, the material
+    of envelope keys that each seal or open about once, stay plain bytes."""
+    topo = random_topology(2, 20, 0.4)
+    stores, svc, params, rings = provision(topo, 64, 8, 2)
+    assert type(params.master_seed) is Key and type(svc._root) is Key
+    for node, ring in rings.items():
+        assert type(ring.rdn_group_key) is Key and type(ring.broadcast_secret) is Key
+        assert type(ring.encryption_secret(ring.indices[0])) is bytes
+        assert all(type(k) is bytes for k in ring.decryption_secrets)
+        store = stores[node]
+        for peer in sorted(topo.nodes):
+            secret = store.twohop_secret(peer)
+            assert secret is None or secret is rings[peer].broadcast_secret
+            if peer != node:
+                assert type(store.pairwise_key(peer)) is Key
+                assert store.pairwise_key(peer) is stores[peer].pairwise_key(node)
+
+
 def counting(monkeypatch, owner, name, key, tally):
     """Replace owner.name with a wrapper that counts calls by key(args)."""
     real = getattr(owner, name)
@@ -771,8 +816,10 @@ def test_cli_run_missed_detection_exit_two(topo_file, tmp_path, monkeypatch, cap
 
 
 def test_cli_bad_adversary_spec(topo_file, capsys):
-    rc = main(["run", "--topology", str(topo_file), "--adversary", "nonsense"])
-    assert rc == 1
+    for spec in ("nonsense", "B", "B:"):  # no colon, no colon, no behaviour
+        rc = main(["run", "--topology", str(topo_file), "--adversary", spec])
+        assert rc == 1
+        _assert_one_error_line(capsys)
 
 
 @pytest.mark.parametrize(
