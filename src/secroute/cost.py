@@ -88,12 +88,15 @@ def advance(prev: RreqMutable, link_bw: float, link_delay: float, w: Weights, li
     is still 0) and nd adds the link's delay.  Each relay calls this once
     per forwarded copy, so the result is built by `frames._frozen`.
     """
+    hops, bw = prev.hop_count, prev.bw
     return _frozen(
         RreqMutable,
-        hop_count=prev.hop_count + 1,
-        path_cost=path_cost_step(prev.path_cost, link_bw, link_delay, w, literal),
-        bw=link_bw if prev.hop_count == 0 else min(prev.bw, link_bw),
-        nd=prev.nd + link_delay,
+        {
+            "hop_count": hops + 1,
+            "path_cost": path_cost_step(prev.path_cost, link_bw, link_delay, w, literal),
+            "bw": link_bw if hops == 0 or link_bw < bw else bw,  # min(bw, link_bw) after the first hop
+            "nd": prev.nd + link_delay,
+        },
     )
 
 

@@ -105,7 +105,7 @@ def mac(key: bytes, parts: Sequence[bytes]) -> bytes:
     """
     if not parts:
         raise ValueError("mac requires at least one part")
-    return mac_framed(key, frame_parts(parts))
+    return _hmac_sha256(key, frame_parts(parts))
 
 
 def mac_framed(key: bytes, framed: bytes) -> bytes:

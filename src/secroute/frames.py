@@ -8,11 +8,12 @@ byte-layout tables.
 Every frame names its round as `(s_addr, s_seqno)`: the source and the
 source's sequence number for the discovery.  An RREQ carries it in the
 clear header, and its seal binds the header, from the frame type through
-`s_seqno`, as associated data: `seal_rreq` and `open_rreq` are the only
-way its body is sealed and opened.  A receiver can thus read the round
-before opening anything, and a rewritten header fails the open.  The
-cost fields after it are neither sealed nor bound; of them, only
-`hop_count` is checked, against the sealed path and the hash chain.
+`s_seqno`, as associated data: `seal_rreq_plaintext` (which `seal_rreq`
+calls) and `open_rreq` are the only way its body is sealed and opened.
+A receiver can thus read the round before opening anything, and a
+rewritten header fails the open.  The cost fields after it are neither
+sealed nor bound; of them, only `hop_count` is checked, against the
+sealed path and the hash chain.
 
 Each run of fixed-width fields is packed and unpacked by one precompiled
 `struct.Struct`.  Decoding walks an offset through the input and slices
@@ -33,19 +34,26 @@ down two hops upstream, and `extend_path_bytes` appends the relay's
 own, for its own MAC and its onward body.  In the same way `open_rreq`
 gives the body's `RreqImmutable` the authenticated bytes it already
 holds: `(s_addr, s_seqno)` as the bound header ends with them and
-`(d_addr, max_hops)` as the plaintext begins with them.  The hop MACs,
-`RreqBody.to_bytes` and `seal_rreq` read those, so a relay's onward copy
-re-encodes nothing it opened.  An instance built any other way, by
-`dataclasses.replace` included, derives its own bytes on first read.
+`(d_addr, max_hops)` as the plaintext begins with them.  The hop MACs
+read those, and a relay's onward copy is spliced from them: its
+plaintext is `rreq_plaintext` of the opened `(d_addr, max_hops)` bytes,
+the extended section, the promoted MAC, its own MAC and the next chain
+value, and `seal_rreq_plaintext` seals it under a header joined from the
+relay's constant `rreq_header_prefix` and the round bytes it read.  No
+onward `RreqBody` is built and nothing it opened is re-encoded.  An
+instance built any other way, by `dataclasses.replace` included,
+derives its own bytes on first read.
 
 Every packet is a frozen dataclass, and the generated `__init__` of one
 pays an `object.__setattr__` per field.  The RREQ hot path, which is
-`decode_frame`, `RreqBody.from_bytes` and `with_path_section`,
-`seal_rreq`, and `cost.advance`, builds its packets with the private
-`_frozen` instead, which fills the instance's attributes at once, the
-bytes it already holds for the cached properties included.  Such a
-packet equals, hashes, prints, `dataclasses.replace`s and refuses
-assignment exactly as one built by the constructor.
+`decode_frame`, `RreqBody.from_bytes`, `seal_rreq_plaintext` and
+`cost.advance`, builds its packets with the private `_frozen` instead,
+which gives a new instance a ready attribute dict, the bytes the caller
+already holds for the cached properties included.  `decode_frame` and
+`RreqBody.from_bytes` each read an RREQ in one flat pass, the field
+readers inlined.  Such a packet equals, hashes, prints,
+`dataclasses.replace`s and refuses assignment exactly as one built by
+the constructor.
 """
 
 from __future__ import annotations
@@ -71,14 +79,15 @@ _TYPE_BYTE = {t: bytes((t,)) for t in (FRAME_RREQ, FRAME_RREP, FRAME_REP, FRAME_
 _ABSENT, _PRESENT = b"\x00", b"\x01"  # opt-digest flags
 _DECODE_ERRORS = (struct.error, UnicodeDecodeError)  # short fixed block, bad text
 _new = object.__new__
+_set = object.__setattr__
 
 
-def _frozen(cls, **attrs):
-    """An instance of the frozen dataclass `cls` with `attrs` as its
-    attributes: every field by name, and any cached property whose value
-    the caller already holds.  See the module docstring."""
+def _frozen(cls, attrs: dict):
+    """An instance of the frozen dataclass `cls` whose attribute dict is
+    `attrs`, a new dict: every field by name, and any cached property
+    whose value the caller already holds.  See the module docstring."""
     obj = _new(cls)
-    obj.__dict__.update(attrs)
+    _set(obj, "__dict__", attrs)
     return obj
 
 
@@ -154,7 +163,7 @@ def _text_at(raw: bytes, off: int) -> Tuple[str, int]:
 def _path_at(raw: bytes, off: int) -> Tuple[Tuple[str, ...], int]:
     nodes = []
     end = off + 2
-    for _ in range(_U16.unpack_from(raw, off)[0]):  # _text_at inlined: the hottest loop
+    for _ in range(_U16.unpack_from(raw, off)[0]):  # _text_at inlined
         start = end + 2
         end = start + _U16.unpack_from(raw, end)[0]
         nodes.append(raw[start:end].decode())
@@ -257,57 +266,75 @@ class RreqBody:
     mac_curr: bytes
     h: bytes  # hash-chain value, advanced once per hop
 
-    @classmethod
-    def with_path_section(
-        cls,
-        rreq: RreqImmutable,
-        path: Tuple[str, ...],
-        section: bytes,
-        mac_prev: Optional[bytes],
-        mac_curr: bytes,
-        h: bytes,
-    ) -> "RreqBody":
-        """A body whose `path_section` is `section`, which must equal
-        `path_bytes(path)`: the bytes a caller already holds are kept."""
-        return _frozen(
-            cls, rreq=rreq, path=path, mac_prev=mac_prev, mac_curr=mac_curr, h=h, path_section=section
-        )
-
     @cached_property
     def path_section(self) -> bytes:
-        # from_bytes and with_path_section store the bytes they hold here;
-        # a body built any other way, `dataclasses.replace` included,
-        # encodes its own path on first read.
+        # from_bytes stores the bytes it read here; a body built any other
+        # way, `dataclasses.replace` included, encodes its own path on
+        # first read.
         return path_bytes(self.path)
 
     def to_bytes(self) -> bytes:
-        return b"".join(
-            [self.rreq._body_head, self.path_section, *_opt_digest(self.mac_prev), self.mac_curr, self.h]
-        )
+        return rreq_plaintext(self.rreq, self.path_section, self.mac_prev, self.mac_curr, self.h)
 
     @classmethod
     def from_bytes(cls, raw: bytes, s_addr: str, s_seqno: int) -> "RreqBody":
         """The body `raw` encodes, of round `(s_addr, s_seqno)`; its `rreq`
         keeps the slice of `raw` that `(d_addr, max_hops)` was read from."""
-        try:
-            d_addr, off = _text_at(raw, 0)
+        try:  # one flat pass: _text_at, _path_at and _opt_digest_at inlined
+            off = 2 + _U16.unpack_from(raw)[0]
+            d_addr = raw[2:off].decode()
             (max_hops,) = _U8.unpack_from(raw, off)
             path_at = off + _U8.size
-            path, off = _path_at(raw, path_at)
-            mac_prev, mac_at = _opt_digest_at(raw, off)
+            nodes = []
+            off = path_at + 2
+            u16_at = _U16.unpack_from
+            for _ in range(u16_at(raw, path_at)[0]):
+                start = off + 2
+                off = start + u16_at(raw, off)[0]
+                nodes.append(raw[start:off].decode())
         except _DECODE_ERRORS as exc:
             raise MalformedFrame(str(exc)) from None
+        flag = raw[off : off + 1]
+        if flag == _PRESENT:
+            mac_at = off + 1 + DIGEST_LEN
+            mac_prev = raw[off + 1 : mac_at]
+        elif flag == _ABSENT:
+            mac_at = off + 1
+            mac_prev = None
+        else:
+            raise MalformedFrame("opt-digest flag %d" % flag[0] if flag else "truncated")
         mid, end = mac_at + DIGEST_LEN, mac_at + 2 * DIGEST_LEN
         _done(raw, end)
         rreq = _frozen(
-            RreqImmutable, s_addr=s_addr, s_seqno=s_seqno, d_addr=d_addr, max_hops=max_hops, _body_head=raw[:path_at]
+            RreqImmutable,
+            {"s_addr": s_addr, "s_seqno": s_seqno, "d_addr": d_addr, "max_hops": max_hops, "_body_head": raw[:path_at]},
         )
-        return cls.with_path_section(rreq, path, raw[path_at:off], mac_prev, raw[mac_at:mid], raw[mid:end])
+        return _frozen(
+            cls,
+            {
+                "rreq": rreq,
+                "path": tuple(nodes),
+                "mac_prev": mac_prev,
+                "mac_curr": raw[mac_at:mid],
+                "h": raw[mid:end],
+                "path_section": raw[path_at:off],
+            },
+        )
 
 
-def _rreq_header(sender_addr: str, round_id: bytes) -> bytes:
-    """An RREQ's clear header; `round_id` is `_round_id_bytes` of its round."""
-    return b"".join([_TYPE_BYTE[FRAME_RREQ], _text(sender_addr), round_id])
+def rreq_plaintext(
+    rreq: RreqImmutable, path_section: bytes, mac_prev: Optional[bytes], mac_curr: bytes, h: bytes
+) -> bytes:
+    """The plaintext of an `RreqBody` of these fields, `path_section` being
+    `path_bytes` of its path: joined from the bytes given and `rreq`'s
+    `(d_addr, max_hops)` bytes, with nothing encoded again."""
+    return b"".join([rreq._body_head, path_section, *_opt_digest(mac_prev), mac_curr, h])
+
+
+def rreq_header_prefix(sender_addr: str) -> bytes:
+    """The first bytes of every RREQ `sender_addr` sends: the frame type
+    and `sender_addr` as text.  Its round bytes follow them."""
+    return _TYPE_BYTE[FRAME_RREQ] + _text(sender_addr)
 
 
 @dataclass(frozen=True)
@@ -329,28 +356,39 @@ class RreqPacket:
 
     @cached_property
     def header(self) -> bytes:
-        # decode_frame and seal_rreq store the bytes they already hold
+        # decode_frame and seal_rreq_plaintext store the bytes they hold
         # here; a packet built any other way derives them on first read.
-        return _rreq_header(self.sender_addr, _round_id_bytes(self.s_addr, self.s_seqno))
+        return rreq_header_prefix(self.sender_addr) + _round_id_bytes(self.s_addr, self.s_seqno)
 
     def round_id(self) -> Tuple[str, int]:
         return (self.s_addr, self.s_seqno)
 
 
 def seal_rreq(key: bytes, sender_addr: str, mutable: RreqMutable, body: RreqBody) -> RreqPacket:
-    """An RREQ from `sender_addr` carrying `body` sealed under `key`, its
-    clear header built once for both the seal and the encoding."""
-    r = body.rreq
-    header = _rreq_header(sender_addr, r._header_tail)
-    sealed = seal(key, body.to_bytes(), header)
+    """An RREQ from `sender_addr` carrying `body` sealed under `key`."""
+    return seal_rreq_plaintext(
+        key, sender_addr, rreq_header_prefix(sender_addr), mutable, body.rreq, body.to_bytes()
+    )
+
+
+def seal_rreq_plaintext(
+    key: bytes, sender_addr: str, prefix: bytes, mutable: RreqMutable, rreq: RreqImmutable, plaintext: bytes
+) -> RreqPacket:
+    """An RREQ from `sender_addr` of round `rreq`, carrying `plaintext` (an
+    `RreqBody`'s bytes, `rreq_plaintext`) sealed under `key`.  Its clear
+    header, built once for both the seal and the encoding, is `prefix`,
+    which is `rreq_header_prefix(sender_addr)`, then `rreq`'s round bytes."""
+    header = prefix + rreq._header_tail
     return _frozen(
         RreqPacket,
-        sender_addr=sender_addr,
-        s_addr=r.s_addr,
-        s_seqno=r.s_seqno,
-        mutable=mutable,
-        sealed=sealed,
-        header=header,
+        {
+            "sender_addr": sender_addr,
+            "s_addr": rreq.s_addr,
+            "s_seqno": rreq.s_seqno,
+            "mutable": mutable,
+            "sealed": seal(key, plaintext, header),
+            "header": header,
+        },
     )
 
 
@@ -367,8 +405,9 @@ def open_rreq(key: bytes, pkt: RreqPacket) -> RreqBody:
     header = pkt.header
     body = RreqBody.from_bytes(open_box(key, pkt.sealed, header), pkt.s_addr, pkt.s_seqno)
     round_id = header[3 + _U16.unpack_from(header, 1)[0] :]  # past the frame type and sender_addr
-    rreq = body.rreq
-    rreq.__dict__.update(_header_tail=round_id, _bytes=round_id + rreq._body_head)
+    attrs = vars(body.rreq)
+    attrs["_header_tail"] = round_id
+    attrs["_bytes"] = round_id + attrs["_body_head"]
     return body
 
 
@@ -476,22 +515,30 @@ def decode_frame(raw: bytes):
         raise MalformedFrame("empty")
     ftype = raw[0]
     try:
-        if ftype == FRAME_RREQ:
-            sender, off = _text_at(raw, 1)
-            s_addr, off = _text_at(raw, off)
+        if ftype == FRAME_RREQ:  # one flat pass: _text_at and _box_at inlined
+            off = 3 + _U16.unpack_from(raw, 1)[0]
+            sender = raw[3:off].decode()
+            start = off + 2
+            off = start + _U16.unpack_from(raw, off)[0]
+            s_addr = raw[start:off].decode()
             (s_seqno,) = _U32.unpack_from(raw, off)
             header_end = off + _U32.size
             hop_count, path_cost, bw, nd = _RREQ_MUTABLE.unpack_from(raw, header_end)
-            sealed, off = _box_at(raw, header_end + _RREQ_MUTABLE.size)
-            mutable = _frozen(RreqMutable, hop_count=hop_count, path_cost=path_cost, bw=bw, nd=nd)
+            start = header_end + _RREQ_MUTABLE.size + 2
+            off = start + _U16.unpack_from(raw, start - 2)[0]
+            if off - start < NONCE_LEN + TAG_LEN:
+                raise MalformedFrame("sealed box too short")
+            mutable = _frozen(RreqMutable, {"hop_count": hop_count, "path_cost": path_cost, "bw": bw, "nd": nd})
             pkt = _frozen(
                 RreqPacket,
-                sender_addr=sender,
-                s_addr=s_addr,
-                s_seqno=s_seqno,
-                mutable=mutable,
-                sealed=sealed,
-                header=raw[:header_end],  # the bytes the seal binds, as read
+                {
+                    "sender_addr": sender,
+                    "s_addr": s_addr,
+                    "s_seqno": s_seqno,
+                    "mutable": mutable,
+                    "sealed": raw[start:off],
+                    "header": raw[:header_end],  # the bytes the seal binds, as read
+                },
             )
         elif ftype == FRAME_RREP:
             sender, off = _text_at(raw, 1)

@@ -185,13 +185,14 @@ class ProtocolBehavior(NodeBehavior):
         action = self.proto.process_rreq(pkt, link.avl_bw, link.nw_delay)
         if action is srdp.DUPLICATE_DROP:  # most copies of a flood: traced, nothing more
             sim.log_drop(node, srdp.DUPLICATE)
+        elif action[0] == "forward":
+            sim.broadcast(node, encode_frame(action[1]))
         else:
             self.dispatch_rreq_action(sim, node, action, clock)
 
     def dispatch_rreq_action(self, sim, node, action, clock) -> None:
-        if action[0] == "forward":
-            sim.broadcast(node, encode_frame(action[1]))
-        elif action[0] == "drop":
+        """Act on a drop or a collected copy; a forward is broadcast by the caller."""
+        if action[0] == "drop":
             self.harness.record_drop(node, action[1], clock, self.proto)
         elif action[0] == "collected":
             _, rid, first = action
@@ -234,7 +235,8 @@ class ProtocolBehavior(NodeBehavior):
             self.harness.ack_received(node, pkt)
             return
         nodes, pos = hop
-        sim.unicast(node, sender, encode_frame(replace(pkt, sender_addr=node, step=STEP_ACK)))
+        ack = SessionFrame(node, STEP_ACK, pkt.s_addr, pkt.s_seqno, pkt.d_addr, pkt.seq)
+        sim.unicast(node, sender, encode_frame(ack))
         if pos == len(nodes) - 1:
             self.harness.cloudlet_delivered(pkt.seq)
             return
@@ -305,7 +307,7 @@ class AdversaryBehavior(ProtocolBehavior):
                 self.dispatch_rreq_action(sim, node, action, clock)
             return
         if not self.tampered and pkt.round_id() not in self.proto.seen_rounds:
-            body = self.proto.open_body(pkt)
+            body = self.proto.open_request(pkt)
             if body is not None and body.path:
                 self.tampered = True
                 out = self._tampered_forward(pkt, body, sim.topo.link(sender, node))

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import hmac
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Dict, FrozenSet, List, Sequence, Tuple
 
@@ -90,8 +90,9 @@ class BroadcastMessage:
 
     The tag is a MAC, under the secret, over `tag_input`.  `tag_input` and
     `by_index` are derived from the fields on first use and kept on the
-    instance; `dataclasses.replace` builds a new instance, so a changed
-    copy derives its own.
+    instance, except that `build_broadcast` keeps the `tag_input` it
+    framed for the tag; `dataclasses.replace` builds a new instance, so a
+    changed copy derives its own.
     """
 
     revoked: FrozenSet[str]
@@ -102,15 +103,16 @@ class BroadcastMessage:
     @cached_property
     def tag_input(self) -> bytes:
         """The framed MAC input: a label, the sorted revoked ids, every envelope."""
-        parts = [b"broadcast-tag"]
-        parts.extend(n.encode() for n in sorted(self.revoked))
-        parts.extend(self.envelopes)
-        return frame_parts(parts)
+        return _tag_input(self.revoked, self.envelopes)
 
     @cached_property
     def by_index(self) -> Dict[int, bytes]:
         """Cover index -> the envelope sealed under it."""
         return dict(zip(self.cover_indices, self.envelopes))
+
+
+def _tag_input(revoked: FrozenSet[str], envelopes: Tuple[bytes, ...]) -> bytes:
+    return frame_parts([b"broadcast-tag", *(n.encode() for n in sorted(revoked)), *envelopes])
 
 
 class PairwiseKeyService:
@@ -207,13 +209,12 @@ def build_broadcast(
 ) -> BroadcastMessage:
     """Seal `secret` once per cover index under the sender's encryption secrets."""
     cover = cover_indices(params, revoked)
-    untagged = BroadcastMessage(
-        revoked=frozenset(revoked),
-        cover_indices=tuple(cover),
-        envelopes=tuple(seal(ring.encryption_secret(i), secret) for i in cover),
-        tag=b"",
-    )
-    return replace(untagged, tag=mac_framed(secret, untagged.tag_input))
+    revoked_set = frozenset(revoked)
+    envelopes = tuple(seal(ring.encryption_secret(i), secret) for i in cover)
+    tag_input = _tag_input(revoked_set, envelopes)
+    msg = BroadcastMessage(revoked_set, tuple(cover), envelopes, mac_framed(secret, tag_input))
+    vars(msg)["tag_input"] = tag_input  # the cached property's value, framed once
+    return msg
 
 
 def open_broadcast(

@@ -30,7 +30,8 @@ from __future__ import annotations
 
 import hmac
 from dataclasses import dataclass, field, replace
-from typing import Dict, FrozenSet, List, Mapping, Optional, Set, Tuple, Union
+from functools import cached_property
+from typing import Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
 
 from . import cost as ecms
 from . import kdc
@@ -49,7 +50,10 @@ from .frames import (
     open_rreq,
     parent_path_bytes,
     path_bytes,
+    rreq_header_prefix,
+    rreq_plaintext,
     seal_rreq,
+    seal_rreq_plaintext,
 )
 
 # Drop reasons
@@ -291,16 +295,24 @@ class SrdpNode:
         self._count("rreq_originated")
         return seal_rreq(self.keys.group_key, self.node, RreqMutable(), body)
 
-    def open_body(self, frame: Union[RreqPacket, RrepPacket]) -> Union[RreqBody, RrepBody, None]:
-        """`frame`'s sealed body (an RreqBody for an RREQ, an RrepBody for an
-        RREP), or None unless a neighbour sealed a well-formed one under its
-        group key.  An RREQ's body must also be bound to its clear header."""
+    def open_request(self, frame: RreqPacket) -> Optional[RreqBody]:
+        """`frame`'s sealed body, or None unless a neighbour sealed a
+        well-formed one under its group key, bound to the clear header."""
         key = self.keys.neighbor_group_key(frame.sender_addr)
         if key is None:
             return None
         try:
-            if isinstance(frame, RreqPacket):
-                return open_rreq(key, frame)
+            return open_rreq(key, frame)
+        except (AuthFailure, MalformedFrame):
+            return None
+
+    def open_reply(self, frame: RrepPacket) -> Optional[RrepBody]:
+        """`frame`'s sealed body, or None unless a neighbour sealed a
+        well-formed one under its group key."""
+        key = self.keys.neighbor_group_key(frame.sender_addr)
+        if key is None:
+            return None
+        try:
             return RrepBody.from_bytes(open_box(key, frame.sealed))
         except (AuthFailure, MalformedFrame):
             return None
@@ -345,7 +357,7 @@ class SrdpNode:
             counters = self.counters  # _count, inlined for the commonest drop
             counters[_DUPLICATE_KEY] = counters.get(_DUPLICATE_KEY, 0) + 1
             return DUPLICATE_DROP
-        body = self.open_body(frame)
+        body = self.open_request(frame)
         if body is None:
             return self._drop(SEAL_OPEN_FAIL)
         rreq = body.rreq
@@ -360,10 +372,15 @@ class SrdpNode:
             return self._drop(TWO_HOP_AUTH_FAIL, bad)
         self.seen_rounds.add(rid)
         self._count("rreq_forwarded")
-        new_path = body.path + (self.node,)
-        new_section = extend_path_bytes(body.path_section, self.node)
         out = self.relay_rreq(
-            frame, rreq, new_path, new_section, body.mac_curr, hash_bytes(body.h), link_bw, link_delay
+            frame,
+            rreq,
+            body.path + (self.node,),
+            extend_path_bytes(body.path_section, self.node),
+            body.mac_curr,
+            hash_bytes(body.h),
+            link_bw,
+            link_delay,
         )
         return ("forward", out)
 
@@ -382,13 +399,21 @@ class SrdpNode:
         over the link it arrived on, and a sealed body claiming `new_path`
         (whose `path_bytes` is `new_section`) and `h_new`, with `mac_prev`
         beside this node's own MAC.  An honest relay passes the arriving
-        body's values; a tampering one, its lies."""
-        m_self = rreq_hop_mac(self.keys.broadcast_secret, rreq, new_section, hash_bytes(h_new))
-        body = RreqBody.with_path_section(rreq, new_path, new_section, mac_prev, m_self, h_new)
+        body's values; a tampering one, its lies.  The plaintext is spliced
+        from `rreq`'s bytes and the sections given, and sealed under this
+        node's header prefix and `rreq`'s round bytes; no body is built."""
+        keys = self.keys
+        m_self = rreq_hop_mac(keys.broadcast_secret, rreq, new_section, hash_bytes(h_new))
         mutable = ecms.advance(frame.mutable, link_bw, link_delay, self.weights, self.literal_cost)
         if mutable.hop_count != len(new_path):  # the path lies
             mutable = replace(mutable, hop_count=len(new_path))
-        return seal_rreq(self.keys.group_key, self.node, mutable, body)
+        plaintext = rreq_plaintext(rreq, new_section, mac_prev, m_self, h_new)
+        return seal_rreq_plaintext(keys.group_key, self.node, self._rreq_prefix, mutable, rreq, plaintext)
+
+    @cached_property
+    def _rreq_prefix(self) -> bytes:
+        # The same on every request this node relays; built on the first.
+        return rreq_header_prefix(self.node)
 
     def _collect_candidate(self, frame: RreqPacket, body: RreqBody, link_bw, link_delay):
         rreq = body.rreq
@@ -445,7 +470,7 @@ class SrdpNode:
 
     def process_rrep(self, frame: RrepPacket):
         """Returns ("forward", RrepPacket, next_hop), ("accept", route), or a drop."""
-        body = self.open_body(frame)
+        body = self.open_reply(frame)
         if body is None:
             return self._drop(SEAL_OPEN_FAIL)
         rrep = body.rrep

@@ -512,15 +512,17 @@ def test_hot_path_packets_act_as_constructed(body, sender, mutable, relay, link_
     decoded = frames.decode_frame(frames.encode_frame(sealed))
     opened = frames.open_rreq(KEY, decoded)
     advanced = cost.advance(decoded.mutable, link_bw, link_delay, cost.Weights(), False)
-    onward_body = frames.RreqBody.with_path_section(
-        opened.rreq,
-        opened.path + (relay,),
-        frames.extend_path_bytes(opened.path_section, relay),
-        opened.mac_curr,
-        b"\x07" * 32,
-        crypto.hash_bytes(opened.h),
+    new_path = opened.path + (relay,)
+    h_new = crypto.hash_bytes(opened.h)
+    plaintext = frames.rreq_plaintext(
+        opened.rreq, frames.extend_path_bytes(opened.path_section, relay), opened.mac_curr, b"\x07" * 32, h_new
     )
-    onward = frames.seal_rreq(KEY, relay, advanced, onward_body)
-    for pkt in (sealed, decoded, decoded.mutable, opened, opened.rreq, advanced, onward_body, onward):
+    prefix = frames.rreq_header_prefix(relay)
+    onward = frames.seal_rreq_plaintext(KEY, relay, prefix, advanced, opened.rreq, plaintext)
+    for pkt in (sealed, decoded, decoded.mutable, opened, opened.rreq, advanced, onward):
         assert_acts_as_constructed(pkt)
+    # The spliced copy is the one sealed from a body built field by field.
+    onward_body = frames.RreqBody(rebuilt(opened.rreq), new_path, opened.mac_curr, b"\x07" * 32, h_new)
+    expected = frames.seal_rreq(KEY, relay, advanced, onward_body)
+    assert (onward, onward.header) == (expected, expected.header)
     assert opened == body and decoded == sealed

@@ -285,6 +285,18 @@ def test_broadcast_tag_bytes_pinned(small_kdc):
     assert msg.tag.hex() == "8a3d3f3ac38fd0ce81d5bbdf7c2d238d751cca6c7363afd754df4dc03bce9c48"
 
 
+def test_built_broadcast_keeps_the_tag_input_it_framed(small_kdc):
+    """`build_broadcast` frames the tag input once and keeps it; it equals
+    the input a copy derives from its fields, and the tag is its MAC."""
+    params, _, _, center = small_kdc
+    a = center.issue("A")
+    secret = crypto.mac(SEED, [b"secret"])
+    msg = kdc.build_broadcast(a, secret, ["C", "B"], params)
+    kept = vars(msg)["tag_input"]
+    assert kept == dataclasses.replace(msg).tag_input
+    assert msg.tag == crypto.mac_framed(secret, kept)
+
+
 def test_broadcast_reproducible(small_kdc):
     params, _, _, center = small_kdc
     a = center.issue("A")

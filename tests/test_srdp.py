@@ -133,6 +133,78 @@ def test_forwarded_frame_equals_fresh_construction(keyed, free, hops, s_seqno, m
     assert encode_frame(action[1]) == encode_frame(expected)
 
 
+FIELD_LIES = {
+    "max_hops": lambda r: r.max_hops ^ 1,
+    "d_addr": lambda r: r.d_addr + "é",
+    "s_addr": lambda r: r.s_addr + "节",
+    "s_seqno": lambda r: (r.s_seqno + 1) % 2**32,
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    keyed=st.lists(st.text(min_size=1, max_size=5), min_size=2, max_size=2, unique=True),
+    path=st.lists(st.text(max_size=5), max_size=6).map(tuple),
+    hops=st.integers(min_value=0, max_value=7),
+    edit=st.sampled_from(["none", "insert", "delete", "modify"]),
+    phantom=st.text(max_size=8),
+    field_lie=st.sampled_from([None, "copy", *FIELD_LIES]),
+    mac_prev=st.one_of(st.none(), digests),
+    h_new=digests,
+    link=st.tuples(st.floats(min_value=0.5, max_value=100.0), st.floats(min_value=0.0, max_value=20.0)),
+)
+def test_tampered_relay_frame_equals_fresh_construction(
+    keyed, path, hops, edit, phantom, field_lie, mac_prev, h_new, link
+):
+    """`relay_rreq` builds a tampering relay's onward copy the way it builds
+    an honest one's.  Whatever it is told to claim (a path whose length
+    differs from the arriving `hop_count`, a phantom id, a random or absent
+    `mac_prev`, a chain value, an `rreq` rebuilt by `dataclasses.replace`
+    with or without a changed field, so holding no opened bytes), the frame
+    equals `seal_rreq` of a freshly constructed body, with the clear fields
+    advanced by `cost.advance` and `hop_count = len(new_path)`."""
+    relay, sender = keyed
+    link_bw, link_delay = link
+    topo = Topology()
+    for n in keyed:
+        topo.add_node(n)
+    topo.add_link(sender, relay, link_bw, link_delay)
+    stores = provision(topo, 64, 8, seed=0)[0]
+    rreq = frames.RreqImmutable("S", 9, "D", 16)
+    body = RreqBody(rreq, path, b"\x01" * 32, b"\x02" * 32, b"\x03" * 32)
+    arriving = frames.seal_rreq(stores[sender].group_key, sender, RreqMutable(hops, 4.5, 7.0, 3.0), body)
+    frame = decode_frame(encode_frame(arriving))
+    opened = open_rreq(stores[sender].group_key, frame)  # holding the bytes it opened, as a relay does
+
+    new_path = {
+        "none": path + (relay,),
+        "insert": path + (phantom, relay),
+        "delete": path[:-1] + (relay,),
+        "modify": path[:-1] + (phantom, relay),
+    }[edit]
+    claimed = opened.rreq
+    if field_lie == "copy":
+        claimed = dataclasses.replace(claimed)
+    elif field_lie is not None:
+        claimed = dataclasses.replace(claimed, **{field_lie: FIELD_LIES[field_lie](claimed)})
+    node = srdp.SrdpNode(stores[relay])
+    out = node.relay_rreq(frame, claimed, new_path, frames.path_bytes(new_path), mac_prev, h_new, link_bw, link_delay)
+
+    fresh = frames.RreqImmutable(claimed.s_addr, claimed.s_seqno, claimed.d_addr, claimed.max_hops)
+    section = frames.path_bytes(new_path)
+    m_self = srdp.rreq_hop_mac(stores[relay].broadcast_secret, fresh, section, hash_bytes(h_new))
+    advanced = cost.advance(frame.mutable, link_bw, link_delay, node.weights, node.literal_cost)
+    mutable = dataclasses.replace(advanced, hop_count=len(new_path))
+    fresh_body = RreqBody(fresh, new_path, mac_prev, m_self, h_new)
+    expected = frames.seal_rreq(stores[relay].group_key, relay, mutable, fresh_body)
+    assert encode_frame(out) == encode_frame(expected)
+    assert out == expected
+    # Read back from the wire, not through the sealing code both share.
+    arrived = decode_frame(encode_frame(out))
+    assert (arrived.sender_addr, arrived.round_id(), arrived.mutable) == (relay, fresh.round_id(), mutable)
+    assert open_rreq(stores[relay].group_key, arrived) == fresh_body
+
+
 def test_duplicate_round_dropped(line_net):
     topo, nodes = line_net
     pkt = nodes["S"].originate_rreq("D")
