@@ -1,8 +1,10 @@
 """Multi-metric path cost and route selection.
 
 Cost accumulates per link from hop count, bandwidth, and delay under
-nonnegative weights.  `advance` is the one per-link rule: it carries a
-path's cost, hop count, bottleneck bandwidth and summed delay over one
+nonnegative weights.  A path's running totals (hop count, path cost,
+bottleneck bandwidth, summed delay) are one `Totals` wherever they
+appear: the request's clear header, a destination's candidates and the
+report.  `advance` is the one per-link rule: it carries them over one
 more link.  Relays and the destination apply it to the request's clear
 header, and `aggregate` folds it over a whole node sequence for reports;
 no other code does this arithmetic (`oracle` keeps its own copy as the
@@ -20,10 +22,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Sequence, Tuple
+from typing import Dict, FrozenSet, NamedTuple, Sequence, Tuple
 
 from .errors import MissingEdge, NoCandidates, NonpositiveBandwidth
-from .frames import RreqMutable, _frozen
 
 
 @dataclass(frozen=True)
@@ -80,31 +81,32 @@ def path_cost_step(
     return prev + w.alpha * 1.0 + w.beta * bw_term + w.gamma * link_delay
 
 
-def advance(prev: RreqMutable, link_bw: float, link_delay: float, w: Weights, literal: bool) -> RreqMutable:
-    """`prev`'s totals carried over one more link.
+class Totals(NamedTuple):
+    """A path's running totals; all zero before its first link.  An RREQ
+    carries them in its clear header, unauthenticated: receivers check
+    `hop_count` against the sealed path, and the destination against the
+    hash chain; the rest are taken on trust."""
+
+    hop_count: int = 0
+    path_cost: float = 0.0
+    bw: float = 0.0  # bottleneck so far, Mb/s; 0 before the first hop
+    nd: float = 0.0  # summed delay so far, ms
+
+
+def advance(prev: Totals, link_bw: float, link_delay: float, w: Weights, literal: bool) -> Totals:
+    """`prev` carried over one more link.
 
     Cost grows by `path_cost_step`, hop_count by one, bw becomes the
     bottleneck (the link's own bandwidth on the first hop, when hop_count
-    is still 0) and nd adds the link's delay.  Each relay calls this once
-    per forwarded copy, so the result is built by `frames._frozen`.
+    is still 0) and nd adds the link's delay.
     """
-    hops, bw = prev.hop_count, prev.bw
-    return _frozen(
-        RreqMutable,
-        {
-            "hop_count": hops + 1,
-            "path_cost": path_cost_step(prev.path_cost, link_bw, link_delay, w, literal),
-            "bw": link_bw if hops == 0 or link_bw < bw else bw,  # min(bw, link_bw) after the first hop
-            "nd": prev.nd + link_delay,
-        },
+    hops, path_cost, bw, nd = prev
+    return Totals(
+        hops + 1,
+        path_cost_step(path_cost, link_bw, link_delay, w, literal),
+        link_bw if hops == 0 or link_bw < bw else bw,  # min(bw, link_bw) after the first hop
+        nd + link_delay,
     )
-
-
-@dataclass(frozen=True)
-class PathMetrics:
-    hc: int  # hop count
-    bw: float  # bottleneck bandwidth, Mb/s
-    nd: float  # total delay, ms
 
 
 @dataclass
@@ -123,31 +125,30 @@ class CostMatrices:
         return cls(m_bw, m_nd)
 
 
-def aggregate(
-    path: Sequence[str], matrices: CostMatrices, w: Weights, literal: bool
-) -> Tuple[float, PathMetrics]:
-    """Path cost and metrics of a whole node sequence, by `advance`."""
+def aggregate(path: Sequence[str], matrices: CostMatrices, w: Weights, literal: bool) -> Totals:
+    """The totals of a whole node sequence, by `advance`."""
     if len(path) < 2:
         raise MissingEdge("path needs at least one edge")
-    t = RreqMutable()
+    t = Totals()
     for a, b in zip(path, path[1:]):
         key = frozenset((a, b))
         if key not in matrices.m_bw:
             raise MissingEdge("%s-%s" % (a, b))
         t = advance(t, matrices.m_bw[key], matrices.m_nd[key], w, literal)
-    return t.path_cost, PathMetrics(t.hop_count, t.bw, t.nd)
+    return t
 
 
-def products(m: PathMetrics) -> Tuple[float, float, float, float]:
+def products(t: Totals) -> Tuple[float, float, float, float]:
     """(hbp, bdp, hdp, hbdp) metric products for tie-breaking."""
-    hbp = m.hc * m.bw
-    bdp = m.bw * m.nd  # bottleneck bandwidth x end-to-end delay
-    hdp = m.hc * m.nd
-    hbdp = m.hc * m.bw * m.nd
+    hbp = t.hop_count * t.bw
+    bdp = t.bw * t.nd  # bottleneck bandwidth x end-to-end delay
+    hdp = t.hop_count * t.nd
+    hbdp = t.hop_count * t.bw * t.nd
     return hbp, bdp, hdp, hbdp
 
 
-Candidate = Tuple[Sequence[str], float, PathMetrics]
+# A candidate route: its path and totals first, as in `srdp.Candidate`.
+Candidate = Tuple[Sequence[str], Totals]
 
 
 def selection_key(candidate: Candidate, mode: Mode) -> tuple:
@@ -156,16 +157,16 @@ def selection_key(candidate: Candidate, mode: Mode) -> tuple:
     Tuple order: primary objective, max HBDP, max BDP, lexicographic
     path.  Maximized quantities are negated.
     """
-    path, path_cost, m = candidate
-    hbp, bdp, hdp, hbdp = products(m)
+    path, t = candidate[0], candidate[1]
+    hbp, bdp, hdp, hbdp = products(t)
     primary = {
-        Mode.HC: m.hc,
-        Mode.BW: -m.bw,
-        Mode.ND: m.nd,
+        Mode.HC: t.hop_count,
+        Mode.BW: -t.bw,
+        Mode.ND: t.nd,
         Mode.HC_BW: -hbp,
         Mode.BW_ND: -bdp,
         Mode.HC_ND: hdp,
-        Mode.HC_BW_ND: path_cost,
+        Mode.HC_BW_ND: t.path_cost,
     }[mode]
     return (primary, -hbdp, -bdp, tuple(path))
 

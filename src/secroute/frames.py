@@ -12,8 +12,8 @@ clear header, and its seal binds the header, from the frame type through
 calls) and `open_rreq` are the only way its body is sealed and opened.
 A receiver can thus read the round before opening anything, and a
 rewritten header fails the open.  The cost fields after it are neither
-sealed nor bound; of them, only `hop_count` is checked, against the
-sealed path and the hash chain.
+sealed nor bound; they are a `cost.Totals`, of which only `hop_count` is
+checked, against the sealed path and the hash chain.
 
 Each run of fixed-width fields is packed and unpacked by one precompiled
 `struct.Struct`.  Decoding walks an offset through the input and slices
@@ -46,14 +46,13 @@ derives its own bytes on first read.
 
 Every packet is a frozen dataclass, and the generated `__init__` of one
 pays an `object.__setattr__` per field.  The RREQ hot path, which is
-`decode_frame`, `RreqBody.from_bytes`, `seal_rreq_plaintext` and
-`cost.advance`, builds its packets with the private `_frozen` instead,
-which gives a new instance a ready attribute dict, the bytes the caller
-already holds for the cached properties included.  `decode_frame` and
-`RreqBody.from_bytes` each read an RREQ in one flat pass, the field
-readers inlined.  Such a packet equals, hashes, prints,
-`dataclasses.replace`s and refuses assignment exactly as one built by
-the constructor.
+`decode_frame`, `RreqBody.from_bytes` and `seal_rreq_plaintext`, builds
+its packets with the private `_frozen` instead, which gives a new
+instance a ready attribute dict, the bytes the caller already holds for
+the cached properties included.  `decode_frame` and `RreqBody.from_bytes`
+each read an RREQ in one flat pass, the field readers inlined.  Such a
+packet equals, hashes, prints, `dataclasses.replace`s and refuses
+assignment exactly as one built by the constructor.
 """
 
 from __future__ import annotations
@@ -63,6 +62,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Tuple
 
+from .cost import Totals
 from .crypto import DIGEST_LEN, NONCE_LEN, TAG_LEN, open_box, seal
 from .errors import MalformedFrame
 
@@ -74,7 +74,7 @@ FRAME_SESSION = 4
 _U8 = struct.Struct(">B")
 _U16 = struct.Struct(">H")
 _U32 = struct.Struct(">I")
-_RREQ_MUTABLE = struct.Struct(">Bddd")  # RreqMutable's fields
+_RREQ_TOTALS = struct.Struct(">Bddd")  # cost.Totals' fields
 _TYPE_BYTE = {t: bytes((t,)) for t in (FRAME_RREQ, FRAME_RREP, FRAME_REP, FRAME_SESSION)}
 _ABSENT, _PRESENT = b"\x00", b"\x01"  # opt-digest flags
 _DECODE_ERRORS = (struct.error, UnicodeDecodeError)  # short fixed block, bad text
@@ -239,18 +239,6 @@ class RreqImmutable:
 
 
 @dataclass(frozen=True)
-class RreqMutable:
-    """Fields every relay revises; ride in the clear, unauthenticated.
-    Receivers check `hop_count` against the sealed path, and the
-    destination against the hash chain; the rest are taken on trust."""
-
-    hop_count: int = 0
-    path_cost: float = 0.0
-    bw: float = 0.0  # bottleneck so far, Mb/s; 0 before the first hop
-    nd: float = 0.0  # summed delay so far, ms
-
-
-@dataclass(frozen=True)
 class RreqBody:
     """Plaintext inside an RREQ's sealed section.
 
@@ -344,14 +332,14 @@ class RreqPacket:
     `header` is the frame's first bytes, from the frame type through
     `s_seqno`; the seal binds them as associated data, so a receiver can
     read the round id `(s_addr, s_seqno)` before opening the box and any
-    rewrite of them fails the open.  The `mutable` cost fields follow the
-    header and are not bound.
+    rewrite of them fails the open.  The `mutable` path totals, which
+    every relay advances, follow the header and are not bound.
     """
 
     sender_addr: str
     s_addr: str
     s_seqno: int
-    mutable: RreqMutable
+    mutable: Totals
     sealed: bytes
 
     @cached_property
@@ -364,7 +352,7 @@ class RreqPacket:
         return (self.s_addr, self.s_seqno)
 
 
-def seal_rreq(key: bytes, sender_addr: str, mutable: RreqMutable, body: RreqBody) -> RreqPacket:
+def seal_rreq(key: bytes, sender_addr: str, mutable: Totals, body: RreqBody) -> RreqPacket:
     """An RREQ from `sender_addr` carrying `body` sealed under `key`."""
     return seal_rreq_plaintext(
         key, sender_addr, rreq_header_prefix(sender_addr), mutable, body.rreq, body.to_bytes()
@@ -372,7 +360,7 @@ def seal_rreq(key: bytes, sender_addr: str, mutable: RreqMutable, body: RreqBody
 
 
 def seal_rreq_plaintext(
-    key: bytes, sender_addr: str, prefix: bytes, mutable: RreqMutable, rreq: RreqImmutable, plaintext: bytes
+    key: bytes, sender_addr: str, prefix: bytes, mutable: Totals, rreq: RreqImmutable, plaintext: bytes
 ) -> RreqPacket:
     """An RREQ from `sender_addr` of round `rreq`, carrying `plaintext` (an
     `RreqBody`'s bytes, `rreq_plaintext`) sealed under `key`.  Its clear
@@ -493,10 +481,7 @@ class SessionFrame:
 
 def encode_frame(packet) -> bytes:
     if isinstance(packet, RreqPacket):
-        m = packet.mutable
-        return b"".join(
-            [packet.header, _RREQ_MUTABLE.pack(m.hop_count, m.path_cost, m.bw, m.nd), _blob(packet.sealed)]
-        )
+        return b"".join([packet.header, _RREQ_TOTALS.pack(*packet.mutable), _blob(packet.sealed)])
     if isinstance(packet, RrepPacket):
         return b"".join([_TYPE_BYTE[FRAME_RREP], _text(packet.sender_addr), _blob(packet.sealed)])
     if isinstance(packet, RepPacket):
@@ -523,12 +508,11 @@ def decode_frame(raw: bytes):
             s_addr = raw[start:off].decode()
             (s_seqno,) = _U32.unpack_from(raw, off)
             header_end = off + _U32.size
-            hop_count, path_cost, bw, nd = _RREQ_MUTABLE.unpack_from(raw, header_end)
-            start = header_end + _RREQ_MUTABLE.size + 2
+            mutable = Totals._make(_RREQ_TOTALS.unpack_from(raw, header_end))
+            start = header_end + _RREQ_TOTALS.size + 2
             off = start + _U16.unpack_from(raw, start - 2)[0]
             if off - start < NONCE_LEN + TAG_LEN:
                 raise MalformedFrame("sealed box too short")
-            mutable = _frozen(RreqMutable, {"hop_count": hop_count, "path_cost": path_cost, "bw": bw, "nd": nd})
             pkt = _frozen(
                 RreqPacket,
                 {

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import random
 from dataclasses import dataclass, replace
 from typing import Any, ClassVar, Dict, List, Optional, Set, Tuple
@@ -76,7 +77,7 @@ class ScenarioConfig:
 
 @dataclass
 class RunReport:
-    config_summary: Dict[str, Any]
+    config: Dict[str, Any]
     chosen_route: Optional[List[str]]
     path_cost: Optional[float]
     metrics: Optional[Dict[str, float]]
@@ -89,19 +90,9 @@ class RunReport:
     trace_digest: str
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "config": self.config_summary,
-            "chosen_route": self.chosen_route,
-            "path_cost": self.path_cost,
-            "metrics": self.metrics,
-            "counters": self.counters,
-            "detections": self.detections,
-            "events": self.events,
-            "cloudlets_delivered": self.cloudlets_delivered,
-            "rediscoveries": self.rediscoveries,
-            "routes_installed": self.routes_installed,
-            "trace_digest": self.trace_digest,
-        }
+        # The fields by name, sharing their values; `dataclasses.asdict`
+        # would deep-copy every counter of every node on each report.
+        return dict(vars(self))
 
 
 def emit_report(report: RunReport, fmt: str = "json") -> bytes:
@@ -300,7 +291,7 @@ class AdversaryBehavior(ProtocolBehavior):
             action = self.proto.process_rreq(pkt, link.avl_bw, link.nw_delay)
             if action[0] == "forward":
                 out = action[1]
-                lie = replace(out, mutable=replace(out.mutable, path_cost=0.0))  # in the clear header
+                lie = replace(out, mutable=out.mutable._replace(path_cost=0.0))  # in the clear header
                 sim.broadcast(node, encode_frame(lie))
                 self.tampered = True
             else:
@@ -356,8 +347,8 @@ class Harness:
                 raise ConfigError("adversary node %r not in topology" % node)
             if behavior not in ADVERSARY_BEHAVIORS:
                 raise ConfigError("unknown adversary behavior %r" % behavior)
-        if not config.collection_window >= 0:  # also rejects NaN
-            raise ConfigError("collection window %r ms is not a nonnegative number" % config.collection_window)
+        if not 0 <= config.collection_window < math.inf:  # also rejects NaN
+            raise ConfigError("collection window %r ms is not a finite nonnegative number" % config.collection_window)
         if not 0 <= config.max_hops <= 255:
             raise ConfigError("max hops %r is outside 0..255" % config.max_hops)
         self.sim = Simulator(self.topo)
@@ -484,11 +475,11 @@ class Harness:
         path_cost = metrics = None
         if route is not None:
             w = ecms.weights_for_mode(cfg.mode, cfg.weights)
-            path_cost, m = ecms.aggregate(route, ecms.CostMatrices.from_topology(self.topo), w, cfg.literal_cost)
-            metrics = {"hc": m.hc, "bw": m.bw, "nd": m.nd}
+            t = ecms.aggregate(route, ecms.CostMatrices.from_topology(self.topo), w, cfg.literal_cost)
+            path_cost, metrics = t.path_cost, {"hc": t.hop_count, "bw": t.bw, "nd": t.nd}
         counters = {n: dict(sorted(p.counters.items())) for n, p in sorted(self.protos.items()) if p.counters}
         return RunReport(
-            config_summary={
+            config={
                 "source": cfg.source,
                 "dest": cfg.dest,
                 "mode": cfg.mode.value,
@@ -559,13 +550,12 @@ def compare_oracle(topo: Topology, source: str, dest: str) -> Dict[str, Any]:
 # -- topology generation ----------------------------------------------
 
 
-def random_topology(
-    seed: int,
-    n: int = 8,
-    edge_prob: float = 0.4,
-    bw_range: Tuple[float, float] = (1.0, 100.0),
-    delay_range: Tuple[float, float] = (1.0, 20.0),
-) -> Topology:
+# A random link's bandwidth (Mb/s) and delay (ms): integers drawn uniformly.
+LINK_BW_RANGE = (1, 100)
+LINK_DELAY_RANGE = (1, 20)
+
+
+def random_topology(seed: int, n: int = 8, edge_prob: float = 0.4) -> Topology:
     """Seeded connected random topology with integer-valued metrics."""
     rng = random.Random(seed)
     while True:
@@ -577,8 +567,8 @@ def random_topology(
         for i in range(n):
             for j in range(i + 1, n):
                 if rng.random() < edge_prob:
-                    bw = float(rng.randint(int(bw_range[0]), int(bw_range[1])))
-                    delay = float(rng.randint(int(delay_range[0]), int(delay_range[1])))
+                    bw = float(rng.randint(*LINK_BW_RANGE))
+                    delay = float(rng.randint(*LINK_DELAY_RANGE))
                     topo.add_link(names[i], names[j], bw, delay)
         if _connected(topo):
             return topo

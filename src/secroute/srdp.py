@@ -17,21 +17,21 @@ first copy of each round; a destination opens every copy.  Most copies
 of a flood are such duplicates, so one costs the header test and its
 drop count, and `process_rreq` returns the shared `DUPLICATE_DROP` for
 the caller to log as it stands.  A forwarded copy is sealed from the
-bytes the relay opened (see `frames`).  The hop
-count in a candidate's metrics is the request's `hop_count`, which the
-destination checks against the sealed path and the hash chain; the other
-clear cost fields are taken as they arrive.  When its collection window
-closes, the destination answers the candidate that ranks first under the
-run's selection mode (`SrdpNode.mode`); this is the one place a route is
-chosen.
+bytes the relay opened (see `frames`).  A candidate's totals are the
+request's clear `cost.Totals` advanced over the final link; their hop
+count is the request's `hop_count`, which the destination checks against
+the sealed path and the hash chain, and the other fields are taken as
+they arrive.  When its collection window closes, the destination answers
+the candidate that ranks first under the run's selection mode
+(`SrdpNode.mode`); this is the one place a route is chosen.
 """
 
 from __future__ import annotations
 
 import hmac
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Set, Tuple
 
 from . import cost as ecms
 from . import kdc
@@ -41,7 +41,6 @@ from .frames import (
     RepPacket,
     RreqBody,
     RreqImmutable,
-    RreqMutable,
     RreqPacket,
     RrepBody,
     RrepInfo,
@@ -202,12 +201,10 @@ class KeyStore:
         return key
 
 
-@dataclass
-class Candidate:
+class Candidate(NamedTuple):
     path: Tuple[str, ...]  # intermediate relays, source order
-    path_cost: float
-    metrics: ecms.PathMetrics
-    h: bytes = b""  # chain value the request carried on arrival
+    totals: ecms.Totals  # over the whole path, the final link included
+    h: bytes  # chain value the request carried on arrival
 
 
 @dataclass
@@ -293,7 +290,7 @@ class SrdpNode:
         # for this node to relay.
         self.seen_rounds.add(rreq.round_id())
         self._count("rreq_originated")
-        return seal_rreq(self.keys.group_key, self.node, RreqMutable(), body)
+        return seal_rreq(self.keys.group_key, self.node, ecms.Totals(), body)
 
     def open_request(self, frame: RreqPacket) -> Optional[RreqBody]:
         """`frame`'s sealed body, or None unless a neighbour sealed a
@@ -406,7 +403,7 @@ class SrdpNode:
         m_self = rreq_hop_mac(keys.broadcast_secret, rreq, new_section, hash_bytes(h_new))
         mutable = ecms.advance(frame.mutable, link_bw, link_delay, self.weights, self.literal_cost)
         if mutable.hop_count != len(new_path):  # the path lies
-            mutable = replace(mutable, hop_count=len(new_path))
+            mutable = mutable._replace(hop_count=len(new_path))
         plaintext = rreq_plaintext(rreq, new_section, mac_prev, m_self, h_new)
         return seal_rreq_plaintext(keys.group_key, self.node, self._rreq_prefix, mutable, rreq, plaintext)
 
@@ -430,12 +427,11 @@ class SrdpNode:
         state = self.dest_rounds.setdefault(rid, RoundState(rreq=rreq))
         if not state.window_open:
             return self._drop(DUPLICATE, "window closed")
-        # Fold in the final link so cost and metrics span the whole path; the
-        # hop count folded is the one checked against the path and the chain.
+        # Fold in the final link so the totals span the whole path; the hop
+        # count folded is the one checked against the path and the chain.
         t = ecms.advance(frame.mutable, link_bw, link_delay, self.weights, self.literal_cost)
-        metrics = ecms.PathMetrics(t.hop_count, t.bw, t.nd)
         first = not state.candidates
-        state.candidates.append(Candidate(body.path, t.path_cost, metrics, body.h))
+        state.candidates.append(Candidate(body.path, t, body.h))
         self._count("rreq_collected")
         return ("collected", rid, first)
 
@@ -450,7 +446,7 @@ class SrdpNode:
         if state is None or not state.candidates:
             raise NoValidCandidate(str(rid))
         state.window_open = False
-        route = ecms.select_route([(c.path, c.path_cost, c.metrics) for c in state.candidates], self.mode)
+        route = ecms.select_route(state.candidates, self.mode)
         rreq = state.rreq
         rrep = RrepInfo(s_addr=rreq.s_addr, s_seqno=rreq.s_seqno, d_addr=self.node, route=route)
         seq = route_nodes(rrep)[::-1]

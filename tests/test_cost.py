@@ -1,12 +1,11 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from secroute import cost
-from secroute.cost import Mode, PathMetrics, Weights
+from secroute.cost import Mode, Totals, Weights
 from secroute.errors import MissingEdge, NoCandidates, NonpositiveBandwidth
 from secroute.harness import random_topology
-from secroute.frames import RreqMutable
 from secroute.oracle import all_simple_paths, oracle_select, path_objectives
 from secroute.topology import load_topology
 
@@ -51,11 +50,9 @@ TOPO = load_topology(
 def test_aggregate():
     matrices = cost.CostMatrices.from_topology(TOPO)
     w = Weights(1, 0.1, 1)
-    c, m = cost.aggregate(["S", "A", "D"], matrices, w, False)
-    assert (m.hc, m.bw, m.nd) == (2, 10, 5)
-    assert c == cost.path_cost_step(cost.path_cost_step(0.0, 10, 2, w), 20, 3, w)
-    c, single = cost.aggregate(["S", "A"], matrices, w, True)
-    assert (c, single.hc, single.bw, single.nd) == (1 + 0.1 * 10 + 2, 1, 10, 2)
+    t = cost.aggregate(["S", "A", "D"], matrices, w, False)
+    assert t == Totals(2, cost.path_cost_step(cost.path_cost_step(0.0, 10, 2, w), 20, 3, w), 10, 5)
+    assert cost.aggregate(["S", "A"], matrices, w, True) == Totals(1, 1 + 0.1 * 10 + 2, 10, 2)
     with pytest.raises(MissingEdge):
         cost.aggregate(["S", "D"], matrices, w, False)
     with pytest.raises(MissingEdge):
@@ -64,12 +61,12 @@ def test_aggregate():
 
 def test_advance_one_link():
     w = Weights(1, 0.1, 1)
-    first = cost.advance(RreqMutable(), 20, 3, w, False)
-    assert first == RreqMutable(1, cost.path_cost_step(0.0, 20, 3, w), 20, 3)
+    first = cost.advance(Totals(), 20, 3, w, False)
+    assert first == Totals(1, cost.path_cost_step(0.0, 20, 3, w), 20, 3)
     second = cost.advance(first, 10, 2, w, False)
-    assert second == RreqMutable(2, cost.path_cost_step(first.path_cost, 10, 2, w), 10, 5)
+    assert second == Totals(2, cost.path_cost_step(first.path_cost, 10, 2, w), 10, 5)
     assert cost.advance(second, 50, 1, w, False).bw == 10  # the bottleneck stays
-    assert first.hop_count == 1  # advance builds a new header; prev is untouched
+    assert first.hop_count == 1  # advance builds new totals; prev is untouched
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -82,28 +79,28 @@ def test_aggregate_equals_oracle_objectives(seed):
         w = cost.weights_for_mode(mode)
         for literal in (False, True):
             for p in paths:
-                c, m = cost.aggregate(p, matrices, w, literal)
-                assert (c, m.hc, m.bw, m.nd) == path_objectives(topo, p, w, literal)
+                t = cost.aggregate(p, matrices, w, literal)
+                assert (t.path_cost, t.hop_count, t.bw, t.nd) == path_objectives(topo, p, w, literal)
 
 
 def test_products():
-    assert cost.products(PathMetrics(2, 10, 5)) == (20, 50, 10, 100)
-    assert cost.products(PathMetrics(1, 1, 1)) == (1, 1, 1, 1)
-    assert cost.products(PathMetrics(3, 100, 15))[3] == 4500
+    assert cost.products(Totals(2, 0.0, 10, 5)) == (20, 50, 10, 100)
+    assert cost.products(Totals(1, 0.0, 1, 1)) == (1, 1, 1, 1)
+    assert cost.products(Totals(3, 0.0, 100, 15))[3] == 4500
 
 
 def test_select_route_max_bw():
     cands = [
-        (("A",), 1.0, PathMetrics(2, 10, 5)),
-        (("B",), 9.0, PathMetrics(2, 100, 5)),
+        (("A",), Totals(2, 1.0, 10, 5)),
+        (("B",), Totals(2, 9.0, 100, 5)),
     ]
     assert cost.select_route(cands, Mode.BW) == ("B",)
 
 
 def test_select_route_hc_tie_breaks_on_hbdp():
     cands = [
-        (("A",), 1.0, PathMetrics(2, 4, 5)),  # hbdp 40
-        (("B",), 1.0, PathMetrics(2, 9, 5)),  # hbdp 90
+        (("A",), Totals(2, 1.0, 4, 5)),  # hbdp 40
+        (("B",), Totals(2, 1.0, 9, 5)),  # hbdp 90
     ]
     assert cost.select_route(cands, Mode.HC) == ("B",)
 
@@ -115,8 +112,8 @@ def test_select_route_empty():
 
 def test_select_route_deterministic():
     cands = [
-        (("A",), 2.0, PathMetrics(2, 4, 5)),
-        (("B",), 2.0, PathMetrics(2, 4, 5)),
+        (("A",), Totals(2, 2.0, 4, 5)),
+        (("B",), Totals(2, 2.0, 4, 5)),
     ]
     # full tie falls through to lexicographic path order
     assert cost.select_route(cands, Mode.HC) == ("A",)
@@ -126,7 +123,7 @@ def test_select_route_deterministic():
 def _enumerated_candidates(topo, src, dst, mode, literal=False):
     w = cost.weights_for_mode(mode)
     matrices = cost.CostMatrices.from_topology(topo)
-    return [(tuple(p[1:-1]), *cost.aggregate(p, matrices, w, literal)) for p in all_simple_paths(topo, src, dst)]
+    return [(tuple(p[1:-1]), cost.aggregate(p, matrices, w, literal)) for p in all_simple_paths(topo, src, dst)]
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -143,18 +140,22 @@ def test_bandwidth_scaling_argmax_invariance():
     topo = random_topology(4, n=8)
     cands = _enumerated_candidates(topo, "N0", "N7", Mode.BW)
     chosen = cost.select_route(cands, Mode.BW)
-    scaled = [
-        (p, c, PathMetrics(m.hc, m.bw * 37.0, m.nd)) for p, c, m in cands
-    ]
+    scaled = [(p, t._replace(bw=t.bw * 37.0)) for p, t in cands]
     assert cost.select_route(scaled, Mode.BW) == chosen
 
 
-@settings(max_examples=100)
-@given(
-    st.floats(min_value=0, max_value=100, allow_nan=False),
-    st.floats(min_value=0.1, max_value=1000, allow_nan=False),
-    st.floats(min_value=0, max_value=100, allow_nan=False),
+totals = st.builds(
+    Totals, st.integers(0, 0xFF), st.floats(0, 100), st.floats(0.1, 1000), st.floats(0, 100)
 )
+
+
+@settings(max_examples=100)
+@given(totals, st.floats(min_value=0.1, max_value=1000), st.floats(min_value=0, max_value=100))
+@example(Totals(0, -0.0, 0.0, 0.0), 1.0, 0.0)
+@example(Totals(3, 7.5, 10.0, 4.0), 20.0, -0.0)
 def test_cost_accumulation_monotone(prev, bw, delay):
-    assert cost.path_cost_step(prev, bw, delay, Weights(1, 0.1, 1)) >= prev
+    t = cost.advance(prev, bw, delay, Weights(1, 0.1, 1), False)
+    assert t.hop_count == prev.hop_count + 1
+    assert t.path_cost >= prev.path_cost and t.nd >= prev.nd
+    assert t.bw == (bw if prev.hop_count == 0 else min(prev.bw, bw))
 

@@ -15,7 +15,7 @@ KEY = b"q" * 32
 def sample_rreq():
     imm = frames.RreqImmutable("S", 7, "D", 16)
     body = frames.RreqBody(imm, ("A",), b"\x01" * 32, b"\x02" * 32, b"\x03" * 32)
-    return frames.seal_rreq(KEY, "A", frames.RreqMutable(1, 4.25, 10.0, 2.0), body)
+    return frames.seal_rreq(KEY, "A", cost.Totals(1, 4.25, 10.0, 2.0), body)
 
 
 def sample_rrep():
@@ -73,7 +73,7 @@ def test_sealed_rreq_under_another_round_rejected():
     header: the body names no round of its own, so the header it was sealed
     with is the only round it can belong to."""
     body = frames.RreqBody(frames.RreqImmutable("S", 4, "D", 16), (), None, b"\x02" * 32, b"\x03" * 32)
-    sealed = frames.seal_rreq(KEY, "S", frames.RreqMutable(), body)
+    sealed = frames.seal_rreq(KEY, "S", cost.Totals(), body)
     assert frames.open_rreq(KEY, sealed) == body
     for moved in (dataclasses.replace(sealed, s_seqno=3), dataclasses.replace(sealed, s_addr="T")):
         with pytest.raises(AuthFailure):
@@ -89,7 +89,7 @@ def test_rreq_frame_length_matches_body_sealed_layout(sender, source, path):
     out; delivery times and trace sizes depend on these lengths."""
     imm = frames.RreqImmutable(source, 7, "D", 16)
     body = frames.RreqBody(imm, path, None if not path else b"\x01" * 32, b"\x02" * 32, b"\x03" * 32)
-    pkt = frames.seal_rreq(KEY, sender, frames.RreqMutable(), body)
+    pkt = frames.seal_rreq(KEY, sender, cost.Totals(), body)
     mac_prev = 1 if not path else 1 + 32
     # d_addr, max_hops, path, mac_prev, mac_curr and h
     plaintext = 2 + 1 + 1 + len(frames.path_bytes(path)) + mac_prev + 64
@@ -199,7 +199,7 @@ NON_ASCII_IMM = frames.RreqImmutable("Nœud-é", 0xFFFFFFFF, "D", 255)
 
 GOLDEN = {
     "rreq": (
-        frames.RreqPacket("A", "S", 7, frames.RreqMutable(1, 4.25, 10.0, 2.0), BOX),
+        frames.RreqPacket("A", "S", 7, cost.Totals(1, 4.25, 10.0, 2.0), BOX),
         "01" "000141" "000153" "00000007"  # type, sender_addr, s_addr, s_seqno
         "01" "4011000000000000" "4024000000000000" "4000000000000000"  # hop_count, path_cost, bw, nd
         + BOX_BLOB,
@@ -274,8 +274,8 @@ def test_immutable_bytes_derived_once_per_instance():
     ]:
         lie = dataclasses.replace(opened, **{field: value})
         assert lie.to_bytes() == fresh.to_bytes() != opened.to_bytes()
-        sealed = frames.seal_rreq(KEY, "A", frames.RreqMutable(), dataclasses.replace(body, rreq=lie))
-        expect = frames.seal_rreq(KEY, "A", frames.RreqMutable(), dataclasses.replace(body, rreq=fresh))
+        sealed = frames.seal_rreq(KEY, "A", cost.Totals(), dataclasses.replace(body, rreq=lie))
+        expect = frames.seal_rreq(KEY, "A", cost.Totals(), dataclasses.replace(body, rreq=fresh))
         assert frames.encode_frame(sealed) == frames.encode_frame(expect)
 
 
@@ -359,13 +359,14 @@ digest = st.binary(min_size=32, max_size=32)
 paths = st.lists(ids, max_size=40).map(tuple)
 LONG_PATH = tuple("N%d" % i for i in range(300))
 boxes = st.binary(min_size=28, max_size=92)
+totals = st.builds(cost.Totals, u8, f64, f64, f64)
 
 immutables = st.builds(frames.RreqImmutable, ids, u32, ids, u8)
 rreq_bodies = st.builds(frames.RreqBody, immutables, paths, st.none() | digest, digest, digest)
 infos = st.builds(frames.RrepInfo, ids, u32, ids, paths)
 rrep_bodies = st.builds(frames.RrepBody, infos, digest, st.none() | digest, st.none() | digest)
 packets = st.one_of(
-    st.builds(frames.RreqPacket, ids, ids, u32, st.builds(frames.RreqMutable, u8, f64, f64, f64), boxes),
+    st.builds(frames.RreqPacket, ids, ids, u32, totals, boxes),
     st.builds(frames.RrepPacket, ids, boxes),
     st.builds(frames.RepPacket, ids, u32, ids, boxes, paths),
     st.builds(frames.SessionFrame, ids, u8, ids, u32, ids, u32),
@@ -376,7 +377,7 @@ bodies = rreq_bodies | rrep_bodies
 @settings(max_examples=300)
 @given(packets)
 @example(frames.RepPacket("", 0xFFFFFFFF, "é", BOX, LONG_PATH))
-@example(frames.RreqPacket("节点", "Nœud", 0xFFFFFFFF, frames.RreqMutable(0xFF, -0.0, float("inf"), 1e-9), BOX))
+@example(frames.RreqPacket("节点", "Nœud", 0xFFFFFFFF, cost.Totals(0xFF, -0.0, float("inf"), 1e-9), BOX))
 def test_frame_round_trip_property(pkt):
     raw = frames.encode_frame(pkt)
     assert frames.decode_frame(raw) == pkt
@@ -457,9 +458,9 @@ def test_derived_path_sections_equal_their_encodings(path, node):
 
 def test_decoded_rreq_mutable_fields_are_frozen():
     """Every receiver of a broadcast shares one decoded packet, so none of
-    them may change its clear cost fields."""
+    them may change its clear path totals."""
     pkt = frames.decode_frame(frames.encode_frame(sample_rreq()))
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         pkt.mutable.path_cost = 0.0
 
 
@@ -490,16 +491,15 @@ def assert_acts_as_constructed(pkt):
     assert pkt == twin  # nothing above changed it
 
 
-mutables = st.builds(frames.RreqMutable, u8, f64, f64, f64)
 link_metrics = st.floats(min_value=1e-3, max_value=1e6)
 
 
 @settings(max_examples=200)
-@given(rreq_bodies, ids, mutables, ids, link_metrics, link_metrics)
+@given(rreq_bodies, ids, totals, ids, link_metrics, link_metrics)
 @example(
     frames.RreqBody(NON_ASCII_IMM, LONG_PATH, None, b"\x00" * 32, b"\xff" * 32),
     "节点",
-    frames.RreqMutable(0, -0.0, 0.0, 0.0),
+    cost.Totals(0, -0.0, 0.0, 0.0),
     "",
     1.0,
     0.0,
@@ -519,8 +519,9 @@ def test_hot_path_packets_act_as_constructed(body, sender, mutable, relay, link_
     )
     prefix = frames.rreq_header_prefix(relay)
     onward = frames.seal_rreq_plaintext(KEY, relay, prefix, advanced, opened.rreq, plaintext)
-    for pkt in (sealed, decoded, decoded.mutable, opened, opened.rreq, advanced, onward):
+    for pkt in (sealed, decoded, opened, opened.rreq, onward):
         assert_acts_as_constructed(pkt)
+    assert type(decoded.mutable) is type(advanced) is cost.Totals
     # The spliced copy is the one sealed from a body built field by field.
     onward_body = frames.RreqBody(rebuilt(opened.rreq), new_path, opened.mac_curr, b"\x07" * 32, h_new)
     expected = frames.seal_rreq(KEY, relay, advanced, onward_body)

@@ -11,7 +11,7 @@ from secroute import oracle as oraclelib
 from secroute import srdp
 from secroute.cli import main
 from secroute.crypto import Key, seal
-from secroute.errors import EmptyCover, NoUsableIndex, TooLarge
+from secroute.errors import ConfigError, EmptyCover, NoUsableIndex, TooLarge
 from secroute.frames import RrepBody, RrepInfo, RrepPacket, SessionFrame, encode_frame
 from secroute.harness import (
     DETECTABLE_BEHAVIORS,
@@ -297,12 +297,12 @@ def test_candidates_equal_whole_path_fold(mode, literal):
         matrices = ecms.CostMatrices.from_topology(harness.topo)
         for state in harness.protos["N7"].dest_rounds.values():
             for c in state.candidates:
-                path_cost, m = ecms.aggregate(("N0", *c.path, "N7"), matrices, w, literal)
-                assert (c.path_cost, c.metrics) == (path_cost, m), (seed, c.path)
-                got = (c.path_cost, c.metrics.hc, c.metrics.bw, c.metrics.nd)
-                assert list(map(type, got)) == list(map(type, (path_cost, m.hc, m.bw, m.nd)))
+                t = ecms.aggregate(("N0", *c.path, "N7"), matrices, w, literal)
+                assert c.totals == t, (seed, c.path)
+                assert list(map(type, c.totals)) == list(map(type, t))
                 if ["N0", *c.path, "N7"] == report.chosen_route:
-                    assert (report.path_cost, report.metrics) == (c.path_cost, vars(c.metrics))
+                    got = {"hc": c.totals.hop_count, "bw": c.totals.bw, "nd": c.totals.nd}
+                    assert (report.path_cost, report.metrics) == (c.totals.path_cost, got)
                 checked += 1
         assert report.chosen_route, seed
     assert checked >= 20 * 2
@@ -824,14 +824,28 @@ def test_cli_bad_adversary_spec(topo_file, capsys):
 
 @pytest.mark.parametrize(
     "flags",
-    [["--window", "-40"], ["--window", "-1"], ["--window", "nan"], ["--max-hops", "256"], ["--max-hops", "-1"]],
+    [
+        ["--window", "-40"],
+        ["--window", "-1"],
+        ["--window", "nan"],
+        ["--max-hops", "256"],
+        ["--max-hops", "-1"],
+        ["--window", "inf"],
+    ],
 )
 def test_cli_rejects_out_of_range_input(topo_file, capsys, flags):
-    # A negative window would run the clock backwards; max hops is the RREQ's u8 field.
+    # A negative window would run the clock backwards, and an infinite one
+    # sets a timer no clock reaches; max hops is the RREQ's u8 field.
     rc = main(["run", "--topology", str(topo_file), *flags])
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_harness_rejects_infinite_window():
+    # The destination's collection timer needs a finite delay.
+    with pytest.raises(ConfigError, match="collection window inf ms"):
+        Harness(diamond_cfg(collection_window=float("inf")))
 
 
 @pytest.mark.parametrize("metrics", ["nan 2", "10 nan", "10 inf"])

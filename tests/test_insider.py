@@ -5,7 +5,7 @@ making to the others: route requests and replies sealed under its own
 group key, route errors whose code it seals under its own pairwise key
 with the route's source, and SESSION frames.  Names come from the
 topology plus ids nobody holds keys for; round numbers and sequence
-numbers include 0 and u32 max; the clear cost fields include NaN and
+numbers include 0 and u32 max; the clear path totals include NaN and
 +-inf.  Whatever it sends, `run_until` returns, every drop names a known
 reason, and the same frames give the same report bytes.
 """
@@ -16,12 +16,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from secroute import srdp
+from secroute.cost import Totals
 from secroute.crypto import seal
 from secroute.frames import (
     RepPacket,
     RreqBody,
     RreqImmutable,
-    RreqMutable,
     RrepBody,
     RrepInfo,
     RrepPacket,
@@ -55,7 +55,7 @@ u8s = st.sampled_from((0, 1, 2, 16, 0xFF)) | st.integers(0, 0xFF)
 clear_f64 = st.sampled_from((0.0, float("nan"), float("inf"), float("-inf"))) | st.floats()
 digests = st.sampled_from((b"\x00" * 32,)) | st.binary(min_size=32, max_size=32)
 paths = st.lists(names, max_size=4).map(tuple)
-mutables = st.builds(RreqMutable, u8s, clear_f64, clear_f64, clear_f64)
+totals = st.builds(Totals, u8s, clear_f64, clear_f64, clear_f64)
 # A MAC field: absent, arbitrary bytes, or "keyed", laid down under the key
 # the insider shares with the receiver, so the receiver's own check passes.
 macs = st.none() | digests | st.just("keyed")
@@ -63,11 +63,11 @@ macs = st.none() | digests | st.just("keyed")
 # Each spec is (kind, receiver, fields); `deliver` builds the frame with the
 # insider's keys.  A request is broadcast, so it has no receiver.
 specs = st.one_of(
-    st.tuples(st.just("rreq-own"), st.none(), st.tuples(st.sampled_from(NODES), mutables)),
+    st.tuples(st.just("rreq-own"), st.none(), st.tuples(st.sampled_from(NODES), totals)),
     st.tuples(
         st.just("rreq"),
         st.none(),
-        st.tuples(st.builds(RreqImmutable, names, u32s, names, u8s), paths, st.none() | digests, digests, digests, mutables),
+        st.tuples(st.builds(RreqImmutable, names, u32s, names, u8s), paths, st.none() | digests, digests, digests, totals),
     ),
     st.tuples(st.just("rrep"), names, st.tuples(st.builds(RrepInfo, names, u32s, names, paths), digests, macs, macs)),
     st.tuples(st.just("rep"), names, st.tuples(names, u32s, names, u8s, paths)),
@@ -83,15 +83,15 @@ def deliver(h: Harness, insider: str, spec) -> None:
     proto = h.protos[insider]
     keys = proto.keys
     if kind == "rreq-own":
-        dest, mutable = fields
+        dest, totals = fields
         if dest == insider:
             return
-        pkt = dataclasses.replace(proto.originate_rreq(dest), mutable=mutable)
+        pkt = dataclasses.replace(proto.originate_rreq(dest), mutable=totals)
         h.sim.broadcast(insider, encode_frame(pkt))
     elif kind == "rreq":
-        imm, path, mac_prev, mac_curr, chain_h, mutable = fields
+        imm, path, mac_prev, mac_curr, chain_h, totals = fields
         body = RreqBody(imm, path, mac_prev, mac_curr, chain_h)
-        h.sim.broadcast(insider, encode_frame(seal_rreq(keys.group_key, insider, mutable, body)))
+        h.sim.broadcast(insider, encode_frame(seal_rreq(keys.group_key, insider, totals, body)))
     elif kind == "rrep":
         info, q, mac_prev, mac_curr = fields
         key = keys.pairwise_key(to)
@@ -119,8 +119,8 @@ def run_insider(insider: str, frames) -> Harness:
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(NODES), st.lists(specs, min_size=1, max_size=4))
-@example("B", [("rreq-own", None, ("D", RreqMutable(0, float("nan"), float("inf"), float("-inf"))))])
-@example("A", [("rreq-own", None, ("D", RreqMutable(1, float("-inf"), float("nan"), float("inf"))))])
+@example("B", [("rreq-own", None, ("D", Totals(0, float("nan"), float("inf"), float("-inf"))))])
+@example("A", [("rreq-own", None, ("D", Totals(1, float("-inf"), float("nan"), float("inf"))))])
 @example("C", [("rrep", "S", (RrepInfo("S", U32_MAX, "D", ("C", "ghost")), b"\x00" * 32, "keyed", None))])
 @example("B", [("rep", "A", ("S", 1, "D", srdp.LINK_BREAK, ("B",)))])
 @example("A", [("session", "B", (STEP_CLOUDLET, "S", 1, "D", U32_MAX)), ("session", "S", (STEP_ACK, "S", 0, "D", 0))])

@@ -1,15 +1,15 @@
 import dataclasses
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from secroute import cost, crypto, frames, srdp
+from secroute.cost import Totals
 from secroute.crypto import chain, hash_bytes, mac, open_box, seal
 from secroute.errors import NoValidCandidate
 from secroute.frames import (
     RreqBody,
-    RreqMutable,
     RreqPacket,
     RrepBody,
     RrepPacket,
@@ -36,7 +36,7 @@ DIAMOND = LINE + "node C relay\nlink S C 5 8\nlink C D 5 8\n"
 def hand_sealed_rreq(key, raw, sender="S", s_addr="S", s_seqno=1, mutable=None):
     """An RREQ whose seal holds `raw` under `key`, bound to the clear
     header built from the other arguments, as an honest sender binds it."""
-    pkt = RreqPacket(sender, s_addr, s_seqno, mutable or RreqMutable(), b"")
+    pkt = RreqPacket(sender, s_addr, s_seqno, mutable or Totals(), b"")
     return dataclasses.replace(pkt, sealed=seal(key, raw, pkt.header))
 
 
@@ -120,7 +120,7 @@ def test_forwarded_frame_equals_fresh_construction(keyed, free, hops, s_seqno, m
         t = stores[two_up].broadcast_secret
         mac_prev = srdp.rreq_hop_mac(t, rreq, frames.path_bytes(path[:-1]), h)
     body = RreqBody(rreq, path, mac_prev, mac_curr, h)
-    arriving = frames.seal_rreq(stores[sender].group_key, sender, RreqMutable(hop_count=hops), body)
+    arriving = frames.seal_rreq(stores[sender].group_key, sender, Totals(hop_count=hops), body)
 
     action = srdp.SrdpNode(stores[relay]).process_rreq(decode_frame(encode_frame(arriving)), 10, 2)
     assert action[0] == "forward"
@@ -145,7 +145,7 @@ FIELD_LIES = {
 @given(
     keyed=st.lists(st.text(min_size=1, max_size=5), min_size=2, max_size=2, unique=True),
     path=st.lists(st.text(max_size=5), max_size=6).map(tuple),
-    hops=st.integers(min_value=0, max_value=7),
+    clear=st.builds(Totals, st.integers(0, 0xFF), *[st.floats(allow_nan=False)] * 3),
     edit=st.sampled_from(["none", "insert", "delete", "modify"]),
     phantom=st.text(max_size=8),
     field_lie=st.sampled_from([None, "copy", *FIELD_LIES]),
@@ -153,8 +153,19 @@ FIELD_LIES = {
     h_new=digests,
     link=st.tuples(st.floats(min_value=0.5, max_value=100.0), st.floats(min_value=0.0, max_value=20.0)),
 )
+@example(
+    keyed=["R", "P"],
+    path=("P",),
+    clear=Totals(1, -0.0, float("inf"), float("-inf")),
+    edit="none",
+    phantom="",
+    field_lie=None,
+    mac_prev=None,
+    h_new=b"\x00" * 32,
+    link=(0.5, -0.0),
+)
 def test_tampered_relay_frame_equals_fresh_construction(
-    keyed, path, hops, edit, phantom, field_lie, mac_prev, h_new, link
+    keyed, path, clear, edit, phantom, field_lie, mac_prev, h_new, link
 ):
     """`relay_rreq` builds a tampering relay's onward copy the way it builds
     an honest one's.  Whatever it is told to claim (a path whose length
@@ -172,7 +183,7 @@ def test_tampered_relay_frame_equals_fresh_construction(
     stores = provision(topo, 64, 8, seed=0)[0]
     rreq = frames.RreqImmutable("S", 9, "D", 16)
     body = RreqBody(rreq, path, b"\x01" * 32, b"\x02" * 32, b"\x03" * 32)
-    arriving = frames.seal_rreq(stores[sender].group_key, sender, RreqMutable(hops, 4.5, 7.0, 3.0), body)
+    arriving = frames.seal_rreq(stores[sender].group_key, sender, clear, body)
     frame = decode_frame(encode_frame(arriving))
     opened = open_rreq(stores[sender].group_key, frame)  # holding the bytes it opened, as a relay does
 
@@ -194,7 +205,7 @@ def test_tampered_relay_frame_equals_fresh_construction(
     section = frames.path_bytes(new_path)
     m_self = srdp.rreq_hop_mac(stores[relay].broadcast_secret, fresh, section, hash_bytes(h_new))
     advanced = cost.advance(frame.mutable, link_bw, link_delay, node.weights, node.literal_cost)
-    mutable = dataclasses.replace(advanced, hop_count=len(new_path))
+    mutable = advanced._replace(hop_count=len(new_path))
     fresh_body = RreqBody(fresh, new_path, mac_prev, m_self, h_new)
     expected = frames.seal_rreq(stores[relay].group_key, relay, mutable, fresh_body)
     assert encode_frame(out) == encode_frame(expected)
@@ -328,7 +339,7 @@ def test_destination_rejects_short_chain(line_net):
         pkt.sender_addr,
         pkt.s_addr,
         pkt.s_seqno,
-        mutable=RreqMutable(1, pkt.mutable.path_cost, 10.0, 2.0),
+        mutable=Totals(1, pkt.mutable.path_cost, 10.0, 2.0),
     )
     action = nodes["D"].process_rreq(pkt, 10, 2)
     assert action == ("drop", srdp.CHAIN_MISMATCH) or action == ("drop", srdp.TWO_HOP_AUTH_FAIL)
@@ -341,14 +352,13 @@ def test_destination_ranks_on_the_checked_hop_count(line_net):
     topo, nodes = line_net
     pkt = run_chain(nodes, ["A", "B"], nodes["S"].originate_rreq("D"))
     path = open_rreq(nodes["B"].keys.group_key, pkt).path
-    m = pkt.mutable
-    clear = RreqMutable(hop_count=len(path), path_cost=m.path_cost, bw=m.bw, nd=m.nd)
-    lie = dataclasses.replace(clear, hop_count=len(path) + 1)
+    clear = pkt.mutable._replace(hop_count=len(path))
+    lie = clear._replace(hop_count=len(path) + 1)
     assert nodes["D"].process_rreq(dataclasses.replace(pkt, mutable=lie), 10, 2) == ("drop", srdp.HOP_COUNT_MISMATCH)
     action = nodes["D"].process_rreq(dataclasses.replace(pkt, mutable=clear), 10, 2)
     assert action[0] == "collected"
     (cand,) = nodes["D"].dest_rounds[action[1]].candidates
-    assert cand.metrics == cost.PathMetrics(len(path) + 1, 10, 6)
+    assert (cand.totals.hop_count, cand.totals.bw, cand.totals.nd) == (len(path) + 1, 10, 6)
 
 
 def test_finalize_without_candidates(line_net):
@@ -364,7 +374,7 @@ def test_finalize_drops_reply_through_unkeyed_node(line_net):
     pkt = run_chain(nodes, ["A", "B"], nodes["S"].originate_rreq("D"))
     rid = nodes["D"].process_rreq(pkt, 10, 2)[1]
     state = nodes["D"].dest_rounds[rid]
-    state.candidates[0] = dataclasses.replace(state.candidates[0], path=("ghost", "B"))
+    state.candidates[0] = state.candidates[0]._replace(path=("ghost", "B"))
     assert nodes["D"].finalize_destination(rid) is None
     assert nodes["D"].counters["drop:" + srdp.NO_PAIRWISE_KEY] == 1
     assert ("S", "D") not in nodes["D"].routes and not state.window_open
