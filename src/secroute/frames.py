@@ -455,8 +455,8 @@ class RepPacket:
     s_addr: str
     s_seqno: int
     d_addr: str
-    sealed_code: bytes  # 1-byte error code under the source-dest key
-    route: Tuple[str, ...]
+    sealed_code: bytes  # 1-byte error code under the reporter's key with the source
+    reporter: str  # the node that found the break
 
 
 # -- session -----------------------------------------------------------
@@ -486,7 +486,7 @@ def encode_frame(packet) -> bytes:
         return b"".join([_TYPE_BYTE[FRAME_RREP], _text(packet.sender_addr), _blob(packet.sealed)])
     if isinstance(packet, RepPacket):
         rnd = _round_bytes(packet.s_addr, packet.s_seqno, packet.d_addr)
-        return b"".join([_TYPE_BYTE[FRAME_REP], rnd, _blob(packet.sealed_code), path_bytes(packet.route)])
+        return b"".join([_TYPE_BYTE[FRAME_REP], rnd, _blob(packet.sealed_code), _text(packet.reporter)])
     if isinstance(packet, SessionFrame):
         rnd = _round_bytes(packet.s_addr, packet.s_seqno, packet.d_addr)
         return b"".join(
@@ -531,8 +531,8 @@ def decode_frame(raw: bytes):
         elif ftype == FRAME_REP:
             fields, off = _round_at(raw, 1)
             sealed, off = _box_at(raw, off)
-            route, off = _path_at(raw, off)
-            pkt = RepPacket(*fields, sealed, route)
+            reporter, off = _text_at(raw, off)
+            pkt = RepPacket(*fields, sealed, reporter)
         elif ftype == FRAME_SESSION:
             sender, off = _text_at(raw, 1)
             (step,) = _U8.unpack_from(raw, off)

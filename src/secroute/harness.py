@@ -1,13 +1,16 @@
 """Scenario runner: wires key provisioning, the simulator, and the
 protocol state machines together; runs a discovery, then sends cloudlets
-over the installed route with per-hop acks, a route error and
-rediscovery when an ack times out, with optional scripted adversaries;
-emits machine-readable reports and checks the route the protocol installs
+over the installed route, with optional scripted adversaries; emits
+machine-readable reports and checks the route the protocol installs
 against the oracle.
 
+Route upkeep lives on each node's `ProtocolBehavior`: a hop that sends a
+cloudlet waits for its next hop's ack, and when the wait times out it
+sends the source a route error naming itself (the source rediscovers).
 Cloudlets, acks and route errors name their round, not a route: each
 node acts on one only along the route it holds for that round
-(`SrdpNode.routes`), from the neighbour it expects there.
+(`SrdpNode.routes`), from the neighbour it expects there.  `Harness`
+keeps the scenario's records and the source's cloudlet workload.
 """
 
 from __future__ import annotations
@@ -150,6 +153,8 @@ class ProtocolBehavior(NodeBehavior):
     def __init__(self, proto: srdp.SrdpNode, harness: "Harness"):
         self.proto = proto
         self.harness = harness
+        # (s_addr, s_seqno, d_addr, seq): cloudlets sent and not yet acked
+        self.awaiting_ack: Set[Tuple[str, int, str, int]] = set()
 
     # frame dispatch
 
@@ -211,7 +216,14 @@ class ProtocolBehavior(NodeBehavior):
         else:
             self.harness.on_rep_at_source(sim, node, action[1])
 
-    # cloudlet forwarding with per-hop acks
+    # route upkeep: cloudlets with per-hop acks, route errors
+
+    def send_cloudlet(self, sim, node: str, to: str, pkt: SessionFrame) -> None:
+        """Unicast cloudlet `pkt` to `to` and wait for its ack."""
+        cloudlet = (pkt.s_addr, pkt.s_seqno, pkt.d_addr, pkt.seq)
+        sim.unicast(node, to, encode_frame(pkt))
+        self.awaiting_ack.add(cloudlet)
+        sim.set_timer(node, self.harness.config.ack_timeout, ("ack-wait", *cloudlet))
 
     def handle_session(self, sim, node, sender, pkt: SessionFrame, clock) -> None:
         if pkt.step not in (STEP_ACK, STEP_CLOUDLET):
@@ -223,16 +235,38 @@ class ProtocolBehavior(NodeBehavior):
             sim.log_drop(node, srdp.NOT_ON_ROUTE)
             return
         if pkt.step == STEP_ACK:
-            self.harness.ack_received(node, pkt)
+            self.awaiting_ack.discard((pkt.s_addr, pkt.s_seqno, pkt.d_addr, pkt.seq))
             return
         nodes, pos = hop
         ack = SessionFrame(node, STEP_ACK, pkt.s_addr, pkt.s_seqno, pkt.d_addr, pkt.seq)
         sim.unicast(node, sender, encode_frame(ack))
         if pos == len(nodes) - 1:
             self.harness.cloudlet_delivered(pkt.seq)
+        else:
+            self.send_cloudlet(sim, node, nodes[pos + 1], pkt)
+
+    def ack_timed_out(self, sim, node: str, cloudlet: Tuple[str, int, str, int], clock) -> None:
+        """A wait for `cloudlet`'s ack ended.  If the ack never came and this
+        node still holds the cloudlet's round, the link to its next hop is
+        taken as broken: the source rediscovers, and any other hop sends its
+        previous hop a route error for the source."""
+        if cloudlet not in self.awaiting_ack:
             return
-        sim.unicast(node, nodes[pos + 1], encode_frame(pkt))
-        self.harness.expect_ack(sim, node, pkt)
+        self.awaiting_ack.remove(cloudlet)
+        s_addr, s_seqno, d_addr, _ = cloudlet
+        info = self.proto.routes.get((s_addr, d_addr))
+        if info is None or info.s_seqno != s_seqno:
+            return  # a later round has replaced the route
+        self.harness.events["link_break_detected"] = self.harness.events.get("link_break_detected", 0) + 1
+        if node == s_addr:
+            self.harness.on_rep_at_source(sim, node, d_addr)  # the source saw the break itself
+            return
+        rep = self.proto.build_rep(info, srdp.LINK_BREAK)
+        if rep is None:
+            self.harness.record_drop(node, srdp.NO_PAIRWISE_KEY, clock, self.proto)
+            return
+        nodes = srdp.route_nodes(info)
+        sim.unicast(node, nodes[nodes.index(node) - 1], encode_frame(rep))
 
     def on_timer(self, sim: Simulator, node: str, tag: Any, clock) -> None:
         if tag[0] == "finalize":
@@ -247,7 +281,7 @@ class ProtocolBehavior(NodeBehavior):
             reply = self.proto.routes[(tag[1][0], node)]
             sim.unicast(node, srdp.route_nodes(reply)[-2], encode_frame(rrep))
         elif tag[0] == "ack-wait":
-            self.harness.ack_timeout(sim, node, tag[1:], self.proto)
+            self.ack_timed_out(sim, node, tag[1:], clock)
 
 
 # -- adversaries -------------------------------------------------------
@@ -341,6 +375,8 @@ class Harness:
         for n in (config.source, config.dest):
             if n not in self.topo.nodes:
                 raise ConfigError("node %r not in topology" % n)
+        if config.source == config.dest:
+            raise ConfigError("source and destination are both %r" % config.source)
         if config.adversary is not None:
             node, behavior = config.adversary
             if node not in self.topo.nodes:
@@ -357,9 +393,7 @@ class Harness:
         self.detections: List[Dict[str, Any]] = []
         self.events: Dict[str, int] = {}
         self.routes_installed: List[Tuple[str, ...]] = []
-        self.cloudlets_done: set = set()
-        # (node, (s_addr, s_seqno, d_addr, seq)): a hop awaiting its next hop's ack
-        self.pending_acks: Set[Tuple[str, Tuple[str, int, str, int]]] = set()
+        self.cloudlets_done: Set[int] = set()
         self.rediscoveries = 0
         self.next_cloudlet = 0
         self._build_behaviors()
@@ -400,7 +434,13 @@ class Harness:
             self.next_cloudlet = len(self.cloudlets_done)
             self._send_next_cloudlet(sim, node)
 
-    # cloudlet bookkeeping
+    def on_rep_at_source(self, sim, node: str, dest: str) -> None:
+        self.events["rep_at_source"] = self.events.get("rep_at_source", 0) + 1
+        self.protos[node].drop_route(dest)
+        self.rediscoveries += 1
+        self._discover(sim, node, dest)
+
+    # the source's cloudlet workload
 
     def _send_next_cloudlet(self, sim, source: str) -> None:
         if self.next_cloudlet >= self.config.cloudlets:
@@ -410,48 +450,13 @@ class Harness:
             return
         pkt = SessionFrame(source, STEP_CLOUDLET, source, info.s_seqno, info.d_addr, self.next_cloudlet)
         self.next_cloudlet += 1
-        sim.unicast(source, srdp.route_nodes(info)[1], encode_frame(pkt))
-        self.expect_ack(sim, source, pkt)
-
-    def expect_ack(self, sim, node: str, pkt: SessionFrame) -> None:
-        cloudlet = (pkt.s_addr, pkt.s_seqno, pkt.d_addr, pkt.seq)
-        self.pending_acks.add((node, cloudlet))
-        sim.set_timer(node, self.config.ack_timeout, ("ack-wait", *cloudlet))
-
-    def ack_received(self, node: str, pkt: SessionFrame) -> None:
-        self.pending_acks.discard((node, (pkt.s_addr, pkt.s_seqno, pkt.d_addr, pkt.seq)))
+        sim.behaviors[source].send_cloudlet(sim, source, srdp.route_nodes(info)[1], pkt)
 
     def cloudlet_delivered(self, seq: int) -> None:
+        # The next cloudlet leaves the instant this one arrives, a signal no
+        # frame carries: a stand-in for pacing by end-to-end acks.
         self.cloudlets_done.add(seq)
         self._send_next_cloudlet(self.sim, self.config.source)
-
-    def ack_timeout(self, sim, node: str, cloudlet: Tuple[str, int, str, int], proto: srdp.SrdpNode) -> None:
-        if (node, cloudlet) not in self.pending_acks:
-            return
-        self.pending_acks.remove((node, cloudlet))
-        s_addr, s_seqno, d_addr, _ = cloudlet
-        info = proto.routes.get((s_addr, d_addr))
-        if info is None or info.s_seqno != s_seqno:
-            return  # a later round has replaced the route
-        self.events["link_break_detected"] = self.events.get("link_break_detected", 0) + 1
-        if node == s_addr:
-            # Source saw the break itself; no REP needed.
-            self.on_rep_at_source(sim, node, d_addr)
-            return
-        rep = proto.build_rep(info, srdp.LINK_BREAK)
-        if rep is None:
-            self.record_drop(node, srdp.NO_PAIRWISE_KEY, sim.clock, proto)
-            return
-        nodes = srdp.route_nodes(info)
-        sim.unicast(node, nodes[nodes.index(node) - 1], encode_frame(rep))
-
-    def on_rep_at_source(self, sim, node: str, dest: str) -> None:
-        self.events["rep_at_source"] = self.events.get("rep_at_source", 0) + 1
-        # Drop outstanding expectations for the dead route.
-        self.pending_acks = {k for k in self.pending_acks if k[0] != node}
-        self.protos[node].drop_route(dest)
-        self.rediscoveries += 1
-        self._discover(sim, node, dest)
 
     def _discover(self, sim, node: str, dest: str) -> None:
         pkt = self.protos[node].originate_rreq(dest)

@@ -63,6 +63,12 @@ class KeyPool:
         return self.keys[index - 1]
 
 
+def envelope_key(pool_key: bytes, node: str) -> bytes:
+    """`hash(K_j || node)`: `node`'s encryption secret at the index of pool
+    key K_j, under which its broadcasts seal that index's envelope."""
+    return hash_bytes(pool_key + node.encode())
+
+
 @dataclass
 class NodeKeyRing:
     """All secret material issued to one node."""
@@ -74,13 +80,13 @@ class NodeKeyRing:
     broadcast_secret: bytes  # confined from the one-hop neighborhood
     # j -> K_j, the issuing Kdc's pool lookup
     _pool_key: Callable[[int], bytes] = field(repr=False, compare=False)
-    # hash(K_j || node) for each j read so far; derived on first read
+    # envelope_key(K_j, node) for each j read so far; derived on first read
     _encryption: Dict[int, bytes] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def encryption_secret(self, index: int) -> bytes:
         secret = self._encryption.get(index)
         if secret is None:
-            secret = self._encryption[index] = hash_bytes(self._pool_key(index) + self.node.encode())
+            secret = self._encryption[index] = envelope_key(self._pool_key(index), self.node)
         return secret
 
 
@@ -238,7 +244,7 @@ def open_broadcast(
         # pool key; a tampered envelope just fails authentication.
         k_pool = receiver.decryption_secrets[receiver.indices.index(i)]
         try:
-            secret = open_box(hash_bytes(k_pool + sender.encode()), by_index[i])
+            secret = open_box(envelope_key(k_pool, sender), by_index[i])
             break
         except AuthFailure:
             continue

@@ -24,6 +24,10 @@ the sealed path and the hash chain, and the other fields are taken as
 they arrive.  When its collection window closes, the destination answers
 the candidate that ranks first under the run's selection mode
 (`SrdpNode.mode`); this is the one place a route is chosen.
+
+A route error (REP) names its round and its reporter, not a route, which
+the reply sealed; the source opens its code once, under its key with the
+reporter.
 """
 
 from __future__ import annotations
@@ -67,26 +71,10 @@ Q_CHAIN_MISMATCH = "QChainMismatch"
 NO_PAIRWISE_KEY = "NoPairwiseKey"  # a reply or route names a node this one shares no key with
 # Drops that are detections: evidence of tampering, not plain loss.
 DETECTION_REASONS = frozenset((TWO_HOP_AUTH_FAIL, CHAIN_MISMATCH, Q_CHAIN_MISMATCH))
-# reason -> its counter key, built once rather than per drop
-_DROP_KEYS = {
-    r: "drop:" + r
-    for r in (
-        DUPLICATE,
-        HOP_LIMIT,
-        TWO_HOP_AUTH_FAIL,
-        SEAL_OPEN_FAIL,
-        HOP_COUNT_MISMATCH,
-        CHAIN_MISMATCH,
-        NOT_ON_ROUTE,
-        Q_CHAIN_MISMATCH,
-        NO_PAIRWISE_KEY,
-    )
-}
-
 # `process_rreq`'s action for a copy of a round already forwarded, the
 # flood's commonest outcome: one shared value, told apart by identity.
 DUPLICATE_DROP = ("drop", DUPLICATE)
-_DUPLICATE_KEY = _DROP_KEYS[DUPLICATE]
+_DUPLICATE_KEY = "drop:" + DUPLICATE
 
 # The one route error (REP) code: a hop's cloudlet ack timed out.
 LINK_BREAK = 1
@@ -270,7 +258,7 @@ class SrdpNode:
         self.counters[key] = self.counters.get(key, 0) + 1
 
     def _drop(self, reason: str, detail: str = "") -> Tuple[str, str]:
-        self._count(_DROP_KEYS[reason])
+        self._count("drop:" + reason)
         if reason in DETECTION_REASONS:
             self.detections.append((reason, detail))
         return ("drop", reason)
@@ -543,41 +531,38 @@ class SrdpNode:
         return nodes, pos
 
     def build_rep(self, rrep: RrepInfo, code: int) -> Optional[RepPacket]:
-        """Route error raised by this node for the route `rrep` names, or
-        None, and a NoPairwiseKey drop, if it shares no key with its source."""
+        """Route error raised by this node, which names itself as the
+        reporter, for the round `rrep` names, or None, and a NoPairwiseKey
+        drop, if it shares no key with the round's source."""
         key = self.keys.pairwise_key(rrep.s_addr)
         if key is None:
             self._drop(NO_PAIRWISE_KEY)
             return None
-        return RepPacket(rrep.s_addr, rrep.s_seqno, rrep.d_addr, seal(key, bytes([code])), rrep.route)
+        return RepPacket(rrep.s_addr, rrep.s_seqno, rrep.d_addr, seal(key, bytes([code])), self.node)
 
     def handle_rep(self, rep: RepPacket, sender: str):
         """A route error from `sender`, taken only for a round this node
-        holds a route for and from its next hop there.  The route it names
-        is the reporter's, which need not be this node's: only the source's
-        next hop can bring it one, and that hop could break the route by
-        withholding acks anyway.  Returns ("forward", rep, next_hop) at a
-        relay, ("accept", d_addr) at the source, which opens the code under
-        its key with each relay the error names (the reporter is one of
-        them) and accepts only LINK_BREAK, or a drop."""
+        holds a route for and from its next hop there.  Its reporter need
+        not be on this node's route: only the source's next hop can bring
+        one, and that hop could break the route by withholding acks anyway.
+        Returns ("forward", rep, next_hop) at a relay, ("accept", d_addr)
+        at the source, which opens the code under its key with the reporter
+        and accepts only LINK_BREAK, or a drop."""
         hop = self.hop_on_route(rep.s_addr, rep.s_seqno, rep.d_addr, sender, from_source=False)
         if hop is None:
             return self._drop(NOT_ON_ROUTE)
         nodes, pos = hop
         if pos:
             return ("forward", rep, nodes[pos - 1])
-        for peer in rep.route:
-            key = self.keys.pairwise_key(peer)
-            if key is None:
-                continue
-            try:
-                code = open_box(key, rep.sealed_code)
-            except AuthFailure:
-                continue
-            if code == bytes([LINK_BREAK]):
-                self._count("rep_accepted")
-                return ("accept", rep.d_addr)
-        return self._drop(SEAL_OPEN_FAIL)
+        key = self.keys.pairwise_key(rep.reporter)
+        try:
+            code = None if key is None else open_box(key, rep.sealed_code)
+        except AuthFailure:
+            code = None
+        if code != bytes([LINK_BREAK]):
+            return self._drop(SEAL_OPEN_FAIL)
+        self._count("rep_accepted")
+        return ("accept", rep.d_addr)
 
     def drop_route(self, d_addr: str) -> None:
         """Forget the route this node installed to `d_addr`."""

@@ -25,7 +25,7 @@ def sample_rrep():
 
 
 def sample_rep():
-    return frames.RepPacket("S", 7, "D", seal(KEY, b"\x01"), ("A", "B"))
+    return frames.RepPacket("S", 7, "D", seal(KEY, b"\x01"), "B")
 
 
 def sample_session():
@@ -206,10 +206,10 @@ GOLDEN = {
     ),
     "rrep": (frames.RrepPacket("D", BOX), "02" "000144" + BOX_BLOB),  # type, sender_addr, sealed
     "rep": (
-        frames.RepPacket("S", 7, "D", BOX, ("A", "B")),
+        frames.RepPacket("S", 7, "D", BOX, "B"),
         "03" "000153" "00000007" "000144"  # type, s_addr, s_seqno, d_addr
         + BOX_BLOB
-        + "0002" "000141" "000142",  # route
+        + "000142",  # reporter
     ),
     "session": (
         frames.SessionFrame("B1", 100, "S", 7, "D", 1),
@@ -325,13 +325,10 @@ REJECTED = {
         _patched(frames.encode_frame(frames.SessionFrame("AB", 1, "S", 1, "D", 0)), b"AB", b"\xc3\x28"),
     ),
     "bad-utf8-path": (
-        frames.decode_frame,
-        _patched(frames.encode_frame(frames.RepPacket("S", 7, "D", BOX, ("Z",))), b"Z", b"\xff"),
+        frames.RrepBody.from_bytes,
+        _patched(frames.RrepBody(frames.RrepInfo("S", 7, "D", ("Z",)), b"\x04" * 32, None, None).to_bytes(), b"Z", b"\xff"),
     ),
-    "path-count-past-end": (
-        frames.decode_frame,
-        frames.encode_frame(frames.RepPacket("S", 7, "D", BOX, ()))[:-2] + b"\xff\xff",
-    ),
+    "path-count-past-end": (frames.RrepBody.from_bytes, frames.RrepInfo("S", 7, "D", ()).to_bytes()[:-2] + b"\xff\xff"),
     "short-box": (
         frames.decode_frame,
         frames.encode_frame(frames.RrepPacket("D", b"\x11" * 12 + b"\x22" * 15)),
@@ -368,7 +365,7 @@ rrep_bodies = st.builds(frames.RrepBody, infos, digest, st.none() | digest, st.n
 packets = st.one_of(
     st.builds(frames.RreqPacket, ids, ids, u32, totals, boxes),
     st.builds(frames.RrepPacket, ids, boxes),
-    st.builds(frames.RepPacket, ids, u32, ids, boxes, paths),
+    st.builds(frames.RepPacket, ids, u32, ids, boxes, ids),
     st.builds(frames.SessionFrame, ids, u8, ids, u32, ids, u32),
 )
 bodies = rreq_bodies | rrep_bodies
@@ -376,7 +373,7 @@ bodies = rreq_bodies | rrep_bodies
 
 @settings(max_examples=300)
 @given(packets)
-@example(frames.RepPacket("", 0xFFFFFFFF, "é", BOX, LONG_PATH))
+@example(frames.RepPacket("", 0xFFFFFFFF, "é", BOX, "节点"))
 @example(frames.RreqPacket("节点", "Nœud", 0xFFFFFFFF, cost.Totals(0xFF, -0.0, float("inf"), 1e-9), BOX))
 def test_frame_round_trip_property(pkt):
     raw = frames.encode_frame(pkt)
@@ -423,7 +420,7 @@ LONG = "x" * 0x10000
         lambda: frames.encode_frame(frames.SessionFrame(LONG, 1, "S", 1, "D", 0)),
         lambda: frames.encode_frame(frames.SessionFrame("S", 1, "S", 1, LONG, 0)),  # the round it names
         lambda: frames.encode_frame(frames.RrepPacket("S", b"\x00" * 12 + b"\x00" * 0xFFF0 + b"\x22" * 16)),
-        lambda: frames.encode_frame(frames.RepPacket("S", 1, "D", BOX, ("A", LONG))),
+        lambda: frames.RrepInfo("S", 1, "D", ("A", LONG)).to_bytes(),
         lambda: frames.RreqImmutable(LONG, 1, "D", 8).to_bytes(),
         lambda: frames.path_bytes(("A",) * 0x10000),
     ],

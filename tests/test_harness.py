@@ -161,11 +161,11 @@ PINNED_REPORTS = {
     "honest": (lambda: diamond_cfg(cloudlets=3), "4b04a5143991d1b6eaf19de2b8088142e38a833fd4ff01036768cedd533707b7"),
     "break-a-b": (  # A's second route error names the round S has already dropped
         lambda: diamond_cfg(cloudlets=6, link_break=("A", "B", 90.0)),
-        "10cdabab301c53ca41ffc9d77fc8bb492359a69c4eba7df971340193d95937d4",
+        "029e92b6867d9383298e0725f8ca07186e41ce0e8473410e1d3a8ed19a750652",
     ),
     "break-b-d": (  # B's route error is relayed by A to S
         lambda: diamond_cfg(cloudlets=6, link_break=("B", "D", 90.0)),
-        "2cbe3493ac9acfb2366bc44cb505805eb1c876288f9184716f9e46243d15ec49",
+        "db6b964087bea36a1d87068d5a2d903aaac95bf0e5eb04a2cda36fa8d0c81d62",
     ),
     "n40": (
         lambda: ScenarioConfig(
@@ -308,11 +308,16 @@ def test_candidates_equal_whole_path_fold(mode, literal):
     assert checked >= 20 * 2
 
 
+def pending_acks(h):
+    """Every hop's open ack waits, as `(node, (s_addr, s_seqno, d_addr, seq))`."""
+    return {(n, c) for n, b in h.sim.behaviors.items() for c in b.awaiting_ack}
+
+
 @pytest.mark.parametrize("step", [0, 1, 99, 102, 255])
 def test_session_frame_with_other_step_is_ignored(step):
     h = Harness(diamond_cfg())
     h.run()
-    h.pending_acks.add(("A", ("S", 1, "D", 1)))
+    h.sim.behaviors["A"].awaiting_ack.add(("S", 1, "D", 1))
     for frame in (SessionFrame("B", step, "S", 1, "D", 1), SessionFrame("S", step, "S", 0, "D", 1)):  # held, not held
         h.sim.unicast(frame.sender_addr, "A", encode_frame(frame))
     h.sim.run_until()
@@ -320,7 +325,7 @@ def test_session_frame_with_other_step_is_ignored(step):
     # A receives both frames and answers neither: no drop, no ack, no delivery.
     assert [(e["ev"], e["node"]) for e in tail] == [("send", "B"), ("send", "S"), ("deliver", "A"), ("deliver", "A")]
     assert h.cloudlets_done == set()
-    assert h.pending_acks == {("A", ("S", 1, "D", 1))}
+    assert pending_acks(h) == {("A", ("S", 1, "D", 1))}
 
 
 @pytest.mark.parametrize(
@@ -350,7 +355,7 @@ def test_forged_cloudlet_off_route_is_dropped(sender, to, route):
     assert report.cloudlets_delivered == 0
     assert report.rediscoveries == 0
     assert report.routes_installed == honest.routes_installed
-    assert h.pending_acks == set()
+    assert pending_acks(h) == set()
 
 
 @pytest.mark.parametrize(
@@ -368,13 +373,13 @@ def test_cloudlet_ack_taken_only_from_successor_on_its_route(sender, route, clea
     any other is dropped on arrival."""
     h = Harness(diamond_cfg())
     h.run()
-    h.pending_acks.add(("A", ("S", 1, "D", 1)))
+    h.sim.behaviors["A"].awaiting_ack.add(("S", 1, "D", 1))
     h.sim.unicast(sender, "A", encode_frame(SessionFrame(sender, STEP_ACK, *route, 1)))
     h.sim.run_until()
     trace = h.sim.trace[-1:]
     drops = [(e["node"], e["reason"]) for e in trace if e["ev"] == "drop"]
     assert drops == ([] if cleared else [("A", srdp.NOT_ON_ROUTE)])
-    assert h.pending_acks == (set() if cleared else {("A", ("S", 1, "D", 1))})
+    assert pending_acks(h) == (set() if cleared else {("A", ("S", 1, "D", 1))})
 
 
 def test_route_error_for_a_route_the_source_never_held_is_dropped():
@@ -846,6 +851,15 @@ def test_harness_rejects_infinite_window():
     # The destination's collection timer needs a finite delay.
     with pytest.raises(ConfigError, match="collection window inf ms"):
         Harness(diamond_cfg(collection_window=float("inf")))
+
+
+def test_harness_rejects_source_as_destination(topo_file, capsys):
+    # A source has no pairwise key with itself, so the run failed to start
+    # with the misleading "S has no key with S".
+    with pytest.raises(ConfigError, match="source and destination are both 'S'"):
+        Harness(diamond_cfg(dest="S"))
+    assert main(["run", "--topology", str(topo_file), "--source", "S", "--dest", "S"]) == 1
+    assert "both" in _assert_one_error_line(capsys)
 
 
 @pytest.mark.parametrize("metrics", ["nan 2", "10 nan", "10 inf"])

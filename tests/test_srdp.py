@@ -518,14 +518,36 @@ def test_rep_taken_only_for_the_held_round_from_next_hop(line_net, node, sender,
     assert nodes[node].handle_rep(rep, sender) == ("drop", srdp.NOT_ON_ROUTE)
 
 
-def test_rep_naming_the_reporters_own_route_is_accepted(line_net):
-    """The route a route error names is the reporter's, which may differ
-    from the source's: an authentic LINK_BREAK from the source's next hop
-    for its round is accepted whatever route it names."""
-    topo, nodes = line_net
+def test_rep_from_a_reporter_off_the_route_is_accepted():
+    """A route error names its reporter, which need not be on the source's
+    route: an authentic LINK_BREAK from C, which the source shares a key
+    with, brought by the source's next hop for its round, is accepted."""
+    topo = load_topology(DIAMOND)
+    stores = provision(topo, 64, 8, seed=0)[0]
+    nodes = {n: srdp.SrdpNode(stores[n]) for n in topo.nodes}
     info = install_route(nodes)
-    rep = nodes["A"].build_rep(dataclasses.replace(info, route=("A", "C")), srdp.LINK_BREAK)
+    assert srdp.route_nodes(info) == ("S", "A", "B", "D")
+    rep = nodes["C"].build_rep(info, srdp.LINK_BREAK)
+    assert rep.reporter == "C"
     assert nodes["S"].handle_rep(rep, "A") == ("accept", "D")
+
+
+def test_rep_costs_the_source_one_open(line_net, monkeypatch):
+    """The source opens a route error's code once, under its key with the
+    reporter, and tries no other relay's key first."""
+    topo, nodes = line_net
+    install_route(nodes)
+    rep = nodes["B"].build_rep(nodes["B"].routes[("S", "D")], srdp.LINK_BREAK)
+    opened = []
+
+    def counted(key, box, aad=b""):
+        opened.append(key)
+        return open_box(key, box, aad)
+
+    monkeypatch.setattr(srdp, "open_box", counted)
+    assert nodes["A"].handle_rep(rep, "B") == ("forward", rep, "S")
+    assert nodes["S"].handle_rep(rep, "A") == ("accept", "D")
+    assert opened == [nodes["S"].keys.pairwise_key("B")]
 
 
 # -- scenario-level adversary checks ----------------------------------
