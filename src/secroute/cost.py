@@ -147,7 +147,7 @@ def products(t: Totals) -> Tuple[float, float, float, float]:
     return hbp, bdp, hdp, hbdp
 
 
-# A candidate route: its path and totals first, as in `srdp.Candidate`.
+# A candidate route: its path and totals, as in `srdp.Candidate`.
 Candidate = Tuple[Sequence[str], Totals]
 
 

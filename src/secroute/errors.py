@@ -91,10 +91,6 @@ class TokenInvalid(SecrouteError):
     """Authentication token failed verification."""
 
 
-class SlaRefused(SecrouteError):
-    """A party declined to sign the service agreement."""
-
-
 class NoMatchingCloud(SecrouteError):
     """Directory has no cloud offering the requested service."""
 

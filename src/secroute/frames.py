@@ -459,6 +459,12 @@ class RepPacket:
     reporter: str  # the node that found the break
 
 
+def rep_aad(s_addr: str, s_seqno: int, d_addr: str, reporter: str) -> bytes:
+    """What a REP's seal binds: the round block it names, then its
+    reporter as text, as the frame lays them out."""
+    return _round_bytes(s_addr, s_seqno, d_addr) + _text(reporter)
+
+
 # -- session -----------------------------------------------------------
 
 
@@ -466,9 +472,9 @@ class RepPacket:
 class SessionFrame:
     """Cloudlet (step 100) or its ack (step 101): the `seq`th cloudlet of
     round `(s_addr, s_seqno)` from `s_addr` to `d_addr`.  It names the
-    round, not a route: each hop looks up the route it holds for it."""
+    round, not a route, nor its sender: each hop looks up the route it
+    holds for the round, and the link says who sent the frame."""
 
-    sender_addr: str
     step: int
     s_addr: str
     s_seqno: int
@@ -489,9 +495,7 @@ def encode_frame(packet) -> bytes:
         return b"".join([_TYPE_BYTE[FRAME_REP], rnd, _blob(packet.sealed_code), _text(packet.reporter)])
     if isinstance(packet, SessionFrame):
         rnd = _round_bytes(packet.s_addr, packet.s_seqno, packet.d_addr)
-        return b"".join(
-            [_TYPE_BYTE[FRAME_SESSION], _text(packet.sender_addr), _U8.pack(packet.step), rnd, _U32.pack(packet.seq)]
-        )
+        return b"".join([_TYPE_BYTE[FRAME_SESSION], _U8.pack(packet.step), rnd, _U32.pack(packet.seq)])
     raise MalformedFrame("unknown packet type %r" % type(packet).__name__)
 
 
@@ -534,12 +538,11 @@ def decode_frame(raw: bytes):
             reporter, off = _text_at(raw, off)
             pkt = RepPacket(*fields, sealed, reporter)
         elif ftype == FRAME_SESSION:
-            sender, off = _text_at(raw, 1)
-            (step,) = _U8.unpack_from(raw, off)
-            fields, off = _round_at(raw, off + 1)
+            (step,) = _U8.unpack_from(raw, 1)
+            fields, off = _round_at(raw, 2)
             (seq,) = _U32.unpack_from(raw, off)
             off += _U32.size
-            pkt = SessionFrame(sender, step, *fields, seq)
+            pkt = SessionFrame(step, *fields, seq)
         else:
             raise MalformedFrame("unknown frame type %d" % ftype)
     except _DECODE_ERRORS as exc:

@@ -6,7 +6,8 @@ against the oracle.
 
 Route upkeep lives on each node's `ProtocolBehavior`: a hop that sends a
 cloudlet waits for its next hop's ack, and when the wait times out it
-sends the source a route error naming itself (the source rediscovers).
+forgets the round's route and sends the source a route error naming
+itself (the source rediscovers), once per round.
 Cloudlets, acks and route errors name their round, not a route: each
 node acts on one only along the route it holds for that round
 (`SrdpNode.routes`), from the neighbour it expects there.  `Harness`
@@ -238,7 +239,7 @@ class ProtocolBehavior(NodeBehavior):
             self.awaiting_ack.discard((pkt.s_addr, pkt.s_seqno, pkt.d_addr, pkt.seq))
             return
         nodes, pos = hop
-        ack = SessionFrame(node, STEP_ACK, pkt.s_addr, pkt.s_seqno, pkt.d_addr, pkt.seq)
+        ack = SessionFrame(STEP_ACK, pkt.s_addr, pkt.s_seqno, pkt.d_addr, pkt.seq)
         sim.unicast(node, sender, encode_frame(ack))
         if pos == len(nodes) - 1:
             self.harness.cloudlet_delivered(pkt.seq)
@@ -248,8 +249,10 @@ class ProtocolBehavior(NodeBehavior):
     def ack_timed_out(self, sim, node: str, cloudlet: Tuple[str, int, str, int], clock) -> None:
         """A wait for `cloudlet`'s ack ended.  If the ack never came and this
         node still holds the cloudlet's round, the link to its next hop is
-        taken as broken: the source rediscovers, and any other hop sends its
-        previous hop a route error for the source."""
+        taken as broken: the source rediscovers, and any other hop forgets
+        the round's route and sends its previous hop a route error for the
+        source.  Forgetting it ends the hop's other waits for the round and
+        drops the round's later cloudlets here, so a round breaks once."""
         if cloudlet not in self.awaiting_ack:
             return
         self.awaiting_ack.remove(cloudlet)
@@ -261,6 +264,7 @@ class ProtocolBehavior(NodeBehavior):
         if node == s_addr:
             self.harness.on_rep_at_source(sim, node, d_addr)  # the source saw the break itself
             return
+        del self.proto.routes[(s_addr, d_addr)]
         rep = self.proto.build_rep(info, srdp.LINK_BREAK)
         if rep is None:
             self.harness.record_drop(node, srdp.NO_PAIRWISE_KEY, clock, self.proto)
@@ -448,7 +452,7 @@ class Harness:
         info = self.protos[source].routes.get((source, self.config.dest))
         if info is None:
             return
-        pkt = SessionFrame(source, STEP_CLOUDLET, source, info.s_seqno, info.d_addr, self.next_cloudlet)
+        pkt = SessionFrame(STEP_CLOUDLET, source, info.s_seqno, info.d_addr, self.next_cloudlet)
         self.next_cloudlet += 1
         sim.behaviors[source].send_cloudlet(sim, source, srdp.route_nodes(info)[1], pkt)
 

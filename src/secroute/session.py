@@ -1,12 +1,13 @@
 """Broker / cloud-exchange / cloud-coordinator handshakes, as their gates.
 
 The three handshakes run in process, each as a straight line of checks:
-the broker gets auth material from the exchange once a cloud with room
-matches the service and the SLA is signed; the coordinator countersigns
-the SLA if it has a free datacenter, takes that datacenter, and releases
-the broker's task token; the coordinator runs a task only for a token
-that verifies, and bills the broker for it.  "Signatures" are MAC tokens
-under pairwise keys; everything stays symmetric.
+the broker gets auth material, and its token on the SLA, once a cloud
+with room in the exchange's directory offers the service; the
+coordinator countersigns the SLA if it has a free datacenter, takes that
+datacenter, and releases the broker's task token; the coordinator runs
+a task only for a token that verifies, and bills the broker for it.
+"Signatures" are MAC tokens under pairwise keys; everything stays
+symmetric.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .errors import (
     BadSla,
     NoAvailability,
     NoMatchingCloud,
-    SlaRefused,
     TokenInvalid,
     UnknownCoordinator,
 )
@@ -41,9 +41,8 @@ class AuthToken:
         return cls(subject, issuer, purpose, tag)
 
     def verify(self, svc: PairwiseKeyService) -> bool:
-        key = svc.pairwise_key(self.issuer, self.subject)
-        good = mac(key, [b"auth-token", self.subject.encode(), self.issuer.encode(), self.purpose.encode()])
-        return hmac.compare_digest(good, self.tag)
+        good = AuthToken.issue(svc, self.issuer, self.subject, self.purpose)
+        return hmac.compare_digest(good.tag, self.tag)
 
 
 @dataclass
@@ -53,30 +52,13 @@ class SlaDocument:
     broker_token: Optional[AuthToken] = None
     coordinator_token: Optional[AuthToken] = None
 
-    def fully_signed(self) -> bool:
-        return self.broker_token is not None and self.coordinator_token is not None
-
 
 @dataclass
 class CloudRecord:
-    cloud: str
     services: Tuple[str, ...]
     free_datacenters: int
     cost_stat: float  # mean advertised usage cost
     sla_terms: str
-    tariff: float  # per unit of path cost
-
-
-@dataclass
-class CloudDirectory:
-    records: Dict[str, CloudRecord] = field(default_factory=dict)
-
-    def matching(self, service: str) -> List[CloudRecord]:
-        out = []
-        for rec in self.records.values():
-            if service in rec.services:
-                out.append(rec)
-        return out
 
 
 @dataclass
@@ -88,13 +70,9 @@ class Coordinator:
     free_datacenters: int
     cost_stat: float
     sla_terms: str
-    tariff: float
+    tariff: float  # per unit of path cost
     registered_with: Optional[str] = None
     signed_slas: List[SlaDocument] = field(default_factory=list)
-
-    def process_task(self, task: bytes) -> bytes:
-        # Simulated datacenter callback: result is a digest of the task.
-        return hash_bytes(b"result" + task)
 
 
 @dataclass
@@ -106,22 +84,19 @@ class Broker:
 @dataclass
 class Exchange:
     node: str
-    directory: CloudDirectory = field(default_factory=CloudDirectory)
+    directory: Dict[str, CloudRecord] = field(default_factory=dict)  # by coordinator
 
 
-def directory_refresh(coordinator: Coordinator, exchange: Exchange) -> CloudDirectory:
+def directory_refresh(coordinator: Coordinator, exchange: Exchange) -> None:
     """Coordinator pushes its current record into the exchange directory."""
     if coordinator.registered_with != exchange.node:
         raise UnknownCoordinator(coordinator.node)
-    exchange.directory.records[coordinator.node] = CloudRecord(
-        cloud=coordinator.node,
+    exchange.directory[coordinator.node] = CloudRecord(
         services=tuple(coordinator.services),
         free_datacenters=coordinator.free_datacenters,
         cost_stat=coordinator.cost_stat,
         sla_terms=coordinator.sla_terms,
-        tariff=coordinator.tariff,
     )
-    return exchange.directory
 
 
 def run_bcec(
@@ -129,32 +104,27 @@ def run_bcec(
     exchange: Exchange,
     svc: PairwiseKeyService,
     service: str,
-    sign_sla: bool = True,
 ) -> Tuple[str, SlaDocument, bytes]:
     """Broker <-> exchange: pick the cheapest cloud offering `service`
     whose directory record shows a free datacenter.
 
     Gates: some cloud in the directory offers the service
-    (NoMatchingCloud), one of those has room (NoAvailability), and the
-    broker signs its SLA (SlaRefused).  Returns (selected cloud, SLA
-    carrying the broker's token, auth material the exchange derives for
-    the broker under its key with the cloud).
+    (NoMatchingCloud) and one of those has room (NoAvailability).
+    Returns (selected cloud, SLA carrying the broker's token, auth
+    material the exchange derives for the broker under its key with the
+    cloud).
     """
-    matches = exchange.directory.matching(service)
+    matches = {c: r for c, r in exchange.directory.items() if service in r.services}
     if not matches:
         raise NoMatchingCloud(service)
-    with_room = [r for r in matches if r.free_datacenters >= 1]
+    with_room = [(r.cost_stat, c) for c, r in matches.items() if r.free_datacenters >= 1]
     if not with_room:
         raise NoAvailability(service)
-    chosen = min(with_room, key=lambda r: (r.cost_stat, r.cloud))
-    if not sign_sla:
-        raise SlaRefused(chosen.cloud)
-    sla = SlaDocument(parties=(broker.node, chosen.cloud), terms=chosen.sla_terms)
-    sla.broker_token = AuthToken.issue(svc, broker.node, chosen.cloud, "sla")
-    auth_material = mac(
-        svc.pairwise_key(exchange.node, chosen.cloud), [b"cloud-auth-key", broker.node.encode()]
-    )
-    return chosen.cloud, sla, auth_material
+    cloud = min(with_room)[1]
+    sla = SlaDocument(parties=(broker.node, cloud), terms=matches[cloud].sla_terms)
+    sla.broker_token = AuthToken.issue(svc, broker.node, cloud, "sla")
+    auth_material = mac(svc.pairwise_key(exchange.node, cloud), [b"cloud-auth-key", broker.node.encode()])
+    return cloud, sla, auth_material
 
 
 def run_ceccc(
@@ -206,4 +176,4 @@ def run_bccc(
         raise TokenInvalid("broker token rejected")
     cost = path_cost * coordinator.tariff
     broker.ledger.append((coordinator.node, cost))
-    return coordinator.process_task(task), cost
+    return hash_bytes(b"result" + task), cost  # the datacenter's result: a digest of the task

@@ -26,8 +26,8 @@ the candidate that ranks first under the run's selection mode
 (`SrdpNode.mode`); this is the one place a route is chosen.
 
 A route error (REP) names its round and its reporter, not a route, which
-the reply sealed; the source opens its code once, under its key with the
-reporter.
+the reply sealed; its code is sealed with both bound (`frames.rep_aad`),
+and the source opens it once, under its key with the reporter.
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ from .frames import (
     open_rreq,
     parent_path_bytes,
     path_bytes,
+    rep_aad,
     rreq_header_prefix,
     rreq_plaintext,
     seal_rreq,
@@ -192,7 +193,6 @@ class KeyStore:
 class Candidate(NamedTuple):
     path: Tuple[str, ...]  # intermediate relays, source order
     totals: ecms.Totals  # over the whole path, the final link included
-    h: bytes  # chain value the request carried on arrival
 
 
 @dataclass
@@ -419,7 +419,7 @@ class SrdpNode:
         # count folded is the one checked against the path and the chain.
         t = ecms.advance(frame.mutable, link_bw, link_delay, self.weights, self.literal_cost)
         first = not state.candidates
-        state.candidates.append(Candidate(body.path, t, body.h))
+        state.candidates.append(Candidate(body.path, t))
         self._count("rreq_collected")
         return ("collected", rid, first)
 
@@ -533,12 +533,15 @@ class SrdpNode:
     def build_rep(self, rrep: RrepInfo, code: int) -> Optional[RepPacket]:
         """Route error raised by this node, which names itself as the
         reporter, for the round `rrep` names, or None, and a NoPairwiseKey
-        drop, if it shares no key with the round's source."""
+        drop, if it shares no key with the round's source.  The code is
+        sealed bound to the round and the reporter, so its box answers for
+        this round only."""
         key = self.keys.pairwise_key(rrep.s_addr)
         if key is None:
             self._drop(NO_PAIRWISE_KEY)
             return None
-        return RepPacket(rrep.s_addr, rrep.s_seqno, rrep.d_addr, seal(key, bytes([code])), self.node)
+        aad = rep_aad(rrep.s_addr, rrep.s_seqno, rrep.d_addr, self.node)
+        return RepPacket(rrep.s_addr, rrep.s_seqno, rrep.d_addr, seal(key, bytes([code]), aad), self.node)
 
     def handle_rep(self, rep: RepPacket, sender: str):
         """A route error from `sender`, taken only for a round this node
@@ -546,8 +549,9 @@ class SrdpNode:
         not be on this node's route: only the source's next hop can bring
         one, and that hop could break the route by withholding acks anyway.
         Returns ("forward", rep, next_hop) at a relay, ("accept", d_addr)
-        at the source, which opens the code under its key with the reporter
-        and accepts only LINK_BREAK, or a drop."""
+        at the source, which opens the code under its key with the reporter,
+        bound to the round and reporter the REP names, and accepts only
+        LINK_BREAK, or a drop."""
         hop = self.hop_on_route(rep.s_addr, rep.s_seqno, rep.d_addr, sender, from_source=False)
         if hop is None:
             return self._drop(NOT_ON_ROUTE)
@@ -555,8 +559,9 @@ class SrdpNode:
         if pos:
             return ("forward", rep, nodes[pos - 1])
         key = self.keys.pairwise_key(rep.reporter)
+        aad = rep_aad(rep.s_addr, rep.s_seqno, rep.d_addr, rep.reporter)
         try:
-            code = None if key is None else open_box(key, rep.sealed_code)
+            code = None if key is None else open_box(key, rep.sealed_code, aad)
         except AuthFailure:
             code = None
         if code != bytes([LINK_BREAK]):

@@ -264,25 +264,34 @@ def test_link_break_recovery_on_alternate_route():
             assert (first_edge[1], first_edge[0]) not in final_edges
 
 
-def test_accepted_packets_satisfy_hash_chains():
+def test_accepted_packets_satisfy_hash_chains(monkeypatch):
+    # Each collected request's round, path and chain value, as it arrived.
+    arrived = []
+    collect = srdp.SrdpNode._collect_candidate
+
+    def spy(node, frame, body, link_bw, link_delay):
+        action = collect(node, frame, body, link_bw, link_delay)
+        if action[0] == "collected":
+            arrived.append((body.rreq, body.path, body.h))
+        return action
+
+    monkeypatch.setattr(srdp.SrdpNode, "_collect_candidate", spy)
     with verdict("hash chains sound on 1000+ accepted requests and all replies"):
         candidates = 0
         replies = 0
         seed = 0
         while candidates < 1000:
+            arrived.clear()
             topo = random_topology(seed)
             cfg = ScenarioConfig(
                 topology_text=topology_to_text(topo), source="N0", dest="N7", seed=seed
             )
             harness = Harness(cfg)
             harness.run()
-            dest_proto = harness.protos["N7"]
-            k_sd = dest_proto.keys.pairwise_key("N0")
-            for state in dest_proto.dest_rounds.values():
-                h0 = mac(k_sd, [state.rreq.to_bytes()])
-                for cand in state.candidates:
-                    assert cand.h == chain(h0, len(cand.path)), seed
-                    candidates += 1
+            k_sd = harness.protos["N7"].keys.pairwise_key("N0")
+            for rreq, path, h in arrived:
+                assert h == chain(mac(k_sd, [rreq.to_bytes()]), len(path)), seed
+                candidates += 1
             src_proto = harness.protos["N0"]
             k_ds = src_proto.keys.pairwise_key("N7")
             for info, q in src_proto.accepted_rreps:
@@ -314,7 +323,7 @@ def test_codec_identity_and_fuzz():
 
         info = RrepInfo("S", 1, "D", ("A", "B"))
         frames.append(nodes["B"].build_rep(info, srdp.LINK_BREAK))
-        frames.append(SessionFrame("S", 100, "S", 1, "D", 0))
+        frames.append(SessionFrame(100, "S", 1, "D", 0))
         for frame in frames:
             assert decode_frame(encode_frame(frame)) == frame
         rng = random.Random(2026)

@@ -29,7 +29,7 @@ def sample_rep():
 
 
 def sample_session():
-    return frames.SessionFrame("B1", 100, "S", 7, "D", 1)
+    return frames.SessionFrame(100, "S", 7, "D", 1)
 
 
 def body_from_bytes(like, raw):
@@ -212,8 +212,8 @@ GOLDEN = {
         + "000142",  # reporter
     ),
     "session": (
-        frames.SessionFrame("B1", 100, "S", 7, "D", 1),
-        "04" "00024231" "64" "000153" "00000007" "000144" "00000001",  # type, sender_addr, step, s_addr, s_seqno, d_addr, seq
+        frames.SessionFrame(100, "S", 7, "D", 1),
+        "04" "64" "000153" "00000007" "000144" "00000001",  # type, step, s_addr, s_seqno, d_addr, seq
     ),
 }
 
@@ -322,7 +322,7 @@ def _patched(raw: bytes, old: bytes, new: bytes) -> bytes:
 REJECTED = {
     "bad-utf8-text": (
         frames.decode_frame,
-        _patched(frames.encode_frame(frames.SessionFrame("AB", 1, "S", 1, "D", 0)), b"AB", b"\xc3\x28"),
+        _patched(frames.encode_frame(frames.SessionFrame(1, "AB", 1, "D", 0)), b"AB", b"\xc3\x28"),
     ),
     "bad-utf8-path": (
         frames.RrepBody.from_bytes,
@@ -366,7 +366,7 @@ packets = st.one_of(
     st.builds(frames.RreqPacket, ids, ids, u32, totals, boxes),
     st.builds(frames.RrepPacket, ids, boxes),
     st.builds(frames.RepPacket, ids, u32, ids, boxes, ids),
-    st.builds(frames.SessionFrame, ids, u8, ids, u32, ids, u32),
+    st.builds(frames.SessionFrame, u8, ids, u32, ids, u32),
 )
 bodies = rreq_bodies | rrep_bodies
 
@@ -417,8 +417,8 @@ LONG = "x" * 0x10000
 @pytest.mark.parametrize(
     "encode",
     [
-        lambda: frames.encode_frame(frames.SessionFrame(LONG, 1, "S", 1, "D", 0)),
-        lambda: frames.encode_frame(frames.SessionFrame("S", 1, "S", 1, LONG, 0)),  # the round it names
+        lambda: frames.encode_frame(frames.RrepPacket(LONG, BOX)),
+        lambda: frames.encode_frame(frames.SessionFrame(1, "S", 1, LONG, 0)),  # the round it names
         lambda: frames.encode_frame(frames.RrepPacket("S", b"\x00" * 12 + b"\x00" * 0xFFF0 + b"\x22" * 16)),
         lambda: frames.RrepInfo("S", 1, "D", ("A", LONG)).to_bytes(),
         lambda: frames.RreqImmutable(LONG, 1, "D", 8).to_bytes(),

@@ -12,7 +12,7 @@ from secroute import srdp
 from secroute.cli import main
 from secroute.crypto import Key, seal
 from secroute.errors import ConfigError, EmptyCover, NoUsableIndex, TooLarge
-from secroute.frames import RrepBody, RrepInfo, RrepPacket, SessionFrame, encode_frame
+from secroute.frames import RepPacket, RrepBody, RrepInfo, RrepPacket, SessionFrame, encode_frame
 from secroute.harness import (
     DETECTABLE_BEHAVIORS,
     STEP_ACK,
@@ -158,20 +158,20 @@ def tamper_cfg(behavior):
 # entry feed these hashes, so a codec, simulator or cost change that alters
 # any of them shows here.
 PINNED_REPORTS = {
-    "honest": (lambda: diamond_cfg(cloudlets=3), "4b04a5143991d1b6eaf19de2b8088142e38a833fd4ff01036768cedd533707b7"),
-    "break-a-b": (  # A's second route error names the round S has already dropped
+    "honest": (lambda: diamond_cfg(cloudlets=3), "551a51645a559ed308f2953f259957eee8d2d897d0ac5be39fdd9f91684a6f9d"),
+    "break-a-b": (  # A reports the broken round once
         lambda: diamond_cfg(cloudlets=6, link_break=("A", "B", 90.0)),
-        "029e92b6867d9383298e0725f8ca07186e41ce0e8473410e1d3a8ed19a750652",
+        "e163b6175cc7077c429954c58e233f5cd99f1ec2b8c020f270ebdbf85049ae62",
     ),
     "break-b-d": (  # B's route error is relayed by A to S
         lambda: diamond_cfg(cloudlets=6, link_break=("B", "D", 90.0)),
-        "db6b964087bea36a1d87068d5a2d903aaac95bf0e5eb04a2cda36fa8d0c81d62",
+        "027fdb3e2c0a1a0f6abc89bb2fa311f7062be76d2208a098dfe9fad47f9b6620",
     ),
     "n40": (
         lambda: ScenarioConfig(
             topology_text=topology_to_text(random_topology(11, 40, 0.12)), source="N0", dest="N39", seed=1, cloudlets=2
         ),
-        "e010d474fc5aa2fcd12520be68dc80b072f80e5088fb2b8be14e5c140a265474",
+        "7c36fba8f7817846e5d46afe3c5c3af6ea1281f358d58b4b76193209b36c0097",
     ),
     "adv-path-insert": (
         lambda: tamper_cfg("path-insert"),
@@ -318,8 +318,8 @@ def test_session_frame_with_other_step_is_ignored(step):
     h = Harness(diamond_cfg())
     h.run()
     h.sim.behaviors["A"].awaiting_ack.add(("S", 1, "D", 1))
-    for frame in (SessionFrame("B", step, "S", 1, "D", 1), SessionFrame("S", step, "S", 0, "D", 1)):  # held, not held
-        h.sim.unicast(frame.sender_addr, "A", encode_frame(frame))
+    for sender, seqno in (("B", 1), ("S", 0)):  # held, not held
+        h.sim.unicast(sender, "A", encode_frame(SessionFrame(step, "S", seqno, "D", 1)))
     h.sim.run_until()
     tail = h.sim.trace[-4:]
     # A receives both frames and answers neither: no drop, no ack, no delivery.
@@ -344,7 +344,7 @@ def test_forged_cloudlet_off_route_is_dropped(sender, to, route):
     d_addr)`, is dropped on arrival, unacknowledged."""
     h = Harness(diamond_cfg())
     honest = h.run()
-    h.sim.unicast(sender, to, encode_frame(SessionFrame(sender, STEP_CLOUDLET, *route, 5)))
+    h.sim.unicast(sender, to, encode_frame(SessionFrame(STEP_CLOUDLET, *route, 5)))
     h.sim.run_until()
     tail = h.sim.trace[-2:]
     assert tail == [
@@ -374,7 +374,7 @@ def test_cloudlet_ack_taken_only_from_successor_on_its_route(sender, route, clea
     h = Harness(diamond_cfg())
     h.run()
     h.sim.behaviors["A"].awaiting_ack.add(("S", 1, "D", 1))
-    h.sim.unicast(sender, "A", encode_frame(SessionFrame(sender, STEP_ACK, *route, 1)))
+    h.sim.unicast(sender, "A", encode_frame(SessionFrame(STEP_ACK, *route, 1)))
     h.sim.run_until()
     trace = h.sim.trace[-1:]
     drops = [(e["node"], e["reason"]) for e in trace if e["ev"] == "drop"]
@@ -448,6 +448,50 @@ def test_route_error_over_a_poisoned_relay_route_leads_to_rediscovery():
     assert report.cloudlets_delivered == 3
     assert report.routes_installed == [["S", "A", "B", "D"]] * 2
     assert not [e for e in h.sim.trace if e["ev"] == "drop" and e["node"] == "S" and e["reason"] == srdp.NOT_ON_ROUTE]
+
+
+def test_route_error_box_is_bound_to_its_round():
+    """A route error's code is sealed bound to the round it names, so its
+    box does not answer for another round: after the honest run and a
+    rediscovery over the same route, A brings S B's round-1 box under
+    round ("S", 2), and S drops it without rediscovering."""
+    h = Harness(diamond_cfg())
+    h.run()
+    b = h.protos["B"]
+    first = b.build_rep(b.routes[("S", "D")], srdp.LINK_BREAK)
+    h.on_rep_at_source(h.sim, "S", "D")
+    h.sim.run_until()
+    held = h.protos["S"].routes[("S", "D")]
+    assert (held.s_seqno, srdp.route_nodes(held)) == (2, ("S", "A", "B", "D"))
+    second = b.build_rep(b.routes[("S", "D")], srdp.LINK_BREAK)
+    assert second.sealed_code != first.sealed_code
+    h.sim.unicast("A", "S", encode_frame(RepPacket("S", 2, "D", first.sealed_code, "B")))
+    h.sim.run_until()
+    trace = h.sim.trace
+    assert (trace[-1]["ev"], trace[-1]["node"], trace[-1]["reason"]) == ("drop", "S", srdp.SEAL_OPEN_FAIL)
+    assert "rep_accepted" not in h.protos["S"].counters
+    assert h._report().rediscoveries == 1
+    assert h.protos["S"].routes[("S", "D")] == held
+
+
+def test_a_broken_round_raises_one_route_error():
+    """A hop that raises a route error forgets the round's route, so its
+    other waits for the round end there: with A-B down mid-transfer, A
+    reports round ("S", 1) once, and S drops no second report."""
+    h = Harness(PINNED_REPORTS["break-a-b"][0]())
+    raised = []
+    for proto in h.protos.values():
+        build = proto.build_rep
+        proto.build_rep = lambda rrep, code, node=proto.node, build=build: (
+            raised.append((node, rrep.s_addr, rrep.s_seqno)) or build(rrep, code)
+        )
+    report = h.run()
+    assert raised == [("A", "S", 1)]
+    assert report.events == {"link_break_detected": 1, "rep_at_source": 1}
+    assert (report.rediscoveries, report.cloudlets_delivered) == (1, 6)
+    assert ("S", "D") not in h.protos["A"].routes
+    assert not [e for e in h.sim.trace if e["ev"] == "drop" and e["node"] == "S" and e["reason"] == srdp.NOT_ON_ROUTE]
+    assert pending_acks(h) == set()
 
 
 def test_reply_from_another_sender_than_it_claims_is_dropped():
@@ -836,6 +880,9 @@ def test_cli_bad_adversary_spec(topo_file, capsys):
         ["--max-hops", "256"],
         ["--max-hops", "-1"],
         ["--window", "inf"],
+        ["--source", "Z"],
+        ["--dest", "Z"],
+        ["--adversary", "Z:replay"],
     ],
 )
 def test_cli_rejects_out_of_range_input(topo_file, capsys, flags):

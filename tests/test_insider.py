@@ -3,11 +3,12 @@
 After the diamond's honest run, one keyed node delivers frames of its own
 making to the others: route requests and replies sealed under its own
 group key, route errors whose code it seals under its own pairwise key
-with the route's source, and SESSION frames.  Names come from the
-topology plus ids nobody holds keys for; round numbers and sequence
-numbers include 0 and u32 max; the clear path totals include NaN and
-+-inf.  Whatever it sends, `run_until` returns, every drop names a known
-reason, and the same frames give the same report bytes.
+with the route's source, bound to the round and reporter they name, and
+SESSION frames.  Names come from the topology plus ids nobody holds keys
+for; round numbers and sequence numbers include 0 and u32 max; the clear
+path totals include NaN and +-inf.  Whatever it sends, `run_until`
+returns, every drop names a known reason, and the same frames give the
+same report bytes.
 """
 
 import dataclasses
@@ -27,6 +28,7 @@ from secroute.frames import (
     RrepPacket,
     SessionFrame,
     encode_frame,
+    rep_aad,
     seal_rreq,
 )
 from secroute.harness import STEP_ACK, STEP_CLOUDLET, Harness, emit_report
@@ -103,9 +105,10 @@ def deliver(h: Harness, insider: str, spec) -> None:
     elif kind == "rep":
         s_addr, s_seqno, d_addr, code, reporter = fields
         key = keys.pairwise_key(s_addr) or b"\x00" * 32
-        h.sim.unicast(insider, to, encode_frame(RepPacket(s_addr, s_seqno, d_addr, seal(key, bytes([code])), reporter)))
+        sealed = seal(key, bytes([code]), rep_aad(s_addr, s_seqno, d_addr, reporter))
+        h.sim.unicast(insider, to, encode_frame(RepPacket(s_addr, s_seqno, d_addr, sealed, reporter)))
     else:
-        h.sim.unicast(insider, to, encode_frame(SessionFrame(insider, *fields)))
+        h.sim.unicast(insider, to, encode_frame(SessionFrame(*fields)))
     h.sim.run_until()
 
 

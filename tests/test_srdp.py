@@ -313,6 +313,7 @@ def run_chain(nodes, hops, pkt, metrics=(10, 2)):
 def test_destination_chain_check_and_finalize(line_net):
     topo, nodes = line_net
     pkt = run_chain(nodes, ["A", "B"], nodes["S"].originate_rreq("D"))
+    arrived = nodes["D"].open_request(pkt)
     action = nodes["D"].process_rreq(pkt, 10, 2)
     assert action[0] == "collected"
     rid = action[1]
@@ -320,7 +321,8 @@ def test_destination_chain_check_and_finalize(line_net):
     cand = state.candidates[0]
     k_sd = nodes["D"].keys.pairwise_key("S")
     h0 = mac(k_sd, [state.rreq.to_bytes()])
-    assert cand.h == chain(h0, len(cand.path))
+    assert cand.path == arrived.path == ("A", "B")
+    assert arrived.h == chain(h0, len(cand.path))
     rrep = nodes["D"].finalize_destination(rid)
     body = RrepBody.from_bytes(open_box(nodes["D"].keys.group_key, rrep.sealed))
     assert body.rrep.route == ("A", "B")
