@@ -3,10 +3,10 @@
 Cost accumulates per link from hop count, bandwidth, and delay under
 nonnegative weights.  A path's running totals (hop count, path cost,
 bottleneck bandwidth, summed delay) are one `Totals` wherever they
-appear: the request's clear header, a destination's candidates and the
+appear: the request's sealed body, a destination's candidates and the
 report.  `advance` is the one per-link rule: it carries them over one
-more link.  Relays and the destination apply it to the request's clear
-header, and `aggregate` folds it over a whole node sequence for reports;
+more link.  Relays and the destination apply it to the totals they
+opened, and `aggregate` folds it over a whole node sequence for reports;
 no other code does this arithmetic (`oracle` keeps its own copy as the
 cross-check).  Selection runs in one of seven modes, each keyed to
 a single metric or metric product, with a fixed tie-break ladder:
@@ -83,9 +83,9 @@ def path_cost_step(
 
 class Totals(NamedTuple):
     """A path's running totals; all zero before its first link.  An RREQ
-    carries them in its clear header, unauthenticated: receivers check
-    `hop_count` against the sealed path, and the destination against the
-    hash chain; the rest are taken on trust."""
+    body carries them, sealed by the hop that advanced them last; its
+    `hop_count` is the sealed path's length, which the destination checks
+    against the hash chain, and the rest are taken on that hop's word."""
 
     hop_count: int = 0
     path_cost: float = 0.0

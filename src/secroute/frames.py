@@ -6,14 +6,16 @@ sealed boxes as nonce||ciphertext||tag.  See docs/wire-format.md for the
 byte-layout tables.
 
 Every frame names its round as `(s_addr, s_seqno)`: the source and the
-source's sequence number for the discovery.  An RREQ carries it in the
-clear header, and its seal binds the header, from the frame type through
-`s_seqno`, as associated data: `seal_rreq_plaintext` (which `seal_rreq`
-calls) and `open_rreq` are the only way its body is sealed and opened.
-A receiver can thus read the round before opening anything, and a
-rewritten header fails the open.  The cost fields after it are neither
-sealed nor bound; they are a `cost.Totals`, of which only `hop_count` is
-checked, against the sealed path and the hash chain.
+source's sequence number for the discovery.  No frame names its sender:
+the link says who sent it.  An RREQ carries in the clear only its type
+and round, and its seal binds them as associated data:
+`seal_rreq_plaintext` (which `seal_rreq` calls) and `open_rreq` are the
+only way its body is sealed and opened.  A receiver can thus read the
+round before opening anything, and a rewritten header fails the open.
+A relay's onward header is the one that arrived.  The path's cost totals
+are sealed in the body, by the relay that advanced them; their hop count
+is the length of the sealed path and is not sent.  An RREP carries only
+its type and its box.
 
 Each run of fixed-width fields is packed and unpacked by one precompiled
 `struct.Struct`.  Decoding walks an offset through the input and slices
@@ -37,12 +39,12 @@ holds: `(s_addr, s_seqno)` as the bound header ends with them and
 `(d_addr, max_hops)` as the plaintext begins with them.  The hop MACs
 read those, and a relay's onward copy is spliced from them: its
 plaintext is `rreq_plaintext` of the opened `(d_addr, max_hops)` bytes,
-the extended section, the promoted MAC, its own MAC and the next chain
-value, and `seal_rreq_plaintext` seals it under a header joined from the
-relay's constant `rreq_header_prefix` and the round bytes it read.  No
-onward `RreqBody` is built and nothing it opened is re-encoded.  An
-instance built any other way, by `dataclasses.replace` included,
-derives its own bytes on first read.
+the extended section, the promoted MAC, its own MAC, the next chain
+value and the advanced totals, and `seal_rreq_plaintext` seals it under
+the frame type and the round bytes it read.  No onward `RreqBody` is
+built and nothing it opened is re-encoded.  An instance built any other
+way, by `dataclasses.replace` included, derives its own bytes on first
+read.
 
 Every packet is a frozen dataclass, and the generated `__init__` of one
 pays an `object.__setattr__` per field.  The RREQ hot path, which is
@@ -74,7 +76,7 @@ FRAME_SESSION = 4
 _U8 = struct.Struct(">B")
 _U16 = struct.Struct(">H")
 _U32 = struct.Struct(">I")
-_RREQ_TOTALS = struct.Struct(">Bddd")  # cost.Totals' fields
+_TOTALS = struct.Struct(">ddd")  # cost.Totals' path_cost, bw and nd
 _TYPE_BYTE = {t: bytes((t,)) for t in (FRAME_RREQ, FRAME_RREP, FRAME_REP, FRAME_SESSION)}
 _ABSENT, _PRESENT = b"\x00", b"\x01"  # opt-digest flags
 _DECODE_ERRORS = (struct.error, UnicodeDecodeError)  # short fixed block, bad text
@@ -131,7 +133,7 @@ def _opt_digest(d: Optional[bytes]) -> Tuple[bytes, ...]:
 
 
 def _round_id_bytes(s_addr: str, s_seqno: int) -> bytes:
-    """Round `(s_addr, s_seqno)`: the tail of an RREQ's clear header."""
+    """Round `(s_addr, s_seqno)`: an RREQ's clear header, after its type."""
     return _text(s_addr) + _U32.pack(s_seqno)
 
 
@@ -245,7 +247,9 @@ class RreqBody:
     The round's `s_addr` and `s_seqno` travel in the frame's clear header,
     not in the plaintext, so `from_bytes` takes them from there; `rreq`
     still holds every immutable field, and `rreq.to_bytes()` is what the
-    hop MACs and the hash-chain anchor cover.
+    hop MACs and the hash-chain anchor cover.  `totals` are the path's so
+    far, as the sealing hop advanced them; the plaintext carries their
+    `path_cost`, `bw` and `nd`, and their `hop_count` is `len(path)`.
     """
 
     rreq: RreqImmutable
@@ -253,6 +257,7 @@ class RreqBody:
     mac_prev: Optional[bytes]  # absent only at the origin
     mac_curr: bytes
     h: bytes  # hash-chain value, advanced once per hop
+    totals: Totals
 
     @cached_property
     def path_section(self) -> bytes:
@@ -262,7 +267,7 @@ class RreqBody:
         return path_bytes(self.path)
 
     def to_bytes(self) -> bytes:
-        return rreq_plaintext(self.rreq, self.path_section, self.mac_prev, self.mac_curr, self.h)
+        return rreq_plaintext(self.rreq, self.path_section, self.mac_prev, self.mac_curr, self.h, self.totals)
 
     @classmethod
     def from_bytes(cls, raw: bytes, s_addr: str, s_seqno: int) -> "RreqBody":
@@ -291,7 +296,8 @@ class RreqBody:
             mac_prev = None
         else:
             raise MalformedFrame("opt-digest flag %d" % flag[0] if flag else "truncated")
-        mid, end = mac_at + DIGEST_LEN, mac_at + 2 * DIGEST_LEN
+        mid, h_end = mac_at + DIGEST_LEN, mac_at + 2 * DIGEST_LEN
+        end = h_end + _TOTALS.size
         _done(raw, end)
         rreq = _frozen(
             RreqImmutable,
@@ -304,79 +310,63 @@ class RreqBody:
                 "path": tuple(nodes),
                 "mac_prev": mac_prev,
                 "mac_curr": raw[mac_at:mid],
-                "h": raw[mid:end],
+                "h": raw[mid:h_end],
+                "totals": Totals(len(nodes), *_TOTALS.unpack_from(raw, h_end)),
                 "path_section": raw[path_at:off],
             },
         )
 
 
 def rreq_plaintext(
-    rreq: RreqImmutable, path_section: bytes, mac_prev: Optional[bytes], mac_curr: bytes, h: bytes
+    rreq: RreqImmutable, path_section: bytes, mac_prev: Optional[bytes], mac_curr: bytes, h: bytes, totals: Totals
 ) -> bytes:
     """The plaintext of an `RreqBody` of these fields, `path_section` being
     `path_bytes` of its path: joined from the bytes given and `rreq`'s
-    `(d_addr, max_hops)` bytes, with nothing encoded again."""
-    return b"".join([rreq._body_head, path_section, *_opt_digest(mac_prev), mac_curr, h])
-
-
-def rreq_header_prefix(sender_addr: str) -> bytes:
-    """The first bytes of every RREQ `sender_addr` sends: the frame type
-    and `sender_addr` as text.  Its round bytes follow them."""
-    return _TYPE_BYTE[FRAME_RREQ] + _text(sender_addr)
+    `(d_addr, max_hops)` bytes, with nothing encoded again.  `totals`'
+    `hop_count` is not sent: the path's length is."""
+    return b"".join(
+        [rreq._body_head, path_section, *_opt_digest(mac_prev), mac_curr, h, _TOTALS.pack(*totals[1:])]
+    )
 
 
 @dataclass(frozen=True)
 class RreqPacket:
     """An RREQ as it travels: the clear header and the sealed `RreqBody`.
 
-    `header` is the frame's first bytes, from the frame type through
-    `s_seqno`; the seal binds them as associated data, so a receiver can
-    read the round id `(s_addr, s_seqno)` before opening the box and any
-    rewrite of them fails the open.  The `mutable` path totals, which
-    every relay advances, follow the header and are not bound.
+    `header` is the frame's bytes before the box, the frame type and the
+    round id `(s_addr, s_seqno)`; the seal binds them as associated data,
+    so a receiver can read the round before opening the box and any
+    rewrite of them fails the open.
     """
 
-    sender_addr: str
     s_addr: str
     s_seqno: int
-    mutable: Totals
     sealed: bytes
 
     @cached_property
     def header(self) -> bytes:
         # decode_frame and seal_rreq_plaintext store the bytes they hold
         # here; a packet built any other way derives them on first read.
-        return rreq_header_prefix(self.sender_addr) + _round_id_bytes(self.s_addr, self.s_seqno)
+        return _TYPE_BYTE[FRAME_RREQ] + _round_id_bytes(self.s_addr, self.s_seqno)
 
     def round_id(self) -> Tuple[str, int]:
         return (self.s_addr, self.s_seqno)
 
 
-def seal_rreq(key: bytes, sender_addr: str, mutable: Totals, body: RreqBody) -> RreqPacket:
-    """An RREQ from `sender_addr` carrying `body` sealed under `key`."""
-    return seal_rreq_plaintext(
-        key, sender_addr, rreq_header_prefix(sender_addr), mutable, body.rreq, body.to_bytes()
-    )
+def seal_rreq(key: bytes, body: RreqBody) -> RreqPacket:
+    """An RREQ carrying `body` sealed under `key`."""
+    return seal_rreq_plaintext(key, body.rreq, body.to_bytes())
 
 
-def seal_rreq_plaintext(
-    key: bytes, sender_addr: str, prefix: bytes, mutable: Totals, rreq: RreqImmutable, plaintext: bytes
-) -> RreqPacket:
-    """An RREQ from `sender_addr` of round `rreq`, carrying `plaintext` (an
-    `RreqBody`'s bytes, `rreq_plaintext`) sealed under `key`.  Its clear
-    header, built once for both the seal and the encoding, is `prefix`,
-    which is `rreq_header_prefix(sender_addr)`, then `rreq`'s round bytes."""
-    header = prefix + rreq._header_tail
+def seal_rreq_plaintext(key: bytes, rreq: RreqImmutable, plaintext: bytes) -> RreqPacket:
+    """An RREQ of round `rreq`, carrying `plaintext` (an `RreqBody`'s
+    bytes, `rreq_plaintext`) sealed under `key`.  Its clear header, built
+    once for both the seal and the encoding, is the frame type, then
+    `rreq`'s round bytes."""
+    header = _TYPE_BYTE[FRAME_RREQ] + rreq._header_tail
     return _frozen(
         RreqPacket,
-        {
-            "sender_addr": sender_addr,
-            "s_addr": rreq.s_addr,
-            "s_seqno": rreq.s_seqno,
-            "mutable": mutable,
-            "sealed": seal(key, plaintext, header),
-            "header": header,
-        },
+        {"s_addr": rreq.s_addr, "s_seqno": rreq.s_seqno, "sealed": seal(key, plaintext, header), "header": header},
     )
 
 
@@ -392,7 +382,7 @@ def open_rreq(key: bytes, pkt: RreqPacket) -> RreqBody:
     """
     header = pkt.header
     body = RreqBody.from_bytes(open_box(key, pkt.sealed, header), pkt.s_addr, pkt.s_seqno)
-    round_id = header[3 + _U16.unpack_from(header, 1)[0] :]  # past the frame type and sender_addr
+    round_id = header[1:]  # past the frame type
     attrs = vars(body.rreq)
     attrs["_header_tail"] = round_id
     attrs["_bytes"] = round_id + attrs["_body_head"]
@@ -443,7 +433,6 @@ class RrepBody:
 
 @dataclass(frozen=True)
 class RrepPacket:
-    sender_addr: str
     sealed: bytes
 
 
@@ -487,9 +476,9 @@ class SessionFrame:
 
 def encode_frame(packet) -> bytes:
     if isinstance(packet, RreqPacket):
-        return b"".join([packet.header, _RREQ_TOTALS.pack(*packet.mutable), _blob(packet.sealed)])
+        return packet.header + _blob(packet.sealed)
     if isinstance(packet, RrepPacket):
-        return b"".join([_TYPE_BYTE[FRAME_RREP], _text(packet.sender_addr), _blob(packet.sealed)])
+        return _TYPE_BYTE[FRAME_RREP] + _blob(packet.sealed)
     if isinstance(packet, RepPacket):
         rnd = _round_bytes(packet.s_addr, packet.s_seqno, packet.d_addr)
         return b"".join([_TYPE_BYTE[FRAME_REP], rnd, _blob(packet.sealed_code), _text(packet.reporter)])
@@ -506,32 +495,21 @@ def decode_frame(raw: bytes):
     try:
         if ftype == FRAME_RREQ:  # one flat pass: _text_at and _box_at inlined
             off = 3 + _U16.unpack_from(raw, 1)[0]
-            sender = raw[3:off].decode()
-            start = off + 2
-            off = start + _U16.unpack_from(raw, off)[0]
-            s_addr = raw[start:off].decode()
+            s_addr = raw[3:off].decode()
             (s_seqno,) = _U32.unpack_from(raw, off)
             header_end = off + _U32.size
-            mutable = Totals._make(_RREQ_TOTALS.unpack_from(raw, header_end))
-            start = header_end + _RREQ_TOTALS.size + 2
-            off = start + _U16.unpack_from(raw, start - 2)[0]
+            start = header_end + 2
+            off = start + _U16.unpack_from(raw, header_end)[0]
             if off - start < NONCE_LEN + TAG_LEN:
                 raise MalformedFrame("sealed box too short")
             pkt = _frozen(
                 RreqPacket,
-                {
-                    "sender_addr": sender,
-                    "s_addr": s_addr,
-                    "s_seqno": s_seqno,
-                    "mutable": mutable,
-                    "sealed": raw[start:off],
-                    "header": raw[:header_end],  # the bytes the seal binds, as read
-                },
+                # the header is the bytes the seal binds, as read
+                {"s_addr": s_addr, "s_seqno": s_seqno, "sealed": raw[start:off], "header": raw[:header_end]},
             )
         elif ftype == FRAME_RREP:
-            sender, off = _text_at(raw, 1)
-            sealed, off = _box_at(raw, off)
-            pkt = RrepPacket(sender, sealed)
+            sealed, off = _box_at(raw, 1)
+            pkt = RrepPacket(sealed)
         elif ftype == FRAME_REP:
             fields, off = _round_at(raw, 1)
             sealed, off = _box_at(raw, off)

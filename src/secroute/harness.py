@@ -53,8 +53,9 @@ ADVERSARY_BEHAVIORS = (
     "replay",
     "cost-deflate",
 )
-# Tampering behaviors the protocol is required to catch; cost-deflate is
-# the documented undetectable case and replay is merely suppressed.
+# Tampering behaviors the protocol is required to catch.  cost-deflate is
+# the documented undetectable case: the liar seals its own lie.  A replayed
+# copy fails to open under the replayer's key, so replay is merely suppressed.
 DETECTABLE_BEHAVIORS = ("path-insert", "path-delete", "path-modify", "rreq-field-tamper")
 
 
@@ -179,28 +180,18 @@ class ProtocolBehavior(NodeBehavior):
 
     def handle_rreq(self, sim, node, sender, pkt: RreqPacket, clock) -> None:
         link = sim.topo.link(sender, node)
-        action = self.proto.process_rreq(pkt, link.avl_bw, link.nw_delay)
+        action = self.proto.process_rreq(pkt, sender, link.avl_bw, link.nw_delay)
         if action is srdp.DUPLICATE_DROP:  # most copies of a flood: traced, nothing more
             sim.log_drop(node, srdp.DUPLICATE)
         elif action[0] == "forward":
             sim.broadcast(node, encode_frame(action[1]))
-        else:
-            self.dispatch_rreq_action(sim, node, action, clock)
-
-    def dispatch_rreq_action(self, sim, node, action, clock) -> None:
-        """Act on a drop or a collected copy; a forward is broadcast by the caller."""
-        if action[0] == "drop":
+        elif action[0] == "drop":
             self.harness.record_drop(node, action[1], clock, self.proto)
-        elif action[0] == "collected":
-            _, rid, first = action
-            if first:
-                sim.set_timer(node, self.harness.config.collection_window, ("finalize", rid))
+        elif action[2]:  # ("collected", rid, first): the round's first copy opens its window
+            sim.set_timer(node, self.harness.config.collection_window, ("finalize", action[1]))
 
     def handle_rrep(self, sim, node, sender, pkt: RrepPacket, clock) -> None:
-        if sender != pkt.sender_addr:  # the hop checks read the claimed sender
-            self.harness.record_drop(node, srdp.NOT_ON_ROUTE, clock, self.proto)
-            return
-        action = self.proto.process_rrep(pkt)
+        action = self.proto.process_rrep(pkt, sender)
         if action[0] == "forward":
             sim.unicast(node, action[2], encode_frame(action[1]))
         elif action[0] == "drop":
@@ -295,11 +286,11 @@ class AdversaryBehavior(ProtocolBehavior):
     """Tampers with the first RREQ it would forward; honest otherwise.
 
     A tampering relay (path-insert, path-delete, path-modify,
-    rreq-field-tamper) tests a copy's round on its clear header before it
-    opens anything, so a round it has already broadcast is a duplicate,
-    and it lets a copy that comes straight from the source (empty path)
-    go by unrelayed, waiting for one with a path to lie about.  It thus
-    broadcasts each round at most once."""
+    rreq-field-tamper, cost-deflate) tests a copy's round on its clear
+    header before it opens anything, so a round it has already broadcast
+    is a duplicate, and it lets a copy that comes straight from the source
+    (empty path) go by unrelayed, waiting for one with a path to lie
+    about.  It thus broadcasts each round at most once."""
 
     def __init__(self, proto, harness, behavior: str, rng: random.Random):
         super().__init__(proto, harness)
@@ -322,24 +313,11 @@ class AdversaryBehavior(ProtocolBehavior):
                 # The tag stays free of wire bytes, so the trace never holds ciphertext.
                 self.captured = encode_frame(pkt)
                 sim.set_timer(node, 5, ("adversary-replay",))
-            super().handle_rreq(sim, node, sender, pkt, clock)
-            return
-        if self.behavior == "cost-deflate":
-            link = sim.topo.link(sender, node)
-            action = self.proto.process_rreq(pkt, link.avl_bw, link.nw_delay)
-            if action[0] == "forward":
-                out = action[1]
-                lie = replace(out, mutable=out.mutable._replace(path_cost=0.0))  # in the clear header
-                sim.broadcast(node, encode_frame(lie))
-                self.tampered = True
-            else:
-                self.dispatch_rreq_action(sim, node, action, clock)
-            return
-        if not self.tampered and pkt.round_id() not in self.proto.seen_rounds:
-            body = self.proto.open_request(pkt)
+        elif not self.tampered and pkt.round_id() not in self.proto.seen_rounds:
+            body = self.proto.open_request(pkt, sender)
             if body is not None and body.path:
                 self.tampered = True
-                out = self._tampered_forward(pkt, body, sim.topo.link(sender, node))
+                out = self._tampered_forward(body, sim.topo.link(sender, node))
                 self.proto.seen_rounds.add(body.rreq.round_id())
                 sim.broadcast(node, encode_frame(out))
                 return
@@ -347,13 +325,17 @@ class AdversaryBehavior(ProtocolBehavior):
                 return  # straight from the source: wait for a copy with a path
         super().handle_rreq(sim, node, sender, pkt, clock)
 
-    def _tampered_forward(self, pkt: RreqPacket, body: RreqBody, link) -> RreqPacket:
-        node = self.proto.node
+    def _tampered_forward(self, body: RreqBody, link) -> RreqPacket:
+        proto = self.proto
+        node = proto.node
         rreq, path = body.rreq, body.path
         new_path = path + (node,)
         h_new = hash_bytes(body.h)
         mac_prev = body.mac_curr
-        if self.behavior == "path-insert":
+        totals = ecms.advance(body.totals, link.avl_bw, link.nw_delay, proto.weights, proto.literal_cost)
+        if self.behavior == "cost-deflate":
+            totals = totals._replace(path_cost=0.0)
+        elif self.behavior == "path-insert":
             # Claim a phantom predecessor; its MAC cannot exist.
             new_path = path + (self.phantom, node)
             h_new = hash_bytes(h_new)
@@ -364,9 +346,7 @@ class AdversaryBehavior(ProtocolBehavior):
             new_path = path[:-1] + (node,)  # the chain is now one step too long for the claim
         else:  # rreq-field-tamper
             rreq = replace(rreq, max_hops=rreq.max_hops ^ 1)
-        return self.proto.relay_rreq(
-            pkt, rreq, new_path, path_bytes(new_path), mac_prev, h_new, link.avl_bw, link.nw_delay
-        )
+        return proto.relay_rreq(rreq, path_bytes(new_path), totals, mac_prev, h_new)
 
 
 # -- harness -----------------------------------------------------------
@@ -439,7 +419,6 @@ class Harness:
             self._send_next_cloudlet(sim, node)
 
     def on_rep_at_source(self, sim, node: str, dest: str) -> None:
-        self.events["rep_at_source"] = self.events.get("rep_at_source", 0) + 1
         self.protos[node].drop_route(dest)
         self.rediscoveries += 1
         self._discover(sim, node, dest)

@@ -10,20 +10,23 @@ reverse hash chain the source anchors in the source-destination secret.
 
 Every frame names its round as `(s_addr, s_seqno)`: the source and the
 number of the discovery it started.  A request carries it in its clear
-header, bound to the seal, so a relay drops a neighbour's copy of a
-round it has already forwarded, and the source a copy of a round it
-started, before opening the seal.  A relay opens and checks only its
-first copy of each round; a destination opens every copy.  Most copies
-of a flood are such duplicates, so one costs the header test and its
-drop count, and `process_rreq` returns the shared `DUPLICATE_DROP` for
-the caller to log as it stands.  A forwarded copy is sealed from the
-bytes the relay opened (see `frames`).  A candidate's totals are the
-request's clear `cost.Totals` advanced over the final link; their hop
-count is the request's `hop_count`, which the destination checks against
-the sealed path and the hash chain, and the other fields are taken as
-they arrive.  When its collection window closes, the destination answers
-the candidate that ranks first under the run's selection mode
-(`SrdpNode.mode`); this is the one place a route is chosen.
+header, bound to the seal, so a relay drops a copy of a round it has
+already forwarded, and the source a copy of a round it started, before
+opening the seal.  No frame names its sender: a node opens a request or
+a reply under the group key of the neighbour the link delivered it from.
+A relay opens and checks only its first copy of each round; a
+destination opens every copy.  Most copies of a flood are such
+duplicates, so one costs the header test and its drop count, and
+`process_rreq` returns the shared `DUPLICATE_DROP` for the caller to log
+as it stands.  A forwarded copy is sealed from the bytes the relay
+opened (see `frames`), with the sealed `cost.Totals` advanced over the
+link it arrived on.  A candidate's totals are the sealed ones advanced
+over the final link; their hop count is the sealed path's length, which
+the destination checks against the hash chain, and the other fields are
+taken as the last relay sealed them.  When its collection window closes,
+the destination answers the candidate that ranks first under the run's
+selection mode (`SrdpNode.mode`); this is the one place a route is
+chosen.
 
 A route error (REP) names its round and its reporter, not a route, which
 the reply sealed; its code is sealed with both bound (`frames.rep_aad`),
@@ -34,7 +37,6 @@ from __future__ import annotations
 
 import hmac
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Set, Tuple
 
 from . import cost as ecms
@@ -54,7 +56,6 @@ from .frames import (
     parent_path_bytes,
     path_bytes,
     rep_aad,
-    rreq_header_prefix,
     rreq_plaintext,
     seal_rreq,
     seal_rreq_plaintext,
@@ -65,7 +66,7 @@ DUPLICATE = "Duplicate"
 HOP_LIMIT = "HopLimit"
 TWO_HOP_AUTH_FAIL = "TwoHopAuthFail"
 SEAL_OPEN_FAIL = "SealOpenFail"
-HOP_COUNT_MISMATCH = "HopCountMismatch"
+HOP_COUNT_MISMATCH = "HopCountMismatch"  # never raised: a sealed path's length is its hop count
 CHAIN_MISMATCH = "ChainMismatch"
 NOT_ON_ROUTE = "NotOnRoute"
 Q_CHAIN_MISMATCH = "QChainMismatch"
@@ -247,7 +248,6 @@ class SrdpNode:
         self.routes: Dict[Tuple[str, str], RrepInfo] = {}
         self.counters: Dict[str, int] = {}
         self.detections: List[Tuple[str, str]] = []  # (reason, detail)
-        self.accepted_rreps: List[Tuple[RrepInfo, bytes]] = []  # (reply, carried q)
 
     @property
     def installed_routes(self) -> Dict[str, Tuple[str, ...]]:
@@ -273,17 +273,18 @@ class SrdpNode:
         rreq = RreqImmutable(s_addr=self.node, s_seqno=self._seqno, d_addr=dest, max_hops=self.max_hops)
         h0 = mac(k_sd, [rreq.to_bytes()])
         m0 = rreq_hop_mac(self.keys.broadcast_secret, rreq, path_bytes(()), hash_bytes(h0))
-        body = RreqBody(rreq, (), None, m0, h0)
+        body = RreqBody(rreq, (), None, m0, h0, ecms.Totals())
         # The neighbours' copies that come back are duplicates, not requests
         # for this node to relay.
         self.seen_rounds.add(rreq.round_id())
         self._count("rreq_originated")
-        return seal_rreq(self.keys.group_key, self.node, ecms.Totals(), body)
+        return seal_rreq(self.keys.group_key, body)
 
-    def open_request(self, frame: RreqPacket) -> Optional[RreqBody]:
-        """`frame`'s sealed body, or None unless a neighbour sealed a
-        well-formed one under its group key, bound to the clear header."""
-        key = self.keys.neighbor_group_key(frame.sender_addr)
+    def open_request(self, frame: RreqPacket, sender: str) -> Optional[RreqBody]:
+        """`frame`'s sealed body, or None unless `sender`, a neighbour,
+        sealed a well-formed one under its group key, bound to the clear
+        header."""
+        key = self.keys.neighbor_group_key(sender)
         if key is None:
             return None
         try:
@@ -291,10 +292,10 @@ class SrdpNode:
         except (AuthFailure, MalformedFrame):
             return None
 
-    def open_reply(self, frame: RrepPacket) -> Optional[RrepBody]:
-        """`frame`'s sealed body, or None unless a neighbour sealed a
-        well-formed one under its group key."""
-        key = self.keys.neighbor_group_key(frame.sender_addr)
+    def open_reply(self, frame: RrepPacket, sender: str) -> Optional[RrepBody]:
+        """`frame`'s sealed body, or None unless `sender`, a neighbour,
+        sealed a well-formed one under its group key."""
+        key = self.keys.neighbor_group_key(sender)
         if key is None:
             return None
         try:
@@ -323,34 +324,32 @@ class SrdpNode:
             return "upstream MAC mismatch (claimed %s)" % two_up
         return None
 
-    def process_rreq(self, frame: RreqPacket, link_bw: float, link_delay: float):
-        """Handle a delivered RREQ.
+    def process_rreq(self, frame: RreqPacket, sender: str, link_bw: float, link_delay: float):
+        """Handle an RREQ the link from `sender` delivered.
 
         Returns ("forward", RreqPacket), ("drop", reason), or
         ("collected", round_id, first_arrival) at the destination.
 
-        A neighbour's copy of a round this node has already forwarded is
-        dropped on its clear header alone, before the seal is opened: the
-        seal binds that header, so the round id read there is the one the
-        body carries.  Such a copy costs the header test and its drop
-        count, and returns `DUPLICATE_DROP` itself.  The source records its own
+        A copy of a round this node has already forwarded is dropped on
+        its clear header alone, before the seal is opened: the seal binds
+        that header, so the round id read there is the one the body
+        carries.  Such a copy costs the header test and its drop count,
+        and returns `DUPLICATE_DROP` itself.  The source records its own
         round as seen when it starts it; a destination never does, so it
         collects every copy.
         """
         rid = (frame.s_addr, frame.s_seqno)
-        if rid in self.seen_rounds and frame.sender_addr in self.keys.neighbor_ids:
+        if rid in self.seen_rounds:
             counters = self.counters  # _count, inlined for the commonest drop
             counters[_DUPLICATE_KEY] = counters.get(_DUPLICATE_KEY, 0) + 1
             return DUPLICATE_DROP
-        body = self.open_request(frame)
+        body = self.open_request(frame, sender)
         if body is None:
             return self._drop(SEAL_OPEN_FAIL)
         rreq = body.rreq
-        if frame.mutable.hop_count != len(body.path):
-            return self._drop(HOP_COUNT_MISMATCH)
         if rreq.d_addr == self.node:
-            return self._collect_candidate(frame, body, link_bw, link_delay)
-        if frame.mutable.hop_count >= rreq.max_hops:
+            return self._collect_candidate(body, link_bw, link_delay)
+        if len(body.path) >= rreq.max_hops:
             return self._drop(HOP_LIMIT)
         bad = self._verify_two_hop(body)
         if bad is not None:
@@ -358,49 +357,30 @@ class SrdpNode:
         self.seen_rounds.add(rid)
         self._count("rreq_forwarded")
         out = self.relay_rreq(
-            frame,
             rreq,
-            body.path + (self.node,),
             extend_path_bytes(body.path_section, self.node),
+            ecms.advance(body.totals, link_bw, link_delay, self.weights, self.literal_cost),
             body.mac_curr,
             hash_bytes(body.h),
-            link_bw,
-            link_delay,
         )
         return ("forward", out)
 
     def relay_rreq(
-        self,
-        frame: RreqPacket,
-        rreq: RreqImmutable,
-        new_path: Tuple[str, ...],
-        new_section: bytes,
-        mac_prev: Optional[bytes],
-        h_new: bytes,
-        link_bw: float,
-        link_delay: float,
+        self, rreq: RreqImmutable, new_section: bytes, totals: ecms.Totals, mac_prev: Optional[bytes], h_new: bytes
     ) -> RreqPacket:
-        """This node's onward copy of `frame`: the clear cost fields advanced
-        over the link it arrived on, and a sealed body claiming `new_path`
-        (whose `path_bytes` is `new_section`) and `h_new`, with `mac_prev`
-        beside this node's own MAC.  An honest relay passes the arriving
-        body's values; a tampering one, its lies.  The plaintext is spliced
-        from `rreq`'s bytes and the sections given, and sealed under this
-        node's header prefix and `rreq`'s round bytes; no body is built."""
+        """This node's onward copy of round `rreq`: a sealed body claiming
+        the path whose `path_bytes` is `new_section`, `totals` and `h_new`,
+        with `mac_prev` beside this node's own MAC.  An honest relay passes
+        the arriving body's values and its totals advanced over the link it
+        arrived on; a tampering one, its lies.  The plaintext is spliced
+        from `rreq`'s bytes and the sections given, and sealed under the
+        frame type and `rreq`'s round bytes; no body is built."""
         keys = self.keys
         m_self = rreq_hop_mac(keys.broadcast_secret, rreq, new_section, hash_bytes(h_new))
-        mutable = ecms.advance(frame.mutable, link_bw, link_delay, self.weights, self.literal_cost)
-        if mutable.hop_count != len(new_path):  # the path lies
-            mutable = mutable._replace(hop_count=len(new_path))
-        plaintext = rreq_plaintext(rreq, new_section, mac_prev, m_self, h_new)
-        return seal_rreq_plaintext(keys.group_key, self.node, self._rreq_prefix, mutable, rreq, plaintext)
+        plaintext = rreq_plaintext(rreq, new_section, mac_prev, m_self, h_new, totals)
+        return seal_rreq_plaintext(keys.group_key, rreq, plaintext)
 
-    @cached_property
-    def _rreq_prefix(self) -> bytes:
-        # The same on every request this node relays; built on the first.
-        return rreq_header_prefix(self.node)
-
-    def _collect_candidate(self, frame: RreqPacket, body: RreqBody, link_bw, link_delay):
+    def _collect_candidate(self, body: RreqBody, link_bw, link_delay):
         rreq = body.rreq
         rid = rreq.round_id()
         bad = self._verify_two_hop(body)
@@ -410,14 +390,14 @@ class SrdpNode:
         if k_sd is None:
             return self._drop(SEAL_OPEN_FAIL, "no source key")
         h0 = mac(k_sd, [rreq.to_bytes()])
-        if not hmac.compare_digest(body.h, chain(h0, frame.mutable.hop_count)):
+        if not hmac.compare_digest(body.h, chain(h0, len(body.path))):
             return self._drop(CHAIN_MISMATCH, "h-chain length disagrees with hop count")
         state = self.dest_rounds.setdefault(rid, RoundState(rreq=rreq))
         if not state.window_open:
             return self._drop(DUPLICATE, "window closed")
         # Fold in the final link so the totals span the whole path; the hop
-        # count folded is the one checked against the path and the chain.
-        t = ecms.advance(frame.mutable, link_bw, link_delay, self.weights, self.literal_cost)
+        # count folded is the path's length, checked against the chain.
+        t = ecms.advance(body.totals, link_bw, link_delay, self.weights, self.literal_cost)
         first = not state.candidates
         state.candidates.append(Candidate(body.path, t))
         self._count("rreq_collected")
@@ -448,13 +428,14 @@ class SrdpNode:
         mac_curr = None if k_next is None else rrep_hop_mac(k_next, rrep, hash_bytes(q0))
         body = RrepBody(rrep, q0, None, mac_curr)
         self._count("rrep_originated")
-        return RrepPacket(self.node, seal(self.keys.group_key, body.to_bytes()))
+        return RrepPacket(seal(self.keys.group_key, body.to_bytes()))
 
     # -- RREP relay / source acceptance -------------------------------
 
-    def process_rrep(self, frame: RrepPacket):
-        """Returns ("forward", RrepPacket, next_hop), ("accept", route), or a drop."""
-        body = self.open_reply(frame)
+    def process_rrep(self, frame: RrepPacket, sender: str):
+        """Handle an RREP the link from `sender` delivered.  Returns
+        ("forward", RrepPacket, next_hop), ("accept", route), or a drop."""
+        body = self.open_reply(frame, sender)
         if body is None:
             return self._drop(SEAL_OPEN_FAIL)
         rrep = body.rrep
@@ -464,7 +445,7 @@ class SrdpNode:
         # The source takes a reply for its own round only as its end, so no
         # reply that names it again as a relay can replace its route.
         pos = len(seq) - 1 if rrep.s_addr == self.node else seq.index(self.node)
-        if pos == 0 or seq[pos - 1] != frame.sender_addr:
+        if pos == 0 or seq[pos - 1] != sender:
             return self._drop(NOT_ON_ROUTE, "unexpected previous hop")
         bad = self._verify_rrep_mac(body, seq, pos)
         if bad is not None:
@@ -497,7 +478,7 @@ class SrdpNode:
         self.routes[(body.rrep.s_addr, body.rrep.d_addr)] = body.rrep
         new_body = RrepBody(body.rrep, q_new, body.mac_curr, mac_curr)
         self._count("rrep_forwarded")
-        out = RrepPacket(self.node, seal(self.keys.group_key, new_body.to_bytes()))
+        out = RrepPacket(seal(self.keys.group_key, new_body.to_bytes()))
         return ("forward", out, seq[pos + 1])
 
     def _accept_rrep(self, body: RrepBody, seq: Tuple[str, ...]):
@@ -510,7 +491,6 @@ class SrdpNode:
             return self._drop(Q_CHAIN_MISMATCH)
         full = route_nodes(rrep)
         self.routes[(rrep.s_addr, rrep.d_addr)] = rrep
-        self.accepted_rreps.append((rrep, body.q))
         self._count("route_installed")
         return ("accept", full)
 

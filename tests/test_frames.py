@@ -12,16 +12,19 @@ from secroute.errors import AuthFailure, MalformedFrame
 KEY = b"q" * 32
 
 
+SAMPLE_TOTALS = cost.Totals(1, 4.25, 10.0, 2.0)
+
+
 def sample_rreq():
     imm = frames.RreqImmutable("S", 7, "D", 16)
-    body = frames.RreqBody(imm, ("A",), b"\x01" * 32, b"\x02" * 32, b"\x03" * 32)
-    return frames.seal_rreq(KEY, "A", cost.Totals(1, 4.25, 10.0, 2.0), body)
+    body = frames.RreqBody(imm, ("A",), b"\x01" * 32, b"\x02" * 32, b"\x03" * 32, SAMPLE_TOTALS)
+    return frames.seal_rreq(KEY, body)
 
 
 def sample_rrep():
     info = frames.RrepInfo("S", 7, "D", ("A", "B"))
     body = frames.RrepBody(info, b"\x04" * 32, None, b"\x05" * 32)
-    return frames.RrepPacket("D", seal(KEY, body.to_bytes()))
+    return frames.RrepPacket(seal(KEY, body.to_bytes()))
 
 
 def sample_rep():
@@ -56,13 +59,13 @@ def test_body_round_trips():
 
 def test_rreq_body_inner_round_trip():
     imm = frames.RreqImmutable("S", 1, "D", 8)
-    body = frames.RreqBody(imm, (), None, b"\x09" * 32, b"\x0a" * 32)
+    body = frames.RreqBody(imm, (), None, b"\x09" * 32, b"\x0a" * 32, cost.Totals())
     assert frames.RreqBody.from_bytes(body.to_bytes(), "S", 1) == body
 
 
 def test_sealed_rreq_opens_to_its_body():
     imm = frames.RreqImmutable("S", 7, "D", 16)
-    body = frames.RreqBody(imm, ("A",), b"\x01" * 32, b"\x02" * 32, b"\x03" * 32)
+    body = frames.RreqBody(imm, ("A",), b"\x01" * 32, b"\x02" * 32, b"\x03" * 32, SAMPLE_TOTALS)
     pkt = frames.decode_frame(frames.encode_frame(sample_rreq()))
     assert frames.open_rreq(KEY, pkt) == body
     assert pkt.round_id() == imm.round_id()
@@ -72,8 +75,8 @@ def test_sealed_rreq_under_another_round_rejected():
     """A body sealed for one round does not open under another round's
     header: the body names no round of its own, so the header it was sealed
     with is the only round it can belong to."""
-    body = frames.RreqBody(frames.RreqImmutable("S", 4, "D", 16), (), None, b"\x02" * 32, b"\x03" * 32)
-    sealed = frames.seal_rreq(KEY, "S", cost.Totals(), body)
+    body = frames.RreqBody(frames.RreqImmutable("S", 4, "D", 16), (), None, b"\x02" * 32, b"\x03" * 32, cost.Totals())
+    sealed = frames.seal_rreq(KEY, body)
     assert frames.open_rreq(KEY, sealed) == body
     for moved in (dataclasses.replace(sealed, s_seqno=3), dataclasses.replace(sealed, s_addr="T")):
         with pytest.raises(AuthFailure):
@@ -84,18 +87,20 @@ def test_sealed_rreq_under_another_round_rejected():
     "sender,source,path", [("A", "S", ("A",)), ("节点", "Nœud-é", ("A", "B", "C")), ("S", "S", ())]
 )
 def test_rreq_frame_length_matches_body_sealed_layout(sender, source, path):
-    """An RREQ frame is its clear header, the cost fields and the box
-    around its body plaintext, each as long as docs/wire-format.md lays it
-    out; delivery times and trace sizes depend on these lengths."""
+    """An RREQ frame is its clear header and the box around its body
+    plaintext, each as long as docs/wire-format.md lays it out; delivery
+    times and trace sizes depend on these lengths.  It names no sender, so
+    the hop that seals it, here under a key of its own, adds no bytes."""
     imm = frames.RreqImmutable(source, 7, "D", 16)
-    body = frames.RreqBody(imm, path, None if not path else b"\x01" * 32, b"\x02" * 32, b"\x03" * 32)
-    pkt = frames.seal_rreq(KEY, sender, cost.Totals(), body)
+    totals = cost.Totals(len(path))
+    body = frames.RreqBody(imm, path, None if not path else b"\x01" * 32, b"\x02" * 32, b"\x03" * 32, totals)
+    pkt = frames.seal_rreq(crypto.hash_bytes(sender.encode()), body)
     mac_prev = 1 if not path else 1 + 32
-    # d_addr, max_hops, path, mac_prev, mac_curr and h
-    plaintext = 2 + 1 + 1 + len(frames.path_bytes(path)) + mac_prev + 64
-    header = 1 + 2 + len(sender.encode()) + 2 + len(source.encode()) + 4  # type, sender_addr, s_addr, s_seqno
-    # then hop_count (1), path_cost, bw and nd (8 each), the box's length (2), nonce (12), plaintext and tag (16)
-    assert len(frames.encode_frame(pkt)) == header + 25 + 2 + 12 + plaintext + 16
+    # d_addr, max_hops, path, mac_prev, mac_curr and h, then path_cost, bw and nd (8 each)
+    plaintext = 2 + 1 + 1 + len(frames.path_bytes(path)) + mac_prev + 64 + 24
+    header = 1 + 2 + len(source.encode()) + 4  # type, s_addr, s_seqno
+    # then the box's length (2), nonce (12), plaintext and tag (16)
+    assert len(frames.encode_frame(pkt)) == header + 2 + 12 + plaintext + 16
 
 
 def test_rrep_body_inner_round_trip():
@@ -162,8 +167,10 @@ def mutate(rng, raw):
 @pytest.mark.parametrize(
     "body",
     [
-        frames.RreqBody(frames.RreqImmutable("S", 7, "D", 16), ("A", "B"), b"\x01" * 32, b"\x02" * 32, b"\x03" * 32),
-        frames.RreqBody(frames.RreqImmutable("S", 1, "D", 8), (), None, b"\x09" * 32, b"\x0a" * 32),
+        frames.RreqBody(
+            frames.RreqImmutable("S", 7, "D", 16), ("A", "B"), b"\x01" * 32, b"\x02" * 32, b"\x03" * 32, SAMPLE_TOTALS
+        ),
+        frames.RreqBody(frames.RreqImmutable("S", 1, "D", 8), (), None, b"\x09" * 32, b"\x0a" * 32, cost.Totals()),
         frames.RrepBody(frames.RrepInfo("S", 7, "D", ("A", "B")), b"\x04" * 32, None, b"\x05" * 32),
         frames.RrepBody(frames.RrepInfo("S", 1, "D", ("C",)), b"\x0b" * 32, b"\x0c" * 32, None),
     ],
@@ -198,13 +205,8 @@ BOX_BLOB = "001e" + "11" * 12 + "6374" + "22" * 16
 NON_ASCII_IMM = frames.RreqImmutable("Nœud-é", 0xFFFFFFFF, "D", 255)
 
 GOLDEN = {
-    "rreq": (
-        frames.RreqPacket("A", "S", 7, cost.Totals(1, 4.25, 10.0, 2.0), BOX),
-        "01" "000141" "000153" "00000007"  # type, sender_addr, s_addr, s_seqno
-        "01" "4011000000000000" "4024000000000000" "4000000000000000"  # hop_count, path_cost, bw, nd
-        + BOX_BLOB,
-    ),
-    "rrep": (frames.RrepPacket("D", BOX), "02" "000144" + BOX_BLOB),  # type, sender_addr, sealed
+    "rreq": (frames.RreqPacket("S", 7, BOX), "01" "000153" "00000007" + BOX_BLOB),  # type, s_addr, s_seqno, sealed
+    "rrep": (frames.RrepPacket(BOX), "02" + BOX_BLOB),  # type, sealed
     "rep": (
         frames.RepPacket("S", 7, "D", BOX, "B"),
         "03" "000153" "00000007" "000144"  # type, s_addr, s_seqno, d_addr
@@ -219,10 +221,13 @@ GOLDEN = {
 
 GOLDEN_BODIES = {
     "rreq-body": (
-        frames.RreqBody(NON_ASCII_IMM, ("A", "节点"), b"\x01" * 32, b"\x02" * 32, b"\x03" * 32),
+        frames.RreqBody(
+            NON_ASCII_IMM, ("A", "节点"), b"\x01" * 32, b"\x02" * 32, b"\x03" * 32, cost.Totals(2, 4.25, 10.0, 2.0)
+        ),
         "000144" "ff"  # d_addr, max_hops
         "0002" "000141" "0006e88a82e782b9"  # path ("A", "节点")
-        "01" + "01" * 32 + "02" * 32 + "03" * 32,  # mac_prev (present), mac_curr, h
+        "01" + "01" * 32 + "02" * 32 + "03" * 32  # mac_prev (present), mac_curr, h
+        + "4011000000000000" "4024000000000000" "4000000000000000",  # path_cost, bw, nd
     ),
     "rrep-body": (
         frames.RrepBody(frames.RrepInfo("S", 7, "D", ("A", "B")), b"\x04" * 32, None, b"\x05" * 32),
@@ -274,8 +279,8 @@ def test_immutable_bytes_derived_once_per_instance():
     ]:
         lie = dataclasses.replace(opened, **{field: value})
         assert lie.to_bytes() == fresh.to_bytes() != opened.to_bytes()
-        sealed = frames.seal_rreq(KEY, "A", cost.Totals(), dataclasses.replace(body, rreq=lie))
-        expect = frames.seal_rreq(KEY, "A", cost.Totals(), dataclasses.replace(body, rreq=fresh))
+        sealed = frames.seal_rreq(KEY, dataclasses.replace(body, rreq=lie))
+        expect = frames.seal_rreq(KEY, dataclasses.replace(body, rreq=fresh))
         assert frames.encode_frame(sealed) == frames.encode_frame(expect)
 
 
@@ -284,8 +289,8 @@ def test_immutable_bytes_derived_once_per_instance():
 
 def _rreq_body_raw(flag: int) -> bytes:
     imm = frames.RreqImmutable("S", 1, "D", 8)
-    raw = frames.RreqBody(imm, ("A",), b"\x01" * 32, b"\x02" * 32, b"\x03" * 32).to_bytes()
-    at = len(raw) - 1 - 3 * 32  # mac_prev's flag, then mac_prev, mac_curr and h
+    raw = frames.RreqBody(imm, ("A",), b"\x01" * 32, b"\x02" * 32, b"\x03" * 32, SAMPLE_TOTALS).to_bytes()
+    at = len(raw) - 1 - 3 * 32 - 24  # mac_prev's flag, then mac_prev, mac_curr, h and the totals
     assert raw[at] == 1
     return raw[:at] + bytes([flag]) + raw[at + 1 :]
 
@@ -331,7 +336,7 @@ REJECTED = {
     "path-count-past-end": (frames.RrepBody.from_bytes, frames.RrepInfo("S", 7, "D", ()).to_bytes()[:-2] + b"\xff\xff"),
     "short-box": (
         frames.decode_frame,
-        frames.encode_frame(frames.RrepPacket("D", b"\x11" * 12 + b"\x22" * 15)),
+        frames.encode_frame(frames.RrepPacket(b"\x11" * 12 + b"\x22" * 15)),
     ),
     "body-bad-utf8": (frames.RrepBody.from_bytes, b"\x00\x01\xff"),
     "rrep-body-trailing": (frames.RrepBody.from_bytes, GOLDEN_BODIES["rrep-body"][0].to_bytes() + b"\x00"),
@@ -356,15 +361,21 @@ digest = st.binary(min_size=32, max_size=32)
 paths = st.lists(ids, max_size=40).map(tuple)
 LONG_PATH = tuple("N%d" % i for i in range(300))
 boxes = st.binary(min_size=28, max_size=92)
-totals = st.builds(cost.Totals, u8, f64, f64, f64)
+
+
+def rreq_body(rreq, path, mac_prev, mac_curr, h, sent=(0.0, 0.0, 0.0)):
+    """An RREQ body whose totals are `sent`, the path_cost, bw and nd it
+    carries, with the hop count its path gives."""
+    return frames.RreqBody(rreq, path, mac_prev, mac_curr, h, cost.Totals(len(path), *sent))
+
 
 immutables = st.builds(frames.RreqImmutable, ids, u32, ids, u8)
-rreq_bodies = st.builds(frames.RreqBody, immutables, paths, st.none() | digest, digest, digest)
+rreq_bodies = st.builds(rreq_body, immutables, paths, st.none() | digest, digest, digest, st.tuples(f64, f64, f64))
 infos = st.builds(frames.RrepInfo, ids, u32, ids, paths)
 rrep_bodies = st.builds(frames.RrepBody, infos, digest, st.none() | digest, st.none() | digest)
 packets = st.one_of(
-    st.builds(frames.RreqPacket, ids, ids, u32, totals, boxes),
-    st.builds(frames.RrepPacket, ids, boxes),
+    st.builds(frames.RreqPacket, ids, u32, boxes),
+    st.builds(frames.RrepPacket, boxes),
     st.builds(frames.RepPacket, ids, u32, ids, boxes, ids),
     st.builds(frames.SessionFrame, u8, ids, u32, ids, u32),
 )
@@ -374,7 +385,7 @@ bodies = rreq_bodies | rrep_bodies
 @settings(max_examples=300)
 @given(packets)
 @example(frames.RepPacket("", 0xFFFFFFFF, "é", BOX, "节点"))
-@example(frames.RreqPacket("节点", "Nœud", 0xFFFFFFFF, cost.Totals(0xFF, -0.0, float("inf"), 1e-9), BOX))
+@example(frames.RreqPacket("Nœud", 0xFFFFFFFF, BOX))
 def test_frame_round_trip_property(pkt):
     raw = frames.encode_frame(pkt)
     assert frames.decode_frame(raw) == pkt
@@ -387,7 +398,7 @@ def test_frame_round_trip_property(pkt):
 
 @settings(max_examples=300)
 @given(bodies)
-@example(frames.RreqBody(NON_ASCII_IMM, LONG_PATH, None, b"\x00" * 32, b"\xff" * 32))
+@example(rreq_body(NON_ASCII_IMM, LONG_PATH, None, b"\x00" * 32, b"\xff" * 32, (-0.0, float("inf"), 1e-9)))
 @example(frames.RrepBody(frames.RrepInfo("", 0xFFFFFFFF, "", LONG_PATH), b"\x00" * 32, None, None))
 def test_body_round_trip_property(body):
     raw = body.to_bytes()
@@ -417,9 +428,9 @@ LONG = "x" * 0x10000
 @pytest.mark.parametrize(
     "encode",
     [
-        lambda: frames.encode_frame(frames.RrepPacket(LONG, BOX)),
+        lambda: frames.encode_frame(frames.RreqPacket(LONG, 1, BOX)),
         lambda: frames.encode_frame(frames.SessionFrame(1, "S", 1, LONG, 0)),  # the round it names
-        lambda: frames.encode_frame(frames.RrepPacket("S", b"\x00" * 12 + b"\x00" * 0xFFF0 + b"\x22" * 16)),
+        lambda: frames.encode_frame(frames.RrepPacket(b"\x00" * 12 + b"\x00" * 0xFFF0 + b"\x22" * 16)),
         lambda: frames.RrepInfo("S", 1, "D", ("A", LONG)).to_bytes(),
         lambda: frames.RreqImmutable(LONG, 1, "D", 8).to_bytes(),
         lambda: frames.path_bytes(("A",) * 0x10000),
@@ -448,17 +459,9 @@ def test_derived_path_sections_equal_their_encodings(path, node):
     section = frames.path_bytes(path)
     assert frames.extend_path_bytes(section, node) == frames.path_bytes(path + (node,))
     assert frames.parent_path_bytes(section, path) == frames.path_bytes(path[:-1])
-    body = frames.RreqBody(NON_ASCII_IMM, path, b"\x01" * 32, b"\x02" * 32, b"\x03" * 32)
+    body = rreq_body(NON_ASCII_IMM, path, b"\x01" * 32, b"\x02" * 32, b"\x03" * 32)
     kept = frames.RreqBody.from_bytes(body.to_bytes(), NON_ASCII_IMM.s_addr, NON_ASCII_IMM.s_seqno)
     assert vars(kept)["path_section"] == section == frames.path_bytes(kept.path)
-
-
-def test_decoded_rreq_mutable_fields_are_frozen():
-    """Every receiver of a broadcast shares one decoded packet, so none of
-    them may change its clear path totals."""
-    pkt = frames.decode_frame(frames.encode_frame(sample_rreq()))
-    with pytest.raises(AttributeError):
-        pkt.mutable.path_cost = 0.0
 
 
 # -- packets the hot path builds without the generated __init__ ---------------
@@ -492,35 +495,27 @@ link_metrics = st.floats(min_value=1e-3, max_value=1e6)
 
 
 @settings(max_examples=200)
-@given(rreq_bodies, ids, totals, ids, link_metrics, link_metrics)
-@example(
-    frames.RreqBody(NON_ASCII_IMM, LONG_PATH, None, b"\x00" * 32, b"\xff" * 32),
-    "节点",
-    cost.Totals(0, -0.0, 0.0, 0.0),
-    "",
-    1.0,
-    0.0,
-)
-def test_hot_path_packets_act_as_constructed(body, sender, mutable, relay, link_bw, link_delay):
+@given(rreq_bodies, ids, link_metrics, link_metrics)
+@example(rreq_body(NON_ASCII_IMM, LONG_PATH, None, b"\x00" * 32, b"\xff" * 32, (-0.0, 0.0, 0.0)), "", 1.0, 0.0)
+def test_hot_path_packets_act_as_constructed(body, relay, link_bw, link_delay):
     """Every RREQ packet the hot path builds (sealed, decoded, opened and
     forwarded) equals, hashes, prints and `replace`s as the same values
     built by the constructors do, and refuses assignment."""
-    sealed = frames.seal_rreq(KEY, sender, mutable, body)
+    sealed = frames.seal_rreq(KEY, body)
     decoded = frames.decode_frame(frames.encode_frame(sealed))
     opened = frames.open_rreq(KEY, decoded)
-    advanced = cost.advance(decoded.mutable, link_bw, link_delay, cost.Weights(), False)
+    advanced = cost.advance(opened.totals, link_bw, link_delay, cost.Weights(), False)
     new_path = opened.path + (relay,)
     h_new = crypto.hash_bytes(opened.h)
-    plaintext = frames.rreq_plaintext(
-        opened.rreq, frames.extend_path_bytes(opened.path_section, relay), opened.mac_curr, b"\x07" * 32, h_new
-    )
-    prefix = frames.rreq_header_prefix(relay)
-    onward = frames.seal_rreq_plaintext(KEY, relay, prefix, advanced, opened.rreq, plaintext)
+    section = frames.extend_path_bytes(opened.path_section, relay)
+    plaintext = frames.rreq_plaintext(opened.rreq, section, opened.mac_curr, b"\x07" * 32, h_new, advanced)
+    onward = frames.seal_rreq_plaintext(KEY, opened.rreq, plaintext)
     for pkt in (sealed, decoded, opened, opened.rreq, onward):
         assert_acts_as_constructed(pkt)
-    assert type(decoded.mutable) is type(advanced) is cost.Totals
+    assert type(opened.totals) is type(advanced) is cost.Totals
     # The spliced copy is the one sealed from a body built field by field.
-    onward_body = frames.RreqBody(rebuilt(opened.rreq), new_path, opened.mac_curr, b"\x07" * 32, h_new)
-    expected = frames.seal_rreq(KEY, relay, advanced, onward_body)
-    assert (onward, onward.header) == (expected, expected.header)
+    onward_body = frames.RreqBody(rebuilt(opened.rreq), new_path, opened.mac_curr, b"\x07" * 32, h_new, advanced)
+    expected = frames.seal_rreq(KEY, onward_body)
+    assert (onward, onward.header) == (expected, expected.header) and onward.header == decoded.header
     assert opened == body and decoded == sealed
+    assert frames.open_rreq(KEY, onward) == onward_body

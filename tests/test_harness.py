@@ -158,76 +158,76 @@ def tamper_cfg(behavior):
 # entry feed these hashes, so a codec, simulator or cost change that alters
 # any of them shows here.
 PINNED_REPORTS = {
-    "honest": (lambda: diamond_cfg(cloudlets=3), "551a51645a559ed308f2953f259957eee8d2d897d0ac5be39fdd9f91684a6f9d"),
+    "honest": (lambda: diamond_cfg(cloudlets=3), "7997abb452a554251af7d7e5179cefc67c5ab271b6070ad6cbc139ed5ef3530f"),
     "break-a-b": (  # A reports the broken round once
         lambda: diamond_cfg(cloudlets=6, link_break=("A", "B", 90.0)),
-        "e163b6175cc7077c429954c58e233f5cd99f1ec2b8c020f270ebdbf85049ae62",
+        "e8e244a7afae6267fe2d8738c1b312ce90c28ffe0e5cc8d465ba70b3b6d5f4e4",
     ),
     "break-b-d": (  # B's route error is relayed by A to S
         lambda: diamond_cfg(cloudlets=6, link_break=("B", "D", 90.0)),
-        "027fdb3e2c0a1a0f6abc89bb2fa311f7062be76d2208a098dfe9fad47f9b6620",
+        "6cdbf869672c6568a207ce31d6376c3af8b2413539251322e385aa6e6a71ccda",
     ),
     "n40": (
         lambda: ScenarioConfig(
             topology_text=topology_to_text(random_topology(11, 40, 0.12)), source="N0", dest="N39", seed=1, cloudlets=2
         ),
-        "7c36fba8f7817846e5d46afe3c5c3af6ea1281f358d58b4b76193209b36c0097",
+        "5a996e53d87011352ee6fcd85349964122a5618e5ad6a52ddae67c88adcb9293",
     ),
     "adv-path-insert": (
         lambda: tamper_cfg("path-insert"),
-        "63427fa5d10064c381a3ea6b848c67abb1445ea6512ecc18885e82a509fdda60",
+        "376d7d7e4aea020f38d9db2763cc7f235b1d088debfb63b18265dd7c5bd3f4bf",
     ),
     "adv-path-delete": (
         lambda: tamper_cfg("path-delete"),
-        "c0663fba15db5da3af79f31769c450715e125ca3aa1d755adf0eaf7f7235c586",
+        "ea47152b099fade62fcba00b4d33a28b2cef42aca1e3cfa82a5f6d453d02591a",
     ),
     "adv-path-modify": (
         lambda: tamper_cfg("path-modify"),
-        "4844ea56310ad491e4bbfc6a8663983283c6548290234b145767cf96793235cf",
+        "d18faf3ed29de9534c6daf27bca984e00f2b120771aca26d07e745c0ccb34e35",
     ),
     "adv-rreq-field-tamper": (
         lambda: tamper_cfg("rreq-field-tamper"),
-        "4b9008bf16a1ec5781d93997735db6b6b4d8233fc40fbc47a616a908a005ff98",
+        "9ee2a3cecd5c9ca1f3f274209809b38284d330a0ca10537208de9ebd86e9d8a0",
     ),
     "adv-replay": (
         lambda: tamper_cfg("replay"),
-        "64ddd2515b00e091cf1d941e967d800864db29938923d0371125782452ec9417",
+        "ca31c79c317d3c5505c70d2b0285afb0c9f7053276b67b6ade7e7735be6d63bf",
     ),
     "adv-cost-deflate": (
         lambda: tamper_cfg("cost-deflate"),
-        "ee8d35735ff9b9d40909ca9d48d49cbd9244cc11a901c4ce9c062aeed25954b2",
+        "c54357f348f89d1b379945fa8a6936a48914b7ace1328437f735d388351cdfd8",
     ),
     "mode-hc": (
         lambda: diamond_cfg(mode=ecms.Mode.HC),
-        "37204bbcaa5441035d1148871f69cce8045b113b75b91793d6ef86c14d571faf",
+        "d5f799652022c456ca519d18d2a1926b709a489b2632d9018a99e85156cf44f4",
     ),
     "mode-bw": (
         lambda: diamond_cfg(mode=ecms.Mode.BW),
-        "d47ed31959c4b1d0a5509935c8d72328c6f1d255c59cfab65117fda90404b8ff",
+        "5643e163fb2329e421f5c4d4a26c4e6adc7a31bdcf1efc45a71ef9b261ee4981",
     ),
     "mode-nd": (
         lambda: diamond_cfg(mode=ecms.Mode.ND),
-        "2e5a6c2bcce224c952b38c3aa4b6315567a01fb7216c1e83946c2c1ec2a59277",
+        "3277c7234e2dc494207a74561808f9d29eac70761d4966fb994ac360fbc5c890",
     ),
     "mode-hc_bw": (
         lambda: diamond_cfg(mode=ecms.Mode.HC_BW),
-        "c346ee837730e68d2a1719edfbff924d547475cfa70c2b11f761319691a025d8",
+        "ca6c06ed90109bd09e1b4a5748242e8c57a771192f45d865486e68a73641edb5",
     ),
     "mode-bw_nd": (
         lambda: diamond_cfg(mode=ecms.Mode.BW_ND),
-        "1c3a7d1d4973ce42a1a148ce31ba0057655ed56d3bccf0d32a5377f230162fe9",
+        "7f4dbfc53aa6821751d48f9f77964cb7756b04dbfcfb0413bd387b47f892718a",
     ),
     "mode-hc_nd": (
         lambda: diamond_cfg(mode=ecms.Mode.HC_ND),
-        "ae7ec725a3fd96f0246f6f7ccf4062abc2be4b330ca98a7a33374330a9d7ef09",
+        "69a9baf77e5df80b5f3a7658aa1369796d59b174d7cdff80c8a63ccee173fa16",
     ),
     "mode-hc_bw_nd": (
         lambda: diamond_cfg(mode=ecms.Mode.HC_BW_ND),
-        "80b116df0b220c922894a648af4e0ef6921634163a64e6a378e86ee023d0eaf3",
+        "1b2389ff09d5e4ec1a4f4c9e83bf892a68da451993667ac79e9c206e18218a73",
     ),
     "literal-cost": (
         lambda: diamond_cfg(literal_cost=True),
-        "d94010d212d0cbeb22743a28fc604d66aa1d7e098f2258acecde453d650d4305",
+        "cbaf45e1c20c2666626a1e42270bc7256bb4ebbc965caa582c2d2599814397f1",
     ),
 }
 
@@ -274,6 +274,19 @@ def test_replay_trace_holds_no_wire_bytes():
     timers = [e["tag"] for e in harness.sim.trace if e["ev"] == "timer" and "adversary-replay" in e["tag"]]
     assert timers == [repr(("adversary-replay",))]
     assert sum(c.get("drop:Duplicate", 0) for c in report.counters.values()) >= 1
+
+
+@pytest.mark.parametrize("seed, n, adversary", [(46, 10, "N1"), (62, 12, "N6"), (79, 8, "N5")])
+def test_replay_does_not_steer_the_route(seed, n, adversary):
+    """A replayed copy is opened under the key of the neighbour the link
+    delivered it from, the replayer's, so it fails there instead of being
+    priced over the replayer's link: the replay run installs the route the
+    honest run installs.  These three topologies installed another route
+    while an RREQ named its own sender."""
+    text = topology_to_text(random_topology(seed, n))
+    base = dict(topology_text=text, source="N0", dest="N%d" % (n - 1), collection_window=200)
+    routes = [run_scenario(ScenarioConfig(adversary=a, **base)).chosen_route for a in (None, (adversary, "replay"))]
+    assert routes[0] is not None and routes[1] == routes[0]
 
 
 @pytest.mark.parametrize("literal", [False, True])
@@ -428,7 +441,7 @@ class PoisonThenDrop(ProtocolBehavior):
             info = RrepInfo("S", 1, "D", ("A", "B", "B"))
             q = b"\x00" * 32
             body = RrepBody(info, q, srdp.rrep_hop_mac(self.proto.keys.pairwise_key("A"), info, q), None)
-            sim.unicast(node, "A", encode_frame(RrepPacket(node, seal(self.proto.keys.group_key, body.to_bytes()))))
+            sim.unicast(node, "A", encode_frame(RrepPacket(seal(self.proto.keys.group_key, body.to_bytes()))))
 
     def handle_session(self, sim, node, sender, pkt, clock):
         if not (pkt.step == STEP_CLOUDLET and pkt.s_seqno == 1):
@@ -487,7 +500,7 @@ def test_a_broken_round_raises_one_route_error():
         )
     report = h.run()
     assert raised == [("A", "S", 1)]
-    assert report.events == {"link_break_detected": 1, "rep_at_source": 1}
+    assert report.events == {"link_break_detected": 1}
     assert (report.rediscoveries, report.cloudlets_delivered) == (1, 6)
     assert ("S", "D") not in h.protos["A"].routes
     assert not [e for e in h.sim.trace if e["ev"] == "drop" and e["node"] == "S" and e["reason"] == srdp.NOT_ON_ROUTE]
@@ -495,16 +508,17 @@ def test_a_broken_round_raises_one_route_error():
 
 
 def test_reply_from_another_sender_than_it_claims_is_dropped():
-    """A reply is taken only from the neighbour its clear header names:
-    after the honest run, B sends A a reply for round ("S", 1) over S-A-D
-    that claims to come from D, and A drops it, keeping the route it
-    holds."""
+    """A reply is taken only from the neighbour its route names as the
+    previous hop: after the honest run, B sends A a reply for round
+    ("S", 1) over S-A-D, which claims to come from D, sealed under B's own
+    group key; A opens it under that key, as the link names B, drops it
+    and keeps the route it holds."""
     h = Harness(diamond_cfg())
     h.run()
     held = h.protos["A"].routes[("S", "D")]
     b = h.protos["B"]
     body = RrepBody(RrepInfo("S", 1, "D", ("A",)), b"\x00" * 32, None, None)
-    h.sim.unicast("B", "A", encode_frame(RrepPacket("D", seal(b.keys.group_key, body.to_bytes()))))
+    h.sim.unicast("B", "A", encode_frame(RrepPacket(seal(b.keys.group_key, body.to_bytes()))))
     h.sim.run_until()
     trace = h.sim.trace
     assert (trace[-1]["ev"], trace[-1]["node"], trace[-1]["reason"]) == ("drop", "A", srdp.NOT_ON_ROUTE)
@@ -523,7 +537,7 @@ def test_source_never_relays_a_reply_for_its_own_round():
     info = RrepInfo("S", 1, "D", ("S", "C", "C"))
     q = b"\x00" * 32
     body = RrepBody(info, q, srdp.rrep_hop_mac(c.keys.pairwise_key("S"), info, q), None)
-    h.sim.unicast("C", "S", encode_frame(RrepPacket("C", seal(c.keys.group_key, body.to_bytes()))))
+    h.sim.unicast("C", "S", encode_frame(RrepPacket(seal(c.keys.group_key, body.to_bytes()))))
     h.sim.run_until()
     trace = h.sim.trace
     assert (trace[-1]["ev"], trace[-1]["node"], trace[-1]["reason"]) == ("drop", "S", srdp.NOT_ON_ROUTE)
@@ -543,7 +557,7 @@ def test_reply_naming_an_unkeyed_destination_is_dropped_at_the_source():
     info = RrepInfo("S", 1, "ghost", ("A", "A"))
     q = b"\x00" * 32
     body = RrepBody(info, q, srdp.rrep_hop_mac(a.keys.pairwise_key("S"), info, q), None)
-    h.sim.unicast("A", "S", encode_frame(RrepPacket("A", seal(a.keys.group_key, body.to_bytes()))))
+    h.sim.unicast("A", "S", encode_frame(RrepPacket(seal(a.keys.group_key, body.to_bytes()))))
     h.sim.run_until()
     trace = h.sim.trace
     assert (trace[-1]["ev"], trace[-1]["node"], trace[-1]["reason"]) == ("drop", "S", srdp.NO_PAIRWISE_KEY)
@@ -561,7 +575,7 @@ def test_rrep_naming_an_unkeyed_node_is_dropped():
     d = h.protos["D"]
     info = RrepInfo("S", 1, "D", ("ghost", "A", "B"))
     body = RrepBody(info, b"\x00" * 32, None, None)
-    h.sim.unicast("D", "B", encode_frame(RrepPacket("D", seal(d.keys.group_key, body.to_bytes()))))
+    h.sim.unicast("D", "B", encode_frame(RrepPacket(seal(d.keys.group_key, body.to_bytes()))))
     h.sim.run_until()
     trace = h.sim.trace
     assert trace[-1]["ev"] == "drop"

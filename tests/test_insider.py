@@ -5,7 +5,7 @@ making to the others: route requests and replies sealed under its own
 group key, route errors whose code it seals under its own pairwise key
 with the route's source, bound to the round and reporter they name, and
 SESSION frames.  Names come from the topology plus ids nobody holds keys
-for; round numbers and sequence numbers include 0 and u32 max; the clear
+for; round numbers and sequence numbers include 0 and u32 max; the sealed
 path totals include NaN and +-inf.  Whatever it sends, `run_until`
 returns, every drop names a known reason, and the same frames give the
 same report bytes.
@@ -28,6 +28,7 @@ from secroute.frames import (
     RrepPacket,
     SessionFrame,
     encode_frame,
+    open_rreq,
     rep_aad,
     seal_rreq,
 )
@@ -42,7 +43,6 @@ KNOWN_DROPS = frozenset(
         srdp.HOP_LIMIT,
         srdp.TWO_HOP_AUTH_FAIL,
         srdp.SEAL_OPEN_FAIL,
-        srdp.HOP_COUNT_MISMATCH,
         srdp.CHAIN_MISMATCH,
         srdp.NOT_ON_ROUTE,
         srdp.Q_CHAIN_MISMATCH,
@@ -88,12 +88,12 @@ def deliver(h: Harness, insider: str, spec) -> None:
         dest, totals = fields
         if dest == insider:
             return
-        pkt = dataclasses.replace(proto.originate_rreq(dest), mutable=totals)
-        h.sim.broadcast(insider, encode_frame(pkt))
+        body = open_rreq(keys.group_key, proto.originate_rreq(dest))
+        h.sim.broadcast(insider, encode_frame(seal_rreq(keys.group_key, dataclasses.replace(body, totals=totals))))
     elif kind == "rreq":
         imm, path, mac_prev, mac_curr, chain_h, totals = fields
-        body = RreqBody(imm, path, mac_prev, mac_curr, chain_h)
-        h.sim.broadcast(insider, encode_frame(seal_rreq(keys.group_key, insider, totals, body)))
+        body = RreqBody(imm, path, mac_prev, mac_curr, chain_h, totals)
+        h.sim.broadcast(insider, encode_frame(seal_rreq(keys.group_key, body)))
     elif kind == "rrep":
         info, q, mac_prev, mac_curr = fields
         key = keys.pairwise_key(to)
@@ -101,7 +101,7 @@ def deliver(h: Harness, insider: str, spec) -> None:
             (srdp.rrep_hop_mac(key, info, q) if key else None) if m == "keyed" else m for m in (mac_prev, mac_curr)
         )
         body = RrepBody(info, q, mac_prev, mac_curr)
-        h.sim.unicast(insider, to, encode_frame(RrepPacket(insider, seal(keys.group_key, body.to_bytes()))))
+        h.sim.unicast(insider, to, encode_frame(RrepPacket(seal(keys.group_key, body.to_bytes()))))
     elif kind == "rep":
         s_addr, s_seqno, d_addr, code, reporter = fields
         key = keys.pairwise_key(s_addr) or b"\x00" * 32

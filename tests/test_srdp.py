@@ -33,10 +33,10 @@ link B D 10 2
 DIAMOND = LINE + "node C relay\nlink S C 5 8\nlink C D 5 8\n"
 
 
-def hand_sealed_rreq(key, raw, sender="S", s_addr="S", s_seqno=1, mutable=None):
+def hand_sealed_rreq(key, raw, s_addr="S", s_seqno=1):
     """An RREQ whose seal holds `raw` under `key`, bound to the clear
-    header built from the other arguments, as an honest sender binds it."""
-    pkt = RreqPacket(sender, s_addr, s_seqno, mutable or Totals(), b"")
+    header of round `(s_addr, s_seqno)`, as an honest sender binds it."""
+    pkt = RreqPacket(s_addr, s_seqno, b"")
     return dataclasses.replace(pkt, sealed=seal(key, raw, pkt.header))
 
 
@@ -51,9 +51,8 @@ def line_net():
 def test_originate_rreq_shape(line_net):
     topo, nodes = line_net
     pkt = nodes["S"].originate_rreq("D")
-    assert pkt.mutable.hop_count == 0
-    assert pkt.mutable.path_cost == 0.0
     body = open_rreq(nodes["S"].keys.group_key, pkt)
+    assert body.totals == Totals()
     assert body.path == ()
     assert body.mac_prev is None
     # h0 anchors in the source-destination secret
@@ -66,7 +65,7 @@ def test_originate_rreq_shape(line_net):
 def test_first_hop_forward_matches_construction(line_net):
     topo, nodes = line_net
     pkt = nodes["S"].originate_rreq("D")
-    action = nodes["A"].process_rreq(pkt, 10, 2)
+    action = nodes["A"].process_rreq(pkt, "S", 10, 2)
     assert action[0] == "forward"
     out = action[1]
     body = open_rreq(nodes["A"].keys.group_key, out)
@@ -76,7 +75,8 @@ def test_first_hop_forward_matches_construction(line_net):
     assert body.mac_prev == src_body.mac_curr  # M0 promoted
     t_a = nodes["A"].keys.broadcast_secret
     assert body.mac_curr == srdp.rreq_hop_mac(t_a, body.rreq, frames.path_bytes(("A",)), hash_bytes(body.h))
-    assert out.mutable.hop_count == 1
+    assert body.totals == cost.advance(Totals(), 10, 2, nodes["A"].weights, False)
+    assert body.totals.hop_count == 1 and out.header == pkt.header
 
 
 digests = st.binary(min_size=32, max_size=32)
@@ -119,17 +119,19 @@ def test_forwarded_frame_equals_fresh_construction(keyed, free, hops, s_seqno, m
     if path:  # laid down two hops upstream, under that node's broadcast secret
         t = stores[two_up].broadcast_secret
         mac_prev = srdp.rreq_hop_mac(t, rreq, frames.path_bytes(path[:-1]), h)
-    body = RreqBody(rreq, path, mac_prev, mac_curr, h)
-    arriving = frames.seal_rreq(stores[sender].group_key, sender, Totals(hop_count=hops), body)
+    body = RreqBody(rreq, path, mac_prev, mac_curr, h, Totals(hops))
+    arriving = frames.seal_rreq(stores[sender].group_key, body)
 
-    action = srdp.SrdpNode(stores[relay]).process_rreq(decode_frame(encode_frame(arriving)), 10, 2)
+    node = srdp.SrdpNode(stores[relay])
+    action = node.process_rreq(decode_frame(encode_frame(arriving)), sender, 10, 2)
     assert action[0] == "forward"
     fresh = frames.RreqImmutable(src, s_seqno, dest, max_hops)
     new_path = path + (relay,)
     h_new = hash_bytes(h)
     m_self = srdp.rreq_hop_mac(stores[relay].broadcast_secret, fresh, frames.path_bytes(new_path), hash_bytes(h_new))
-    fresh_body = RreqBody(fresh, new_path, mac_curr, m_self, h_new)
-    expected = frames.seal_rreq(stores[relay].group_key, relay, action[1].mutable, fresh_body)
+    totals = cost.advance(Totals(hops), 10, 2, node.weights, node.literal_cost)
+    fresh_body = RreqBody(fresh, new_path, mac_curr, m_self, h_new, totals)
+    expected = frames.seal_rreq(stores[relay].group_key, fresh_body)
     assert encode_frame(action[1]) == encode_frame(expected)
 
 
@@ -145,45 +147,40 @@ FIELD_LIES = {
 @given(
     keyed=st.lists(st.text(min_size=1, max_size=5), min_size=2, max_size=2, unique=True),
     path=st.lists(st.text(max_size=5), max_size=6).map(tuple),
-    clear=st.builds(Totals, st.integers(0, 0xFF), *[st.floats(allow_nan=False)] * 3),
+    totals=st.builds(Totals, st.integers(0, 0xFF), *[st.floats(allow_nan=False)] * 3),
     edit=st.sampled_from(["none", "insert", "delete", "modify"]),
     phantom=st.text(max_size=8),
     field_lie=st.sampled_from([None, "copy", *FIELD_LIES]),
     mac_prev=st.one_of(st.none(), digests),
     h_new=digests,
-    link=st.tuples(st.floats(min_value=0.5, max_value=100.0), st.floats(min_value=0.0, max_value=20.0)),
 )
 @example(
     keyed=["R", "P"],
     path=("P",),
-    clear=Totals(1, -0.0, float("inf"), float("-inf")),
+    totals=Totals(1, -0.0, float("inf"), float("-inf")),
     edit="none",
     phantom="",
     field_lie=None,
     mac_prev=None,
     h_new=b"\x00" * 32,
-    link=(0.5, -0.0),
 )
-def test_tampered_relay_frame_equals_fresh_construction(
-    keyed, path, clear, edit, phantom, field_lie, mac_prev, h_new, link
-):
+def test_tampered_relay_frame_equals_fresh_construction(keyed, path, totals, edit, phantom, field_lie, mac_prev, h_new):
     """`relay_rreq` builds a tampering relay's onward copy the way it builds
-    an honest one's.  Whatever it is told to claim (a path whose length
-    differs from the arriving `hop_count`, a phantom id, a random or absent
-    `mac_prev`, a chain value, an `rreq` rebuilt by `dataclasses.replace`
-    with or without a changed field, so holding no opened bytes), the frame
-    equals `seal_rreq` of a freshly constructed body, with the clear fields
-    advanced by `cost.advance` and `hop_count = len(new_path)`."""
+    an honest one's.  Whatever it is told to claim (a path of any length, a
+    phantom id, any totals, a random or absent `mac_prev`, a chain value, an
+    `rreq` rebuilt by `dataclasses.replace` with or without a changed
+    field, so holding no opened bytes), the frame equals `seal_rreq` of a
+    freshly constructed body with those totals, and it opens to them with
+    `hop_count = len(new_path)`."""
     relay, sender = keyed
-    link_bw, link_delay = link
     topo = Topology()
     for n in keyed:
         topo.add_node(n)
-    topo.add_link(sender, relay, link_bw, link_delay)
+    topo.add_link(sender, relay, 10, 2)
     stores = provision(topo, 64, 8, seed=0)[0]
     rreq = frames.RreqImmutable("S", 9, "D", 16)
-    body = RreqBody(rreq, path, b"\x01" * 32, b"\x02" * 32, b"\x03" * 32)
-    arriving = frames.seal_rreq(stores[sender].group_key, sender, clear, body)
+    body = RreqBody(rreq, path, b"\x01" * 32, b"\x02" * 32, b"\x03" * 32, Totals(len(path)))
+    arriving = frames.seal_rreq(stores[sender].group_key, body)
     frame = decode_frame(encode_frame(arriving))
     opened = open_rreq(stores[sender].group_key, frame)  # holding the bytes it opened, as a relay does
 
@@ -199,28 +196,26 @@ def test_tampered_relay_frame_equals_fresh_construction(
     elif field_lie is not None:
         claimed = dataclasses.replace(claimed, **{field_lie: FIELD_LIES[field_lie](claimed)})
     node = srdp.SrdpNode(stores[relay])
-    out = node.relay_rreq(frame, claimed, new_path, frames.path_bytes(new_path), mac_prev, h_new, link_bw, link_delay)
+    out = node.relay_rreq(claimed, frames.path_bytes(new_path), totals, mac_prev, h_new)
 
     fresh = frames.RreqImmutable(claimed.s_addr, claimed.s_seqno, claimed.d_addr, claimed.max_hops)
     section = frames.path_bytes(new_path)
     m_self = srdp.rreq_hop_mac(stores[relay].broadcast_secret, fresh, section, hash_bytes(h_new))
-    advanced = cost.advance(frame.mutable, link_bw, link_delay, node.weights, node.literal_cost)
-    mutable = advanced._replace(hop_count=len(new_path))
-    fresh_body = RreqBody(fresh, new_path, mac_prev, m_self, h_new)
-    expected = frames.seal_rreq(stores[relay].group_key, relay, mutable, fresh_body)
+    fresh_body = RreqBody(fresh, new_path, mac_prev, m_self, h_new, totals._replace(hop_count=len(new_path)))
+    expected = frames.seal_rreq(stores[relay].group_key, fresh_body)
     assert encode_frame(out) == encode_frame(expected)
     assert out == expected
     # Read back from the wire, not through the sealing code both share.
     arrived = decode_frame(encode_frame(out))
-    assert (arrived.sender_addr, arrived.round_id(), arrived.mutable) == (relay, fresh.round_id(), mutable)
+    assert arrived.round_id() == fresh.round_id()
     assert open_rreq(stores[relay].group_key, arrived) == fresh_body
 
 
 def test_duplicate_round_dropped(line_net):
     topo, nodes = line_net
     pkt = nodes["S"].originate_rreq("D")
-    assert nodes["A"].process_rreq(pkt, 10, 2)[0] == "forward"
-    assert nodes["A"].process_rreq(pkt, 10, 2) == ("drop", srdp.DUPLICATE)
+    assert nodes["A"].process_rreq(pkt, "S", 10, 2)[0] == "forward"
+    assert nodes["A"].process_rreq(pkt, "S", 10, 2) == ("drop", srdp.DUPLICATE)
 
 
 @pytest.mark.parametrize("field,value", [("s_addr", "B"), ("s_addr", "D"), ("s_seqno", 99)])
@@ -232,8 +227,8 @@ def test_rewritten_clear_header_fails_the_seal(line_net, field, value):
     pkt = decode_frame(encode_frame(nodes["S"].originate_rreq("D")))
     rewritten = decode_frame(encode_frame(dataclasses.replace(pkt, **{field: value})))
     assert rewritten.round_id() not in nodes["A"].seen_rounds
-    assert nodes["A"].process_rreq(rewritten, 10, 2) == ("drop", srdp.SEAL_OPEN_FAIL)
-    assert nodes["A"].process_rreq(pkt, 10, 2)[0] == "forward"
+    assert nodes["A"].process_rreq(rewritten, "S", 10, 2) == ("drop", srdp.SEAL_OPEN_FAIL)
+    assert nodes["A"].process_rreq(pkt, "S", 10, 2)[0] == "forward"
 
 
 def test_neighbour_duplicate_dropped_before_opening(line_net, monkeypatch):
@@ -254,38 +249,40 @@ def test_neighbour_duplicate_dropped_before_opening(line_net, monkeypatch):
     for module in (crypto, frames, srdp):
         monkeypatch.setattr(module, "open_box", counting_open)
     monkeypatch.setattr(RreqBody, "from_bytes", classmethod(counting_from_bytes))
-    out_a = nodes["A"].process_rreq(nodes["S"].originate_rreq("D"), 10, 2)[1]
-    out_b = nodes["B"].process_rreq(out_a, 10, 2)[1]
+    out_a = nodes["A"].process_rreq(nodes["S"].originate_rreq("D"), "S", 10, 2)[1]
+    out_b = nodes["B"].process_rreq(out_a, "A", 10, 2)[1]
     assert calls == {"open_box": 2, "from_bytes": 2}  # one open per forward
-    assert nodes["A"].keys.neighbor_group_key(out_b.sender_addr) is not None
-    assert nodes["A"].process_rreq(out_b, 10, 2) == ("drop", srdp.DUPLICATE)
+    assert nodes["A"].process_rreq(out_b, "B", 10, 2) == ("drop", srdp.DUPLICATE)
     assert calls == {"open_box": 2, "from_bytes": 2}
 
 
-def test_non_neighbour_copy_of_seen_round_fails_the_seal(line_net):
-    """A copy of a seen round from a node this one holds no group key for,
-    as a replay adversary delivers it, is still SealOpenFail."""
+def test_replayed_copy_fails_the_seal(line_net):
+    """A node opens a copy under the group key of the neighbour the link
+    delivered it from.  A's replay of the copy S sealed is SealOpenFail at
+    B, which has not seen the round, so its path is never priced over A's
+    link; A's own copy is then forwarded, and once B has forwarded the
+    round any copy of it is a Duplicate."""
     topo, nodes = line_net
     pkt = nodes["S"].originate_rreq("D")
-    out_a = nodes["A"].process_rreq(pkt, 10, 2)[1]
-    assert nodes["B"].process_rreq(out_a, 10, 2)[0] == "forward"
-    assert pkt.round_id() in nodes["B"].seen_rounds
-    assert nodes["B"].keys.neighbor_group_key("S") is None
-    assert nodes["B"].process_rreq(pkt, 10, 2) == ("drop", srdp.SEAL_OPEN_FAIL)
+    out_a = nodes["A"].process_rreq(pkt, "S", 10, 2)[1]
+    assert nodes["B"].process_rreq(pkt, "A", 10, 2) == ("drop", srdp.SEAL_OPEN_FAIL)
+    assert pkt.round_id() not in nodes["B"].seen_rounds
+    assert nodes["B"].process_rreq(out_a, "A", 10, 2)[0] == "forward"
+    assert nodes["B"].process_rreq(pkt, "A", 10, 2) == ("drop", srdp.DUPLICATE)
 
 
 def test_hop_limit_enforced(line_net):
     topo, nodes = line_net
     src = srdp.SrdpNode(nodes["S"].keys, max_hops=0)
     pkt = src.originate_rreq("D")
-    assert nodes["A"].process_rreq(pkt, 10, 2) == ("drop", srdp.HOP_LIMIT)
+    assert nodes["A"].process_rreq(pkt, "S", 10, 2) == ("drop", srdp.HOP_LIMIT)
 
 
 def test_foreign_seal_rejected(line_net):
     topo, nodes = line_net
     pkt = nodes["S"].originate_rreq("D")
     # D is not in S's neighborhood, so it holds no key for S's seal
-    assert nodes["D"].process_rreq(pkt, 10, 2) == ("drop", srdp.SEAL_OPEN_FAIL)
+    assert nodes["D"].process_rreq(pkt, "S", 10, 2) == ("drop", srdp.SEAL_OPEN_FAIL)
 
 
 GARBAGE_BODIES = [b"", b"\x00" * 5, b"\xff" * 64, bytes(range(200))]
@@ -297,24 +294,27 @@ def test_garbage_body_under_valid_group_key_dropped(line_net, garbage):
     valid = nodes["S"].originate_rreq("D")
     for raw in (garbage, open_box(nodes["S"].keys.group_key, valid.sealed, valid.header) + garbage[:1] + b"\x00"):
         rreq = hand_sealed_rreq(nodes["S"].keys.group_key, raw)
-        assert nodes["A"].process_rreq(rreq, 10, 2) == ("drop", srdp.SEAL_OPEN_FAIL)
-        rrep = RrepPacket("B", seal(nodes["B"].keys.group_key, raw))
-        assert nodes["A"].process_rrep(rrep) == ("drop", srdp.SEAL_OPEN_FAIL)
+        assert nodes["A"].process_rreq(rreq, "S", 10, 2) == ("drop", srdp.SEAL_OPEN_FAIL)
+        rrep = RrepPacket(seal(nodes["B"].keys.group_key, raw))
+        assert nodes["A"].process_rrep(rrep, "B") == ("drop", srdp.SEAL_OPEN_FAIL)
 
 
 def run_chain(nodes, hops, pkt, metrics=(10, 2)):
+    """Relay `pkt`, which S sent, through `hops` in turn; each hop takes the
+    copy from the one before it."""
+    sender = "S"
     for n in hops:
-        action = nodes[n].process_rreq(pkt, *metrics)
+        action = nodes[n].process_rreq(pkt, sender, *metrics)
         assert action[0] == "forward", action
-        pkt = action[1]
+        pkt, sender = action[1], n
     return pkt
 
 
 def test_destination_chain_check_and_finalize(line_net):
     topo, nodes = line_net
     pkt = run_chain(nodes, ["A", "B"], nodes["S"].originate_rreq("D"))
-    arrived = nodes["D"].open_request(pkt)
-    action = nodes["D"].process_rreq(pkt, 10, 2)
+    arrived = nodes["D"].open_request(pkt, "B")
+    action = nodes["D"].process_rreq(pkt, "B", 10, 2)
     assert action[0] == "collected"
     rid = action[1]
     state = nodes["D"].dest_rounds[rid]
@@ -334,33 +334,28 @@ def test_destination_rejects_short_chain(line_net):
     pkt = run_chain(nodes, ["A", "B"], nodes["S"].originate_rreq("D"))
     # Claim one hop fewer than the chain proves.
     body = open_rreq(nodes["B"].keys.group_key, pkt)
-    shorter = RreqBody(body.rreq, body.path[:-1], body.mac_prev, body.mac_curr, body.h)
-    pkt = hand_sealed_rreq(
-        nodes["B"].keys.group_key,
-        shorter.to_bytes(),
-        pkt.sender_addr,
-        pkt.s_addr,
-        pkt.s_seqno,
-        mutable=Totals(1, pkt.mutable.path_cost, 10.0, 2.0),
-    )
-    action = nodes["D"].process_rreq(pkt, 10, 2)
+    shorter = dataclasses.replace(body, path=body.path[:-1], totals=body.totals._replace(hop_count=1))
+    pkt = hand_sealed_rreq(nodes["B"].keys.group_key, shorter.to_bytes(), pkt.s_addr, pkt.s_seqno)
+    action = nodes["D"].process_rreq(pkt, "B", 10, 2)
     assert action == ("drop", srdp.CHAIN_MISMATCH) or action == ("drop", srdp.TWO_HOP_AUTH_FAIL)
 
 
 def test_destination_ranks_on_the_checked_hop_count(line_net):
-    """A candidate's hop count is the request's `hop_count`, the one field
-    of the clear header that every receiver checks against the sealed path
-    (and the destination against the hash chain), plus the final link."""
+    """A candidate's hop count is the length of the sealed path, which the
+    destination checks against the hash chain, plus the final link; no hop
+    count travels, so a sealer's claim of another is not even sent.  The
+    other totals are the last relay's sealed ones, advanced over that link."""
     topo, nodes = line_net
     pkt = run_chain(nodes, ["A", "B"], nodes["S"].originate_rreq("D"))
-    path = open_rreq(nodes["B"].keys.group_key, pkt).path
-    clear = pkt.mutable._replace(hop_count=len(path))
-    lie = clear._replace(hop_count=len(path) + 1)
-    assert nodes["D"].process_rreq(dataclasses.replace(pkt, mutable=lie), 10, 2) == ("drop", srdp.HOP_COUNT_MISMATCH)
-    action = nodes["D"].process_rreq(dataclasses.replace(pkt, mutable=clear), 10, 2)
-    assert action[0] == "collected"
-    (cand,) = nodes["D"].dest_rounds[action[1]].candidates
-    assert (cand.totals.hop_count, cand.totals.bw, cand.totals.nd) == (len(path) + 1, 10, 6)
+    body = open_rreq(nodes["B"].keys.group_key, pkt)
+    assert body.totals.hop_count == len(body.path) == 2
+    lie = dataclasses.replace(body, totals=body.totals._replace(hop_count=len(body.path) + 1))
+    for copy in (hand_sealed_rreq(nodes["B"].keys.group_key, lie.to_bytes(), pkt.s_addr, pkt.s_seqno), pkt):
+        action = nodes["D"].process_rreq(copy, "B", 10, 2)
+        assert action[0] == "collected"
+    for cand in nodes["D"].dest_rounds[action[1]].candidates:
+        assert cand.totals == cost.advance(body.totals, 10, 2, nodes["D"].weights, False)
+        assert (cand.totals.hop_count, cand.totals.bw, cand.totals.nd) == (len(body.path) + 1, 10, 6)
 
 
 def test_finalize_without_candidates(line_net):
@@ -374,7 +369,7 @@ def test_finalize_drops_reply_through_unkeyed_node(line_net):
     shares no key with yields no reply and a NoPairwiseKey drop."""
     topo, nodes = line_net
     pkt = run_chain(nodes, ["A", "B"], nodes["S"].originate_rreq("D"))
-    rid = nodes["D"].process_rreq(pkt, 10, 2)[1]
+    rid = nodes["D"].process_rreq(pkt, "B", 10, 2)[1]
     state = nodes["D"].dest_rounds[rid]
     state.candidates[0] = state.candidates[0]._replace(path=("ghost", "B"))
     assert nodes["D"].finalize_destination(rid) is None
@@ -388,10 +383,10 @@ def test_finalize_picks_min_cost():
     nodes = {n: srdp.SrdpNode(stores[n]) for n in topo.nodes}
     pkt = nodes["S"].originate_rreq("D")
     fast = run_chain(nodes, ["A", "B"], pkt, metrics=(10, 2))
-    slow_action = nodes["C"].process_rreq(pkt, 5, 8)
+    slow_action = nodes["C"].process_rreq(pkt, "S", 5, 8)
     assert slow_action[0] == "forward"
-    a1 = nodes["D"].process_rreq(fast, 10, 2)
-    a2 = nodes["D"].process_rreq(slow_action[1], 5, 8)
+    a1 = nodes["D"].process_rreq(fast, "B", 10, 2)
+    a2 = nodes["D"].process_rreq(slow_action[1], "C", 5, 8)
     assert a1[0] == a2[0] == "collected"
     rrep = nodes["D"].finalize_destination(a1[1])
     body = RrepBody.from_bytes(open_box(nodes["D"].keys.group_key, rrep.sealed))
@@ -412,18 +407,26 @@ def test_diamond_destination_collects_every_copy(adversary):
     assert report.chosen_route == ["S", "A", "B", "D"]
 
 
-def test_rrep_relay_and_accept(line_net):
+def test_rrep_relay_and_accept(line_net, monkeypatch):
     topo, nodes = line_net
+    accepted = []
+    accept = srdp.SrdpNode._accept_rrep
+
+    def spy(self, body, seq):
+        accepted.append((body.rrep, body.q))
+        return accept(self, body, seq)
+
+    monkeypatch.setattr(srdp.SrdpNode, "_accept_rrep", spy)
     pkt = run_chain(nodes, ["A", "B"], nodes["S"].originate_rreq("D"))
-    rid = nodes["D"].process_rreq(pkt, 10, 2)[1]
+    rid = nodes["D"].process_rreq(pkt, "B", 10, 2)[1]
     rrep = nodes["D"].finalize_destination(rid)
-    act_b = nodes["B"].process_rrep(rrep)
+    act_b = nodes["B"].process_rrep(rrep, "D")
     assert act_b[0] == "forward" and act_b[2] == "A"
-    act_a = nodes["A"].process_rrep(act_b[1])
+    act_a = nodes["A"].process_rrep(act_b[1], "B")
     assert act_a[0] == "forward" and act_a[2] == "S"
-    act_s = nodes["S"].process_rrep(act_a[1])
+    act_s = nodes["S"].process_rrep(act_a[1], "A")
     assert act_s == ("accept", ("S", "A", "B", "D"))
-    rrep_info, q = nodes["S"].accepted_rreps[0]
+    ((rrep_info, q),) = accepted
     q0 = mac(nodes["S"].keys.pairwise_key("D"), [rrep_info.to_bytes()])
     assert q == chain(q0, len(rrep_info.route))
     # Every node on the route holds the reply it answered, relayed or installed.
@@ -433,41 +436,39 @@ def test_rrep_relay_and_accept(line_net):
 def install_route(nodes):
     """Run a discovery S -> A -> B -> D on the line; returns the reply."""
     pkt = run_chain(nodes, ["A", "B"], nodes["S"].originate_rreq("D"))
-    rrep = nodes["D"].finalize_destination(nodes["D"].process_rreq(pkt, 10, 2)[1])
-    for hop in ("B", "A"):
-        rrep = nodes[hop].process_rrep(rrep)[1]
-    assert nodes["S"].process_rrep(rrep)[0] == "accept"
+    rrep = nodes["D"].finalize_destination(nodes["D"].process_rreq(pkt, "B", 10, 2)[1])
+    for hop, sender in (("B", "D"), ("A", "B")):
+        rrep = nodes[hop].process_rrep(rrep, sender)[1]
+    assert nodes["S"].process_rrep(rrep, "A")[0] == "accept"
     return nodes["S"].routes[("S", "D")]
 
 
 def test_rrep_off_route_node_drops(line_net):
     topo, nodes = line_net
     pkt = run_chain(nodes, ["A", "B"], nodes["S"].originate_rreq("D"))
-    rid = nodes["D"].process_rreq(pkt, 10, 2)[1]
+    rid = nodes["D"].process_rreq(pkt, "B", 10, 2)[1]
     rrep = nodes["D"].finalize_destination(rid)
-    fwd = nodes["B"].process_rrep(rrep)[1]
-    res = nodes["D"].process_rrep(fwd)  # on route but wrong direction hop
+    fwd = nodes["B"].process_rrep(rrep, "D")[1]
+    res = nodes["D"].process_rrep(fwd, "B")  # on route but wrong direction hop
     assert res[0] == "drop"
 
 
 def test_rrep_tamper_detected_by_q_chain(line_net):
     topo, nodes = line_net
     pkt = run_chain(nodes, ["A", "B"], nodes["S"].originate_rreq("D"))
-    rid = nodes["D"].process_rreq(pkt, 10, 2)[1]
+    rid = nodes["D"].process_rreq(pkt, "B", 10, 2)[1]
     rrep = nodes["D"].finalize_destination(rid)
     body = RrepBody.from_bytes(open_box(nodes["D"].keys.group_key, rrep.sealed))
     # Corrupt q (bypassing the seal, as a compromised relay could).
     from secroute.crypto import seal
 
     bad = RrepBody(body.rrep, b"\x00" * 32, body.mac_prev, body.mac_curr)
-    fwd_b = nodes["B"].process_rrep(
-        RrepPacket(rrep.sender_addr, seal(nodes["D"].keys.group_key, bad.to_bytes()))
-    )
+    fwd_b = nodes["B"].process_rrep(RrepPacket(seal(nodes["D"].keys.group_key, bad.to_bytes())), "D")
     assert fwd_b[0] == "forward"
-    fwd_a = nodes["A"].process_rrep(fwd_b[1])
+    fwd_a = nodes["A"].process_rrep(fwd_b[1], "B")
     # Either Y-position verification or the source q-chain stops it.
     if fwd_a[0] == "forward":
-        assert nodes["S"].process_rrep(fwd_a[1]) == ("drop", srdp.Q_CHAIN_MISMATCH)
+        assert nodes["S"].process_rrep(fwd_a[1], "A") == ("drop", srdp.Q_CHAIN_MISMATCH)
     else:
         assert fwd_a == ("drop", srdp.TWO_HOP_AUTH_FAIL)
 
@@ -585,9 +586,17 @@ def test_replay_suppressed():
 
 
 def test_cost_deflate_undetected_by_design():
+    """B seals a path cost of 0 in its onward copy; D, which can check only
+    the path and the chain, prices the copy from there over B-D."""
     cfg = ScenarioConfig(
         topology_text=DIAMOND, source="S", dest="D", seed=5, adversary=("B", "cost-deflate")
     )
-    report = Harness(cfg).run()
+    harness = Harness(cfg)
+    report = harness.run()
     assert report.detections == []
     assert report.chosen_route is not None
+    d = harness.protos["D"]
+    (state,) = d.dest_rounds.values()
+    via_b = [c.totals for c in state.candidates if c.path == ("A", "B")]
+    assert [t.path_cost for t in via_b] == [cost.path_cost_step(0.0, 10, 2, d.weights)]
+    assert (via_b[0].hop_count, via_b[0].bw) == (3, 10)  # as honest
