@@ -163,7 +163,8 @@ class ProtocolBehavior(NodeBehavior):
     def on_frame(self, sim: Simulator, node: str, sender: str, frame: bytes, clock) -> None:
         try:
             # One decode per transmission: every receiver of a broadcast gets
-            # the same packet, which is frozen, so none can change it.
+            # the same packet, which is frozen, so none can change it; what
+            # `frames.open_rreq` remembers on it is shared by design.
             pkt = sim.decoded(frame, decode_frame)
         except SecrouteError:
             sim.log_drop(node, "MalformedFrame")

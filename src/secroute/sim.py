@@ -26,9 +26,13 @@ decode)` returns `decode(frame)`, computed at the first delivery and kept
 while more deliveries of equal bytes are queued.  The memo is keyed by
 the frame's bytes and each entry is dropped with that frame's last
 pending delivery, so it holds only frames in flight and is empty at
-quiescence.  `decode` must be pure and its result must not be changed by
-a receiver; a call that raises is not kept.  The simulator knows nothing
-of what `decode` parses.
+quiescence.  `decode` must be pure, and a call that raises is not kept.
+A receiver may attach to the result only values that are a pure function
+of it and of an object the receiver passes in, remembered with that
+object, so that a later receiver passing the same object may reuse them
+(as `frames.open_rreq` does with a key); nothing else on it may change.
+Such values live as long as the result, so no longer than the frame's
+deliveries.  The simulator knows nothing of what `decode` parses.
 
 The trace is one list of plain tuples `(ev, t, *fields)`, `t` the clock
 at the event.  Each kind has one field order (`TRACE_LAYOUT`):

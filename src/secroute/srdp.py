@@ -18,12 +18,22 @@ A relay opens and checks only its first copy of each round; a
 destination opens every copy.  Most copies of a flood are such
 duplicates, so one costs the header test and its drop count, and
 `process_rreq` returns the shared `DUPLICATE_DROP` for the caller to log
-as it stands.  A forwarded copy is sealed from the bytes the relay
+as it stands.  The neighbours of one broadcast share its decoded packet
+and the sender's one group key, so the first of them to open a copy
+opens it for all (`frames.open_rreq` remembers the body on the packet),
+and the first to check its upstream MAC checks it for all who hold the
+same two-hop secret object (`_verify_two_hop` remembers the verdict on
+the body).  Each receiver still fetches its own keys and takes its own
+neighbour skip, so every drop and detection is the one it would reach
+alone.  A forwarded copy is sealed from the bytes the relay
 opened (see `frames`), with the sealed `cost.Totals` advanced over the
 link it arrived on.  A candidate's totals are the sealed ones advanced
 over the final link; their hop count is the sealed path's length, which
 the destination checks against the hash chain, and the other fields are
-taken as the last relay sealed them.  When its collection window closes,
+taken as the last relay sealed them.  The destination anchors a round's
+chain once, at its first collected copy, and keeps each chain value it
+walks to (`RoundState.chain`) for the round's later copies of the same
+request.  When its collection window closes,
 the destination answers the candidate that ranks first under the run's
 selection mode (`SrdpNode.mode`); this is the one place a route is
 chosen.
@@ -198,9 +208,13 @@ class Candidate(NamedTuple):
 
 @dataclass
 class RoundState:
+    """A destination's collection of one round, made by its first copy
+    that passes the checks."""
+
+    rreq: RreqImmutable  # as that copy carried it
+    chain: List[bytes]  # chain(h0, i) at index i, h0 the round's anchor; grown on demand
     candidates: List[Candidate] = field(default_factory=list)
     window_open: bool = True
-    rreq: Optional[RreqImmutable] = None
 
 
 def rreq_hop_mac(t_secret: bytes, rreq: RreqImmutable, path_section: bytes, h_next: bytes) -> bytes:
@@ -306,7 +320,13 @@ class SrdpNode:
     # -- RREQ relay / destination -------------------------------------
 
     def _verify_two_hop(self, body: RreqBody) -> Optional[str]:
-        """Check the MAC from two hops upstream; None means pass or skip."""
+        """Check the MAC from two hops upstream; None means pass or skip.
+
+        The verdict is remembered on `body` with the secret it was reached
+        under, so that the other receivers of the transmission, which share
+        the body (`frames.open_rreq`), check it once.  A receiver reuses it
+        only under the same secret object; each fetches its own secret and
+        takes the neighbour skip itself."""
         if body.mac_prev is None:
             if body.path:
                 return "missing upstream MAC"
@@ -319,8 +339,15 @@ class SrdpNode:
                 # by construction; structurally unverifiable, not hostile.
                 return None
             return "no secret for claimed upstream %s" % two_up
-        expect = rreq_hop_mac(t, body.rreq, parent_path_bytes(body.path_section, body.path), body.h)
-        if not hmac.compare_digest(expect, body.mac_prev):
+        attrs = vars(body)
+        checked = attrs.get("_upstream_checked")
+        if checked is not None and checked[0] is t:
+            ok = checked[1]
+        else:
+            expect = rreq_hop_mac(t, body.rreq, parent_path_bytes(body.path_section, body.path), body.h)
+            ok = hmac.compare_digest(expect, body.mac_prev)
+            attrs["_upstream_checked"] = (t, ok)
+        if not ok:
             return "upstream MAC mismatch (claimed %s)" % two_up
         return None
 
@@ -386,13 +413,24 @@ class SrdpNode:
         bad = self._verify_two_hop(body)
         if bad is not None:
             return self._drop(TWO_HOP_AUTH_FAIL, bad)
-        k_sd = self.keys.pairwise_key(rreq.s_addr)
-        if k_sd is None:
-            return self._drop(SEAL_OPEN_FAIL, "no source key")
-        h0 = mac(k_sd, [rreq.to_bytes()])
-        if not hmac.compare_digest(body.h, chain(h0, len(body.path))):
+        # The round's anchor and chain, kept from its first collected copy,
+        # serve every later copy of the same request bytes; a copy whose
+        # immutable fields differ anchors its own chain, kept by no one.
+        state = self.dest_rounds.get(rid)
+        if state is not None and state.rreq.to_bytes() == rreq.to_bytes():
+            hs = state.chain
+        else:
+            k_sd = self.keys.pairwise_key(rreq.s_addr)
+            if k_sd is None:
+                return self._drop(SEAL_OPEN_FAIL, "no source key")
+            hs = [mac(k_sd, [rreq.to_bytes()])]
+        hops = len(body.path)
+        while len(hs) <= hops:
+            hs.append(hash_bytes(hs[-1]))
+        if not hmac.compare_digest(body.h, hs[hops]):
             return self._drop(CHAIN_MISMATCH, "h-chain length disagrees with hop count")
-        state = self.dest_rounds.setdefault(rid, RoundState(rreq=rreq))
+        if state is None:
+            state = self.dest_rounds[rid] = RoundState(rreq, hs)
         if not state.window_open:
             return self._drop(DUPLICATE, "window closed")
         # Fold in the final link so the totals span the whole path; the hop

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from secroute import cost, crypto, frames, srdp
 from secroute.cost import Totals
 from secroute.crypto import chain, hash_bytes, mac, open_box, seal
-from secroute.errors import NoValidCandidate
+from secroute.crypto import Key
+from secroute.errors import AuthFailure, MalformedFrame, NoValidCandidate
 from secroute.frames import (
     RreqBody,
     RreqPacket,
@@ -552,6 +553,175 @@ def test_rep_costs_the_source_one_open(line_net, monkeypatch):
     assert nodes["S"].handle_rep(rep, "A") == ("accept", "D")
     assert opened == [nodes["S"].keys.pairwise_key("B")]
 
+
+# -- work shared by the receivers of one transmission -------------------
+
+
+def counting(monkeypatch, module, name, tally, keep=lambda *args: True):
+    """Replace `module.name` by a wrapper that counts, in `tally[name]`,
+    the calls whose arguments pass `keep`."""
+    real = getattr(module, name)
+    tally.setdefault(name, 0)
+
+    def wrapper(*args):
+        if keep(*args):
+            tally[name] += 1
+        return real(*args)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
+def test_open_is_shared_only_under_the_same_key_object(line_net, monkeypatch):
+    """One packet opened under key A and then under key B gets B's own
+    result: the same body under A's object, a fresh equal one under an
+    equal key that is another object, and AuthFailure under a wrong key,
+    after which A's key opens it again."""
+    topo, nodes = line_net
+    tally = {}
+    counting(monkeypatch, frames, "open_box", tally)
+    pkt = decode_frame(encode_frame(nodes["S"].originate_rreq("D")))
+    key_a = nodes["S"].keys.group_key
+    body = open_rreq(key_a, pkt)
+    assert open_rreq(key_a, pkt) is body and tally["open_box"] == 1
+    twin = open_rreq(Key(bytes(key_a)), pkt)
+    assert twin == body and twin is not body and tally["open_box"] == 2
+    for wrong in (nodes["A"].keys.group_key, nodes["A"].keys.group_key):
+        with pytest.raises(AuthFailure):
+            open_rreq(wrong, pkt)
+    assert tally["open_box"] == 3  # the second wrong open reused the first's failure
+    again = open_rreq(key_a, pkt)
+    assert again == body and tally["open_box"] == 4
+
+
+@pytest.mark.parametrize("wrong_key", [False, True])
+def test_failed_open_raises_anew_for_the_next_receiver(line_net, monkeypatch, wrong_key):
+    """A copy that fails to open, whether its seal or its plaintext is at
+    fault, fails for every receiver that opens it under the same key, each
+    with an exception of its own."""
+    topo, nodes = line_net
+    key = nodes["S"].keys.group_key
+    pkt = hand_sealed_rreq(nodes["A"].keys.group_key if wrong_key else key, b"\x00" * 5)
+    kind = AuthFailure if wrong_key else MalformedFrame
+    tally = {}
+    counting(monkeypatch, frames, "open_box", tally)
+    raised = []
+    for _ in range(3):
+        with pytest.raises(kind) as info:
+            open_rreq(key, pkt)
+        raised.append(info.value)
+    assert tally["open_box"] == 1
+    assert len({id(e) for e in raised}) == 3 and {e.args for e in raised} == {raised[0].args}
+    assert nodes["A"].process_rreq(pkt, "S", 10, 2) == ("drop", srdp.SEAL_OPEN_FAIL)
+
+
+def network(text):
+    """Protocol nodes for topology `text`, provisioned as `line_net`'s,
+    and their key stores."""
+    topo = load_topology(text)
+    stores = provision(topo, 64, 8, seed=0)[0]
+    return {n: srdp.SrdpNode(stores[n]) for n in topo.nodes}, stores
+
+
+FAN = """
+node S broker
+node A relay
+node X relay
+node Y relay
+node W relay
+node D coordinator
+link S A 10 2
+link A X 10 2
+link A Y 10 2
+link A W 10 2
+link S W 10 2
+link X D 10 2
+link Y D 10 2
+"""
+
+
+def test_upstream_check_shared_by_receivers_holding_the_secret(monkeypatch):
+    """A's broadcast reaches X, Y and W.  X and Y hold S's two-hop secret;
+    W is S's neighbour and holds none.  A copy with a tampered upstream MAC
+    is a detection at X and at Y, checked once for both, while W still
+    skips the check and relays it; an honest copy passes all three."""
+    nodes, stores = network(FAN)
+    assert nodes["X"].keys.twohop_secret("S") is nodes["Y"].keys.twohop_secret("S") is not None
+    assert nodes["W"].keys.twohop_secret("S") is None
+    honest = nodes["A"].process_rreq(nodes["S"].originate_rreq("D"), "S", 10, 2)[1]
+    body = open_rreq(nodes["A"].keys.group_key, honest)
+    flipped = bytes([body.mac_prev[0] ^ 1]) + body.mac_prev[1:]
+    tampered = hand_sealed_rreq(
+        nodes["A"].keys.group_key, dataclasses.replace(body, mac_prev=flipped).to_bytes(), "S", 1
+    )
+    tally = {}
+    counting(monkeypatch, srdp, "rreq_hop_mac", tally, keep=lambda t, *rest: t is stores["S"].broadcast_secret)
+    for pkt, at_x_and_y in ((tampered, "drop"), (honest, "forward")):
+        tally["rreq_hop_mac"] = 0
+        shared = decode_frame(encode_frame(pkt))
+        actions = {n: nodes[n].process_rreq(shared, "A", 10, 2)[0] for n in ("X", "Y", "W")}
+        assert actions == {"X": at_x_and_y, "Y": at_x_and_y, "W": "forward"}
+        assert tally["rreq_hop_mac"] == 1  # X checked; Y reused the verdict
+        for n in ("X", "Y", "W"):
+            nodes[n].seen_rounds.clear()
+    assert [r for r, _ in nodes["X"].detections] == [r for r, _ in nodes["Y"].detections] == [srdp.TWO_HOP_AUTH_FAIL]
+
+
+def test_upstream_verdict_reused_only_under_the_same_secret_object(monkeypatch):
+    """A verdict left on a body by a receiver holding S's secret is not
+    taken by one holding another secret object for S: an equal one checks
+    again and passes, a wrong one checks again and fails."""
+    nodes, stores = network(FAN)
+    honest = nodes["A"].process_rreq(nodes["S"].originate_rreq("D"), "S", 10, 2)[1]
+    body = open_rreq(nodes["A"].keys.group_key, honest)
+    assert nodes["X"]._verify_two_hop(body) is None
+    tally = {}
+    counting(monkeypatch, srdp, "rreq_hop_mac", tally)
+    secret = stores["S"].broadcast_secret
+    for other, verdict in ((Key(bytes(secret)), None), (Key(bytes(32)), "upstream MAC mismatch (claimed S)")):
+        monkeypatch.setitem(nodes["Y"].keys._twohop, "S", other)
+        assert nodes["Y"]._verify_two_hop(body) == verdict
+    assert tally["rreq_hop_mac"] == 2
+
+
+SHORTCUT = LINE + "link A D 10 2\n"
+
+
+def test_destination_anchors_each_round_once(monkeypatch):
+    """The destination MACs a round's chain anchor once and hashes each
+    chain value once, however many copies it collects; a later copy whose
+    immutable fields were rewritten is still a ChainMismatch.  D is A's
+    neighbour, so it cannot check the MAC A laid down for it: the chain is
+    the only check left on B's copy."""
+    nodes, _ = network(SHORTCUT)
+    from_a = nodes["A"].process_rreq(nodes["S"].originate_rreq("D"), "S", 10, 2)[1]
+    from_b = nodes["B"].process_rreq(from_a, "A", 10, 2)[1]
+    tally = {}
+    counting(monkeypatch, srdp, "mac", tally, keep=lambda key, parts: len(parts) == 1)
+    counting(monkeypatch, srdp, "hash_bytes", tally)
+    d = nodes["D"]
+    assert d.process_rreq(from_b, "B", 10, 2)[:2] == ("collected", ("S", 1))
+    assert d.process_rreq(from_a, "A", 10, 2)[:2] == ("collected", ("S", 1))
+    assert tally == {"mac": 1, "hash_bytes": 2}  # h0, then h1 and h2 for the two-hop copy
+    body = open_rreq(nodes["B"].keys.group_key, from_b)
+    lie = dataclasses.replace(body, rreq=dataclasses.replace(body.rreq, max_hops=body.rreq.max_hops - 1))
+    forged = hand_sealed_rreq(nodes["B"].keys.group_key, lie.to_bytes(), "S", 1)
+    assert d.process_rreq(forged, "B", 10, 2) == ("drop", srdp.CHAIN_MISMATCH)
+    assert d.process_rreq(from_b, "B", 10, 2)[0] == "collected"
+    assert tally == {"mac": 2, "hash_bytes": 4}  # the forgery anchored its own chain
+    (state,) = d.dest_rounds.values()
+    assert len(state.candidates) == 3 and state.rreq == body.rreq
+
+
+def test_copy_failing_its_checks_makes_no_round():
+    nodes, _ = network(SHORTCUT)
+    from_b = nodes["B"].process_rreq(
+        nodes["A"].process_rreq(nodes["S"].originate_rreq("D"), "S", 10, 2)[1], "A", 10, 2
+    )[1]
+    body = open_rreq(nodes["B"].keys.group_key, from_b)
+    bad_h = bytes([body.h[0] ^ 1]) + body.h[1:]
+    forged = hand_sealed_rreq(nodes["B"].keys.group_key, dataclasses.replace(body, h=bad_h).to_bytes(), "S", 1)
+    assert nodes["D"].process_rreq(forged, "B", 10, 2) == ("drop", srdp.CHAIN_MISMATCH)
+    assert nodes["D"].dest_rounds == {}
 
 # -- scenario-level adversary checks ----------------------------------
 
