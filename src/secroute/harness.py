@@ -184,8 +184,8 @@ class ProtocolBehavior(NodeBehavior):
         action = self.proto.process_rreq(pkt, sender, link.avl_bw, link.nw_delay)
         if action is srdp.DUPLICATE_DROP:  # most copies of a flood: traced, nothing more
             sim.log_drop(node, srdp.DUPLICATE)
-        elif action[0] == "forward":
-            sim.broadcast(node, encode_frame(action[1]))
+        elif action[0] == "forward":  # to every neighbour but the one it came from
+            sim.broadcast(node, encode_frame(action[1]), sender)
         elif action[0] == "drop":
             self.harness.record_drop(node, action[1], clock, self.proto)
         elif action[2]:  # ("collected", rid, first): the round's first copy opens its window
@@ -320,7 +320,7 @@ class AdversaryBehavior(ProtocolBehavior):
                 self.tampered = True
                 out = self._tampered_forward(body, sim.topo.link(sender, node))
                 self.proto.seen_rounds.add(body.rreq.round_id())
-                sim.broadcast(node, encode_frame(out))
+                sim.broadcast(node, encode_frame(out), sender)
                 return
             if body is not None and body.rreq.d_addr != node:
                 return  # straight from the source: wait for a copy with a path

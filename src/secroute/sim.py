@@ -18,9 +18,15 @@ never earlier than the clock: link delays are finite and nonnegative
 
 A broadcast and a unicast queue their copies by one loop (`_send`): a
 copy per link that is up at the clock, a `suppress` entry for each
-broken one, and one update of the frame's pending count per send.
+broken one, and one update of the frame's pending count per send.  A
+relay that forwards a flooded frame names the neighbour it came from
+(`broadcast(node, frame, came_from)`), and no copy goes back over that
+link, as link-state flooding skips the neighbour an update came from
+(OSPF, RFC 2328 section 13.3): that neighbour sent the flood itself, so
+the copy could only be a duplicate there.  Nothing is queued or traced
+for the skipped link, not even a `suppress` when it is broken.
 
-A broadcast hands every neighbour the same frame, so a behaviour that
+A broadcast hands each of its receivers the same frame, so a behaviour that
 parses frames can do it once per transmission: `Simulator.decoded(frame,
 decode)` returns `decode(frame)`, computed at the first delivery and kept
 while more deliveries of equal bytes are queued.  The memo is keyed by
@@ -59,7 +65,7 @@ import heapq
 import json
 import math
 from collections import deque
-from typing import Any, Callable, Deque, Dict, Iterable, List, Tuple
+from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Tuple
 
 from .errors import UnknownLink, UnknownNode
 from .topology import Link, Topology
@@ -162,11 +168,13 @@ class Simulator:
         broken_at = self._breaks.get(frozenset((a, b)))
         return broken_at is None or self.clock < broken_at
 
-    def broadcast(self, sender: str, frame: bytes) -> int:
-        """Schedule one delivery per unbroken adjacent link; returns fan-out."""
+    def broadcast(self, sender: str, frame: bytes, came_from: Optional[str] = None) -> int:
+        """Schedule one delivery per unbroken adjacent link, except the link
+        to `came_from`, the neighbour a forwarded copy arrived from, which
+        gets no copy and no `suppress` entry; returns the fan-out."""
         if sender not in self.topo.nodes:
             raise UnknownNode(sender)
-        sent = self._send(sender, self.topo.out_links(sender), frame)
+        sent = self._send(sender, self.topo.out_links(sender), frame, came_from)
         self._trace.append(("send", self.clock, sender, "broadcast", None, sent, len(frame)))
         return sent
 
@@ -182,13 +190,16 @@ class Simulator:
         self._trace.append(("send", self.clock, sender, "unicast", to, sent, len(frame)))
         return bool(sent)
 
-    def _send(self, sender: str, links: Iterable[Tuple[str, Link]], frame: bytes) -> int:
-        """Queue `frame` from `sender` over each `(to, link)` of `links`,
-        tracing a suppression for each broken one; returns copies queued."""
+    def _send(self, sender: str, links: Iterable[Tuple[str, Link]], frame: bytes, skip: Optional[str] = None) -> int:
+        """Queue `frame` from `sender` over each `(to, link)` of `links` but
+        the one to `skip`, tracing a suppression for each broken one;
+        returns copies queued."""
         clock, push, breaks = self.clock, self._queue.push, self._breaks
         bits = len(frame) * 8
         sent = 0
         for to, link in links:
+            if to == skip:
+                continue
             if breaks and not self._link_up(sender, to):
                 self._trace.append(("suppress", clock, sender, to))
                 continue

@@ -12,11 +12,14 @@ Every frame names its round as `(s_addr, s_seqno)`: the source and the
 number of the discovery it started.  A request carries it in its clear
 header, bound to the seal, so a relay drops a copy of a round it has
 already forwarded, and the source a copy of a round it started, before
-opening the seal.  No frame names its sender: a node opens a request or
-a reply under the group key of the neighbour the link delivered it from.
-A relay opens and checks only its first copy of each round; a
-destination opens every copy.  Most copies of a flood are such
-duplicates, so one costs the header test and its drop count, and
+opening the seal.  No relay sends its copy back to the neighbour it came
+from (`Simulator.broadcast`'s `came_from`), so no duplicate reaches a
+node from a neighbour that first heard the round from it.  No frame
+names its sender: a node opens a request or a reply under the
+group key of the neighbour the link delivered it from.  A relay opens
+and checks only its first copy of each round; a destination opens every
+copy.  Most copies of a flood are duplicates, so one costs the
+header test and its drop count, and
 `process_rreq` returns the shared `DUPLICATE_DROP` for the caller to log
 as it stands.  The neighbours of one broadcast share its decoded packet
 and the sender's one group key, so the first of them to open a copy
@@ -288,8 +291,8 @@ class SrdpNode:
         h0 = mac(k_sd, [rreq.to_bytes()])
         m0 = rreq_hop_mac(self.keys.broadcast_secret, rreq, path_bytes(()), hash_bytes(h0))
         body = RreqBody(rreq, (), None, m0, h0, ecms.Totals())
-        # The neighbours' copies that come back are duplicates, not requests
-        # for this node to relay.
+        # Copies that come back, from neighbours that first heard the round
+        # from another node, are duplicates, not requests for this node to relay.
         self.seen_rounds.add(rreq.round_id())
         self._count("rreq_originated")
         return seal_rreq(self.keys.group_key, body)

@@ -104,20 +104,78 @@ def test_link_break_triggers_rediscovery():
     assert ["S", "C", "D"] in report.routes_installed
 
 
+# S's neighbour X hears S's request first from A, over S-A-X (2 ms plus
+# transmission), before S's own copy over the slow S-X link (20 ms).
+SLOW_SIDE = """
+node S broker
+node A relay
+node X relay
+node D coordinator
+link S A 10 1
+link A X 10 1
+link S X 10 20
+link X D 10 1
+"""
+
+
 @pytest.mark.parametrize(
-    "make", [diamond_cfg, lambda: diamond_cfg(cloudlets=6, link_break=("A", "B", 90.0))], ids=["honest", "break-a-b"]
+    "make, returned",
+    [
+        (diamond_cfg, 0),
+        (lambda: diamond_cfg(cloudlets=6, link_break=("A", "B", 90.0)), 0),
+        (lambda: ScenarioConfig(topology_text=SLOW_SIDE, source="S", dest="D"), 1),
+    ],
+    ids=["honest", "break-a-b", "slow-side"],
 )
-def test_source_broadcasts_each_round_once_and_relays_none(make):
-    """The source records each round it starts as seen, so its neighbours'
-    copies that come back are duplicates, not requests for it to relay: S
-    broadcasts once per round, and forwards no request."""
+def test_source_broadcasts_each_round_once_and_relays_none(make, returned):
+    """The source records each round it starts as seen, so a neighbour's
+    copy that comes back is a duplicate, not a request for it to relay: S
+    broadcasts once per round, and forwards no request.  A relay sends no
+    copy back to the neighbour it heard the round from, so on the diamond
+    no copy comes back from A or C; on the slow side, X first hears the
+    round from A and sends S one copy per round, which S drops."""
     h = Harness(make())
     report = h.run()
     rounds = 1 + report.rediscoveries
     broadcasts = [e for e in h.sim.trace if e["ev"] == "send" and e["node"] == "S" and e["kind"] == "broadcast"]
     assert len(broadcasts) == rounds
     assert "rreq_forwarded" not in report.counters["S"]
-    assert report.counters["S"]["drop:" + srdp.DUPLICATE] == 2 * rounds  # A's and C's copies
+    assert report.counters["S"].get("drop:" + srdp.DUPLICATE, 0) == returned * rounds
+    if returned:
+        assert report.chosen_route == ["S", "A", "X", "D"]
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [diamond_cfg()]
+    + [
+        ScenarioConfig(topology_text=topology_to_text(random_topology(seed, n)), source="N0", dest="N%d" % (n - 1))
+        for seed, n in [(1, 8), (5, 12), (11, 20), (23, 40)]
+    ],
+    ids=["diamond", "n8", "n12", "n20", "n40"],
+)
+def test_no_request_goes_back_to_where_it_came_from(monkeypatch, cfg):
+    """Split horizon: a relay forwards a round to every neighbour but the
+    one it first heard the round from, so no RREQ copy is ever delivered
+    from a node to the node its own first copy of the round came from.
+    The source starts the round before any copy reaches it, so what it
+    hears later bounds nothing."""
+    real = ProtocolBehavior.handle_rreq
+    deliveries = []  # (to, sender, round) of every RREQ copy, in order
+
+    def recording(self, sim, node, sender, pkt, clock):
+        deliveries.append((node, sender, pkt.round_id()))
+        return real(self, sim, node, sender, pkt, clock)
+
+    monkeypatch.setattr(ProtocolBehavior, "handle_rreq", recording)
+    report = Harness(cfg).run()
+    first_from = {}
+    for to, sender, rid in deliveries:
+        if to != rid[0]:
+            first_from.setdefault((to, rid), sender)
+    assert [d for d in deliveries if first_from.get((d[1], d[2])) == d[0]] == []
+    forwarded = sum(c.get("rreq_forwarded", 0) for c in report.counters.values())
+    assert forwarded >= 2 and report.chosen_route is not None
 
 
 @pytest.mark.parametrize("behavior", DETECTABLE_BEHAVIORS)
@@ -158,76 +216,76 @@ def tamper_cfg(behavior):
 # entry feed these hashes, so a codec, simulator or cost change that alters
 # any of them shows here.
 PINNED_REPORTS = {
-    "honest": (lambda: diamond_cfg(cloudlets=3), "7997abb452a554251af7d7e5179cefc67c5ab271b6070ad6cbc139ed5ef3530f"),
+    "honest": (lambda: diamond_cfg(cloudlets=3), "f28fc7f39a2e6bcf44876c17185fe719a55c724a610ce2ec3337b160b314d910"),
     "break-a-b": (  # A reports the broken round once
         lambda: diamond_cfg(cloudlets=6, link_break=("A", "B", 90.0)),
-        "e8e244a7afae6267fe2d8738c1b312ce90c28ffe0e5cc8d465ba70b3b6d5f4e4",
+        "b898f5670406b491dcaf9602cddf4b5f421646ccccfc508d04785609df2c7acb",
     ),
     "break-b-d": (  # B's route error is relayed by A to S
         lambda: diamond_cfg(cloudlets=6, link_break=("B", "D", 90.0)),
-        "6cdbf869672c6568a207ce31d6376c3af8b2413539251322e385aa6e6a71ccda",
+        "4aebd94f349c14876e4f2d9dc16024daaa130e908a8440410a9b951c181876a4",
     ),
     "n40": (
         lambda: ScenarioConfig(
             topology_text=topology_to_text(random_topology(11, 40, 0.12)), source="N0", dest="N39", seed=1, cloudlets=2
         ),
-        "5a996e53d87011352ee6fcd85349964122a5618e5ad6a52ddae67c88adcb9293",
+        "48a2991383fe1d504a66bf7a44507ff93f43ee03081e28821f5743ace499b0b8",
     ),
     "adv-path-insert": (
         lambda: tamper_cfg("path-insert"),
-        "376d7d7e4aea020f38d9db2763cc7f235b1d088debfb63b18265dd7c5bd3f4bf",
+        "1e8e7ab682e2ffe83818e3a5d4ca4aaf9dafde1448dee8fe46af4aaf02c775c6",
     ),
     "adv-path-delete": (
         lambda: tamper_cfg("path-delete"),
-        "ea47152b099fade62fcba00b4d33a28b2cef42aca1e3cfa82a5f6d453d02591a",
+        "33b2ddf07513ffa1b9d8bf40118bbf71558293b10b7ccdf30441870f33356c4a",
     ),
     "adv-path-modify": (
         lambda: tamper_cfg("path-modify"),
-        "d18faf3ed29de9534c6daf27bca984e00f2b120771aca26d07e745c0ccb34e35",
+        "3336cfaa69320c903e51acdcbb3b47916ac71b46b52f79fd65e1f28279bb21e2",
     ),
     "adv-rreq-field-tamper": (
         lambda: tamper_cfg("rreq-field-tamper"),
-        "9ee2a3cecd5c9ca1f3f274209809b38284d330a0ca10537208de9ebd86e9d8a0",
+        "8419becb1ac7b3ca560af1de7f900ca96cf0a989a031aba6d51c93479a4de7fe",
     ),
     "adv-replay": (
         lambda: tamper_cfg("replay"),
-        "ca31c79c317d3c5505c70d2b0285afb0c9f7053276b67b6ade7e7735be6d63bf",
+        "1e01c93b24c9503cf458d8d54d6848aece1f3190fe5e42092dc585b7ac3c44f6",
     ),
     "adv-cost-deflate": (
         lambda: tamper_cfg("cost-deflate"),
-        "c54357f348f89d1b379945fa8a6936a48914b7ace1328437f735d388351cdfd8",
+        "d737c24886ca882281bb80f5b48588698ba1958b1fde410adfdc978770a78054",
     ),
     "mode-hc": (
         lambda: diamond_cfg(mode=ecms.Mode.HC),
-        "d5f799652022c456ca519d18d2a1926b709a489b2632d9018a99e85156cf44f4",
+        "1089bd86848e9d880a92e38af17a3293479b4d4078ce64e759382d70ac0eac7f",
     ),
     "mode-bw": (
         lambda: diamond_cfg(mode=ecms.Mode.BW),
-        "5643e163fb2329e421f5c4d4a26c4e6adc7a31bdcf1efc45a71ef9b261ee4981",
+        "c422385d91165ea268e142f87ac5d03813376a68f65f45da9e43e9c1986e5528",
     ),
     "mode-nd": (
         lambda: diamond_cfg(mode=ecms.Mode.ND),
-        "3277c7234e2dc494207a74561808f9d29eac70761d4966fb994ac360fbc5c890",
+        "ac51ef566e1c64ae1dec75ea13154f3950639cbdbb830de6519a633f489de74d",
     ),
     "mode-hc_bw": (
         lambda: diamond_cfg(mode=ecms.Mode.HC_BW),
-        "ca6c06ed90109bd09e1b4a5748242e8c57a771192f45d865486e68a73641edb5",
+        "0ffac5d8e34442a31717b23ea0f75a0fac4dd6873f369ec1cb7435e9780d0307",
     ),
     "mode-bw_nd": (
         lambda: diamond_cfg(mode=ecms.Mode.BW_ND),
-        "7f4dbfc53aa6821751d48f9f77964cb7756b04dbfcfb0413bd387b47f892718a",
+        "96edefdd808d8bdfac550427a841786d25b75db4c75ef35ff7d36bb0626ac5ca",
     ),
     "mode-hc_nd": (
         lambda: diamond_cfg(mode=ecms.Mode.HC_ND),
-        "69a9baf77e5df80b5f3a7658aa1369796d59b174d7cdff80c8a63ccee173fa16",
+        "567bc35aaa55eb355086570760a6d8a2eda62dcb13a2e606786d7fb019f13050",
     ),
     "mode-hc_bw_nd": (
         lambda: diamond_cfg(mode=ecms.Mode.HC_BW_ND),
-        "1b2389ff09d5e4ec1a4f4c9e83bf892a68da451993667ac79e9c206e18218a73",
+        "a54d8c3e2ca1522be1e605d94a529829db0a63c06fdfbcc949433c64e5ac585d",
     ),
     "literal-cost": (
         lambda: diamond_cfg(literal_cost=True),
-        "cbaf45e1c20c2666626a1e42270bc7256bb4ebbc965caa582c2d2599814397f1",
+        "c0536a3e24a9a87b0e9ef01286f64895bbf633f146762f7773ef3be0289643ba",
     ),
 }
 
@@ -238,7 +296,7 @@ def test_report_bytes_pinned(name):
     assert hashlib.sha256(emit_report(run_scenario(make()))).hexdigest() == digest
 
 
-@pytest.mark.parametrize("name", ["honest", "break-a-b"])
+@pytest.mark.parametrize("name", ["honest", "break-a-b", "n40"])
 def test_trace_entries_follow_their_layout(name):
     """Each trace entry is `(ev, t, *fields)` in its kind's layout, reads
     the same by field name as by position, and the digest is the SHA-256
@@ -261,7 +319,9 @@ def test_trace_entries_follow_their_layout(name):
     kinds = Counter(e["ev"] for e in trace)
     assert {"deliver", "send", "timer"} <= set(kinds)
     if name == "break-a-b":
-        assert kinds["suppress"] and kinds["drop"]
+        assert kinds["suppress"]
+    if name == "n40":
+        assert kinds["drop"]
     encoded = json.dumps([list(e) for e in trace], separators=(", ", ": "), ensure_ascii=True)
     assert h.sim.trace_digest() == report.trace_digest == hashlib.sha256(encoded.encode()).hexdigest()
 

@@ -1,5 +1,6 @@
 import heapq
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -393,20 +394,49 @@ class HeapSimulator(Simulator):
 QUEUE_NODES = ("A", "B", "C", "D")
 
 
+def queued_copies(queue):
+    """How many deliveries each `(sender, to)` has queued, in either queue."""
+    if isinstance(queue, HeapQueue):
+        events = [(kind, payload) for _, _, kind, payload in queue.heap]
+    else:
+        events = [(kind, payload) for fifo in queue.fifos.values() for _, kind, payload in fifo]
+    return Counter(payload[:2] for kind, payload in events if kind == "deliver")
+
+
 class Script:
     """Runs the k-th scripted action list at the k-th event any node
     handles, and checks after each send or timer that the queue's length
-    is the number of events scheduled and not yet handled."""
+    is the number of events scheduled and not yet handled.  A forward is
+    checked against the links it should use: every other node but the
+    one it came from, and of those a broken link only traces `suppress`."""
 
-    def __init__(self, steps):
+    def __init__(self, steps, brk=None):
         self.steps = steps
+        self.brk = brk  # (frozenset of the broken link's nodes, time it breaks)
         self.handled = 0
         self.queued = 0
+
+    def broken(self, sim, a, b):
+        return self.brk is not None and frozenset((a, b)) == self.brk[0] and sim.clock >= self.brk[1]
+
+    def forward(self, sim, node, frame, came_from):
+        before, mark = queued_copies(sim._queue), len(sim._trace)
+        sent = sim.broadcast(node, frame, came_from)
+        targets = [to for to in QUEUE_NODES if to not in (node, came_from)]
+        up = [to for to in targets if not self.broken(sim, node, to)]
+        assert sent == len(up)
+        assert queued_copies(sim._queue) == before + Counter((node, to) for to in up)
+        assert sim._trace[mark:] == [("suppress", sim.clock, node, to) for to in targets if to not in up] + [
+            ("send", sim.clock, node, "broadcast", None, len(up), len(frame))
+        ]
+        return sent
 
     def act(self, sim, node, actions):
         for action in actions:
             if action[0] == "broadcast":
                 self.queued += sim.broadcast(node, b"m" * action[1])
+            elif action[0] == "forward":
+                self.queued += self.forward(sim, node, b"f" * action[1], QUEUE_NODES[action[2]])
             elif action[0] == "unicast":
                 self.queued += sim.unicast(node, QUEUE_NODES[action[1]], b"u" * action[2])
             else:
@@ -439,6 +469,7 @@ frame_size = st.integers(min_value=0, max_value=3)
 queue_actions = st.lists(
     st.one_of(
         st.tuples(st.just("broadcast"), frame_size),
+        st.tuples(st.just("forward"), frame_size, st.integers(min_value=0, max_value=3)),
         st.tuples(st.just("unicast"), st.integers(min_value=0, max_value=3), frame_size),
         st.tuples(st.just("timer"), st.sampled_from([0, 0, 1, 1.0, 2, 0.5])),
     ),
@@ -455,7 +486,7 @@ def scripted_sim(cls, links, brk, steps, start):
     for (a, b), (bw, delay) in zip(pairs, links):
         topo.add_link(a, b, bw, delay)
     sim = cls(topo)
-    script = Script(steps)
+    script = Script(steps, brk and (frozenset(pairs[brk[0]]), brk[1]))
     for n in QUEUE_NODES:
         sim.install(n, Scripted(script))
     if brk is not None:
@@ -491,9 +522,20 @@ def scripted_sim(cls, links, brk, steps, start):
     start=[(0, [("broadcast", 0), ("timer", 1)]), (3, [("unicast", 1, 0)])],
     budget=None,
 )
+# A forward over a link broken at t=0 (A-B) sends no copy back and traces
+# no suppression for it; one that skips another link still suppresses A-B.
+@example(
+    links=[(1000, 0)] * 6,
+    brk=(0, 0),
+    steps=[[("forward", 1, 0)]],
+    start=[(0, [("forward", 1, 1), ("forward", 0, 2)])],
+    budget=None,
+)
 def test_event_order_matches_reference_heap(links, brk, steps, start, budget):
-    """Random broadcasts, unicasts and timers, many on equal times, run in
-    the order of a (time, insertion order) heap, with the same trace bytes:
+    """Random broadcasts, forwards, unicasts and timers, many on equal
+    times, run in the order of a (time, insertion order) heap, with the
+    same trace bytes (a forward queues and traces nothing for the link it
+    came from, see `Script.forward`):
     events scheduled for a time while it drains run after those already
     queued for it.  A run cut by the budget, even in the middle of a time,
     keeps the rest queued, and a second run resumes in that order."""
