@@ -66,7 +66,7 @@ from typing import Optional, Tuple
 
 from .cost import Totals
 from .crypto import DIGEST_LEN, NONCE_LEN, TAG_LEN, open_box, seal
-from .errors import AuthFailure, MalformedFrame
+from .errors import MalformedFrame
 
 FRAME_RREQ = 1
 FRAME_RREP = 2
@@ -380,31 +380,23 @@ def open_rreq(key: bytes, pkt: RreqPacket) -> RreqBody:
     the header's `(s_addr, s_seqno)` and the plaintext's `(d_addr,
     max_hops)`, both as authenticated, so a relay re-encodes none of them.
 
-    The result is remembered on `pkt` with `key`, the body or the failure,
-    so that the receivers of one transmission, which share its decoded
-    packet (`sim.Simulator.decoded`) and the sender's one group key, open
-    it once.  A later open reuses it only under the same key object (`is`)
-    and otherwise opens afresh and remembers that instead; a remembered
-    failure raises a new exception of its type and arguments.
+    A body opened is remembered on `pkt` with `key`, so that the receivers
+    of one transmission, which share its decoded packet
+    (`sim.Simulator.decoded`) and the sender's one group key, open it
+    once.  A later open reuses it only under the same key object (`is`);
+    any other key, and every open that fails, opens afresh.
     """
     attrs = vars(pkt)
     opened = attrs.get("_opened")
     if opened is not None and opened[0] is key:
-        _, body, failure = opened
-        if failure is not None:
-            raise failure[0](*failure[1])
-        return body
+        return opened[1]
     header = pkt.header
-    try:
-        body = RreqBody.from_bytes(open_box(key, pkt.sealed, header), pkt.s_addr, pkt.s_seqno)
-    except (AuthFailure, MalformedFrame) as exc:
-        attrs["_opened"] = (key, None, (type(exc), exc.args))
-        raise
+    body = RreqBody.from_bytes(open_box(key, pkt.sealed, header), pkt.s_addr, pkt.s_seqno)
     round_id = header[1:]  # past the frame type
     rreq_attrs = vars(body.rreq)
     rreq_attrs["_header_tail"] = round_id
     rreq_attrs["_bytes"] = round_id + rreq_attrs["_body_head"]
-    attrs["_opened"] = (key, body, None)
+    attrs["_opened"] = (key, body)
     return body
 
 

@@ -284,20 +284,19 @@ class ProtocolBehavior(NodeBehavior):
 
 
 class AdversaryBehavior(ProtocolBehavior):
-    """Tampers with the first RREQ it would forward; honest otherwise.
+    """Lies in each round it relays, or replays its first RREQ; else honest.
 
     A tampering relay (path-insert, path-delete, path-modify,
     rreq-field-tamper, cost-deflate) tests a copy's round on its clear
     header before it opens anything, so a round it has already broadcast
     is a duplicate, and it lets a copy that comes straight from the source
     (empty path) go by unrelayed, waiting for one with a path to lie
-    about.  It thus broadcasts each round at most once."""
+    about.  It thus broadcasts each round at most once, with a lie."""
 
     def __init__(self, proto, harness, behavior: str, rng: random.Random):
         super().__init__(proto, harness)
         self.behavior = behavior
         self.rng = rng
-        self.tampered = False
         self.phantom = "ghost-%d" % rng.getrandbits(16)
         self.captured: Optional[bytes] = None  # the frame a replay adversary rebroadcasts
 
@@ -309,16 +308,14 @@ class AdversaryBehavior(ProtocolBehavior):
 
     def handle_rreq(self, sim, node, sender, pkt: RreqPacket, clock) -> None:
         if self.behavior == "replay":
-            if not self.tampered:
-                self.tampered = True
+            if self.captured is None:
                 # The tag stays free of wire bytes, so the trace never holds ciphertext.
                 self.captured = encode_frame(pkt)
                 sim.set_timer(node, 5, ("adversary-replay",))
-        elif not self.tampered and pkt.round_id() not in self.proto.seen_rounds:
+        elif pkt.round_id() not in self.proto.seen_rounds:
             body = self.proto.open_request(pkt, sender)
             if body is not None and body.path:
-                self.tampered = True
-                out = self._tampered_forward(body, sim.topo.link(sender, node))
+                out = self._lie(body, sim.topo.link(sender, node))
                 self.proto.seen_rounds.add(body.rreq.round_id())
                 sim.broadcast(node, encode_frame(out), sender)
                 return
@@ -326,7 +323,7 @@ class AdversaryBehavior(ProtocolBehavior):
                 return  # straight from the source: wait for a copy with a path
         super().handle_rreq(sim, node, sender, pkt, clock)
 
-    def _tampered_forward(self, body: RreqBody, link) -> RreqPacket:
+    def _lie(self, body: RreqBody, link) -> RreqPacket:
         proto = self.proto
         node = proto.node
         rreq, path = body.rreq, body.path

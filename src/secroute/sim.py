@@ -17,28 +17,27 @@ never earlier than the clock: link delays are finite and nonnegative
 (`Topology.add_link`), and so are timer delays (`set_timer`).
 
 A broadcast and a unicast queue their copies by one loop (`_send`): a
-copy per link that is up at the clock, a `suppress` entry for each
-broken one, and one update of the frame's pending count per send.  A
-relay that forwards a flooded frame names the neighbour it came from
-(`broadcast(node, frame, came_from)`), and no copy goes back over that
-link, as link-state flooding skips the neighbour an update came from
-(OSPF, RFC 2328 section 13.3): that neighbour sent the flood itself, so
-the copy could only be a duplicate there.  Nothing is queued or traced
-for the skipped link, not even a `suppress` when it is broken.
+copy per link that is up at the clock and a `suppress` entry for each
+broken one.  A relay that forwards a flooded frame names the neighbour
+it came from (`broadcast(node, frame, came_from)`), and no copy goes
+back over that link, as link-state flooding skips the neighbour an
+update came from (OSPF, RFC 2328 section 13.3): that neighbour sent the
+flood itself, so the copy could only be a duplicate there.  Nothing is
+queued or traced for the skipped link, not even a `suppress` when it is
+broken.
 
-A broadcast hands each of its receivers the same frame, so a behaviour that
-parses frames can do it once per transmission: `Simulator.decoded(frame,
-decode)` returns `decode(frame)`, computed at the first delivery and kept
-while more deliveries of equal bytes are queued.  The memo is keyed by
-the frame's bytes and each entry is dropped with that frame's last
-pending delivery, so it holds only frames in flight and is empty at
-quiescence.  `decode` must be pure, and a call that raises is not kept.
-A receiver may attach to the result only values that are a pure function
-of it and of an object the receiver passes in, remembered with that
-object, so that a later receiver passing the same object may reuse them
-(as `frames.open_rreq` does with a key); nothing else on it may change.
-Such values live as long as the result, so no longer than the frame's
-deliveries.  The simulator knows nothing of what `decode` parses.
+The copies of one send carry one decode slot, so a behaviour that parses
+frames can do it once per transmission: `Simulator.decoded(frame,
+decode)`, asked during a delivery of `frame`, returns `decode(frame)` as
+the send's first receiver to ask computed it.  Only queued copies hold
+the slot, so the value is freed with the send's last delivery; equal
+bytes sent twice decode twice, and a call outside a delivery of `frame`
+decodes afresh and keeps nothing.  `decode` must be pure; a call that
+raises is not kept.  A receiver may attach to the result only values
+that are a pure function of it and of an object the receiver passes in,
+remembered with that object, so that a later receiver passing the same
+object may reuse them (as `frames.open_rreq` does with a key); nothing
+else on it may change.  The simulator knows nothing of what it parses.
 
 The trace is one list of plain tuples `(ev, t, *fields)`, `t` the clock
 at the event.  Each kind has one field order (`TRACE_LAYOUT`):
@@ -71,7 +70,6 @@ from .errors import UnknownLink, UnknownNode
 from .topology import Link, Topology
 
 MAX_EVENTS_DEFAULT = 1_000_000
-_MISSING = object()
 
 TRACE_LAYOUT: Dict[str, Tuple[str, ...]] = {
     "deliver": ("node", "sender", "size"),
@@ -142,8 +140,7 @@ class Simulator:
         self._trace: List[tuple] = []  # (ev, t, *fields); see TRACE_LAYOUT
         self._queue = _Calendar()
         self._breaks: Dict[frozenset, Any] = {}  # link -> break time
-        self._pending: Dict[bytes, int] = {}  # frame -> deliveries queued
-        self._decoded: Dict[bytes, Any] = {}  # frame -> decode(frame), while queued
+        self._delivery: Optional[tuple] = None  # the payload of the delivery in hand
 
     def install(self, node: str, behavior: NodeBehavior) -> None:
         if node not in self.topo.nodes:
@@ -193,9 +190,10 @@ class Simulator:
     def _send(self, sender: str, links: Iterable[Tuple[str, Link]], frame: bytes, skip: Optional[str] = None) -> int:
         """Queue `frame` from `sender` over each `(to, link)` of `links` but
         the one to `skip`, tracing a suppression for each broken one;
-        returns copies queued."""
+        returns copies queued.  The copies share one decode slot."""
         clock, push, breaks = self.clock, self._queue.push, self._breaks
         bits = len(frame) * 8
+        shared: List[Any] = []
         sent = 0
         for to, link in links:
             if to == skip:
@@ -204,21 +202,20 @@ class Simulator:
                 self._trace.append(("suppress", clock, sender, to))
                 continue
             tx = math.ceil(bits / (link.avl_bw * 1000.0))  # bw Mb/s = 1000 bits/ms
-            push(clock + link.nw_delay + tx, "deliver", (sender, to, frame))
+            push(clock + link.nw_delay + tx, "deliver", (sender, to, frame, shared))
             sent += 1
-        if sent:
-            self._pending[frame] = self._pending.get(frame, 0) + sent
         return sent
 
     def decoded(self, frame: bytes, decode: Callable[[bytes], Any]) -> Any:
-        """`decode(frame)`, computed once while deliveries of `frame` are
-        queued; see the module docstring."""
-        value = self._decoded.get(frame, _MISSING)
-        if value is _MISSING:
-            value = decode(frame)
-            if self._pending.get(frame, 0) > 1:  # another delivery will ask
-                self._decoded[frame] = value
-        return value
+        """`decode(frame)`, computed once per send of the delivery in hand;
+        see the module docstring."""
+        delivery = self._delivery
+        if delivery is None or delivery[2] is not frame:
+            return decode(frame)
+        shared = delivery[3]
+        if not shared:
+            shared.append(decode(frame))
+        return shared[0]
 
     def set_timer(self, node: str, delay, tag: Any) -> None:
         """Fire `on_timer(tag)` at `node` after `delay`, finite and >= 0."""
@@ -243,8 +240,7 @@ class Simulator:
         """
         processed = 0
         fifos, times = self._queue.fifos, self._queue.times
-        append = self._trace.append
-        behaviors, pending, decoded = self.behaviors, self._pending, self._decoded
+        append, behaviors = self._trace.append, self.behaviors
         while times:
             time = times[0]
             fifo = fifos[time]
@@ -256,17 +252,15 @@ class Simulator:
                 self.clock = at
                 processed += 1
                 if kind == "deliver":
-                    sender, to, frame = payload
+                    sender, to, frame, _ = payload
                     append(("deliver", at, to, sender, len(frame)))
                     behavior = behaviors.get(to)
                     if behavior is not None:
-                        behavior.on_frame(self, to, sender, frame, at)
-                    left = pending[frame] - 1
-                    if left:
-                        pending[frame] = left
-                    else:
-                        del pending[frame]
-                        decoded.pop(frame, None)
+                        self._delivery = payload
+                        try:
+                            behavior.on_frame(self, to, sender, frame, at)
+                        finally:
+                            self._delivery = None
                 elif kind == "timer":
                     node, tag = payload
                     append(("timer", at, node, repr(tag)))

@@ -15,31 +15,30 @@ already forwarded, and the source a copy of a round it started, before
 opening the seal.  No relay sends its copy back to the neighbour it came
 from (`Simulator.broadcast`'s `came_from`), so no duplicate reaches a
 node from a neighbour that first heard the round from it.  No frame
-names its sender: a node opens a request or a reply under the
-group key of the neighbour the link delivered it from.  A relay opens
-and checks only its first copy of each round; a destination opens every
-copy.  Most copies of a flood are duplicates, so one costs the
-header test and its drop count, and
-`process_rreq` returns the shared `DUPLICATE_DROP` for the caller to log
-as it stands.  The neighbours of one broadcast share its decoded packet
-and the sender's one group key, so the first of them to open a copy
-opens it for all (`frames.open_rreq` remembers the body on the packet),
-and the first to check its upstream MAC checks it for all who hold the
-same two-hop secret object (`_verify_two_hop` remembers the verdict on
+names its sender: a node opens a request or a reply under the group key
+of the neighbour the link delivered it from.  A relay opens and checks
+only its first copy of each round; a destination opens every copy.  Most
+copies of a flood are duplicates, so one costs the header test and its
+drop count, and `process_rreq` returns the shared `DUPLICATE_DROP` for
+the caller to log as it stands.  The neighbours of one broadcast share
+its decoded packet (`Simulator.decoded`) and the sender's one group key,
+so the first of them to open a copy opens it for all (`frames.open_rreq`
+remembers on the packet a body it opened; a failed open is repeated by
+each), and the first to check its upstream MAC checks it for all who
+hold the same two-hop secret object (`_verify_two_hop` remembers it on
 the body).  Each receiver still fetches its own keys and takes its own
 neighbour skip, so every drop and detection is the one it would reach
-alone.  A forwarded copy is sealed from the bytes the relay
-opened (see `frames`), with the sealed `cost.Totals` advanced over the
-link it arrived on.  A candidate's totals are the sealed ones advanced
-over the final link; their hop count is the sealed path's length, which
-the destination checks against the hash chain, and the other fields are
+alone.  A forwarded copy is sealed from the bytes the relay opened (see
+`frames`), with the sealed `cost.Totals` advanced over the link it
+arrived on.  A candidate's totals are the sealed ones advanced over the
+final link; their hop count is the sealed path's length, which the
+destination checks against the hash chain, and the other fields are
 taken as the last relay sealed them.  The destination anchors a round's
 chain once, at its first collected copy, and keeps each chain value it
 walks to (`RoundState.chain`) for the round's later copies of the same
-request.  When its collection window closes,
-the destination answers the candidate that ranks first under the run's
-selection mode (`SrdpNode.mode`); this is the one place a route is
-chosen.
+request.  When its collection window closes, the destination answers the
+candidate that ranks first under the run's selection mode
+(`SrdpNode.mode`); this is the one place a route is chosen.
 
 A route error (REP) names its round and its reporter, not a route, which
 the reply sealed; its code is sealed with both bound (`frames.rep_aad`),
@@ -70,7 +69,6 @@ from .frames import (
     path_bytes,
     rep_aad,
     rreq_plaintext,
-    seal_rreq,
     seal_rreq_plaintext,
 )
 
@@ -288,14 +286,11 @@ class SrdpNode:
             raise NoPairwiseKey("%s has no key with %s" % (self.node, dest))
         self._seqno += 1
         rreq = RreqImmutable(s_addr=self.node, s_seqno=self._seqno, d_addr=dest, max_hops=self.max_hops)
-        h0 = mac(k_sd, [rreq.to_bytes()])
-        m0 = rreq_hop_mac(self.keys.broadcast_secret, rreq, path_bytes(()), hash_bytes(h0))
-        body = RreqBody(rreq, (), None, m0, h0, ecms.Totals())
         # Copies that come back, from neighbours that first heard the round
         # from another node, are duplicates, not requests for this node to relay.
         self.seen_rounds.add(rreq.round_id())
         self._count("rreq_originated")
-        return seal_rreq(self.keys.group_key, body)
+        return self.relay_rreq(rreq, path_bytes(()), ecms.Totals(), None, mac(k_sd, [rreq.to_bytes()]))
 
     def open_request(self, frame: RreqPacket, sender: str) -> Optional[RreqBody]:
         """`frame`'s sealed body, or None unless `sender`, a neighbour,
@@ -398,12 +393,12 @@ class SrdpNode:
     def relay_rreq(
         self, rreq: RreqImmutable, new_section: bytes, totals: ecms.Totals, mac_prev: Optional[bytes], h_new: bytes
     ) -> RreqPacket:
-        """This node's onward copy of round `rreq`: a sealed body claiming
-        the path whose `path_bytes` is `new_section`, `totals` and `h_new`,
-        with `mac_prev` beside this node's own MAC.  An honest relay passes
-        the arriving body's values and its totals advanced over the link it
-        arrived on; a tampering one, its lies.  The plaintext is spliced
-        from `rreq`'s bytes and the sections given, and sealed under the
+        """This node's copy of round `rreq`: a sealed body claiming the
+        path whose `path_bytes` is `new_section`, `totals` and `h_new`, with
+        `mac_prev` beside this node's own MAC.  The source passes the empty
+        path, no MAC and the chain anchor; an honest relay, the arriving
+        body's values advanced over its in-link; a tampering one, its lies.
+        The plaintext is spliced from the bytes given, and sealed under the
         frame type and `rreq`'s round bytes; no body is built."""
         keys = self.keys
         m_self = rreq_hop_mac(keys.broadcast_secret, rreq, new_section, hash_bytes(h_new))

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 from collections import Counter
@@ -6,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from secroute import cost as ecms
+from secroute import harness as harnesslib
 from secroute import kdc
 from secroute import oracle as oraclelib
 from secroute import srdp
@@ -197,6 +199,42 @@ def test_tampering_adversary_broadcasts_each_round_once(behavior):
     assert len(broadcasts) == 1 + report.rediscoveries == 1
     assert "rreq_forwarded" not in report.counters["N5"]  # the one broadcast is the tampered copy
     assert report.detections and {d["node"] for d in report.detections} == {"N11"}
+
+
+class InstallTimes(Harness):
+    """A harness that notes when each route is installed."""
+
+    def __init__(self, config):
+        super().__init__(config)
+        self.installed_at = []
+
+    def on_route_installed(self, sim, node, route, clock):
+        self.installed_at.append(clock)
+        super().on_route_installed(sim, node, route, clock)
+
+
+def test_cost_deflate_lies_in_every_round():
+    """A tampering relay lies in every round it relays, not only its
+    first.  On random_topology(4, 10) the first route runs through the
+    cost-deflating N2; with its first hop broken 5 ms after install, as
+    sweep-n12 breaks it, round 2's copy through N2 again claims a cost
+    below its true 30.007, and the source installs that route."""
+    cfg = ScenarioConfig(
+        topology_text=topology_to_text(random_topology(4, 10)),
+        source="N0",
+        dest="N9",
+        adversary=("N2", "cost-deflate"),
+        cloudlets=6,
+    )
+    probe = InstallTimes(cfg)
+    first = probe.run().chosen_route
+    assert first == ["N0", "N5", "N2", "N9"]
+    h = Harness(dataclasses.replace(cfg, link_break=(first[0], first[1], probe.installed_at[0] + 5.0)))
+    report = h.run()
+    assert report.rediscoveries == 1
+    assert report.routes_installed == [first, ["N0", "N7", "N2", "N9"]]
+    via_n2 = [c for c in h.protos["N9"].dest_rounds[("N0", 2)].candidates if "N2" in c.path]
+    assert [(c.path, round(c.totals.path_cost, 4)) for c in via_n2] == [(("N7", "N2"), 7.0017)]
 
 
 def tamper_cfg(behavior):
@@ -644,17 +682,21 @@ def test_rrep_naming_an_unkeyed_node_is_dropped():
     assert h._report().chosen_route == honest.chosen_route
 
 
-def test_malformed_broadcast_dropped_by_every_receiver():
+def test_malformed_broadcast_dropped_by_every_receiver(monkeypatch):
     """A frame that does not decode is decoded again, and dropped, by each
-    receiver; a run leaves no decoded frame behind."""
+    receiver, and the run that follows is the run without it."""
+    clean = Harness(diamond_cfg()).run()
+    decodes = Counter()
+    counting(monkeypatch, harnesslib, "decode_frame", lambda frame: frame, decodes)
     h = Harness(diamond_cfg())
     h.sim.broadcast("S", b"\x09not a frame")
     h.sim.run_until()
     trace = h.sim.trace
     drops = [(e["node"], e["reason"]) for e in trace if e["ev"] == "drop"]
     assert drops == [("A", "MalformedFrame"), ("C", "MalformedFrame")]
-    h.run()
-    assert h.sim._decoded == {} and h.sim._pending == {}
+    assert decodes == {b"\x09not a frame": 2}
+    report = h.run()
+    assert (report.chosen_route, report.detections) == (clean.chosen_route, clean.detections)
 
 
 # -- key provisioning --------------------------------------------------

@@ -1,5 +1,6 @@
 import heapq
 import json
+import weakref
 from collections import Counter
 
 import pytest
@@ -259,7 +260,7 @@ def test_event_budget_truncation():
     assert sim._trace[-1] == ("truncated", sim.clock, 500)
 
 
-# -- the decode memo -------------------------------------------------------------
+# -- the decode slot -------------------------------------------------------------
 
 STAR = "node C relay\n" + "".join("node S%d relay\nlink C S%d 10 1\n" % (i, i) for i in range(3))
 
@@ -300,29 +301,42 @@ def test_broadcast_decoded_once_for_all_deliveries():
     assert len(calls) == 1
     assert [n for n, _, _ in got] == ["S0", "S1", "S2"]
     assert all(value is got[0][2] for _, _, value in got)
-    assert sim._decoded == {} and sim._pending == {}
+    # The run is over: a call now is outside any delivery and decodes afresh.
+    again = sim.decoded(got[0][1], decode)
+    assert again == got[0][2] and again is not got[0][2] and len(calls) == 2
 
 
 def test_failed_decode_is_not_memoized():
+    """A decode that raises is not kept: the next receiver decodes again,
+    and the first decode that succeeds is the one the rest share."""
     calls = []
 
     def decode(frame):
         calls.append(frame)
-        raise ValueError("malformed")
+        if len(calls) == 1:
+            raise ValueError("malformed")
+        return [frame]
 
     sim, got = decoding_sim(STAR, decode)
     sim.broadcast("C", b"bad")
     sim.run_until()
-    assert len(calls) == 3
-    assert all(isinstance(value, ValueError) for _, _, value in got)
-    assert sim._decoded == {} and sim._pending == {}
+    assert len(calls) == 2
+    assert [type(value) for _, _, value in got] == [ValueError, list, list]
+    assert got[1][2] is got[2][2]
 
 
 def test_unicasts_and_equal_bytes_sent_twice_decode_alike():
     """A unicast, and equal bytes sent again as another object while the
     first copy is in flight (as a replaying node sends them), decode as
-    the bytes say; the memo empties as their last delivery lands."""
-    sim, got = decoding_sim(STAR, lambda frame: frame.decode())
+    the bytes say, once per send: the two broadcasts of equal bytes do not
+    share a decode, and each is shared by its own three receivers."""
+    calls = []
+
+    def decode(frame):
+        calls.append(frame)
+        return [frame.decode()]
+
+    sim, got = decoding_sim(STAR, decode)
     first = b"round-1"
     again = bytes(bytearray(first))
     assert again is not first
@@ -330,19 +344,79 @@ def test_unicasts_and_equal_bytes_sent_twice_decode_alike():
     sim.broadcast("C", again)
     sim.unicast("S0", "C", b"unicast")
     sim.run_until()
-    assert sorted((n, value) for n, _, value in got) == sorted(
+    assert sorted((n, value[0]) for n, _, value in got) == sorted(
         [("C", "unicast")] + [("S%d" % i, "round-1") for i in range(3)] * 2
     )
-    assert sim._decoded == {} and sim._pending == {}
+    assert len(calls) == 3
+    rounds = Counter(id(value) for _, _, value in got if value == ["round-1"])
+    assert sorted(rounds.values()) == [3, 3]
+
+
+class Weak:
+    """A decoded value a test can watch die."""
+
+    def __init__(self, frame):
+        self.frame = frame
+
+
+class Watching(NodeBehavior):
+    """Keeps only weak references to what `sim.decoded` hands each delivery."""
+
+    def __init__(self, refs):
+        self.refs = refs
+
+    def on_frame(self, sim, node, sender, frame, clock):
+        self.refs.append(weakref.ref(sim.decoded(frame, Weak)))
 
 
 def test_memo_empty_after_truncated_run_resumes():
-    sim, got = decoding_sim(STAR, lambda frame: frame.decode())
+    """A decoded value lives while its send has copies queued, across a
+    run cut by its budget, and is freed with the send's last delivery."""
+    sim = Simulator(load_topology(STAR))
+    refs = []
+    for n in sim.topo.nodes:
+        sim.install(n, Watching(refs))
     sim.broadcast("C", b"x")
     sim.run_until(max_events=1)
-    assert len(got) == 1 and sim._pending == {b"x": 2}
+    assert len(refs) == 1 and refs[0]() is not None  # two copies still queued
     sim.run_until()
-    assert len(got) == 3 and sim._decoded == {} and sim._pending == {}
+    assert len(refs) == 3 and all(ref() is None for ref in refs)
+
+
+def test_decoded_outside_a_delivery_decodes_its_own_frame():
+    """A call from a timer, from a test, or from a receiver asking about
+    another frame gets that frame's own decode, kept nowhere, never the
+    value of the delivery before it or in hand."""
+    calls = []
+
+    def decode(frame):
+        calls.append(frame)
+        return [frame]
+
+    class Asking(NodeBehavior):
+        def __init__(self):
+            self.seen = []
+
+        def on_frame(self, sim, node, sender, frame, clock):
+            self.seen.append(sim.decoded(frame, decode))
+            self.seen.append(sim.decoded(b"other", decode))
+            sim.set_timer(node, 0, "tick")
+
+        def on_timer(self, sim, node, tag, clock):
+            self.seen.append(sim.decoded(b"timer", decode))
+
+    sim = Simulator(load_topology(STAR))
+    behavior = Asking()
+    for n in sim.topo.nodes:
+        sim.install(n, behavior)
+    sim.broadcast("C", b"x")
+    sim.run_until(max_events=1)
+    assert behavior.seen == [[b"x"], [b"other"]]
+    assert sim.decoded(b"direct", decode) == [b"direct"]
+    assert sim.decoded(b"direct", decode) == [b"direct"] and calls.count(b"direct") == 2
+    sim.run_until()
+    assert [v for v in behavior.seen if v != [b"x"]] == [[b"other"]] * 3 + [[b"timer"]] * 3
+    assert calls.count(b"x") == 1 and calls.count(b"other") == 3 and calls.count(b"timer") == 3
 
 
 # -- the event queue ---------------------------------------------------------------
@@ -382,9 +456,11 @@ class HeapSimulator(Simulator):
             self.clock = at
             processed += 1
             if kind == "deliver":
-                sender, to, frame = payload
+                sender, to, frame, _ = payload
                 self._trace.append(("deliver", at, to, sender, len(frame)))
+                self._delivery = payload  # hands `decoded` the send's slot, as `Simulator.run_until` does
                 self.behaviors[to].on_frame(self, to, sender, frame, at)
+                self._delivery = None
             else:
                 node, tag = payload
                 self._trace.append(("timer", at, node, repr(tag)))
@@ -408,13 +484,31 @@ class Script:
     handles, and checks after each send or timer that the queue's length
     is the number of events scheduled and not yet handled.  A forward is
     checked against the links it should use: every other node but the
-    one it came from, and of those a broken link only traces `suppress`."""
+    one it came from, and of those a broken link only traces `suppress`.
+    Every receiver asks `sim.decoded` for its frame (`Script.decode`)."""
 
     def __init__(self, steps, brk=None):
         self.steps = steps
         self.brk = brk  # (frozenset of the broken link's nodes, time it breaks)
         self.handled = 0
         self.queued = 0
+        self.fan_outs = []  # the copies each send queued
+        self.decodes = 0
+        self.got = []  # (frame, decoded value) per delivery
+
+    def decode(self, frame):
+        self.decodes += 1
+        return [frame]  # a new object per call
+
+    def check_decodes(self):
+        """After a full run: one decode per send that reached anyone, each
+        value handed to as many receivers as one send's copies, wrapping
+        the frame each was handed with.  Sends of equal bytes are common
+        here, and each decodes on its own."""
+        reached = sorted(n for n in self.fan_outs if n)
+        assert self.decodes == len(reached)
+        assert sorted(Counter(id(value) for _, value in self.got).values()) == reached
+        assert all(value[0] == frame for frame, value in self.got)
 
     def broken(self, sim, a, b):
         return self.brk is not None and frozenset((a, b)) == self.brk[0] and sim.clock >= self.brk[1]
@@ -433,15 +527,18 @@ class Script:
 
     def act(self, sim, node, actions):
         for action in actions:
-            if action[0] == "broadcast":
-                self.queued += sim.broadcast(node, b"m" * action[1])
-            elif action[0] == "forward":
-                self.queued += self.forward(sim, node, b"f" * action[1], QUEUE_NODES[action[2]])
-            elif action[0] == "unicast":
-                self.queued += sim.unicast(node, QUEUE_NODES[action[1]], b"u" * action[2])
-            else:
+            if action[0] == "timer":
                 sim.set_timer(node, action[1], ("tag", self.handled))
                 self.queued += 1
+            else:
+                if action[0] == "broadcast":
+                    sent = sim.broadcast(node, b"m" * action[1])
+                elif action[0] == "forward":
+                    sent = self.forward(sim, node, b"f" * action[1], QUEUE_NODES[action[2]])
+                else:
+                    sent = int(sim.unicast(node, QUEUE_NODES[action[1]], b"u" * action[2]))
+                self.fan_outs.append(sent)
+                self.queued += sent
             assert len(sim._queue) == self.queued - self.handled
 
     def on_event(self, sim, node):
@@ -456,6 +553,7 @@ class Scripted(NodeBehavior):
 
     def on_frame(self, sim, node, sender, frame, clock):
         assert clock == sim.clock
+        self.script.got.append((frame, sim.decoded(frame, self.script.decode)))
         self.script.on_event(sim, node)
 
     def on_timer(self, sim, node, tag, clock):
@@ -493,7 +591,7 @@ def scripted_sim(cls, links, brk, steps, start):
         sim.break_link(*pairs[brk[0]], brk[1])
     for node, actions in start:
         script.act(sim, QUEUE_NODES[node], actions)
-    return sim
+    return sim, script
 
 
 @settings(max_examples=200, deadline=None)
@@ -538,8 +636,10 @@ def test_event_order_matches_reference_heap(links, brk, steps, start, budget):
     came from, see `Script.forward`):
     events scheduled for a time while it drains run after those already
     queued for it.  A run cut by the budget, even in the middle of a time,
-    keeps the rest queued, and a second run resumes in that order."""
-    sims = [scripted_sim(cls, links, brk, steps, start) for cls in (Simulator, HeapSimulator)]
+    keeps the rest queued, and a second run resumes in that order.  Each
+    send is decoded once for all of its receivers (`Script.check_decodes`)."""
+    runs = [scripted_sim(cls, links, brk, steps, start) for cls in (Simulator, HeapSimulator)]
+    sims = [sim for sim, _ in runs]
     if budget is not None:
         for sim in sims:
             sim.run_until(max_events=budget)
@@ -549,4 +649,6 @@ def test_event_order_matches_reference_heap(links, brk, steps, start, budget):
         sim.run_until()
     assert json.dumps(sims[0]._trace) == json.dumps(sims[1]._trace)
     assert len(sims[0]._queue) == 0 and sims[0]._queue.times == []
+    for _, script in runs:
+        script.check_decodes()
 
