@@ -38,6 +38,9 @@ from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 
 DIGEST_LEN = 32
+# A hop MAC travels as the leftmost 16 bytes of its HMAC-SHA256 output, as
+# RFC 2104 section 5 allows and HMAC-SHA-256-128 (RFC 4868) does.
+MAC_LEN = 16
 KEY_LEN = 32
 NONCE_LEN = 12
 TAG_LEN = 16

@@ -24,8 +24,12 @@ offset ends exactly at the end of the input, so a section that runs past
 the end is rejected as truncation.  decode_frame, RreqBody.from_bytes and
 RrepBody.from_bytes raise MalformedFrame, and nothing else, on any byte
 string they cannot parse: truncation, bad UTF-8, a sealed box shorter
-than nonce plus tag, an opt-digest flag other than 0 or 1, an unknown
-frame type, or trailing bytes.
+than nonce plus tag, an opt-mac flag other than 0 or 1, an unknown
+frame type, or trailing bytes.  Every hop MAC is a `MAC_LEN` (16) byte
+tag and every chain value (`h`, `q`) a 32-byte digest, each read at its
+fixed width, so a MAC written at another width shifts the fields after
+it: the body ends short or long, or an RREP's next flag is read from a
+tag byte.
 
 An RREQ body's path is MAC'd as its wire section, `path_bytes(path)`.
 `RreqBody.from_bytes` keeps that section as the slice of the plaintext
@@ -65,7 +69,7 @@ from functools import cached_property
 from typing import Optional, Tuple
 
 from .cost import Totals
-from .crypto import DIGEST_LEN, NONCE_LEN, TAG_LEN, open_box, seal
+from .crypto import DIGEST_LEN, MAC_LEN, NONCE_LEN, TAG_LEN, open_box, seal
 from .errors import MalformedFrame
 
 FRAME_RREQ = 1
@@ -78,7 +82,7 @@ _U16 = struct.Struct(">H")
 _U32 = struct.Struct(">I")
 _TOTALS = struct.Struct(">ddd")  # cost.Totals' path_cost, bw and nd
 _TYPE_BYTE = {t: bytes((t,)) for t in (FRAME_RREQ, FRAME_RREP, FRAME_REP, FRAME_SESSION)}
-_ABSENT, _PRESENT = b"\x00", b"\x01"  # opt-digest flags
+_ABSENT, _PRESENT = b"\x00", b"\x01"  # opt-mac flags
 _DECODE_ERRORS = (struct.error, UnicodeDecodeError)  # short fixed block, bad text
 _new = object.__new__
 _set = object.__setattr__
@@ -128,8 +132,8 @@ def parent_path_bytes(section: bytes, path: Tuple[str, ...]) -> bytes:
     return _U16.pack(len(path) - 1) + section[2 : len(section) - 2 - len(path[-1].encode())]
 
 
-def _opt_digest(d: Optional[bytes]) -> Tuple[bytes, ...]:
-    return (_ABSENT,) if d is None else (_PRESENT, d)
+def _opt_mac(tag: Optional[bytes]) -> Tuple[bytes, ...]:
+    return (_ABSENT,) if tag is None else (_PRESENT, tag)
 
 
 def _round_id_bytes(s_addr: str, s_seqno: int) -> bytes:
@@ -187,13 +191,13 @@ def _box_at(raw: bytes, off: int) -> Tuple[bytes, int]:
     return raw[start:end], end
 
 
-def _opt_digest_at(raw: bytes, off: int) -> Tuple[Optional[bytes], int]:
+def _opt_mac_at(raw: bytes, off: int) -> Tuple[Optional[bytes], int]:
     flag = raw[off : off + 1]
     if flag == _ABSENT:
         return None, off + 1
     if flag != _PRESENT:
-        raise MalformedFrame("opt-digest flag %d" % flag[0] if flag else "truncated")
-    end = off + 1 + DIGEST_LEN
+        raise MalformedFrame("opt-mac flag %d" % flag[0] if flag else "truncated")
+    end = off + 1 + MAC_LEN
     return raw[off + 1 : end], end
 
 
@@ -273,7 +277,7 @@ class RreqBody:
     def from_bytes(cls, raw: bytes, s_addr: str, s_seqno: int) -> "RreqBody":
         """The body `raw` encodes, of round `(s_addr, s_seqno)`; its `rreq`
         keeps the slice of `raw` that `(d_addr, max_hops)` was read from."""
-        try:  # one flat pass: _text_at, _path_at and _opt_digest_at inlined
+        try:  # one flat pass: _text_at, _path_at and _opt_mac_at inlined
             off = 2 + _U16.unpack_from(raw)[0]
             d_addr = raw[2:off].decode()
             (max_hops,) = _U8.unpack_from(raw, off)
@@ -289,14 +293,15 @@ class RreqBody:
             raise MalformedFrame(str(exc)) from None
         flag = raw[off : off + 1]
         if flag == _PRESENT:
-            mac_at = off + 1 + DIGEST_LEN
+            mac_at = off + 1 + MAC_LEN
             mac_prev = raw[off + 1 : mac_at]
         elif flag == _ABSENT:
             mac_at = off + 1
             mac_prev = None
         else:
-            raise MalformedFrame("opt-digest flag %d" % flag[0] if flag else "truncated")
-        mid, h_end = mac_at + DIGEST_LEN, mac_at + 2 * DIGEST_LEN
+            raise MalformedFrame("opt-mac flag %d" % flag[0] if flag else "truncated")
+        mid = mac_at + MAC_LEN
+        h_end = mid + DIGEST_LEN
         end = h_end + _TOTALS.size
         _done(raw, end)
         rreq = _frozen(
@@ -325,7 +330,7 @@ def rreq_plaintext(
     `(d_addr, max_hops)` bytes, with nothing encoded again.  `totals`'
     `hop_count` is not sent: the path's length is."""
     return b"".join(
-        [rreq._body_head, path_section, *_opt_digest(mac_prev), mac_curr, h, _TOTALS.pack(*totals[1:])]
+        [rreq._body_head, path_section, *_opt_mac(mac_prev), mac_curr, h, _TOTALS.pack(*totals[1:])]
     )
 
 
@@ -425,7 +430,7 @@ class RrepBody:
 
     def to_bytes(self) -> bytes:
         return b"".join(
-            [self.rrep.to_bytes(), self.q, *_opt_digest(self.mac_prev), *_opt_digest(self.mac_curr)]
+            [self.rrep.to_bytes(), self.q, *_opt_mac(self.mac_prev), *_opt_mac(self.mac_curr)]
         )
 
     @classmethod
@@ -435,8 +440,8 @@ class RrepBody:
             route, q_at = _path_at(raw, off)
         except _DECODE_ERRORS as exc:
             raise MalformedFrame(str(exc)) from None
-        mac_prev, off = _opt_digest_at(raw, q_at + DIGEST_LEN)
-        mac_curr, off = _opt_digest_at(raw, off)
+        mac_prev, off = _opt_mac_at(raw, q_at + DIGEST_LEN)
+        mac_curr, off = _opt_mac_at(raw, off)
         _done(raw, off)
         q = raw[q_at : q_at + DIGEST_LEN]
         return cls(RrepInfo(*fields, route), q, mac_prev, mac_curr)

@@ -27,7 +27,7 @@ from . import cost as ecms
 from . import kdc as kdclib
 from . import oracle as oraclelib
 from . import srdp
-from .crypto import hash_bytes
+from .crypto import MAC_LEN, hash_bytes
 from .errors import ConfigError, NoValidCandidate, SecrouteError
 from .frames import (
     RepPacket,
@@ -188,8 +188,9 @@ class ProtocolBehavior(NodeBehavior):
             sim.broadcast(node, encode_frame(action[1]), sender)
         elif action[0] == "drop":
             self.harness.record_drop(node, action[1], clock, self.proto)
-        elif action[2]:  # ("collected", rid, first): the round's first copy opens its window
+        elif action[0] == "collected" and action[2]:  # the round's first copy opens its window
             sim.set_timer(node, self.harness.config.collection_window, ("finalize", action[1]))
+        # srdp.DEAD_END: a pendant relay built no copy, so nothing is sent.
 
     def handle_rrep(self, sim, node, sender, pkt: RrepPacket, clock) -> None:
         action = self.proto.process_rrep(pkt, sender)
@@ -337,7 +338,7 @@ class AdversaryBehavior(ProtocolBehavior):
             # Claim a phantom predecessor; its MAC cannot exist.
             new_path = path + (self.phantom, node)
             h_new = hash_bytes(h_new)
-            mac_prev = bytes(self.rng.getrandbits(8) for _ in range(32))
+            mac_prev = bytes(self.rng.getrandbits(8) for _ in range(MAC_LEN))
         elif self.behavior == "path-modify":
             new_path = path[:-1] + (self.phantom, node)
         elif self.behavior == "path-delete":

@@ -4,9 +4,12 @@ Flooded route requests carry a per-hop hash chain (length proves hop
 count to the destination) and a sliding window of two MACs: each relay
 verifies the MAC laid down two hops upstream, strips it, and appends its
 own, keyed by its broadcast secret so the next hop cannot forge it but
-the hop after that can check it.  Replies unicast back along the chosen
-path under the same two-MAC discipline, keyed by pairwise keys, with a
-reverse hash chain the source anchors in the source-destination secret.
+the hop after that can check it.  A hop MAC travels as the leftmost
+`crypto.MAC_LEN` (16) bytes of its HMAC-SHA256 output, and a check
+recomputes that tag and compares it in constant time.  Replies unicast
+back along the chosen path under the same two-MAC discipline, keyed by
+pairwise keys, with a reverse hash chain the source anchors in the
+source-destination secret.
 
 Every frame names its round as `(s_addr, s_seqno)`: the source and the
 number of the discovery it started.  A request carries it in its clear
@@ -14,7 +17,8 @@ header, bound to the seal, so a relay drops a copy of a round it has
 already forwarded, and the source a copy of a round it started, before
 opening the seal.  No relay sends its copy back to the neighbour it came
 from (`Simulator.broadcast`'s `came_from`), so no duplicate reaches a
-node from a neighbour that first heard the round from it.  No frame
+node from a neighbour that first heard the round from it, and a pendant
+relay, whose one neighbour is that one, builds no copy at all.  No frame
 names its sender: a node opens a request or a reply under the group key
 of the neighbour the link delivered it from.  A relay opens and checks
 only its first copy of each round; a destination opens every copy.  Most
@@ -53,7 +57,7 @@ from typing import Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Set, Tu
 
 from . import cost as ecms
 from . import kdc
-from .crypto import Key, chain, hash_bytes, mac, open_box, seal
+from .crypto import MAC_LEN, Key, chain, hash_bytes, mac, open_box, seal
 from .errors import AuthFailure, EmptyCover, MalformedFrame, NoPairwiseKey, NoUsableIndex, NoValidCandidate
 from .frames import (
     RepPacket,
@@ -88,6 +92,9 @@ DETECTION_REASONS = frozenset((TWO_HOP_AUTH_FAIL, CHAIN_MISMATCH, Q_CHAIN_MISMAT
 # flood's commonest outcome: one shared value, told apart by identity.
 DUPLICATE_DROP = ("drop", DUPLICATE)
 _DUPLICATE_KEY = "drop:" + DUPLICATE
+# `process_rreq`'s action at a pendant relay, whose one provisioned
+# neighbour is the one its copy came from: no link is left to forward on.
+DEAD_END = ("dead-end",)
 
 # The one route error (REP) code: a hop's cloudlet ack timed out.
 LINK_BREAK = 1
@@ -219,13 +226,15 @@ class RoundState:
 
 
 def rreq_hop_mac(t_secret: bytes, rreq: RreqImmutable, path_section: bytes, h_next: bytes) -> bytes:
-    """MAC a relay lays down for the node two hops downstream;
-    `path_section` is `frames.path_bytes` of the path it claims."""
-    return mac(t_secret, [rreq.to_bytes(), path_section, h_next])
+    """MAC a relay lays down for the node two hops downstream, as the
+    `MAC_LEN`-byte tag that travels; `path_section` is `frames.path_bytes`
+    of the path it claims."""
+    return mac(t_secret, [rreq.to_bytes(), path_section, h_next])[:MAC_LEN]
 
 
 def rrep_hop_mac(pair_key: bytes, rrep: RrepInfo, q_next: bytes) -> bytes:
-    return mac(pair_key, [rrep.to_bytes(), q_next])
+    """A reply hop's MAC for the node two hops on, as the `MAC_LEN`-byte tag."""
+    return mac(pair_key, [rrep.to_bytes(), q_next])[:MAC_LEN]
 
 
 def route_nodes(info: RrepInfo) -> Tuple[str, ...]:
@@ -352,8 +361,11 @@ class SrdpNode:
     def process_rreq(self, frame: RreqPacket, sender: str, link_bw: float, link_delay: float):
         """Handle an RREQ the link from `sender` delivered.
 
-        Returns ("forward", RreqPacket), ("drop", reason), or
-        ("collected", round_id, first_arrival) at the destination.
+        Returns ("forward", RreqPacket), ("drop", reason),
+        ("collected", round_id, first_arrival) at the destination, or
+        `DEAD_END` at a relay whose one provisioned neighbour is `sender`:
+        split horizon leaves it no link to forward on, so it marks the
+        round seen and builds no onward copy (no MAC, chain step or seal).
 
         A copy of a round this node has already forwarded is dropped on
         its clear header alone, before the seal is opened: the seal binds
@@ -380,6 +392,9 @@ class SrdpNode:
         if bad is not None:
             return self._drop(TWO_HOP_AUTH_FAIL, bad)
         self.seen_rounds.add(rid)
+        if len(self.keys.neighbor_ids) == 1:  # the sender, as the open proved
+            self._count("rreq_dead_end")
+            return DEAD_END
         self._count("rreq_forwarded")
         out = self.relay_rreq(
             rreq,

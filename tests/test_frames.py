@@ -17,13 +17,13 @@ SAMPLE_TOTALS = cost.Totals(1, 4.25, 10.0, 2.0)
 
 def sample_rreq():
     imm = frames.RreqImmutable("S", 7, "D", 16)
-    body = frames.RreqBody(imm, ("A",), b"\x01" * 32, b"\x02" * 32, b"\x03" * 32, SAMPLE_TOTALS)
+    body = frames.RreqBody(imm, ("A",), b"\x01" * 16, b"\x02" * 16, b"\x03" * 32, SAMPLE_TOTALS)
     return frames.seal_rreq(KEY, body)
 
 
 def sample_rrep():
     info = frames.RrepInfo("S", 7, "D", ("A", "B"))
-    body = frames.RrepBody(info, b"\x04" * 32, None, b"\x05" * 32)
+    body = frames.RrepBody(info, b"\x04" * 32, None, b"\x05" * 16)
     return frames.RrepPacket(seal(KEY, body.to_bytes()))
 
 
@@ -59,13 +59,13 @@ def test_body_round_trips():
 
 def test_rreq_body_inner_round_trip():
     imm = frames.RreqImmutable("S", 1, "D", 8)
-    body = frames.RreqBody(imm, (), None, b"\x09" * 32, b"\x0a" * 32, cost.Totals())
+    body = frames.RreqBody(imm, (), None, b"\x09" * 16, b"\x0a" * 32, cost.Totals())
     assert frames.RreqBody.from_bytes(body.to_bytes(), "S", 1) == body
 
 
 def test_sealed_rreq_opens_to_its_body():
     imm = frames.RreqImmutable("S", 7, "D", 16)
-    body = frames.RreqBody(imm, ("A",), b"\x01" * 32, b"\x02" * 32, b"\x03" * 32, SAMPLE_TOTALS)
+    body = frames.RreqBody(imm, ("A",), b"\x01" * 16, b"\x02" * 16, b"\x03" * 32, SAMPLE_TOTALS)
     pkt = frames.decode_frame(frames.encode_frame(sample_rreq()))
     assert frames.open_rreq(KEY, pkt) == body
     assert pkt.round_id() == imm.round_id()
@@ -75,7 +75,7 @@ def test_sealed_rreq_under_another_round_rejected():
     """A body sealed for one round does not open under another round's
     header: the body names no round of its own, so the header it was sealed
     with is the only round it can belong to."""
-    body = frames.RreqBody(frames.RreqImmutable("S", 4, "D", 16), (), None, b"\x02" * 32, b"\x03" * 32, cost.Totals())
+    body = frames.RreqBody(frames.RreqImmutable("S", 4, "D", 16), (), None, b"\x02" * 16, b"\x03" * 32, cost.Totals())
     sealed = frames.seal_rreq(KEY, body)
     assert frames.open_rreq(KEY, sealed) == body
     for moved in (dataclasses.replace(sealed, s_seqno=3), dataclasses.replace(sealed, s_addr="T")):
@@ -93,11 +93,11 @@ def test_rreq_frame_length_matches_body_sealed_layout(sender, source, path):
     the hop that seals it, here under a key of its own, adds no bytes."""
     imm = frames.RreqImmutable(source, 7, "D", 16)
     totals = cost.Totals(len(path))
-    body = frames.RreqBody(imm, path, None if not path else b"\x01" * 32, b"\x02" * 32, b"\x03" * 32, totals)
+    body = frames.RreqBody(imm, path, None if not path else b"\x01" * 16, b"\x02" * 16, b"\x03" * 32, totals)
     pkt = frames.seal_rreq(crypto.hash_bytes(sender.encode()), body)
-    mac_prev = 1 if not path else 1 + 32
-    # d_addr, max_hops, path, mac_prev, mac_curr and h, then path_cost, bw and nd (8 each)
-    plaintext = 2 + 1 + 1 + len(frames.path_bytes(path)) + mac_prev + 64 + 24
+    mac_prev = 1 if not path else 1 + 16
+    # d_addr, max_hops, path, mac_prev, mac_curr (16) and h (32), then path_cost, bw and nd (8 each)
+    plaintext = 2 + 1 + 1 + len(frames.path_bytes(path)) + mac_prev + 16 + 32 + 24
     header = 1 + 2 + len(source.encode()) + 4  # type, s_addr, s_seqno
     # then the box's length (2), nonce (12), plaintext and tag (16)
     assert len(frames.encode_frame(pkt)) == header + 2 + 12 + plaintext + 16
@@ -105,7 +105,7 @@ def test_rreq_frame_length_matches_body_sealed_layout(sender, source, path):
 
 def test_rrep_body_inner_round_trip():
     info = frames.RrepInfo("S", 1, "D", ())
-    body = frames.RrepBody(info, b"\x0b" * 32, b"\x0c" * 32, None)
+    body = frames.RrepBody(info, b"\x0b" * 32, b"\x0c" * 16, None)
     assert frames.RrepBody.from_bytes(body.to_bytes()) == body
 
 
@@ -168,11 +168,11 @@ def mutate(rng, raw):
     "body",
     [
         frames.RreqBody(
-            frames.RreqImmutable("S", 7, "D", 16), ("A", "B"), b"\x01" * 32, b"\x02" * 32, b"\x03" * 32, SAMPLE_TOTALS
+            frames.RreqImmutable("S", 7, "D", 16), ("A", "B"), b"\x01" * 16, b"\x02" * 16, b"\x03" * 32, SAMPLE_TOTALS
         ),
-        frames.RreqBody(frames.RreqImmutable("S", 1, "D", 8), (), None, b"\x09" * 32, b"\x0a" * 32, cost.Totals()),
-        frames.RrepBody(frames.RrepInfo("S", 7, "D", ("A", "B")), b"\x04" * 32, None, b"\x05" * 32),
-        frames.RrepBody(frames.RrepInfo("S", 1, "D", ("C",)), b"\x0b" * 32, b"\x0c" * 32, None),
+        frames.RreqBody(frames.RreqImmutable("S", 1, "D", 8), (), None, b"\x09" * 16, b"\x0a" * 32, cost.Totals()),
+        frames.RrepBody(frames.RrepInfo("S", 7, "D", ("A", "B")), b"\x04" * 32, None, b"\x05" * 16),
+        frames.RrepBody(frames.RrepInfo("S", 1, "D", ("C",)), b"\x0b" * 32, b"\x0c" * 16, None),
     ],
     ids=["rreq", "rreq-origin", "rrep", "rrep-last"],
 )
@@ -222,19 +222,19 @@ GOLDEN = {
 GOLDEN_BODIES = {
     "rreq-body": (
         frames.RreqBody(
-            NON_ASCII_IMM, ("A", "节点"), b"\x01" * 32, b"\x02" * 32, b"\x03" * 32, cost.Totals(2, 4.25, 10.0, 2.0)
+            NON_ASCII_IMM, ("A", "节点"), b"\x01" * 16, b"\x02" * 16, b"\x03" * 32, cost.Totals(2, 4.25, 10.0, 2.0)
         ),
         "000144" "ff"  # d_addr, max_hops
         "0002" "000141" "0006e88a82e782b9"  # path ("A", "节点")
-        "01" + "01" * 32 + "02" * 32 + "03" * 32  # mac_prev (present), mac_curr, h
+        "01" + "01" * 16 + "02" * 16 + "03" * 32  # mac_prev (present), mac_curr, h
         + "4011000000000000" "4024000000000000" "4000000000000000",  # path_cost, bw, nd
     ),
     "rrep-body": (
-        frames.RrepBody(frames.RrepInfo("S", 7, "D", ("A", "B")), b"\x04" * 32, None, b"\x05" * 32),
+        frames.RrepBody(frames.RrepInfo("S", 7, "D", ("A", "B")), b"\x04" * 32, None, b"\x05" * 16),
         "000153" "00000007" "000144"  # s_addr, s_seqno, d_addr
         "0002" "000141" "000142"  # route
         + "04" * 32  # q
-        + "00" "01" + "05" * 32,  # mac_prev (absent), mac_curr (present)
+        + "00" "01" + "05" * 16,  # mac_prev (absent), mac_curr (present)
     ),
 }
 
@@ -289,16 +289,16 @@ def test_immutable_bytes_derived_once_per_instance():
 
 def _rreq_body_raw(flag: int) -> bytes:
     imm = frames.RreqImmutable("S", 1, "D", 8)
-    raw = frames.RreqBody(imm, ("A",), b"\x01" * 32, b"\x02" * 32, b"\x03" * 32, SAMPLE_TOTALS).to_bytes()
-    at = len(raw) - 1 - 3 * 32 - 24  # mac_prev's flag, then mac_prev, mac_curr, h and the totals
+    raw = frames.RreqBody(imm, ("A",), b"\x01" * 16, b"\x02" * 16, b"\x03" * 32, SAMPLE_TOTALS).to_bytes()
+    at = len(raw) - 1 - 16 - 16 - 32 - 24  # mac_prev's flag, then mac_prev, mac_curr, h and the totals
     assert raw[at] == 1
     return raw[:at] + bytes([flag]) + raw[at + 1 :]
 
 
 def _rrep_body_raw(flag: int, which: int) -> bytes:
     info = frames.RrepInfo("S", 1, "D", ("A",))
-    raw = frames.RrepBody(info, b"\x04" * 32, b"\x05" * 32, b"\x06" * 32).to_bytes()
-    at = len(info.to_bytes()) + 32 + which * 33
+    raw = frames.RrepBody(info, b"\x04" * 32, b"\x05" * 16, b"\x06" * 16).to_bytes()
+    at = len(info.to_bytes()) + 32 + which * 17  # past q, then past mac_prev's flag and tag
     assert raw[at] == 1
     return raw[:at] + bytes([flag]) + raw[at + 1 :]
 
@@ -310,9 +310,9 @@ def test_opt_digest_flag_other_than_0_or_1_rejected(flag):
         (frames.RrepBody.from_bytes, _rrep_body_raw(flag, 0)),
         (frames.RrepBody.from_bytes, _rrep_body_raw(flag, 1)),
     ]:
-        with pytest.raises(MalformedFrame, match="opt-digest flag"):
+        with pytest.raises(MalformedFrame, match="opt-mac flag"):
             decode(raw)
-    assert _rreq_body_from_bytes(_rreq_body_raw(1)).mac_prev == b"\x01" * 32
+    assert _rreq_body_from_bytes(_rreq_body_raw(1)).mac_prev == b"\x01" * 16
 
 
 def _rreq_body_from_bytes(raw: bytes) -> frames.RreqBody:
@@ -358,6 +358,7 @@ u8 = st.integers(0, 0xFF)
 u32 = st.integers(0, 0xFFFFFFFF)
 f64 = st.floats(allow_nan=False)
 digest = st.binary(min_size=32, max_size=32)
+tag = st.binary(min_size=crypto.MAC_LEN, max_size=crypto.MAC_LEN)
 paths = st.lists(ids, max_size=40).map(tuple)
 LONG_PATH = tuple("N%d" % i for i in range(300))
 boxes = st.binary(min_size=28, max_size=92)
@@ -370,9 +371,9 @@ def rreq_body(rreq, path, mac_prev, mac_curr, h, sent=(0.0, 0.0, 0.0)):
 
 
 immutables = st.builds(frames.RreqImmutable, ids, u32, ids, u8)
-rreq_bodies = st.builds(rreq_body, immutables, paths, st.none() | digest, digest, digest, st.tuples(f64, f64, f64))
+rreq_bodies = st.builds(rreq_body, immutables, paths, st.none() | tag, tag, digest, st.tuples(f64, f64, f64))
 infos = st.builds(frames.RrepInfo, ids, u32, ids, paths)
-rrep_bodies = st.builds(frames.RrepBody, infos, digest, st.none() | digest, st.none() | digest)
+rrep_bodies = st.builds(frames.RrepBody, infos, digest, st.none() | tag, st.none() | tag)
 packets = st.one_of(
     st.builds(frames.RreqPacket, ids, u32, boxes),
     st.builds(frames.RrepPacket, boxes),
@@ -398,7 +399,7 @@ def test_frame_round_trip_property(pkt):
 
 @settings(max_examples=300)
 @given(bodies)
-@example(rreq_body(NON_ASCII_IMM, LONG_PATH, None, b"\x00" * 32, b"\xff" * 32, (-0.0, float("inf"), 1e-9)))
+@example(rreq_body(NON_ASCII_IMM, LONG_PATH, None, b"\x00" * 16, b"\xff" * 32, (-0.0, float("inf"), 1e-9)))
 @example(frames.RrepBody(frames.RrepInfo("", 0xFFFFFFFF, "", LONG_PATH), b"\x00" * 32, None, None))
 def test_body_round_trip_property(body):
     raw = body.to_bytes()
@@ -459,7 +460,7 @@ def test_derived_path_sections_equal_their_encodings(path, node):
     section = frames.path_bytes(path)
     assert frames.extend_path_bytes(section, node) == frames.path_bytes(path + (node,))
     assert frames.parent_path_bytes(section, path) == frames.path_bytes(path[:-1])
-    body = rreq_body(NON_ASCII_IMM, path, b"\x01" * 32, b"\x02" * 32, b"\x03" * 32)
+    body = rreq_body(NON_ASCII_IMM, path, b"\x01" * 16, b"\x02" * 16, b"\x03" * 32)
     kept = frames.RreqBody.from_bytes(body.to_bytes(), NON_ASCII_IMM.s_addr, NON_ASCII_IMM.s_seqno)
     assert vars(kept)["path_section"] == section == frames.path_bytes(kept.path)
 
@@ -496,7 +497,7 @@ link_metrics = st.floats(min_value=1e-3, max_value=1e6)
 
 @settings(max_examples=200)
 @given(rreq_bodies, ids, link_metrics, link_metrics)
-@example(rreq_body(NON_ASCII_IMM, LONG_PATH, None, b"\x00" * 32, b"\xff" * 32, (-0.0, 0.0, 0.0)), "", 1.0, 0.0)
+@example(rreq_body(NON_ASCII_IMM, LONG_PATH, None, b"\x00" * 16, b"\xff" * 32, (-0.0, 0.0, 0.0)), "", 1.0, 0.0)
 def test_hot_path_packets_act_as_constructed(body, relay, link_bw, link_delay):
     """Every RREQ packet the hot path builds (sealed, decoded, opened and
     forwarded) equals, hashes, prints and `replace`s as the same values
@@ -508,13 +509,13 @@ def test_hot_path_packets_act_as_constructed(body, relay, link_bw, link_delay):
     new_path = opened.path + (relay,)
     h_new = crypto.hash_bytes(opened.h)
     section = frames.extend_path_bytes(opened.path_section, relay)
-    plaintext = frames.rreq_plaintext(opened.rreq, section, opened.mac_curr, b"\x07" * 32, h_new, advanced)
+    plaintext = frames.rreq_plaintext(opened.rreq, section, opened.mac_curr, b"\x07" * 16, h_new, advanced)
     onward = frames.seal_rreq_plaintext(KEY, opened.rreq, plaintext)
     for pkt in (sealed, decoded, opened, opened.rreq, onward):
         assert_acts_as_constructed(pkt)
     assert type(opened.totals) is type(advanced) is cost.Totals
     # The spliced copy is the one sealed from a body built field by field.
-    onward_body = frames.RreqBody(rebuilt(opened.rreq), new_path, opened.mac_curr, b"\x07" * 32, h_new, advanced)
+    onward_body = frames.RreqBody(rebuilt(opened.rreq), new_path, opened.mac_curr, b"\x07" * 16, h_new, advanced)
     expected = frames.seal_rreq(KEY, onward_body)
     assert (onward, onward.header) == (expected, expected.header) and onward.header == decoded.header
     assert opened == body and decoded == sealed

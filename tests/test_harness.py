@@ -254,76 +254,76 @@ def tamper_cfg(behavior):
 # entry feed these hashes, so a codec, simulator or cost change that alters
 # any of them shows here.
 PINNED_REPORTS = {
-    "honest": (lambda: diamond_cfg(cloudlets=3), "f28fc7f39a2e6bcf44876c17185fe719a55c724a610ce2ec3337b160b314d910"),
+    "honest": (lambda: diamond_cfg(cloudlets=3), "ed4e4bb7b9233c0a962d17ae2bdd00717d293f0d1fb4284d6dc6e864d68c090d"),
     "break-a-b": (  # A reports the broken round once
         lambda: diamond_cfg(cloudlets=6, link_break=("A", "B", 90.0)),
-        "b898f5670406b491dcaf9602cddf4b5f421646ccccfc508d04785609df2c7acb",
+        "02fa304f85a0e267e286a21099b88fd6f8252cb56efc39971473bdc0c4f14d55",
     ),
     "break-b-d": (  # B's route error is relayed by A to S
         lambda: diamond_cfg(cloudlets=6, link_break=("B", "D", 90.0)),
-        "4aebd94f349c14876e4f2d9dc16024daaa130e908a8440410a9b951c181876a4",
+        "356dc33f702448f08b2b85abd270f385280595800e7bd515006e9b9204c5b437",
     ),
     "n40": (
         lambda: ScenarioConfig(
             topology_text=topology_to_text(random_topology(11, 40, 0.12)), source="N0", dest="N39", seed=1, cloudlets=2
         ),
-        "48a2991383fe1d504a66bf7a44507ff93f43ee03081e28821f5743ace499b0b8",
+        "3552bce2632ebf9af570a95ebab109ca30ba36a4884d180f07e4f69d14784df1",
     ),
     "adv-path-insert": (
         lambda: tamper_cfg("path-insert"),
-        "1e8e7ab682e2ffe83818e3a5d4ca4aaf9dafde1448dee8fe46af4aaf02c775c6",
+        "29f4bda66e51bce8f8755cb4bf9cc6e3448e17e31d20874ff01a7704ee78345b",
     ),
     "adv-path-delete": (
         lambda: tamper_cfg("path-delete"),
-        "33b2ddf07513ffa1b9d8bf40118bbf71558293b10b7ccdf30441870f33356c4a",
+        "9547a9e2d80c200bea6bd8db33cd9d1e5aca2bdfcea8cdcbdc5ee9dc06e4541f",
     ),
     "adv-path-modify": (
         lambda: tamper_cfg("path-modify"),
-        "3336cfaa69320c903e51acdcbb3b47916ac71b46b52f79fd65e1f28279bb21e2",
+        "ced202d376dd93d1a6db4b8f56a81c507f286529ad67242622eaa224da8140c0",
     ),
     "adv-rreq-field-tamper": (
         lambda: tamper_cfg("rreq-field-tamper"),
-        "8419becb1ac7b3ca560af1de7f900ca96cf0a989a031aba6d51c93479a4de7fe",
+        "601cad9118e2c8a9589d549980b411a65e79d1c67443d1039e2054e9354a3e4c",
     ),
     "adv-replay": (
         lambda: tamper_cfg("replay"),
-        "1e01c93b24c9503cf458d8d54d6848aece1f3190fe5e42092dc585b7ac3c44f6",
+        "6ec3e759c216e43deb1c9228ad04cf9603d3e94999500491ef088cee0c4cd71f",
     ),
     "adv-cost-deflate": (
         lambda: tamper_cfg("cost-deflate"),
-        "d737c24886ca882281bb80f5b48588698ba1958b1fde410adfdc978770a78054",
+        "2f8d11a31f07920cce5a109af74aed3df3fcda98ca28cf90b126d784ef0d2911",
     ),
     "mode-hc": (
         lambda: diamond_cfg(mode=ecms.Mode.HC),
-        "1089bd86848e9d880a92e38af17a3293479b4d4078ce64e759382d70ac0eac7f",
+        "29c9780d8aaa500041e5a697e35b21cabf8bdbbb00665c83f4f081e4f384104f",
     ),
     "mode-bw": (
         lambda: diamond_cfg(mode=ecms.Mode.BW),
-        "c422385d91165ea268e142f87ac5d03813376a68f65f45da9e43e9c1986e5528",
+        "b6b415640b62f71a9d805642f1b4e233defa55a1b7a377e127f78f73167ce172",
     ),
     "mode-nd": (
         lambda: diamond_cfg(mode=ecms.Mode.ND),
-        "ac51ef566e1c64ae1dec75ea13154f3950639cbdbb830de6519a633f489de74d",
+        "f6a6746390a4a034aadb01430aad0325fc3540a432e40cbfbef07cb920de48e8",
     ),
     "mode-hc_bw": (
         lambda: diamond_cfg(mode=ecms.Mode.HC_BW),
-        "0ffac5d8e34442a31717b23ea0f75a0fac4dd6873f369ec1cb7435e9780d0307",
+        "d9216b3bd6f5eaeffeb61a3975f456f9b43ac7e5360403acc12377d9b8deeaef",
     ),
     "mode-bw_nd": (
         lambda: diamond_cfg(mode=ecms.Mode.BW_ND),
-        "96edefdd808d8bdfac550427a841786d25b75db4c75ef35ff7d36bb0626ac5ca",
+        "82b85694e6d87edd41d4e3845238777ea894e2e25cba4ad0b7d335418e289057",
     ),
     "mode-hc_nd": (
         lambda: diamond_cfg(mode=ecms.Mode.HC_ND),
-        "567bc35aaa55eb355086570760a6d8a2eda62dcb13a2e606786d7fb019f13050",
+        "4a3315939b88c8513185899b3da0cdb999b3e2f908d5d3524b8ecb8c1ae2cc00",
     ),
     "mode-hc_bw_nd": (
         lambda: diamond_cfg(mode=ecms.Mode.HC_BW_ND),
-        "a54d8c3e2ca1522be1e605d94a529829db0a63c06fdfbcc949433c64e5ac585d",
+        "98207e88508e6f5a1a1660ad5c951e7d16614a5e584f3a45f5b460bbefb4465c",
     ),
     "literal-cost": (
         lambda: diamond_cfg(literal_cost=True),
-        "c0536a3e24a9a87b0e9ef01286f64895bbf633f146762f7773ef3be0289643ba",
+        "0345b74dc6b0c062390ae8baeb6749c4c9c0c515fc21bf3ddaa3787802bf102a",
     ),
 }
 

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from secroute import srdp
 from secroute.cost import Totals
-from secroute.crypto import seal
+from secroute.crypto import MAC_LEN, seal
 from secroute.frames import (
     RepPacket,
     RreqBody,
@@ -56,11 +56,12 @@ u32s = st.sampled_from((0, 1, 2, U32_MAX)) | st.integers(0, U32_MAX)
 u8s = st.sampled_from((0, 1, 2, 16, 0xFF)) | st.integers(0, 0xFF)
 clear_f64 = st.sampled_from((0.0, float("nan"), float("inf"), float("-inf"))) | st.floats()
 digests = st.sampled_from((b"\x00" * 32,)) | st.binary(min_size=32, max_size=32)
+tags = st.sampled_from((b"\x00" * MAC_LEN,)) | st.binary(min_size=MAC_LEN, max_size=MAC_LEN)
 paths = st.lists(names, max_size=4).map(tuple)
 totals = st.builds(Totals, u8s, clear_f64, clear_f64, clear_f64)
 # A MAC field: absent, arbitrary bytes, or "keyed", laid down under the key
 # the insider shares with the receiver, so the receiver's own check passes.
-macs = st.none() | digests | st.just("keyed")
+macs = st.none() | tags | st.just("keyed")
 
 # Each spec is (kind, receiver, fields); `deliver` builds the frame with the
 # insider's keys.  A request is broadcast, so it has no receiver.
@@ -69,7 +70,7 @@ specs = st.one_of(
     st.tuples(
         st.just("rreq"),
         st.none(),
-        st.tuples(st.builds(RreqImmutable, names, u32s, names, u8s), paths, st.none() | digests, digests, digests, totals),
+        st.tuples(st.builds(RreqImmutable, names, u32s, names, u8s), paths, st.none() | tags, tags, digests, totals),
     ),
     st.tuples(st.just("rrep"), names, st.tuples(st.builds(RrepInfo, names, u32s, names, paths), digests, macs, macs)),
     st.tuples(st.just("rep"), names, st.tuples(names, u32s, names, u8s, names)),

@@ -4,14 +4,19 @@ that has already marked the round seen, so skipping it must change
 nothing a run decides: these runs are repeated with the skip ignored,
 every forward reaching every neighbour, and must give the same reports
 but for the trace digest and the `Duplicate` drops the skipped copies
-would have been."""
+would have been.  A relay whose one link is the one its copy came from
+is left no link at all, so it builds no copy (the pendant tests below)."""
+
+from collections import Counter
 
 import pytest
 
-from secroute.harness import ADVERSARY_BEHAVIORS, Harness, ScenarioConfig, topology_to_text
+from secroute import srdp
+from secroute.harness import ADVERSARY_BEHAVIORS, Harness, ScenarioConfig, provision, topology_to_text
 from secroute.sim import Simulator
+from secroute.topology import load_topology
 from test_acceptance import tamper_scenarios
-from test_harness import PINNED_REPORTS
+from test_harness import DIAMOND, PINNED_REPORTS
 
 DUPLICATE = "drop:Duplicate"
 
@@ -77,3 +82,53 @@ def test_tamper_scenarios_equal_full_fan_out(monkeypatch, behavior):
             for seed, adversary, topo in tamper_scenarios()
         ],
     )
+
+
+# -- pendant relays ------------------------------------------------------------
+
+# P and Q have one link each, so a request they hear has no link left to go on.
+PENDANT = DIAMOND + "node P relay\nnode Q relay\nlink B P 10 2\nlink C Q 1 3\n"
+
+
+@pytest.mark.parametrize(
+    "link_break, routes",
+    [(None, [["S", "A", "B", "D"]]), (("A", "B", 90.0), [["S", "A", "B", "D"], ["S", "C", "D"]])],
+    ids=["honest", "break-a-b"],
+)
+def test_pendant_relay_builds_and_sends_nothing(monkeypatch, link_break, routes):
+    """A relay whose one neighbour is the sender of its copy marks the round
+    seen and builds no onward copy: no hop MAC, chain step, seal or send.
+    The run installs the routes, and delivers the cloudlets, that it did
+    when such a relay sealed a copy and broadcast it to no one."""
+    built = []
+    real = srdp.SrdpNode.relay_rreq
+    monkeypatch.setattr(srdp.SrdpNode, "relay_rreq", lambda self, *args: built.append(self.node) or real(self, *args))
+    h = Harness(ScenarioConfig(topology_text=PENDANT, source="S", dest="D", seed=3, cloudlets=6, link_break=link_break))
+    report = h.run()
+    rounds = 1 + report.rediscoveries
+    assert report.routes_installed == routes and report.chosen_route == routes[-1]
+    assert (report.cloudlets_delivered, report.detections) == (6, [])
+    assert report.events == ({"link_break_detected": 1} if link_break else {})
+    assert report.counters["P"] == {"rreq_dead_end": 1}  # B relays only the first round
+    assert report.counters["Q"] == {"rreq_dead_end": rounds}
+    assert not {"P", "Q"} & set(built)
+    assert [e for e in h.sim.trace if e["ev"] == "send" and e["node"] in ("P", "Q")] == []
+
+
+def test_pendant_relay_makes_no_mac_hash_or_seal(monkeypatch):
+    """At the pendant P, a copy from B costs the open and the upstream MAC
+    check, and nothing else: P lays down no MAC of its own, hashes no chain
+    value and seals nothing, and a second copy of the round is a duplicate."""
+    topo = load_topology(PENDANT)
+    stores = provision(topo, 64, 8, seed=0)[0]
+    nodes = {n: srdp.SrdpNode(stores[n]) for n in topo.nodes}
+    pkt = nodes["A"].process_rreq(nodes["S"].originate_rreq("D"), "S", 10, 2)[1]
+    pkt = nodes["B"].process_rreq(pkt, "A", 10, 2)[1]
+    calls = Counter()
+    for name in ("rreq_hop_mac", "hash_bytes", "seal_rreq_plaintext", "seal"):
+        real = getattr(srdp, name)
+        monkeypatch.setattr(srdp, name, lambda *args, name=name, real=real: calls.update([name]) or real(*args))
+    assert nodes["P"].process_rreq(pkt, "B", 10, 2) is srdp.DEAD_END
+    assert calls == {"rreq_hop_mac": 1}  # the check of the MAC A laid down
+    assert nodes["P"].process_rreq(pkt, "B", 10, 2) is srdp.DUPLICATE_DROP
+    assert nodes["P"].counters == {"rreq_dead_end": 1, "drop:Duplicate": 1} and nodes["P"].detections == []

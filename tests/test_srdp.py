@@ -81,6 +81,7 @@ def test_first_hop_forward_matches_construction(line_net):
 
 
 digests = st.binary(min_size=32, max_size=32)
+tags = st.binary(min_size=crypto.MAC_LEN, max_size=crypto.MAC_LEN)
 
 
 @settings(max_examples=60, deadline=None)
@@ -91,7 +92,7 @@ digests = st.binary(min_size=32, max_size=32)
     s_seqno=st.integers(min_value=0, max_value=2**32 - 1),
     max_hops=st.integers(min_value=8, max_value=255),
     h=digests,
-    mac_curr=digests,
+    mac_curr=tags,
 )
 def test_forwarded_frame_equals_fresh_construction(keyed, free, hops, s_seqno, max_hops, h, mac_curr):
     """A relay seals its onward copy from the bytes it opened, not from a
@@ -101,7 +102,8 @@ def test_forwarded_frame_equals_fresh_construction(keyed, free, hops, s_seqno, m
     Only the ids the relay checks a key for are provisioned: its own, the
     sender's and, on a path, the id two hops upstream.  The destination,
     and on a path of two or more hops the source and all but the last two
-    relays, are any text, the empty id included."""
+    relays, are any text, the empty id included.  The relay has one more
+    neighbour, so that it has a link to forward on."""
     relay, last, two_up = keyed
     dest = free[-1]
     assume(dest != relay)
@@ -114,6 +116,8 @@ def test_forwarded_frame_equals_fresh_construction(keyed, free, hops, s_seqno, m
     for n in keyed:
         topo.add_node(n)
     topo.add_link(sender, relay, 10, 2)
+    topo.add_node("onward")  # longer than any id drawn
+    topo.add_link(relay, "onward", 10, 2)
     stores = provision(topo, 64, 8, seed=0)[0]
     rreq = frames.RreqImmutable(src, s_seqno, dest, max_hops)
     mac_prev = None
@@ -152,7 +156,7 @@ FIELD_LIES = {
     edit=st.sampled_from(["none", "insert", "delete", "modify"]),
     phantom=st.text(max_size=8),
     field_lie=st.sampled_from([None, "copy", *FIELD_LIES]),
-    mac_prev=st.one_of(st.none(), digests),
+    mac_prev=st.one_of(st.none(), tags),
     h_new=digests,
 )
 @example(
@@ -180,7 +184,7 @@ def test_tampered_relay_frame_equals_fresh_construction(keyed, path, totals, edi
     topo.add_link(sender, relay, 10, 2)
     stores = provision(topo, 64, 8, seed=0)[0]
     rreq = frames.RreqImmutable("S", 9, "D", 16)
-    body = RreqBody(rreq, path, b"\x01" * 32, b"\x02" * 32, b"\x03" * 32, Totals(len(path)))
+    body = RreqBody(rreq, path, b"\x01" * 16, b"\x02" * 16, b"\x03" * 32, Totals(len(path)))
     arriving = frames.seal_rreq(stores[sender].group_key, body)
     frame = decode_frame(encode_frame(arriving))
     opened = open_rreq(stores[sender].group_key, frame)  # holding the bytes it opened, as a relay does
