@@ -27,6 +27,8 @@ from .topology import load_topology
 
 
 def _pick_endpoints(topo, source, dest):
+    if not topo.nodes:
+        raise ConfigError("topology has no nodes")
     if source is None:
         brokers = [n for n, r in topo.nodes.items() if r == "broker"]
         source = brokers[0] if brokers else sorted(topo.nodes)[0]

@@ -55,10 +55,9 @@ pays an `object.__setattr__` per field.  The RREQ hot path, which is
 `decode_frame`, `RreqBody.from_bytes` and `seal_rreq_plaintext`, builds
 its packets with the private `_frozen` instead, which gives a new
 instance a ready attribute dict, the bytes the caller already holds for
-the cached properties included.  `decode_frame` and `RreqBody.from_bytes`
-each read an RREQ in one flat pass, the field readers inlined.  Such a
-packet equals, hashes, prints, `dataclasses.replace`s and refuses
-assignment exactly as one built by the constructor.
+the cached properties included.  Such a packet equals, hashes, prints,
+`dataclasses.replace`s and refuses assignment exactly as one built by
+the constructor.
 """
 
 from __future__ import annotations
@@ -150,20 +149,15 @@ def _round_bytes(s_addr: str, s_seqno: int, d_addr: str) -> bytes:
 
 # -- decoding ----------------------------------------------------------
 #
-# Each reader takes the offset of its field and returns the value and the
-# offset just past it.  Readers do not compare offsets with len(raw);
-# _done does, once, after the last field.
-
-
-def _span_at(raw: bytes, off: int) -> Tuple[int, int]:
-    """Start and end of the u16-length-prefixed section at `off`."""
-    start = off + 2
-    return start, start + _U16.unpack_from(raw, off)[0]
+# One reader per wire primitive of docs/wire-format.md, and every decoder
+# reads through them.  Each takes the offset of its field and returns the
+# value and the offset just past it.  Readers do not compare offsets with
+# len(raw); _done does, once, after the last field.
 
 
 def _text_at(raw: bytes, off: int) -> Tuple[str, int]:
-    start, end = _span_at(raw, off)
-    return raw[start:end].decode(), end
+    end = off + 2 + _U16.unpack_from(raw, off)[0]
+    return raw[off + 2 : end].decode(), end
 
 
 def _path_at(raw: bytes, off: int) -> Tuple[Tuple[str, ...], int]:
@@ -185,7 +179,8 @@ def _round_at(raw: bytes, off: int) -> Tuple[Tuple[str, int, str], int]:
 
 
 def _box_at(raw: bytes, off: int) -> Tuple[bytes, int]:
-    start, end = _span_at(raw, off)
+    start = off + 2
+    end = start + _U16.unpack_from(raw, off)[0]
     if end - start < NONCE_LEN + TAG_LEN:
         raise MalformedFrame("sealed box too short")
     return raw[start:end], end
@@ -277,29 +272,14 @@ class RreqBody:
     def from_bytes(cls, raw: bytes, s_addr: str, s_seqno: int) -> "RreqBody":
         """The body `raw` encodes, of round `(s_addr, s_seqno)`; its `rreq`
         keeps the slice of `raw` that `(d_addr, max_hops)` was read from."""
-        try:  # one flat pass: _text_at, _path_at and _opt_mac_at inlined
-            off = 2 + _U16.unpack_from(raw)[0]
-            d_addr = raw[2:off].decode()
+        try:
+            d_addr, off = _text_at(raw, 0)
             (max_hops,) = _U8.unpack_from(raw, off)
             path_at = off + _U8.size
-            nodes = []
-            off = path_at + 2
-            u16_at = _U16.unpack_from
-            for _ in range(u16_at(raw, path_at)[0]):
-                start = off + 2
-                off = start + u16_at(raw, off)[0]
-                nodes.append(raw[start:off].decode())
+            path, off = _path_at(raw, path_at)
         except _DECODE_ERRORS as exc:
             raise MalformedFrame(str(exc)) from None
-        flag = raw[off : off + 1]
-        if flag == _PRESENT:
-            mac_at = off + 1 + MAC_LEN
-            mac_prev = raw[off + 1 : mac_at]
-        elif flag == _ABSENT:
-            mac_at = off + 1
-            mac_prev = None
-        else:
-            raise MalformedFrame("opt-mac flag %d" % flag[0] if flag else "truncated")
+        mac_prev, mac_at = _opt_mac_at(raw, off)
         mid = mac_at + MAC_LEN
         h_end = mid + DIGEST_LEN
         end = h_end + _TOTALS.size
@@ -312,11 +292,11 @@ class RreqBody:
             cls,
             {
                 "rreq": rreq,
-                "path": tuple(nodes),
+                "path": path,
                 "mac_prev": mac_prev,
                 "mac_curr": raw[mac_at:mid],
                 "h": raw[mid:h_end],
-                "totals": Totals(len(nodes), *_TOTALS.unpack_from(raw, h_end)),
+                "totals": Totals(len(path), *_TOTALS.unpack_from(raw, h_end)),
                 "path_section": raw[path_at:off],
             },
         )
@@ -509,19 +489,15 @@ def decode_frame(raw: bytes):
         raise MalformedFrame("empty")
     ftype = raw[0]
     try:
-        if ftype == FRAME_RREQ:  # one flat pass: _text_at and _box_at inlined
-            off = 3 + _U16.unpack_from(raw, 1)[0]
-            s_addr = raw[3:off].decode()
+        if ftype == FRAME_RREQ:
+            s_addr, off = _text_at(raw, 1)
             (s_seqno,) = _U32.unpack_from(raw, off)
             header_end = off + _U32.size
-            start = header_end + 2
-            off = start + _U16.unpack_from(raw, header_end)[0]
-            if off - start < NONCE_LEN + TAG_LEN:
-                raise MalformedFrame("sealed box too short")
+            sealed, off = _box_at(raw, header_end)
             pkt = _frozen(
                 RreqPacket,
                 # the header is the bytes the seal binds, as read
-                {"s_addr": s_addr, "s_seqno": s_seqno, "sealed": raw[start:off], "header": raw[:header_end]},
+                {"s_addr": s_addr, "s_seqno": s_seqno, "sealed": sealed, "header": raw[:header_end]},
             )
         elif ftype == FRAME_RREP:
             sealed, off = _box_at(raw, 1)

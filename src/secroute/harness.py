@@ -506,8 +506,11 @@ def compare_oracle(topo: Topology, source: str, dest: str) -> Dict[str, Any]:
     protocol's own ranking.  A mode matches when the installed route is
     the best delivered one; `oracle_pick` says whether it is also the
     oracle's pick, which the first-copy flood need not deliver.  Raises
-    `NoCandidates` when no path joins the endpoints.
+    `ConfigError` when `source` is `dest`, and `NoCandidates` when no path
+    joins the endpoints.
     """
+    if source == dest:  # a one-node path has no links for the oracle to rank
+        raise ConfigError("source and destination are both %r" % source)
     text = topology_to_text(topo)
     results = {}
     for mode in ecms.Mode:

@@ -449,20 +449,30 @@ short_paths = st.lists(ids, max_size=20).map(tuple)
 
 
 @settings(max_examples=300)
-@given(short_paths, ids)
-@example((), "")
-@example(("",), "节点")
-@example(("Nœud-é", "", "节点"), "A")
-def test_derived_path_sections_equal_their_encodings(path, node):
+@given(immutables, short_paths, st.none() | tag, ids)
+@example(NON_ASCII_IMM, (), None, "")
+@example(NON_ASCII_IMM, ("",), b"\x01" * 16, "节点")
+@example(NON_ASCII_IMM, ("Nœud-é", "", "节点"), None, "A")
+@example(frames.RreqImmutable("节点", 0, "", 0), tuple("Nœud-%d" % k for k in range(6)), b"\x01" * 16, "é")
+def test_derived_path_sections_equal_their_encodings(imm, path, mac_prev, node):
     """The sections a relay MACs, derived from the section it received,
-    are the bytes `path_bytes` gives, and `from_bytes` keeps the received
-    section as the slice it read."""
+    are the bytes `path_bytes` gives.  Every byte run the RREQ decoders
+    store is the slice they read, and equals what the encoder gives for the
+    same fields: the path section, the frame's clear header, the body's
+    `(d_addr, max_hops)` and the round bytes `open_rreq` stores."""
     section = frames.path_bytes(path)
     assert frames.extend_path_bytes(section, node) == frames.path_bytes(path + (node,))
     assert frames.parent_path_bytes(section, path) == frames.path_bytes(path[:-1])
-    body = rreq_body(NON_ASCII_IMM, path, b"\x01" * 16, b"\x02" * 16, b"\x03" * 32)
-    kept = frames.RreqBody.from_bytes(body.to_bytes(), NON_ASCII_IMM.s_addr, NON_ASCII_IMM.s_seqno)
+    body = rreq_body(imm, path, mac_prev, b"\x02" * 16, b"\x03" * 32)
+    kept = frames.RreqBody.from_bytes(body.to_bytes(), imm.s_addr, imm.s_seqno)
     assert vars(kept)["path_section"] == section == frames.path_bytes(kept.path)
+    encoded = dataclasses.replace(imm)  # derives its own bytes on first read
+    assert vars(kept.rreq)["_body_head"] == encoded._body_head
+    sealed = frames.seal_rreq(KEY, body).sealed
+    raw = frames.encode_frame(frames.RreqPacket(imm.s_addr, imm.s_seqno, sealed))
+    pkt = frames.decode_frame(raw)
+    assert vars(pkt)["header"] == b"\x01" + encoded._header_tail == raw[: len(raw) - 2 - len(sealed)]
+    assert frames.open_rreq(KEY, pkt).rreq.to_bytes() == encoded.to_bytes()
 
 
 # -- packets the hot path builds without the generated __init__ ---------------

@@ -1080,6 +1080,22 @@ def test_cli_repeated_node_line(tmp_path, capsys):
     _assert_one_error_line(capsys)
 
 
+@pytest.mark.parametrize("command", ["run", "oracle"])
+def test_cli_topology_with_no_nodes(tmp_path, capsys, command):
+    # No node to pick as a default endpoint.
+    p = tmp_path / "empty.topo"
+    p.write_text("# comments only\n")
+    assert main([command, "--topology", str(p)]) == 1
+    assert "topology has no nodes" in _assert_one_error_line(capsys)
+
+
+def test_cli_oracle_rejects_source_as_destination(topo_file, capsys):
+    # The oracle runs before any Harness checks the endpoints, and a
+    # one-node path has no links for it to rank.
+    assert main(["oracle", "--topology", str(topo_file), "--source", "S", "--dest", "S"]) == 1
+    assert "source and destination are both 'S'" in _assert_one_error_line(capsys)
+
+
 def test_cli_oracle_subcommand(topo_file, capsys):
     rc = main(["oracle", "--topology", str(topo_file)])
     assert rc == 0
