@@ -126,8 +126,8 @@ def emit_report(report: RunReport, fmt: str = "json") -> bytes:
 def provision(topo: Topology, k: int, m: int, seed: int):
     """Issue key rings and build every node's KeyStore.
 
-    A ring carries no encryption secrets until its node first seals a
-    broadcast, which derives only the secrets of that broadcast's cover.
+    A ring carries no encryption secrets: a node's broadcast derives the
+    secrets of its cover as it seals, and keeps none.
     One-hop group keys go to direct neighbors here.  Two-hop broadcast
     secrets and pairwise keys are handed out on first use: a node opens
     a sender's revocation broadcast, which excludes the sender's
@@ -351,15 +351,21 @@ class AdversaryBehavior(ProtocolBehavior):
 # -- harness -----------------------------------------------------------
 
 
+def _check_endpoints(topo: Topology, source: str, dest: str) -> None:
+    """Raise `ConfigError` unless `source` and `dest` are two distinct
+    nodes of `topo`."""
+    for n in (source, dest):
+        if n not in topo.nodes:
+            raise ConfigError("node %r not in topology" % n)
+    if source == dest:  # a one-node path: no pairwise key, no links to rank
+        raise ConfigError("source and destination are both %r" % source)
+
+
 class Harness:
     def __init__(self, config: ScenarioConfig):
         self.config = config
         self.topo = load_topology(config.topology_text)
-        for n in (config.source, config.dest):
-            if n not in self.topo.nodes:
-                raise ConfigError("node %r not in topology" % n)
-        if config.source == config.dest:
-            raise ConfigError("source and destination are both %r" % config.source)
+        _check_endpoints(self.topo, config.source, config.dest)
         if config.adversary is not None:
             node, behavior = config.adversary
             if node not in self.topo.nodes:
@@ -506,11 +512,10 @@ def compare_oracle(topo: Topology, source: str, dest: str) -> Dict[str, Any]:
     protocol's own ranking.  A mode matches when the installed route is
     the best delivered one; `oracle_pick` says whether it is also the
     oracle's pick, which the first-copy flood need not deliver.  Raises
-    `ConfigError` when `source` is `dest`, and `NoCandidates` when no path
-    joins the endpoints.
+    `ConfigError` when an endpoint is not in `topo` or `source` is `dest`,
+    as a run would, and `NoCandidates` when no path joins the endpoints.
     """
-    if source == dest:  # a one-node path has no links for the oracle to rank
-        raise ConfigError("source and destination are both %r" % source)
+    _check_endpoints(topo, source, dest)
     text = topology_to_text(topo)
     results = {}
     for mode in ecms.Mode:
@@ -546,37 +551,53 @@ LINK_DELAY_RANGE = (1, 20)
 
 
 def random_topology(seed: int, n: int = 8, edge_prob: float = 0.4) -> Topology:
-    """Seeded connected random topology with integer-valued metrics."""
+    """Seeded connected random topology with integer-valued metrics.
+
+    Nodes N0..N{n-1}: N0 is the broker, N{n-1} the coordinator (N0 when
+    n is 1) and the rest relays.  Each attempt draws every pair i < j in
+    order and links it when `rng.random() < edge_prob`, drawing its
+    bandwidth and then its delay; an attempt whose links leave the nodes
+    in more than one component is redrawn from the same generator, and
+    only the first connected one is built.  Raises `ConfigError` for
+    `n < 1`, and for `n >= 2` with an `edge_prob` that is not positive
+    (or NaN), which no attempt could connect.
+    """
+    if n < 1:
+        raise ConfigError("a topology needs at least one node, got n=%r" % n)
+    if n > 1 and not edge_prob > 0:  # NaN fails the comparison too
+        raise ConfigError("edge probability %r links no two nodes" % edge_prob)
     rng = random.Random(seed)
+    draw = rng.random
     while True:
-        topo = Topology()
-        names = ["N%d" % i for i in range(n)]
-        for i, name in enumerate(names):
-            role = "broker" if i == 0 else ("coordinator" if i == n - 1 else "relay")
-            topo.add_node(name, role)
+        links = []
+        parent = list(range(n))  # union-find forest over node numbers
+        components = n
         for i in range(n):
             for j in range(i + 1, n):
-                if rng.random() < edge_prob:
+                if draw() < edge_prob:
                     bw = float(rng.randint(*LINK_BW_RANGE))
                     delay = float(rng.randint(*LINK_DELAY_RANGE))
-                    topo.add_link(names[i], names[j], bw, delay)
-        if _connected(topo):
-            return topo
+                    links.append((i, j, bw, delay))
+                    a, b = _root(parent, i), _root(parent, j)
+                    if a != b:
+                        parent[a] = b
+                        components -= 1
+        if components == 1:
+            break
+    topo = Topology()
+    names = ["N%d" % i for i in range(n)]
+    for i, name in enumerate(names):
+        topo.add_node(name, "broker" if i == 0 else ("coordinator" if i == n - 1 else "relay"))
+    for i, j, bw, delay in links:
+        topo.add_link(names[i], names[j], bw, delay)
+    return topo
 
 
-def _connected(topo: Topology) -> bool:
-    nodes = list(topo.nodes)
-    if not nodes:
-        return False
-    seen = {nodes[0]}
-    frontier = [nodes[0]]
-    while frontier:
-        cur = frontier.pop()
-        for nxt in topo.rdn(cur):
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return len(seen) == len(topo.nodes)
+def _root(parent: List[int], i: int) -> int:
+    """`i`'s component root, halving the path to it on the way."""
+    while parent[i] != i:
+        parent[i] = i = parent[parent[i]]
+    return i
 
 
 def topology_to_text(topo: Topology) -> str:

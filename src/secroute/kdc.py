@@ -6,8 +6,9 @@ indices; its decryption secrets are the pool keys at those indices, and
 its encryption secrets are per-node hashes of every pool key.  A node can
 broadcast a secret readable by everyone except a revoked set by sealing
 it under the encryption secrets whose indices no revoked node holds.
-A ring derives each encryption secret the first time it is read, so a
-node that never seals a broadcast never derives any.
+`build_broadcast` derives each of those secrets as it seals its envelope,
+so a node that never seals a broadcast never derives any, and nothing
+keeps them.
 
 The keys that are used many times are `crypto.Key`s, which keep their
 prepared HMAC and AEAD state: the master seed (`setup` MACs every pool
@@ -15,6 +16,11 @@ key and the pairwise root under it, and `Kdc.issue` each node's master),
 the pairwise root, and each ring's `rdn_group_key` and
 `broadcast_secret`.  Pool keys, encryption secrets and the envelope keys
 a receiver derives stay plain bytes: each seals or opens about once.
+
+A broadcast's tag is checked once per message and secret: the message
+records the secret its tag verified under (`build_broadcast` records the
+sender's), and `open_broadcast` MACs the tag again only for a secret it
+has not seen verify.  A `dataclasses.replace` copy records nothing.
 
 A node's index set is derived once per network: `index_set` keeps each
 set it derives on the `KdcParams` instance, the one `setup` returns, and
@@ -24,6 +30,7 @@ with its network; a second `setup` starts an empty one.
 
 from __future__ import annotations
 
+import hashlib
 import hmac
 import random
 from dataclasses import dataclass, field
@@ -80,14 +87,10 @@ class NodeKeyRing:
     broadcast_secret: bytes  # confined from the one-hop neighborhood
     # j -> K_j, the issuing Kdc's pool lookup
     _pool_key: Callable[[int], bytes] = field(repr=False, compare=False)
-    # envelope_key(K_j, node) for each j read so far; derived on first read
-    _encryption: Dict[int, bytes] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def encryption_secret(self, index: int) -> bytes:
-        secret = self._encryption.get(index)
-        if secret is None:
-            secret = self._encryption[index] = envelope_key(self._pool_key(index), self.node)
-        return secret
+        """`envelope_key(K_index, node)`, derived on every call."""
+        return envelope_key(self._pool_key(index), self.node)
 
 
 @dataclass(frozen=True)
@@ -105,6 +108,11 @@ class BroadcastMessage:
     cover_indices: Tuple[int, ...]
     envelopes: Tuple[bytes, ...]
     tag: bytes
+
+    # The secret `tag` last verified under, set in the instance's own
+    # `vars` by `build_broadcast` and `open_broadcast`.  Unannotated, so
+    # not a field: a `dataclasses.replace` copy starts with none.
+    _tag_secret = None
 
     @cached_property
     def tag_input(self) -> bytes:
@@ -149,22 +157,25 @@ def setup(k: int, m: int, seed: bytes) -> Tuple[KdcParams, KeyPool, PairwiseKeyS
 def index_set(params: KdcParams, node: str) -> List[int]:
     """Public mapping from node id to its m pool indices (1-based).
 
-    Takes the first m distinct values of hash(node || counter) mod k.
-    Needs no secrets, so any node can compute any other node's indices.
-    Each node's set is hashed once per `params`; every call returns a
-    fresh list.
+    Takes the first m distinct values of hash(node || counter) mod k, for
+    a 4-byte big-endian counter from 0.  Needs no secrets, so any node can
+    compute any other node's indices.  Each node's set is hashed once per
+    `params`, every counter from one SHA-256 state that has hashed the
+    node id; every call returns a fresh list.
     """
     known = params._index_sets.get(node)
     if known is not None:
         return list(known)
     if not node:
         raise BadParams("node id must be nonempty")
+    prefix = hashlib.sha256(node.encode())
     out: List[int] = []
     seen = set()
     counter = 0
     while len(out) < params.m:
-        h = hash_bytes(node.encode() + counter.to_bytes(4, "big"))
-        idx = int.from_bytes(h[:8], "big") % params.k + 1
+        h = prefix.copy()
+        h.update(counter.to_bytes(4, "big"))
+        idx = int.from_bytes(h.digest()[:8], "big") % params.k + 1
         if idx not in seen:
             seen.add(idx)
             out.append(idx)
@@ -213,13 +224,16 @@ def cover_indices(params: KdcParams, revoked: Sequence[str]) -> List[int]:
 def build_broadcast(
     ring: NodeKeyRing, secret: bytes, revoked: Sequence[str], params: KdcParams
 ) -> BroadcastMessage:
-    """Seal `secret` once per cover index under the sender's encryption secrets."""
+    """Seal `secret` once per cover index j under the sender's encryption
+    secret there, `envelope_key(K_j, sender)`, derived as it is used."""
     cover = cover_indices(params, revoked)
     revoked_set = frozenset(revoked)
-    envelopes = tuple(seal(ring.encryption_secret(i), secret) for i in cover)
+    pool_key, node = ring._pool_key, ring.node
+    envelopes = tuple(seal(envelope_key(pool_key(i), node), secret) for i in cover)
     tag_input = _tag_input(revoked_set, envelopes)
     msg = BroadcastMessage(revoked_set, tuple(cover), envelopes, mac_framed(secret, tag_input))
     vars(msg)["tag_input"] = tag_input  # the cached property's value, framed once
+    vars(msg)["_tag_secret"] = secret  # the tag is this secret's MAC by construction
     return msg
 
 
@@ -232,7 +246,11 @@ def open_broadcast(
     tag, a MAC under the recovered secret over the full message (label,
     revoked ids, every envelope), before returning the secret.  The
     message's serialisation is computed once per message and shared by
-    all its receivers; each receiver still computes the MAC itself.
+    all its receivers, and so is the tag check: a receiver whose secret
+    equals (by `hmac.compare_digest`) the one the message last verified
+    under, the sender's own when `build_broadcast` made it, skips the
+    MAC.  Any other secret is MAC-checked and, if the tag verifies,
+    recorded on the message in its place.
     """
     by_index = msg.by_index
     usable = [i for i in receiver.indices if i in by_index]
@@ -250,8 +268,11 @@ def open_broadcast(
             continue
     if secret is None:
         raise TagMismatch("no envelope authenticated")
-    if not hmac.compare_digest(mac_framed(secret, msg.tag_input), msg.tag):
-        raise TagMismatch("broadcast tag mismatch")
+    verified = msg._tag_secret
+    if verified is None or not hmac.compare_digest(secret, verified):
+        if not hmac.compare_digest(mac_framed(secret, msg.tag_input), msg.tag):
+            raise TagMismatch("broadcast tag mismatch")
+        vars(msg)["_tag_secret"] = secret
     return secret
 
 

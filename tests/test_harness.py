@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import random
 from collections import Counter
 from pathlib import Path
 
@@ -17,6 +18,8 @@ from secroute.errors import ConfigError, EmptyCover, NoUsableIndex, TooLarge
 from secroute.frames import RepPacket, RrepBody, RrepInfo, RrepPacket, SessionFrame, encode_frame
 from secroute.harness import (
     DETECTABLE_BEHAVIORS,
+    LINK_BW_RANGE,
+    LINK_DELAY_RANGE,
     STEP_ACK,
     STEP_CLOUDLET,
     Harness,
@@ -30,7 +33,7 @@ from secroute.harness import (
     topology_to_text,
 )
 from secroute.sim import TRACE_LAYOUT
-from secroute.topology import load_topology
+from secroute.topology import Topology, load_topology
 from test_acceptance import tamper_scenarios
 
 DIAMOND = """
@@ -831,9 +834,22 @@ def test_secrets_opened_once_and_only_in_scope(monkeypatch, behavior):
 
 def test_encryption_secrets_derived_once_and_only_for_sealed_covers(monkeypatch):
     pool_reads, built, derived, issued = Counter(), Counter(), Counter(), Counter()
-    counting(monkeypatch, kdc.KeyPool, "key", lambda pool, j: "read", pool_reads)
-    counting(monkeypatch, kdc, "build_broadcast", lambda ring, secret, revoked, params: ring.node, built)
-    real_issue, real_secret = kdc.Kdc.issue, kdc.NodeKeyRing.encryption_secret
+    sealing = []  # the sender whose broadcast is being built, while it is
+    real_key, real_build, real_issue = kdc.KeyPool.key, kdc.build_broadcast, kdc.Kdc.issue
+
+    def key(pool, j):
+        pool_reads["read"] += 1
+        if sealing:  # K_j read to seal: a derivation of the sender's secret at j
+            derived[sealing[-1], j] += 1
+        return real_key(pool, j)
+
+    def build_broadcast(ring, secret, revoked, params):
+        built[ring.node] += 1
+        sealing.append(ring.node)
+        try:
+            return real_build(ring, secret, revoked, params)
+        finally:
+            sealing.pop()
 
     def issue(center, node):
         issued[node] += 1
@@ -843,15 +859,9 @@ def test_encryption_secrets_derived_once_and_only_for_sealed_covers(monkeypatch)
         assert pool_reads["read"] - before == center.params.m
         return ring
 
-    def encryption_secret(ring, j):
-        before = pool_reads["read"]
-        secret = real_secret(ring, j)
-        if pool_reads["read"] != before:  # K_j was read: a derivation
-            derived[ring.node, j] += 1
-        return secret
-
+    monkeypatch.setattr(kdc.KeyPool, "key", key)
+    monkeypatch.setattr(kdc, "build_broadcast", build_broadcast)
     monkeypatch.setattr(kdc.Kdc, "issue", issue)
-    monkeypatch.setattr(kdc.NodeKeyRing, "encryption_secret", encryption_secret)
     for seed, adversary, topo in tamper_scenarios(5):
         built.clear(), derived.clear(), issued.clear()
         harness = Harness(
@@ -876,12 +886,15 @@ def test_encryption_secrets_derived_once_and_only_for_sealed_covers(monkeypatch)
                 cover = []
             expected.update((sender, j) for j in cover)
         assert expected and set(derived) == expected
-        for sender in list(built):  # sealing again reads the kept secrets
-            try:
-                kdc.build_broadcast(prov.rings[sender], b"s" * 32, sorted(prov.neighbors[sender]), prov.params)
-            except EmptyCover:
-                pass
         assert max(derived.values()) == 1
+        for sender in list(built):  # nothing keeps a secret: sealing again derives each anew
+            ring = prov.rings[sender]
+            try:
+                again = kdc.build_broadcast(ring, ring.broadcast_secret, sorted(prov.neighbors[sender]), prov.params)
+            except EmptyCover:
+                continue
+            assert again == prov.broadcast(sender)
+        assert set(derived.values()) == {2}
 
 
 def test_compare_oracle_diamond():
@@ -915,6 +928,51 @@ def test_random_topology_connected_and_seeded():
     assert topology_to_text(t1) != topology_to_text(random_topology(8))
     # connectivity: the oracle can always find at least one path
     assert oraclelib.all_simple_paths(t1, "N0", "N7", 16)
+
+
+def _random_topology_by_retry(seed, n, edge_prob):
+    """The generator as it was first written: a whole Topology per
+    attempt, kept until one is connected.  The reference for
+    `random_topology`, which draws the same attempts."""
+    rng = random.Random(seed)
+    while True:
+        topo = Topology()
+        names = ["N%d" % i for i in range(n)]
+        for i, name in enumerate(names):
+            role = "broker" if i == 0 else ("coordinator" if i == n - 1 else "relay")
+            topo.add_node(name, role)
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.random() < edge_prob:
+                    bw = float(rng.randint(*LINK_BW_RANGE))
+                    delay = float(rng.randint(*LINK_DELAY_RANGE))
+                    topo.add_link(names[i], names[j], bw, delay)
+        seen, frontier = {"N0"}, ["N0"]
+        while frontier:
+            for nxt in topo.rdn(frontier.pop()):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    frontier.append(nxt)
+        if len(seen) == n:
+            return topo
+
+
+@pytest.mark.parametrize("n, edge_prob", [(1, 0.4), (2, 0.4), (8, 0.4), (12, 0.4), (120, 0.04), (250, 0.021)])
+def test_random_topology_matches_retry_reference(n, edge_prob):
+    for seed in range(20):
+        got, want = random_topology(seed, n, edge_prob), _random_topology_by_retry(seed, n, edge_prob)
+        assert topology_to_text(got) == topology_to_text(want), seed
+        assert list(got.nodes) == list(want.nodes) and list(got.links) == list(want.links), seed
+        assert got.nodes == want.nodes and got.links == want.links, seed
+
+
+@pytest.mark.parametrize(
+    "n, edge_prob", [(0, 0.4), (-3, 0.4), (2, 0.0), (8, -0.5), (8, float("nan")), (250, 0.0)]
+)
+def test_random_topology_rejects_inputs_no_attempt_connects(n, edge_prob):
+    # Each of these redrew attempts forever.
+    with pytest.raises(ConfigError):
+        random_topology(0, n, edge_prob)
 
 
 def test_topology_text_round_trip():
@@ -1090,10 +1148,19 @@ def test_cli_topology_with_no_nodes(tmp_path, capsys, command):
 
 
 def test_cli_oracle_rejects_source_as_destination(topo_file, capsys):
-    # The oracle runs before any Harness checks the endpoints, and a
-    # one-node path has no links for it to rank.
+    # A one-node path has no links for the oracle to rank.
     assert main(["oracle", "--topology", str(topo_file), "--source", "S", "--dest", "S"]) == 1
     assert "source and destination are both 'S'" in _assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize("flag", ["--source", "--dest"])
+def test_cli_oracle_rejects_unknown_endpoint(topo_file, capsys, flag):
+    # The oracle ran first and named the node bare ("error: Z") or as
+    # unreachable ("error: no path S -> Z"); a run names it as missing.
+    assert main(["oracle", "--topology", str(topo_file), flag, "Z"]) == 1
+    assert _assert_one_error_line(capsys) == "error: node 'Z' not in topology\n"
+    assert main(["run", "--topology", str(topo_file), flag, "Z"]) == 1
+    assert _assert_one_error_line(capsys) == "error: node 'Z' not in topology\n"
 
 
 def test_cli_oracle_subcommand(topo_file, capsys):

@@ -1,6 +1,8 @@
 import dataclasses
+import hashlib
 import math
 import random
+import types
 
 import pytest
 
@@ -59,9 +61,29 @@ def fresh_index_set(params, node):
     return kdc.index_set(dataclasses.replace(params), node)
 
 
+class _RecordingSha256:
+    """A SHA-256 state that appends its whole input to `inputs` when it
+    is digested; a copy carries the input hashed so far."""
+
+    def __init__(self, inputs, state, data):
+        self.inputs, self.state, self.data = inputs, state, data
+
+    def update(self, data):
+        self.state.update(data)
+        self.data += data
+
+    def copy(self):
+        return _RecordingSha256(self.inputs, self.state.copy(), self.data)
+
+    def digest(self):
+        self.inputs.append(self.data)
+        return self.state.digest()
+
+
 @pytest.fixture
 def hashed(monkeypatch):
-    """Every input `kdc` hashes, in order."""
+    """Every input `kdc` hashes, in order: through `hash_bytes`, and
+    through the SHA-256 states it builds itself (`index_set`'s prefix)."""
     inputs = []
     real = kdc.hash_bytes
 
@@ -69,7 +91,11 @@ def hashed(monkeypatch):
         inputs.append(data)
         return real(data)
 
+    def sha256(data=b""):
+        return _RecordingSha256(inputs, hashlib.sha256(data), data)
+
     monkeypatch.setattr(kdc, "hash_bytes", counted)
+    monkeypatch.setattr(kdc, "hashlib", types.SimpleNamespace(sha256=sha256))
     return inputs
 
 
@@ -144,14 +170,14 @@ def test_issue_matches_construction():
         rng = random.Random(k)
         for node in ("A", "B", "node-17", "N250"):
             ring = center.issue(node)
-            # A broadcast reads the cover indices first; the rest are read later.
+            # A broadcast derives its cover's secrets; every later read derives anew.
             kdc.build_broadcast(ring, secret, [n for n in ("A", "B") if n != node], params)
             order = list(range(1, k + 1))
             rng.shuffle(order)
             for j in order + order[:3]:
                 assert ring.encryption_secret(j) == crypto.hash_bytes(pool.key(j) + node.encode())
             assert [pool.key(i) for i in ring.indices] == ring.decryption_secrets
-            assert "_pool_key" not in repr(ring) and "_encryption" not in repr(ring)
+            assert "_pool_key" not in repr(ring)
 
 
 @pytest.mark.parametrize("index", [0, -1, 65, 1000])
@@ -295,6 +321,109 @@ def test_built_broadcast_keeps_the_tag_input_it_framed(small_kdc):
     kept = vars(msg)["tag_input"]
     assert kept == dataclasses.replace(msg).tag_input
     assert msg.tag == crypto.mac_framed(secret, kept)
+
+
+def test_envelopes_sealed_under_each_cover_indexs_envelope_key(small_kdc):
+    params, pool, _, center = small_kdc
+    secret = crypto.mac(SEED, [b"secret"])
+    a, u = center.issue("A"), center.issue("N\u00e9\u8282")
+    for ring, revoked in ((a, []), (a, ["C", "B"]), (u, ["A"])):
+        msg = kdc.build_broadcast(ring, secret, revoked, params)
+        assert list(msg.cover_indices) == kdc.cover_indices(params, revoked)
+        for j, envelope in zip(msg.cover_indices, msg.envelopes):
+            assert envelope == crypto.seal(kdc.envelope_key(pool.key(j), ring.node), secret)
+            assert envelope == crypto.seal(ring.encryption_secret(j), secret)
+
+
+def _index_set_by_rule(params, node):
+    """The first m distinct hash(node || u32 counter) mod k + 1, by `hash_bytes`."""
+    out, counter = [], 0
+    while len(out) < params.m:
+        h = crypto.hash_bytes(node.encode() + counter.to_bytes(4, "big"))
+        idx = int.from_bytes(h[:8], "big") % params.k + 1
+        if idx not in out:
+            out.append(idx)
+        counter += 1
+    return out
+
+
+@pytest.mark.parametrize("k, m", [(64, 8), (8, 7), (4096, 20)])
+def test_index_set_follows_the_hash_rule(k, m):
+    params = kdc.setup(k, m, SEED)[0]
+    for node in ("A", "node-17", "N249", "N\u00e9\u8282-\U0001f511", "x" * 200):
+        assert kdc.index_set(params, node) == _index_set_by_rule(params, node), node
+
+
+@pytest.fixture
+def tag_macs(monkeypatch):
+    """Every secret `kdc` MACs a framed tag input under, in order."""
+    keys = []
+    real = kdc.mac_framed
+
+    def counted(key, framed):
+        keys.append(key)
+        return real(key, framed)
+
+    monkeypatch.setattr(kdc, "mac_framed", counted)
+    return keys
+
+
+def test_broadcast_tag_checked_once_per_message(small_kdc, tag_macs):
+    params, _, _, center = small_kdc
+    a = center.issue("A")
+    receivers = [center.issue(n) for n in ("C", "D", "E", "F")]
+    secret = crypto.mac(SEED, [b"secret"])
+    msg = kdc.build_broadcast(a, secret, ["B"], params)
+    assert tag_macs == [secret]  # the sender's own tag
+    for r in receivers:
+        assert kdc.open_broadcast(r, msg, "A", params) == secret
+    assert tag_macs == [secret]  # the sender's secret verified by construction
+    copy = dataclasses.replace(msg)
+    for r in receivers:
+        assert kdc.open_broadcast(r, copy, "A", params) == secret
+    assert tag_macs == [secret, secret]  # a copy's first receiver checks it, once
+
+
+@pytest.mark.parametrize("change", ["tag", "envelope"])
+def test_changed_copy_fails_tag_after_honest_opens(small_kdc, change):
+    params, _, _, center = small_kdc
+    a = center.issue("A")
+    receivers = [center.issue(n) for n in ("C", "D", "E")]
+    secret = crypto.mac(SEED, [b"secret"])
+    msg = kdc.build_broadcast(a, secret, ["B"], params)
+    for r in receivers:
+        assert kdc.open_broadcast(r, msg, "A", params) == secret
+    if change == "tag":
+        changed = dataclasses.replace(msg, tag=bytes([msg.tag[0] ^ 1]) + msg.tag[1:])
+    else:  # re-sealed under the same key, so it opens, but not the envelope the tag covers
+        pos = next(p for p, j in enumerate(msg.cover_indices) if j not in receivers[0].indices)
+        env = list(msg.envelopes)
+        env[pos] = crypto.seal(a.encryption_secret(msg.cover_indices[pos]), secret, b"other")
+        changed = dataclasses.replace(msg, envelopes=tuple(env))
+    for r in receivers:
+        with pytest.raises(TagMismatch):
+            kdc.open_broadcast(r, changed, "A", params)
+    assert kdc.open_broadcast(receivers[0], msg, "A", params) == secret
+
+
+def test_receiver_recovering_another_secret_fails_tag(small_kdc):
+    # A sender that seals two secrets, tagging one: the receivers of the
+    # tagged one verify it, and the message records that secret; a
+    # receiver that recovers the other must still MAC it, and fail.
+    params, _, _, center = small_kdc
+    a, c = center.issue("A"), center.issue("C")
+    d = next(r for r in (center.issue("n%d" % i) for i in range(100)) if not set(r.indices) & set(c.indices))
+    tagged, other = crypto.mac(SEED, [b"secret"]), crypto.mac(SEED, [b"other"])
+    cover = tuple(kdc.cover_indices(params, []))
+    envelopes = tuple(
+        crypto.seal(a.encryption_secret(j), other if j in d.indices else tagged) for j in cover
+    )
+    tag = crypto.mac_framed(tagged, kdc._tag_input(frozenset(), envelopes))
+    msg = kdc.BroadcastMessage(frozenset(), cover, envelopes, tag)
+    assert kdc.open_broadcast(c, msg, "A", params) == tagged
+    with pytest.raises(TagMismatch):
+        kdc.open_broadcast(d, msg, "A", params)
+    assert kdc.open_broadcast(c, msg, "A", params) == tagged
 
 
 def test_broadcast_reproducible(small_kdc):
