@@ -6,9 +6,16 @@ indices; its decryption secrets are the pool keys at those indices, and
 its encryption secrets are per-node hashes of every pool key.  A node can
 broadcast a secret readable by everyone except a revoked set by sealing
 it under the encryption secrets whose indices no revoked node holds.
-`build_broadcast` derives each of those secrets as it seals its envelope,
-so a node that never seals a broadcast never derives any, and nothing
-keeps them.
+
+`build_broadcast` computes the cover at once and seals nothing: the
+message it returns seals cover index j's envelope the first time it is
+read, once per message, deriving the sender's encryption secret at j as
+it seals, and derives its full `envelopes`, `tag_input` and `tag` only
+when one of them is first read.  `open_broadcast` reads only the
+receiver's usable envelopes, in its index order, and the tag only when
+it needs to check it, so a scenario whose receivers are honest seals
+only the envelopes they open and never MACs a tag.  Nothing keeps an
+encryption secret, and nothing a message seals outlives the message.
 
 The keys that are used many times are `crypto.Key`s, which keep their
 prepared HMAC and AEAD state: the master seed (`setup` MACs every pool
@@ -19,8 +26,9 @@ a receiver derives stay plain bytes: each seals or opens about once.
 
 A broadcast's tag is checked once per message and secret: the message
 records the secret its tag verified under (`build_broadcast` records the
-sender's), and `open_broadcast` MACs the tag again only for a secret it
-has not seen verify.  A `dataclasses.replace` copy records nothing.
+sender's, which the tag is by construction), and `open_broadcast` reads
+and MACs the tag only for a secret it has not seen verify.  A
+`dataclasses.replace` copy records nothing.
 
 A node's index set is derived once per network: `index_set` keeps each
 set it derives on the `KdcParams` instance, the one `setup` returns, and
@@ -35,7 +43,7 @@ import hmac
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Dict, FrozenSet, List, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .crypto import Key, frame_parts, hash_bytes, mac, mac_framed, open_box, seal
 from .errors import (
@@ -97,11 +105,15 @@ class NodeKeyRing:
 class BroadcastMessage:
     """Secret sealed for everyone outside the revoked set.
 
-    The tag is a MAC, under the secret, over `tag_input`.  `tag_input` and
-    `by_index` are derived from the fields on first use and kept on the
-    instance, except that `build_broadcast` keeps the `tag_input` it
-    framed for the tag; `dataclasses.replace` builds a new instance, so a
-    changed copy derives its own.
+    `envelopes[p]` is the secret sealed under cover index
+    `cover_indices[p]`, and the tag is a MAC, under the secret, over
+    `tag_input`.  A message built by the constructor, a
+    `dataclasses.replace` copy included, holds the envelopes and tag it
+    was given.  One that `build_broadcast` returns holds neither yet:
+    `envelope(j)` seals index j's envelope on its first read, and
+    `envelopes` and `tag` are derived, then kept, on theirs (`==`,
+    `hash`, `repr` and `replace` read both).  `tag_input` is derived from
+    the fields on first read and kept.
     """
 
     revoked: FrozenSet[str]
@@ -109,10 +121,44 @@ class BroadcastMessage:
     envelopes: Tuple[bytes, ...]
     tag: bytes
 
+    # Unannotated, so not fields: a constructed message, a
+    # `dataclasses.replace` copy included, starts with the class's None.
     # The secret `tag` last verified under, set in the instance's own
-    # `vars` by `build_broadcast` and `open_broadcast`.  Unannotated, so
-    # not a field: a `dataclasses.replace` copy starts with none.
+    # `vars` by `build_broadcast` and `open_broadcast`; on a built
+    # message also the secret its envelopes are sealed with, which
+    # `open_broadcast` replaces only after reading the tag, and so every
+    # envelope.
     _tag_secret = None
+    # The sender's ring, set by `build_broadcast`: the envelopes not yet
+    # read are sealed under its encryption secrets.
+    _sender = None
+
+    def __post_init__(self) -> None:
+        if len(self.cover_indices) != len(self.envelopes):
+            raise BadParams(
+                "%d cover indices but %d envelopes" % (len(self.cover_indices), len(self.envelopes))
+            )
+
+    def __getattr__(self, name: str):
+        # Reached only for a name neither the instance nor its class
+        # holds: on a built message, `envelopes` and `tag` until first read.
+        if name == "envelopes":
+            value = tuple(map(self.envelope, self.cover_indices))
+        elif name == "tag":
+            value = mac_framed(self._tag_secret, self.tag_input)
+        else:
+            raise AttributeError(name)
+        vars(self)[name] = value
+        return value
+
+    def envelope(self, index: int) -> bytes:
+        """The envelope sealed under cover index `index`; KeyError if the
+        cover omits it.  A built message seals it here on first read."""
+        envelope = self._by_index[index]
+        if envelope is None:
+            envelope = seal(self._sender.encryption_secret(index), self._tag_secret)
+            self._by_index[index] = envelope
+        return envelope
 
     @cached_property
     def tag_input(self) -> bytes:
@@ -120,8 +166,9 @@ class BroadcastMessage:
         return _tag_input(self.revoked, self.envelopes)
 
     @cached_property
-    def by_index(self) -> Dict[int, bytes]:
-        """Cover index -> the envelope sealed under it."""
+    def _by_index(self) -> Dict[int, Optional[bytes]]:
+        """Cover index -> its envelope, or None on a built message until
+        that envelope is first read."""
         return dict(zip(self.cover_indices, self.envelopes))
 
 
@@ -224,16 +271,19 @@ def cover_indices(params: KdcParams, revoked: Sequence[str]) -> List[int]:
 def build_broadcast(
     ring: NodeKeyRing, secret: bytes, revoked: Sequence[str], params: KdcParams
 ) -> BroadcastMessage:
-    """Seal `secret` once per cover index j under the sender's encryption
-    secret there, `envelope_key(K_j, sender)`, derived as it is used."""
+    """`secret` for everyone outside `revoked`, sealed once per cover index
+    j under the sender's encryption secret there, `envelope_key(K_j,
+    sender)`.  Raises EmptyCover at once; each envelope is sealed, and the
+    tag MACed, on its first read (see `BroadcastMessage`)."""
     cover = cover_indices(params, revoked)
-    revoked_set = frozenset(revoked)
-    pool_key, node = ring._pool_key, ring.node
-    envelopes = tuple(seal(envelope_key(pool_key(i), node), secret) for i in cover)
-    tag_input = _tag_input(revoked_set, envelopes)
-    msg = BroadcastMessage(revoked_set, tuple(cover), envelopes, mac_framed(secret, tag_input))
-    vars(msg)["tag_input"] = tag_input  # the cached property's value, framed once
-    vars(msg)["_tag_secret"] = secret  # the tag is this secret's MAC by construction
+    msg = object.__new__(BroadcastMessage)  # no envelopes or tag until read
+    vars(msg).update(
+        revoked=frozenset(revoked),
+        cover_indices=tuple(cover),
+        _sender=ring,
+        _tag_secret=secret,  # the tag is this secret's MAC by construction
+        _by_index=dict.fromkeys(cover),
+    )
     return msg
 
 
@@ -242,18 +292,19 @@ def open_broadcast(
 ) -> bytes:
     """Recover the broadcast secret using any pool key the cover includes.
 
-    The receiver opens its own envelope with `open_box`, then checks the
-    tag, a MAC under the recovered secret over the full message (label,
-    revoked ids, every envelope), before returning the secret.  The
-    message's serialisation is computed once per message and shared by
-    all its receivers, and so is the tag check: a receiver whose secret
-    equals (by `hmac.compare_digest`) the one the message last verified
-    under, the sender's own when `build_broadcast` made it, skips the
-    MAC.  Any other secret is MAC-checked and, if the tag verifies,
-    recorded on the message in its place.
+    The receiver opens its own envelope with `open_box`, trying its
+    usable indices in its own order and reading no other envelope, then
+    checks the tag, a MAC under the recovered secret over the full
+    message (label, revoked ids, every envelope), before returning the
+    secret.  The message's serialisation is computed once per message and
+    shared by all its receivers, and so is the tag check: a receiver
+    whose secret equals (by `hmac.compare_digest`) the one the message
+    last verified under, the sender's own when `build_broadcast` made it,
+    reads no tag and skips the MAC.  Any other secret is MAC-checked and,
+    if the tag verifies, recorded on the message in its place.
     """
-    by_index = msg.by_index
-    usable = [i for i in receiver.indices if i in by_index]
+    cover = msg._by_index
+    usable = [i for i in receiver.indices if i in cover]
     if not usable:
         raise NoUsableIndex(receiver.node)
     secret = None
@@ -262,7 +313,7 @@ def open_broadcast(
         # pool key; a tampered envelope just fails authentication.
         k_pool = receiver.decryption_secrets[receiver.indices.index(i)]
         try:
-            secret = open_box(envelope_key(k_pool, sender), by_index[i])
+            secret = open_box(envelope_key(k_pool, sender), msg.envelope(i))
             break
         except AuthFailure:
             continue

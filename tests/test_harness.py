@@ -834,36 +834,50 @@ def test_secrets_opened_once_and_only_in_scope(monkeypatch, behavior):
 
 def test_encryption_secrets_derived_once_and_only_for_sealed_covers(monkeypatch):
     pool_reads, built, derived, issued = Counter(), Counter(), Counter(), Counter()
-    sealing = []  # the sender whose broadcast is being built, while it is
+    opened = []  # (receiver, sender, message) for each open; hashing a message would seal it
+    sealing = []  # the pool index just read to seal, until its key is derived
+    issuing = []
     real_key, real_build, real_issue = kdc.KeyPool.key, kdc.build_broadcast, kdc.Kdc.issue
+    real_open, real_envelope_key = kdc.open_broadcast, kdc.envelope_key
 
     def key(pool, j):
         pool_reads["read"] += 1
-        if sealing:  # K_j read to seal: a derivation of the sender's secret at j
-            derived[sealing[-1], j] += 1
+        if not issuing:  # K_j read outside `issue`: read to seal an envelope
+            sealing.append(j)
         return real_key(pool, j)
+
+    def envelope_key(pool_key, node):
+        if sealing:  # hashing the K_j just read: a derivation of node's secret at j
+            derived[node, sealing.pop()] += 1
+        return real_envelope_key(pool_key, node)
 
     def build_broadcast(ring, secret, revoked, params):
         built[ring.node] += 1
-        sealing.append(ring.node)
-        try:
-            return real_build(ring, secret, revoked, params)
-        finally:
-            sealing.pop()
+        return real_build(ring, secret, revoked, params)
+
+    def open_broadcast(receiver, msg, sender, params):
+        opened.append((receiver.node, sender, msg))
+        return real_open(receiver, msg, sender, params)
 
     def issue(center, node):
         issued[node] += 1
         before = pool_reads["read"]
-        ring = real_issue(center, node)
+        issuing.append(node)
+        try:
+            ring = real_issue(center, node)
+        finally:
+            issuing.pop()
         # Only the m decryption secrets read the pool; no K_j is hashed.
         assert pool_reads["read"] - before == center.params.m
         return ring
 
     monkeypatch.setattr(kdc.KeyPool, "key", key)
+    monkeypatch.setattr(kdc, "envelope_key", envelope_key)
     monkeypatch.setattr(kdc, "build_broadcast", build_broadcast)
+    monkeypatch.setattr(kdc, "open_broadcast", open_broadcast)
     monkeypatch.setattr(kdc.Kdc, "issue", issue)
     for seed, adversary, topo in tamper_scenarios(5):
-        built.clear(), derived.clear(), issued.clear()
+        built.clear(), derived.clear(), issued.clear(), opened.clear()
         harness = Harness(
             ScenarioConfig(
                 topology_text=topology_to_text(topo),
@@ -878,15 +892,16 @@ def test_encryption_secrets_derived_once_and_only_for_sealed_covers(monkeypatch)
         harness.run()
         assert built and max(built.values()) == 1
         prov = harness.stores["N0"].provisioning
-        expected = set()
-        for sender in built:
-            try:
-                cover = kdc.cover_indices(prov.params, sorted(prov.neighbors[sender]))
-            except EmptyCover:
-                cover = []
-            expected.update((sender, j) for j in cover)
-        assert expected and set(derived) == expected
+        # Each receiver reads, so seals, only its first usable envelope.
+        read = set()
+        for receiver, sender, msg in opened:
+            first = next((j for j in prov.rings[receiver].indices if j in msg.cover_indices), None)
+            if first is not None:
+                read.add((sender, first))
+        assert read and set(derived) == read
         assert max(derived.values()) == 1
+        assert not sealing
+        covers = set()
         for sender in list(built):  # nothing keeps a secret: sealing again derives each anew
             ring = prov.rings[sender]
             try:
@@ -894,6 +909,8 @@ def test_encryption_secrets_derived_once_and_only_for_sealed_covers(monkeypatch)
             except EmptyCover:
                 continue
             assert again == prov.broadcast(sender)
+            covers.update((sender, j) for j in again.cover_indices)
+        assert set(derived) == covers
         assert set(derived.values()) == {2}
 
 

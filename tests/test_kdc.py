@@ -3,8 +3,11 @@ import hashlib
 import math
 import random
 import types
+from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from secroute import crypto, kdc
 from secroute.errors import (
@@ -311,16 +314,29 @@ def test_broadcast_tag_bytes_pinned(small_kdc):
     assert msg.tag.hex() == "8a3d3f3ac38fd0ce81d5bbdf7c2d238d751cca6c7363afd754df4dc03bce9c48"
 
 
-def test_built_broadcast_keeps_the_tag_input_it_framed(small_kdc):
-    """`build_broadcast` frames the tag input once and keeps it; it equals
-    the input a copy derives from its fields, and the tag is its MAC."""
+def test_built_broadcast_keeps_the_tag_input_it_framed(small_kdc, monkeypatch):
+    """A built message frames its tag input once, when its tag is first
+    read, and keeps it; it equals the input a copy derives from its
+    fields, and the tag is its MAC."""
+    framed = []
+    real = kdc._tag_input
+
+    def counted(revoked, envelopes):
+        framed.append(envelopes)
+        return real(revoked, envelopes)
+
+    monkeypatch.setattr(kdc, "_tag_input", counted)
     params, _, _, center = small_kdc
     a = center.issue("A")
     secret = crypto.mac(SEED, [b"secret"])
     msg = kdc.build_broadcast(a, secret, ["C", "B"], params)
+    assert not framed and "tag_input" not in vars(msg)
+    tag = msg.tag
     kept = vars(msg)["tag_input"]
+    assert msg.tag is tag and msg.tag_input is kept
+    assert len(framed) == 1
     assert kept == dataclasses.replace(msg).tag_input
-    assert msg.tag == crypto.mac_framed(secret, kept)
+    assert tag == crypto.mac_framed(secret, kept)
 
 
 def test_envelopes_sealed_under_each_cover_indexs_envelope_key(small_kdc):
@@ -374,10 +390,13 @@ def test_broadcast_tag_checked_once_per_message(small_kdc, tag_macs):
     receivers = [center.issue(n) for n in ("C", "D", "E", "F")]
     secret = crypto.mac(SEED, [b"secret"])
     msg = kdc.build_broadcast(a, secret, ["B"], params)
-    assert tag_macs == [secret]  # the sender's own tag
+    assert tag_macs == []  # nothing MACed at build time
     for r in receivers:
         assert kdc.open_broadcast(r, msg, "A", params) == secret
-    assert tag_macs == [secret]  # the sender's secret verified by construction
+    assert tag_macs == []  # the sender's secret verified by construction
+    tag = msg.tag
+    assert tag_macs == [secret]  # the tag is MACed on its first read, once
+    assert msg.tag is tag and tag_macs == [secret]
     copy = dataclasses.replace(msg)
     for r in receivers:
         assert kdc.open_broadcast(r, copy, "A", params) == secret
@@ -431,6 +450,113 @@ def test_broadcast_reproducible(small_kdc):
     a = center.issue("A")
     secret = crypto.mac(SEED, [b"secret"])
     assert kdc.build_broadcast(a, secret, ["B"], params) == kdc.build_broadcast(a, secret, ["B"], params)
+
+
+def test_broadcast_message_rejects_envelope_count_unlike_cover(small_kdc):
+    """Each cover index names one envelope: a message with an envelope too
+    few or too many is refused, not cut to the shorter of the two."""
+    params, _, _, center = small_kdc
+    secret = crypto.mac(SEED, [b"secret"])
+    msg = kdc.build_broadcast(center.issue("A"), secret, ["B"], params)
+    assert len(msg.cover_indices) == len(msg.envelopes) == 56
+    for envelopes in (msg.envelopes[:-1], msg.envelopes + msg.envelopes[:1], ()):
+        with pytest.raises(BadParams):
+            kdc.BroadcastMessage(msg.revoked, msg.cover_indices, envelopes, msg.tag)
+        with pytest.raises(BadParams):
+            dataclasses.replace(msg, envelopes=envelopes)
+
+
+_LAZY_NODES = ("A", "B", "C", "D", "E", "F", "G", "H")
+
+
+def _lazy_network():
+    params, pool, _ = kdc.setup(64, 8, SEED)
+    center = kdc.Kdc(params, pool)
+    return params, pool, {n: center.issue(n) for n in _LAZY_NODES}
+
+
+_LAZY = _lazy_network()
+_READ = st.one_of(
+    st.tuples(st.just("open"), st.sampled_from(_LAZY_NODES)),
+    st.tuples(st.just("envelope"), st.integers(min_value=1, max_value=64)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.frozensets(st.sampled_from(_LAZY_NODES[1:]), max_size=5),
+    st.lists(_READ, max_size=10),
+    st.sampled_from(["envelopes", "tag", "tag_input", "==", "hash", "repr", "replace"]),
+)
+@example(frozenset(), [], "repr")
+@example(frozenset({"B"}), [("open", "B"), ("open", "C"), ("envelope", 1)], "replace")
+def test_built_broadcast_reads_equal_eager_sealing_and_seal_each_envelope_once(revoked, reads, last):
+    """Whatever is read first, a built message's bytes are those of every
+    envelope sealed at once, and it seals each cover index at most once:
+    opens and lookups seal only the envelopes they read, and reading the
+    whole message seals only the rest."""
+    params, pool, rings = _LAZY
+    secret = crypto.mac(SEED, [b"secret"])
+    revoked = sorted(revoked)  # one insertion order, so one frozenset repr
+    cover = kdc.cover_indices(params, revoked)
+    keys = {j: kdc.envelope_key(pool.key(j), "A") for j in cover}
+    eager = {j: crypto.seal(keys[j], secret) for j in cover}
+    envelopes = tuple(eager[j] for j in cover)
+    framed = crypto.frame_parts([b"broadcast-tag", *(n.encode() for n in revoked), *envelopes])
+    ref = kdc.BroadcastMessage(frozenset(revoked), tuple(cover), envelopes, crypto.mac_framed(secret, framed))
+    sealed, tagged = Counter(), []
+    real_seal, real_mac = kdc.seal, kdc.mac_framed
+
+    def seal(key, *rest):
+        sealed[bytes(key)] += 1
+        return real_seal(key, *rest)
+
+    def mac_framed(key, data):
+        tagged.append(key)
+        return real_mac(key, data)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kdc, "seal", seal)
+        mp.setattr(kdc, "mac_framed", mac_framed)
+        msg = kdc.build_broadcast(rings["A"], secret, revoked, params)
+        read = set()
+        for kind, arg in reads:
+            if kind == "open":
+                ring = rings[arg]
+                usable = [j for j in ring.indices if j in eager]
+                if not usable:
+                    with pytest.raises(NoUsableIndex):
+                        kdc.open_broadcast(ring, msg, "A", params)
+                    continue
+                assert kdc.open_broadcast(ring, msg, "A", params) == secret
+                read.add(usable[0])  # an honest envelope opens at the first try
+            elif arg in eager:
+                assert msg.envelope(arg) == eager[arg]
+                read.add(arg)
+            else:
+                with pytest.raises(KeyError):
+                    msg.envelope(arg)
+            assert sealed == Counter(keys[j] for j in read)
+        assert not tagged  # honest opens MAC no tag
+        if last == "envelopes":
+            assert msg.envelopes == envelopes
+        elif last == "tag":
+            assert msg.tag == ref.tag
+        elif last == "tag_input":
+            assert msg.tag_input == framed
+        elif last == "==":
+            assert msg == ref and ref == msg
+        elif last == "hash":
+            assert hash(msg) == hash(ref)
+        elif last == "repr":
+            assert repr(msg) == repr(ref)
+        else:
+            copy = dataclasses.replace(msg)
+            assert copy == ref and copy.envelopes is msg.envelopes
+        assert sealed == Counter(keys.values())  # every envelope now, each once
+        assert tagged in ([], [secret])
+        assert (msg.revoked, msg.cover_indices, msg.envelopes, msg.tag) == dataclasses.astuple(ref)
+        assert sealed == Counter(keys.values()) and tagged == [secret]
 
 
 def test_coverage_estimate_full_cover():
