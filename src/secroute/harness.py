@@ -127,7 +127,9 @@ def provision(topo: Topology, k: int, m: int, seed: int):
     """Issue key rings and build every node's KeyStore.
 
     A ring carries no encryption secrets: a node's broadcast derives the
-    secrets of its cover as it seals, and keeps none.
+    secrets of its cover as it seals, and keeps none.  Issuing a ring
+    reads no pool key either: the network's pool derives each one the
+    first time a broadcast seals, or a receiver opens, under it.
     One-hop group keys go to direct neighbors here.  Two-hop broadcast
     secrets and pairwise keys are handed out on first use: a node opens
     a sender's revocation broadcast, which excludes the sender's

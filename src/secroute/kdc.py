@@ -7,6 +7,13 @@ its encryption secrets are per-node hashes of every pool key.  A node can
 broadcast a secret readable by everyone except a revoked set by sealing
 it under the encryption secrets whose indices no revoked node holds.
 
+The pool derives each key K_j the first time it is read and keeps it for
+the pool's lifetime, one pool per `setup`.  `setup` and `Kdc.issue` read
+no pool key: a ring reads its own through the pool when asked.  A
+broadcast reads K_j as it seals index j's envelope, and a receiver reads
+its own K_i only for the indices it tries, so a scenario derives only
+the pool keys it seals or opens under.
+
 `build_broadcast` computes the cover at once and seals nothing: the
 message it returns seals cover index j's envelope the first time it is
 read, once per message, deriving the sender's encryption secret at j as
@@ -18,9 +25,10 @@ only the envelopes they open and never MACs a tag.  Nothing keeps an
 encryption secret, and nothing a message seals outlives the message.
 
 The keys that are used many times are `crypto.Key`s, which keep their
-prepared HMAC and AEAD state: the master seed (`setup` MACs every pool
-key and the pairwise root under it, and `Kdc.issue` each node's master),
-the pairwise root, and each ring's `rdn_group_key` and
+prepared HMAC and AEAD state: the master seed (the pool MACs each pool
+key under it, `setup` the pairwise root, and `Kdc.issue` each node's
+master), the pairwise root, a node's master (`Kdc.issue` MACs both of
+its ring keys under it), and each ring's `rdn_group_key` and
 `broadcast_secret`.  Pool keys, encryption secrets and the envelope keys
 a receiver derives stay plain bytes: each seals or opens about once.
 
@@ -59,6 +67,9 @@ from .errors import (
 
 @dataclass(frozen=True)
 class KdcParams:
+    """Pool size k, ring size m and the master seed; construction raises
+    BadParams unless 1 <= m < k <= 4096."""
+
     k: int
     m: int
     master_seed: bytes
@@ -67,15 +78,34 @@ class KdcParams:
         default_factory=dict, init=False, repr=False, compare=False
     )
 
+    def __post_init__(self) -> None:
+        if not 1 <= self.m < self.k <= 4096:
+            raise BadParams("require 1 <= m < k <= 4096, got k=%d m=%d" % (self.k, self.m))
 
-@dataclass(frozen=True)
+
 class KeyPool:
-    keys: Tuple[bytes, ...]  # K_1..K_k, index 1-based externally
+    """The KDC's k pool keys K_1..K_k, K_j = mac(master_seed, [b"pool",
+    u32 j]).  The pool is built holding none: `key(j)` checks j, derives
+    K_j the first time it is read and keeps it for the pool's lifetime."""
+
+    def __init__(self, master_seed: bytes, k: int):
+        self._master_seed = master_seed
+        self._k = k
+        self._keys: Dict[int, bytes] = {}  # j -> K_j, once read
 
     def key(self, index: int) -> bytes:
-        if not 1 <= index <= len(self.keys):
-            raise BadParams("pool index %d outside 1..%d" % (index, len(self.keys)))
-        return self.keys[index - 1]
+        key = self._keys.get(index)
+        if key is None:
+            if not 1 <= index <= self._k:
+                raise BadParams("pool index %d outside 1..%d" % (index, self._k))
+            key = mac(self._master_seed, [b"pool", index.to_bytes(4, "big")])
+            self._keys[index] = key
+        return key
+
+    @property
+    def keys(self) -> Tuple[bytes, ...]:
+        """K_1..K_k, each read through `key`."""
+        return tuple(map(self.key, range(1, self._k + 1)))
 
 
 def envelope_key(pool_key: bytes, node: str) -> bytes:
@@ -86,15 +116,21 @@ def envelope_key(pool_key: bytes, node: str) -> bytes:
 
 @dataclass
 class NodeKeyRing:
-    """All secret material issued to one node."""
+    """All secret material issued to one node.  The pool keys it holds,
+    its decryption secrets, are read from the issuing Kdc's pool, and so
+    derived there on first read, not stored here."""
 
     node: str
     indices: List[int]
-    decryption_secrets: List[bytes]  # pool keys at `indices`
     rdn_group_key: bytes  # shared with the node's one-hop neighborhood
     broadcast_secret: bytes  # confined from the one-hop neighborhood
     # j -> K_j, the issuing Kdc's pool lookup
     _pool_key: Callable[[int], bytes] = field(repr=False, compare=False)
+
+    @property
+    def decryption_secrets(self) -> List[bytes]:
+        """The pool keys at `indices`, in their order."""
+        return list(map(self._pool_key, self.indices))
 
     def encryption_secret(self, index: int) -> bytes:
         """`envelope_key(K_index, node)`, derived on every call."""
@@ -190,15 +226,12 @@ class PairwiseKeyService:
 
 
 def setup(k: int, m: int, seed: bytes) -> Tuple[KdcParams, KeyPool, PairwiseKeyService]:
-    """Derive the key pool and pairwise-key root deterministically from seed."""
-    if k <= 0 or m < 1 or m >= k or k > 4096:
-        raise BadParams("require 1 <= m < k <= 4096, got k=%d m=%d" % (k, m))
+    """The network's params, its key pool and its pairwise-key root, all
+    determined by seed.  Derives the root, and no pool key (see `KeyPool`);
+    raises BadParams unless 1 <= m < k <= 4096."""
     params = KdcParams(k=k, m=m, master_seed=Key(seed))
-    keys = tuple(
-        mac(params.master_seed, [b"pool", i.to_bytes(4, "big")]) for i in range(1, k + 1)
-    )
     svc = PairwiseKeyService(Key(mac(params.master_seed, [b"pairwise-root"])))
-    return params, KeyPool(keys), svc
+    return params, KeyPool(params.master_seed, k), svc
 
 
 def index_set(params: KdcParams, node: str) -> List[int]:
@@ -244,11 +277,10 @@ class Kdc:
             raise DuplicateNode(node)
         params = self.params
         indices = index_set(params, node)
-        node_master = mac(params.master_seed, [b"node", node.encode()])
+        node_master = Key(mac(params.master_seed, [b"node", node.encode()]))
         ring = NodeKeyRing(
             node=node,
             indices=indices,
-            decryption_secrets=[self.pool.key(i) for i in indices],
             rdn_group_key=Key(mac(node_master, [b"rdn-group"])),
             broadcast_secret=Key(mac(node_master, [b"broadcast-secret"])),
             _pool_key=self.pool.key,
@@ -293,11 +325,13 @@ def open_broadcast(
     """Recover the broadcast secret using any pool key the cover includes.
 
     The receiver opens its own envelope with `open_box`, trying its
-    usable indices in its own order and reading no other envelope, then
-    checks the tag, a MAC under the recovered secret over the full
-    message (label, revoked ids, every envelope), before returning the
-    secret.  The message's serialisation is computed once per message and
-    shared by all its receivers, and so is the tag check: a receiver
+    usable indices in its own order and reading no other envelope, and
+    reads its pool key K_i, through the ring's pool lookup, only for each
+    index i it tries.  Then it checks the tag, a MAC under the recovered
+    secret over the full message (label, revoked ids, every envelope),
+    before returning the secret.  The message's serialisation is
+    computed once per message and shared by all its receivers, and so is
+    the tag check: a receiver
     whose secret equals (by `hmac.compare_digest`) the one the message
     last verified under, the sender's own when `build_broadcast` made it,
     reads no tag and skips the MAC.  Any other secret is MAC-checked and,
@@ -311,9 +345,8 @@ def open_broadcast(
     for i in usable:
         # Receiver reconstructs the sender's encryption secret from its own
         # pool key; a tampered envelope just fails authentication.
-        k_pool = receiver.decryption_secrets[receiver.indices.index(i)]
         try:
-            secret = open_box(envelope_key(k_pool, sender), msg.envelope(i))
+            secret = open_box(envelope_key(receiver._pool_key(i), sender), msg.envelope(i))
             break
         except AuthFailure:
             continue

@@ -834,16 +834,21 @@ def test_secrets_opened_once_and_only_in_scope(monkeypatch, behavior):
 
 def test_encryption_secrets_derived_once_and_only_for_sealed_covers(monkeypatch):
     pool_reads, built, derived, issued = Counter(), Counter(), Counter(), Counter()
-    opened = []  # (receiver, sender, message) for each open; hashing a message would seal it
+    # (receiver, sender, message, pool indices it read) per open; hashing
+    # a message would seal it
+    opened = []
     sealing = []  # the pool index just read to seal, until its key is derived
-    issuing = []
+    issuing, enveloping, opening = [], [], []
     real_key, real_build, real_issue = kdc.KeyPool.key, kdc.build_broadcast, kdc.Kdc.issue
     real_open, real_envelope_key = kdc.open_broadcast, kdc.envelope_key
+    real_envelope = kdc.BroadcastMessage.envelope
 
     def key(pool, j):
         pool_reads["read"] += 1
-        if not issuing:  # K_j read outside `issue`: read to seal an envelope
+        if enveloping:  # K_j read inside `BroadcastMessage.envelope`: read to seal an envelope
             sealing.append(j)
+        elif not issuing:  # any other read is an opener's, of its own K_j
+            opening[-1].append(j)
         return real_key(pool, j)
 
     def envelope_key(pool_key, node):
@@ -851,13 +856,24 @@ def test_encryption_secrets_derived_once_and_only_for_sealed_covers(monkeypatch)
             derived[node, sealing.pop()] += 1
         return real_envelope_key(pool_key, node)
 
+    def envelope(msg, j):
+        enveloping.append(j)
+        try:
+            return real_envelope(msg, j)
+        finally:
+            enveloping.pop()
+
     def build_broadcast(ring, secret, revoked, params):
         built[ring.node] += 1
         return real_build(ring, secret, revoked, params)
 
     def open_broadcast(receiver, msg, sender, params):
-        opened.append((receiver.node, sender, msg))
-        return real_open(receiver, msg, sender, params)
+        opening.append([])
+        opened.append((receiver.node, sender, msg, opening[-1]))
+        try:
+            return real_open(receiver, msg, sender, params)
+        finally:
+            opening.pop()
 
     def issue(center, node):
         issued[node] += 1
@@ -867,17 +883,17 @@ def test_encryption_secrets_derived_once_and_only_for_sealed_covers(monkeypatch)
             ring = real_issue(center, node)
         finally:
             issuing.pop()
-        # Only the m decryption secrets read the pool; no K_j is hashed.
-        assert pool_reads["read"] - before == center.params.m
+        assert pool_reads["read"] == before  # issuing reads no pool key
         return ring
 
     monkeypatch.setattr(kdc.KeyPool, "key", key)
     monkeypatch.setattr(kdc, "envelope_key", envelope_key)
+    monkeypatch.setattr(kdc.BroadcastMessage, "envelope", envelope)
     monkeypatch.setattr(kdc, "build_broadcast", build_broadcast)
     monkeypatch.setattr(kdc, "open_broadcast", open_broadcast)
     monkeypatch.setattr(kdc.Kdc, "issue", issue)
     for seed, adversary, topo in tamper_scenarios(5):
-        built.clear(), derived.clear(), issued.clear(), opened.clear()
+        built.clear(), derived.clear(), issued.clear(), opened.clear(), pool_reads.clear()
         harness = Harness(
             ScenarioConfig(
                 topology_text=topology_to_text(topo),
@@ -889,13 +905,16 @@ def test_encryption_secrets_derived_once_and_only_for_sealed_covers(monkeypatch)
             )
         )
         assert not derived and set(issued) == set(topo.nodes)
+        assert not pool_reads["read"]  # set-up and issuing read no pool key
         harness.run()
         assert built and max(built.values()) == 1
         prov = harness.stores["N0"].provisioning
-        # Each receiver reads, so seals, only its first usable envelope.
+        # Each receiver reads its own K_j, and reads, so seals, the
+        # envelope, only at its first usable index.
         read = set()
-        for receiver, sender, msg in opened:
+        for receiver, sender, msg, own in opened:
             first = next((j for j in prov.rings[receiver].indices if j in msg.cover_indices), None)
+            assert own == ([] if first is None else [first])
             if first is not None:
                 read.add((sender, first))
         assert read and set(derived) == read

@@ -31,7 +31,7 @@ def small_kdc():
 def test_setup_deterministic():
     a = kdc.setup(64, 8, SEED)
     b = kdc.setup(64, 8, SEED)
-    assert a[1] == b[1]
+    assert a[1].keys == b[1].keys
 
 
 def test_setup_rejects_bad_params():
@@ -39,6 +39,16 @@ def test_setup_rejects_bad_params():
         kdc.setup(2, 2, SEED)
     with pytest.raises(BadParams):
         kdc.setup(0, 1, SEED)
+
+
+@pytest.mark.parametrize("k, m", [(4, 8), (4, 4), (0, 1), (0, 0), (8, 0), (4097, 8)])
+def test_params_outside_range_refused_at_construction(k, m):
+    # Constructed only: `index_set` on such params would never return (m >= k)
+    # or divide by zero (k = 0).
+    with pytest.raises(BadParams):
+        kdc.KdcParams(k, m, SEED)
+    with pytest.raises(BadParams):
+        dataclasses.replace(kdc.setup(64, 8, SEED)[0], k=k, m=m)
 
 
 def test_pool_keys_distinct():
@@ -557,6 +567,80 @@ def test_built_broadcast_reads_equal_eager_sealing_and_seal_each_envelope_once(r
         assert tagged in ([], [secret])
         assert (msg.revoked, msg.cover_indices, msg.envelopes, msg.tag) == dataclasses.astuple(ref)
         assert sealed == Counter(keys.values()) and tagged == [secret]
+
+
+_EAGER_POOL = {j: crypto.mac(SEED, [b"pool", j.to_bytes(4, "big")]) for j in range(1, 65)}
+_POOL_READ = st.one_of(st.integers(min_value=-2, max_value=67), st.sampled_from(_LAZY_NODES))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.frozensets(st.sampled_from(_LAZY_NODES[1:]), max_size=3),
+    st.frozensets(st.integers(min_value=1, max_value=64)),
+    st.lists(_POOL_READ, max_size=25),
+)
+@example(frozenset(), frozenset(), [1, 1, 0, 65, -1, "B", "B", 64])
+def test_pool_keys_derived_on_first_read_once_per_pool(revoked, spoiled, reads):
+    """A pool derives K_j, the eager rule's bytes, on its first read and
+    never again; a bad index raises before any derivation; `setup` and
+    `issue` derive none; and an open reads the receiver's own K_i once
+    per index it tries, in its own order, and no other pool key.  The
+    message is built by hand, under the eager keys, so its envelopes
+    read no pool key; those at `spoiled` indices fail to open."""
+    secret = crypto.mac(SEED, [b"secret"])
+    revoked = sorted(revoked)
+    cover = kdc.cover_indices(_LAZY[0], revoked)
+    envelopes = tuple(
+        bytes(40) if j in spoiled else crypto.seal(kdc.envelope_key(_EAGER_POOL[j], "A"), secret)
+        for j in cover
+    )
+    tag = crypto.mac_framed(secret, kdc._tag_input(frozenset(revoked), envelopes))
+    msg = kdc.BroadcastMessage(frozenset(revoked), tuple(cover), envelopes, tag)
+    derived, looked_up = [], []  # pool indices MACed, and read through `KeyPool.key`
+    real_mac, real_key = kdc.mac, kdc.KeyPool.key
+
+    def mac(key, parts):
+        if parts[0] == b"pool":
+            derived.append(int.from_bytes(parts[1], "big"))
+        return real_mac(key, parts)
+
+    def key(pool, index):
+        looked_up.append(index)
+        return real_key(pool, index)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kdc, "mac", mac)
+        mp.setattr(kdc.KeyPool, "key", key)
+        params, pool, _ = kdc.setup(64, 8, SEED)
+        center = kdc.Kdc(params, pool)
+        rings = {n: center.issue(n) for n in _LAZY_NODES}
+        assert not derived and not looked_up  # setup and issue derive and read none
+        for read in reads:
+            before = len(looked_up)
+            if isinstance(read, str):  # an open by that node's ring
+                ring = rings[read]
+                usable = [i for i in ring.indices if i in cover]
+                tried = usable[: next((p + 1 for p, i in enumerate(usable) if i not in spoiled), None)]
+                if not usable:
+                    with pytest.raises(NoUsableIndex):
+                        kdc.open_broadcast(ring, msg, "A", params)
+                elif tried[-1] in spoiled:
+                    with pytest.raises(TagMismatch):
+                        kdc.open_broadcast(ring, msg, "A", params)
+                else:
+                    assert kdc.open_broadcast(ring, msg, "A", params) == secret
+                assert looked_up[before:] == tried
+            elif 1 <= read <= 64:
+                assert pool.key(read) == _EAGER_POOL[read]
+            else:
+                count = len(derived)
+                with pytest.raises(BadParams):
+                    pool.key(read)
+                assert len(derived) == count
+            assert sorted(derived) == sorted({j for j in looked_up if 1 <= j <= 64})
+        assert pool.keys == tuple(_EAGER_POOL[j] for j in range(1, 65))
+        assert sorted(derived) == list(range(1, 65))  # each K_j derived once
+        assert kdc.setup(64, 8, SEED)[1].key(1) == _EAGER_POOL[1] and derived.count(1) == 2
 
 
 def test_coverage_estimate_full_cover():
